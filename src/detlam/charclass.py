@@ -10,6 +10,10 @@ generating identity
     sum_j ch(Sym^j E) t^j = exp( sum_{m>=1} (t^m / m) psi^m(ch E) ),
 
 read off through the equivalent recurrence j*s_j = sum_m psi^m(ch E) s_{j-m}.
+That recurrence produces s_0..s_top in a single pass, so ``sym_ch_table``
+returns the whole list and ``sym_ch`` is its last entry: a caller that
+needs several symmetric powers builds the table once per call instead of
+re-running the recurrence for each degree. Nothing is cached across calls.
 """
 
 from functools import lru_cache
@@ -17,18 +21,14 @@ from functools import lru_cache
 from .exactalg import DomainError, Rational, TruncatedSeries, VarTable
 
 __all__ = [
-    "CharClass",
     "power_sums",
     "ch_from_chern",
     "todd_from_chern",
     "adams_rescale",
     "dual_ch",
     "sym_ch",
+    "sym_ch_table",
 ]
-
-# A characteristic class is just an exact truncated series; the alias marks
-# intent in signatures.
-CharClass = TruncatedSeries
 
 
 def _require_unit(c: TruncatedSeries, what: str):
@@ -121,22 +121,33 @@ def dual_ch(ch: TruncatedSeries) -> TruncatedSeries:
     return adams_rescale(ch, -1)
 
 
-def sym_ch(ch: TruncatedSeries, j: int) -> TruncatedSeries:
-    """Chern character of the j-th symmetric power.
+def sym_ch_table(ch: TruncatedSeries, top: int) -> list[TruncatedSeries]:
+    """Chern characters [s_0, ..., s_top] of the symmetric powers Sym^0..Sym^top.
 
     s_0 = 1 and j*s_j = sum_{m=1}^{j} psi^m(ch) * s_{j-m}, the coefficient
-    recurrence of the generating identity in the module docstring.
+    recurrence of the generating identity in the module docstring; every
+    entry comes out of the same pass.
+
+    For a line bundle with ch = e^a, s_j = e^(j*a):
+
+    >>> vt = VarTable([("a", 1)])
+    >>> a = TruncatedSeries.gen(vt, 3, "a")
+    >>> table = sym_ch_table(a.exp(), 3)
+    >>> all(s == (a * j).exp() for j, s in enumerate(table))
+    True
     """
-    if j < 0:
+    if top < 0:
         raise DomainError("symmetric power degree must be >= 0")
-    one = TruncatedSeries.one(ch.vars, ch.bound)
-    if j == 0:
-        return one
-    psi = [None] + [adams_rescale(ch, m) for m in range(1, j + 1)]
-    s = [one]
-    for n in range(1, j + 1):
+    psi = [None] + [adams_rescale(ch, m) for m in range(1, top + 1)]
+    s = [TruncatedSeries.one(ch.vars, ch.bound)]
+    for n in range(1, top + 1):
         acc = TruncatedSeries.zero(ch.vars, ch.bound)
         for m in range(1, n + 1):
             acc = acc + psi[m] * s[n - m]
         s.append(acc / n)
-    return s[j]
+    return s
+
+
+def sym_ch(ch: TruncatedSeries, j: int) -> TruncatedSeries:
+    """Chern character of the j-th symmetric power: ``sym_ch_table(ch, j)[j]``."""
+    return sym_ch_table(ch, j)[j]

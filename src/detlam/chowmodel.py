@@ -533,5 +533,9 @@ def load_model(obj: dict) -> ChowModel:
 
 
 def load_model_file(path: str) -> ChowModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_model(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ModelError(f"cannot read model file {path!r}: {exc}") from exc
+    return load_model(obj)

@@ -12,6 +12,7 @@ across runs; timing is written to stderr only.
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,7 @@ from .chowmodel import (
     model_pn,
     model_pn_x_pm,
 )
-from .combinat import CoeffTable, coeff_table, pk_identity_check, pk_poly
+from .combinat import coeff_table, pk_identity_check
 from .exactalg import DomainError, StructureError
 from . import grrcheck, kexpr, quotientlab
 from .kexpr import ScriptError
@@ -122,6 +123,8 @@ def _cmd_coeffs(args):
 
 
 def _cmd_polyid(args):
+    if args.max_k < 0:
+        raise DomainError("--max-k must be >= 0")
     failures = [k for k in range(args.max_k + 1) if not pk_identity_check(k)]
     obj = {
         "command": "polyid",
@@ -483,11 +486,19 @@ def _run_check(item):
     return {"name": name, "law": law, "ok": ok, "witness": witness}
 
 
+def _pool_size(jobs: int, checks: int, cpus: int | None) -> int:
+    """Worker processes for verify-all: at most one per check and per CPU."""
+    return max(1, min(jobs, checks, cpus or 1))
+
+
 def _cmd_verify_all(args):
+    if args.jobs < 1:
+        raise DomainError("--jobs must be >= 1")
     registry = _build_registry(args.max_dim)
+    workers = _pool_size(args.jobs, len(registry), os.cpu_count())
     started = time.perf_counter()
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = pool.map(_run_check, registry)
             rows = _stream_rows(args, rows)
     else:

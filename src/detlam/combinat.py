@@ -58,12 +58,6 @@ class IntPoly:
             tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
         )
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly(tuple(other * x for x in self.coeffs))
@@ -75,19 +69,6 @@ class IntPoly:
         return IntPoly(tuple(out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise DomainError("negative polynomial power")
-        out = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def __call__(self, value: int) -> int:
         acc = 0

@@ -329,9 +329,6 @@ class TruncatedSeries:
         keep = {e: c for e, c in self.terms.items() if self.vars.degree(e) == k}
         return TruncatedSeries(self.vars, self.bound, keep)
 
-    def max_degree(self) -> int:
-        return max((self.vars.degree(e) for e in self.terms), default=0)
-
     # ------------------------------------------------------------------
     # comparison and serialization
 

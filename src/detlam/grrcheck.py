@@ -19,7 +19,7 @@ with no division at any point.
 import re
 from dataclasses import dataclass
 
-from .charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch, todd_from_chern
+from .charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch_table, todd_from_chern
 from .chowmodel import BundleClass, ChowModel, ModelError
 from .combinat import coeff_table
 from .exactalg import DomainError, Rational, TruncatedSeries, VarTable
@@ -128,7 +128,15 @@ def _check_dim(d: int, allow_degenerate: bool):
 
 
 def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport":
-    """Assemble the universal defect and its degree breakdown."""
+    """Assemble the universal defect and its degree breakdown.
+
+    The Sym^j characters of the cotangent sheaf are built once, as one
+    ``sym_ch_table`` up to the largest Sym degree in the combination. Terms
+    are then grouped by twist: each twist's summands coeff * s_j (dualized
+    where the term says so) are added into one class, which is multiplied
+    by exp(twist * l) once. Every coefficient is exact, so the grouping
+    changes no output.
+    """
     _check_dim(d, allow_degenerate)
     combo = tuple(combo) if combo is not None else main_combo(d, allow_degenerate)
     vt = _universal_ring(d)
@@ -143,12 +151,15 @@ def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport"
     for a in roots:
         tangent_chern = tangent_chern * (one - a)
     todd = todd_from_chern(tangent_chern)
-    D = TruncatedSeries.zero(vt, bound)
+    sym = sym_ch_table(ch_omega, max((term.sym for term in combo), default=0))
+    by_twist: dict[int, TruncatedSeries] = {}
     for term in combo:
-        s = sym_ch(ch_omega, term.sym)
-        if term.dual:
-            s = dual_ch(s)
-        D = D + (l * term.twist).exp() * s * term.coeff
+        s = dual_ch(sym[term.sym]) if term.dual else sym[term.sym]
+        acc = by_twist.get(term.twist, TruncatedSeries.zero(vt, bound))
+        by_twist[term.twist] = acc + s * term.coeff
+    D = TruncatedSeries.zero(vt, bound)
+    for twist, cls in by_twist.items():
+        D = D + (l * twist).exp() * cls
     defect = D * todd
     return UniversalReport(
         dim=d,
@@ -328,10 +339,11 @@ def verify_main_on_model(model: ChowModel, line) -> MainReport:
     omega_chern = model.normal_form(adams_rescale(model.tangent_chern, -1))
     ch_omega = model.normal_form(ch_from_chern(d, omega_chern))
     ch_l2 = model.normal_form((c1 * 2).exp())
+    sym = sym_ch_table(ch_omega, len(table.entries) - 1)
     rows = []
     rhs = 0
     for j, c in enumerate(table.entries):
-        ch_j = model.normal_form(ch_l2 * sym_ch(ch_omega, j))
+        ch_j = model.normal_form(ch_l2 * sym[j])
         deg_j = _c1_lambda_from_ch(model, ch_j)
         rows.append((j, c, deg_j))
         rhs += c * deg_j

@@ -894,8 +894,12 @@ def script_from_obj(obj: dict) -> ChainScript:
 
 
 def script_from_file(path: str) -> ChainScript:
-    with open(path, "r", encoding="utf-8") as fh:
-        return script_from_obj(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ScriptError(f"cannot read script file {path!r}: {exc}") from exc
+    return script_from_obj(obj)
 
 
 def shipped_chain(name: str) -> ChainScript:

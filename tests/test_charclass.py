@@ -17,6 +17,7 @@ from detlam.charclass import (
     dual_ch,
     power_sums,
     sym_ch,
+    sym_ch_table,
     todd_from_chern,
 )
 from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable
@@ -107,6 +108,10 @@ def test_domain_guards():
         ch_from_chern(1, x)  # constant term must be 1
     with pytest.raises(DomainError):
         todd_from_chern(x + 2)
+    with pytest.raises(DomainError):
+        sym_ch(x.exp(), -1)
+    with pytest.raises(DomainError):
+        sym_ch_table(x.exp(), -1)
 
 
 def test_adams_on_line_and_composition():
@@ -132,11 +137,15 @@ def test_sym_ch_split_rank2():
     a = TruncatedSeries.gen(AB, bound, "a")
     b = TruncatedSeries.gen(AB, bound, "b")
     ch = a.exp() + b.exp()
-    for j in range(5):
+    table = sym_ch_table(ch, 6)
+    assert len(table) == 7
+    for j in range(7):
         want = TruncatedSeries.zero(AB, bound)
         for p in range(j + 1):
             want = want + (a * p + b * (j - p)).exp()
-        assert sym_ch(ch, j) == want
+        assert table[j] == want
+        if j < 5:
+            assert sym_ch(ch, j) == want
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -11,13 +11,23 @@ import sys
 import pytest
 
 from detlam.chowmodel import model_pn_x_pm
-from detlam.cli import main
+from detlam.cli import _pool_size, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_usage_error(capsys, *argv):
+    """Run argv, expect exit 2 with an ``error:`` line on stderr and no report."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    return captured.err
 
 
 def run_json(capsys, *argv):
@@ -58,6 +68,9 @@ class TestPolyId:
     def test_small_range(self, capsys):
         code, obj = run_json(capsys, "polyid", "--max-k", "5")
         assert code == 0 and obj["ok"]
+
+    def test_negative_max_k_is_usage_error(self, capsys):
+        run_usage_error(capsys, "polyid", "--max-k", "-5")
 
 
 class TestUniversal:
@@ -147,6 +160,14 @@ class TestModelCommands:
         code, _ = run_cli(capsys, "c1lambda", "--line", "1,1")
         assert code == 2
 
+    def test_non_json_model_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "notjson.json"
+        path.write_text("not json {", encoding="utf-8")
+        err = run_usage_error(
+            capsys, "verify-main", "--model-file", str(path), "--line", "1,1"
+        )
+        assert "notjson.json" in err
+
     def test_wrong_line_arity(self, capsys):
         code, _ = run_cli(capsys, "c1lambda", "--model", "P1xP1", "--line", "1")
         assert code == 2
@@ -222,6 +243,15 @@ class TestRewrite:
         code, rep = run_json(capsys, "rewrite", "--script", str(path))
         assert code == 0 and rep["ok"]
 
+    def test_missing_script_file_is_usage_error(self, capsys, tmp_path):
+        err = run_usage_error(capsys, "rewrite", "--script", str(tmp_path / "missing.json"))
+        assert "missing.json" in err
+
+    def test_too_deeply_nested_script_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        run_usage_error(capsys, "rewrite", "--script", str(path))
+
     def test_needs_chain_or_script(self, capsys):
         code, _ = run_cli(capsys, "rewrite")
         assert code == 2
@@ -284,6 +314,24 @@ class TestVerifyAll:
         _, seq = run_cli(capsys, "verify-all", "--max-dim", "1")
         _, par = run_cli(capsys, "verify-all", "--max-dim", "1", "--jobs", "2")
         assert seq == par
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        run_usage_error(capsys, "verify-all", "--max-dim", "1", "--jobs", jobs)
+
+    @pytest.mark.parametrize(
+        "jobs, checks, cpus, want",
+        [
+            (1, 17, 8, 1),
+            (2, 17, 2, 2),
+            (10**9, 17, 2, 2),  # capped by the CPUs
+            (10**9, 3, 64, 3),  # capped by the checks
+            (4, 17, None, 1),  # unknown CPU count runs sequentially
+            (4, 0, 8, 1),  # an empty registry still gets one worker
+        ],
+    )
+    def test_pool_size_is_clamped(self, jobs, checks, cpus, want):
+        assert _pool_size(jobs, checks, cpus) == want
 
     def test_text_mode(self, capsys):
         code, out = run_cli(capsys, "verify-all", "--max-dim", "1", "--text")

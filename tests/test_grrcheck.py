@@ -8,6 +8,7 @@ counting), and the integer lattice deductions.
 
 import pytest
 
+from detlam.charclass import dual_ch, sym_ch
 from detlam.chowmodel import (
     BundleClass,
     model_hirzebruch,
@@ -101,6 +102,43 @@ def test_combo_serialization_round_trip():
     obj = [t.to_obj() for t in combo]
     assert combo_from_obj(obj) == combo
     assert all(set(rec) == {"coeff", "twist", "sym", "dual"} for rec in obj)
+
+
+def _combo_ch_term_by_term(d, combo):
+    """coeff * exp(twist*l) * (dual?) ch(Sym^sym Omega), one term at a time."""
+    vt = VarTable([("l", 1)] + [(f"a{i}", 1) for i in range(1, d + 1)])
+    bound = d + 1
+    l = TruncatedSeries.gen(vt, bound, "l")
+    ch_omega = TruncatedSeries.zero(vt, bound)
+    for i in range(1, d + 1):
+        ch_omega = ch_omega + TruncatedSeries.gen(vt, bound, f"a{i}").exp()
+    out = TruncatedSeries.zero(vt, bound)
+    for term in combo:
+        s = sym_ch(ch_omega, term.sym)
+        if term.dual:
+            s = dual_ch(s)
+        out = out + (l * term.twist).exp() * s * term.coeff
+    return out
+
+
+# repeats twists 1 and 0, each with dual and non-dual terms
+MIXED_COMBO = (
+    ComboTerm(3, 1, 2),
+    ComboTerm(-5, 1, 2, dual=True),
+    ComboTerm(2, 1, 0),
+    ComboTerm(7, 0, 1, dual=True),
+    ComboTerm(-1, 0, 3),
+    ComboTerm(4, 2, 1, dual=True),
+)
+
+
+@pytest.mark.parametrize(
+    "d, combo",
+    [(1, None), (2, None), (3, None), (1, deligne_combo_d1()), (2, MIXED_COMBO)],
+)
+def test_universal_combo_ch_matches_term_by_term_sum(d, combo):
+    want = _combo_ch_term_by_term(d, combo if combo is not None else main_combo(d))
+    assert universal_report(d, combo).combo_ch == want
 
 
 # ----------------------------------------------------------------------
