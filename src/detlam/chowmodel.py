@@ -148,9 +148,15 @@ class ChowModel:
         return tuple(rules)
 
     def _reduce_monomial(self, exps: tuple[int, ...]) -> dict:
-        """Normal form of one monomial as {exponents: Rational}, truncated."""
-        if self.vars.degree(exps) > self.total_dim:
-            return {}
+        """Normal form of one monomial as {exponents: Rational}, cached.
+
+        Every rule is homogeneous (``_parse_rules`` rejects any other), so
+        each rewrite step keeps the degree of the monomial: a monomial inside
+        the window [0, total_dim] only ever reaches monomials of its own
+        degree. The window cut therefore lives with the callers, in
+        ``normal_form``, and the dimension-closure check can reduce
+        monomials above the window through this same recursion.
+        """
         cached = self._nf_cache.get(exps)
         if cached is not None:
             return cached
@@ -179,28 +185,10 @@ class ChowModel:
         # through this window one variable at a time
         for deg in range(top + 1, top + max_w + 1):
             for exps in _exponents_of_degree(self.vars.weights, deg):
-                if self._reduce_full(exps):
+                if self._reduce_monomial(exps):
                     raise ModelError(
                         f"monomial {exps} of degree {deg} does not normalize to zero"
                     )
-
-    def _reduce_full(self, exps: tuple[int, ...]) -> dict:
-        """Like _reduce_monomial but without the degree-window truncation."""
-        out: dict[tuple[int, ...], Rational] = {exps: Rational(1)}
-        for lead, replace in self.rules:
-            if _divides(lead, exps):
-                rest = tuple(b - a for a, b in zip(lead, exps))
-                out = {}
-                for rexps, rc in replace:
-                    prod = tuple(a + b for a, b in zip(rexps, rest))
-                    for nexps, nc in self._reduce_full(prod).items():
-                        v = out.get(nexps, Rational(0)) + rc * nc
-                        if v:
-                            out[nexps] = v
-                        else:
-                            del out[nexps]
-                break
-        return out
 
     def _is_normal(self, exps: tuple[int, ...]) -> bool:
         return not any(_divides(lead, exps) for lead, _ in self.rules)
@@ -298,6 +286,8 @@ class ChowModel:
             raise ModelError("series lives in a different ring")
         acc: dict[tuple[int, ...], Rational] = {}
         for exps, coeff in series.terms.items():
+            if self.vars.degree(exps) > self.total_dim:
+                continue
             for nexps, nc in self._reduce_monomial(exps).items():
                 v = acc.get(nexps, Rational(0)) + coeff * nc
                 if v:
@@ -366,21 +356,14 @@ class ChowModel:
 
 @dataclass(frozen=True)
 class BundleClass:
-    """A sheaf class on a model: a rank with a total Chern class, or a
-    formal integer combination of line classes given by divisor coefficients."""
+    """A sheaf class on a model: a rank with a total Chern class."""
 
     rank: int
-    chern: TruncatedSeries | None = None
-    line_combo: tuple | None = None
+    chern: TruncatedSeries
 
     def __post_init__(self):
-        if (self.chern is None) == (self.line_combo is None):
-            raise ModelError("exactly one of chern / line_combo is required")
-        if self.chern is not None and self.chern.constant_term != 1:
+        if self.chern.constant_term != 1:
             raise ModelError("total Chern class must start with 1")
-        if self.line_combo is not None:
-            combo = tuple((int(n), tuple(int(e) for e in exps)) for n, exps in self.line_combo)
-            object.__setattr__(self, "line_combo", combo)
 
     @classmethod
     def line(cls, model: ChowModel, coeffs: dict) -> "BundleClass":

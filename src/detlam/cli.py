@@ -27,7 +27,7 @@ from .chowmodel import (
     model_pn,
     model_pn_x_pm,
 )
-from .combinat import coeff_table, pk_identity_check
+from .combinat import binomial_expansion_check, coeff_table, pk_identity_check
 from .exactalg import DomainError, StructureError
 from . import grrcheck, kexpr, quotientlab
 from .kexpr import ScriptError
@@ -256,6 +256,8 @@ def _chk_coeff_tables(params):
         signs = [(-1) ** j * c for j, c in enumerate(table.entries)]
         if any(s <= 0 for s in signs):
             return {"dim": d, "error": "sign pattern broken"}
+        if not binomial_expansion_check(d):
+            return {"dim": d, "error": "binomial expansion disagrees with the table"}
     return None
 
 
@@ -480,10 +482,10 @@ def _run_check(item):
     name, law, fn, params = item
     try:
         witness = fn(params)
-        ok = witness is None
-    except Exception as exc:  # pragma: no cover - defensive: report, don't crash
-        ok, witness = False, {"error": f"{type(exc).__name__}: {exc}"}
-    return {"name": name, "law": law, "ok": ok, "witness": witness}
+    except Exception as exc:  # a crashed check is reported apart from a false identity
+        witness = {"error": f"{type(exc).__name__}: {exc}"}
+        return {"name": name, "law": law, "ok": False, "status": "error", "witness": witness}
+    return {"name": name, "law": law, "ok": witness is None, "witness": witness}
 
 
 def _pool_size(jobs: int, checks: int, cpus: int | None) -> int:
@@ -494,6 +496,8 @@ def _pool_size(jobs: int, checks: int, cpus: int | None) -> int:
 def _cmd_verify_all(args):
     if args.jobs < 1:
         raise DomainError("--jobs must be >= 1")
+    if args.max_dim < 1:
+        raise DomainError("--max-dim must be >= 1")
     registry = _build_registry(args.max_dim)
     workers = _pool_size(args.jobs, len(registry), os.cpu_count())
     started = time.perf_counter()
@@ -520,7 +524,7 @@ def _stream_rows(args, row_iter):
     for row in row_iter:
         rows.append(row)
         if args.text:
-            mark = "PASS" if row["ok"] else "FAIL"
+            mark = "PASS" if row["ok"] else row.get("status", "fail").upper()
             print(f"{mark}  {row['name']}")
             if row["witness"] is not None:
                 print(f"      witness: {json.dumps(row['witness'], sort_keys=True)}")

@@ -30,7 +30,6 @@ __all__ = [
     "pk_poly",
     "pk_identity_check",
     "coeff_table",
-    "coeff_matrix",
     "binomial_expansion_check",
 ]
 
@@ -69,12 +68,6 @@ class IntPoly:
         return IntPoly(tuple(out))
 
     __rmul__ = __mul__
-
-    def __call__(self, value: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -171,19 +164,6 @@ def coeff_table(d: int) -> CoeffTable:
         for j in range(2 * d + 1)
     ]
     return CoeffTable(d, tuple(entries))
-
-
-def coeff_matrix(d: int) -> list[list[int]]:
-    """Row i of the summation grid: 2^(2d-i) (-1)^j C(i,j), zero above the diagonal.
-
-    Column sums reproduce coeff_table(d).
-    """
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    return [
-        [2 ** (2 * d - i) * (-1) ** j * comb(i, j) if j <= i else 0 for j in range(2 * d + 1)]
-        for i in range(2 * d + 1)
-    ]
 
 
 def binomial_expansion_check(d: int) -> bool:

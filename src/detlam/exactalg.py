@@ -168,10 +168,6 @@ class TruncatedSeries:
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(vars, bound, {exps: Rational(1)})
 
-    @classmethod
-    def monomial(cls, vars: VarTable, bound: int, exponents, coeff=1) -> "TruncatedSeries":
-        return cls(vars, bound, {tuple(exponents): _as_rational(coeff)})
-
     # ------------------------------------------------------------------
     # basic queries
 
@@ -184,9 +180,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self, exponents) -> int:
-        return self.vars.degree(exponents)
 
     def _key(self, exps: tuple[int, ...]):
         return (self.vars.degree(exps), exps)
@@ -316,14 +309,6 @@ class TruncatedSeries:
             out = out + power
         return out / c0
 
-    # ------------------------------------------------------------------
-    # windowing
-
-    def truncate(self, new_bound: int) -> "TruncatedSeries":
-        if new_bound > self.bound:
-            raise StructureError("cannot widen a truncated series")
-        return TruncatedSeries(self.vars, new_bound, self.terms)
-
     def component(self, k: int) -> "TruncatedSeries":
         """The weighted-degree-k homogeneous part, kept at the same bound."""
         keep = {e: c for e, c in self.terms.items() if self.vars.degree(e) == k}
@@ -355,18 +340,6 @@ class TruncatedSeries:
             }
             for exps, coeff in self.sorted_items()
         ]
-
-    @classmethod
-    def from_obj(cls, vars: VarTable, bound: int, obj) -> "TruncatedSeries":
-        items = []
-        for rec in obj:
-            try:
-                exps = tuple(int(e) for e in rec["exponents"])
-                coeff = Rational(int(rec["num"]), int(rec["den"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StructureError(f"bad series record {rec!r}") from exc
-            items.append((exps, coeff))
-        return cls.from_terms(vars, bound, items)
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch_table, todd_from_chern
-from .chowmodel import BundleClass, ChowModel, ModelError
+from .chowmodel import BundleClass, ChowModel
 from .combinat import coeff_table
 from .exactalg import DomainError, Rational, TruncatedSeries, VarTable
 
@@ -28,11 +28,8 @@ __all__ = [
     "ComboTerm",
     "main_combo",
     "deligne_combo_d1",
-    "combo_from_obj",
-    "universal_defect",
     "universal_report",
     "UniversalReport",
-    "main_theorem_defect_vanishes",
     "ducrot_defect",
     "bundle_ch",
     "c1_lambda",
@@ -72,23 +69,6 @@ class ComboTerm:
             "sym": self.sym,
             "dual": self.dual,
         }
-
-
-def combo_from_obj(obj) -> tuple[ComboTerm, ...]:
-    terms = []
-    for rec in obj:
-        try:
-            terms.append(
-                ComboTerm(
-                    int(rec["coeff"]),
-                    int(rec["twist"]),
-                    int(rec["sym"]),
-                    bool(rec.get("dual", False)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"bad combo record {rec!r}") from exc
-    return tuple(terms)
 
 
 def main_combo(d: int, allow_degenerate: bool = False) -> tuple[ComboTerm, ...]:
@@ -197,16 +177,6 @@ class UniversalReport:
         }
 
 
-def universal_defect(d, combo=None, allow_degenerate=False) -> TruncatedSeries:
-    """The defect class D * Td(T_f) over the universal truncated ring."""
-    return universal_report(d, combo, allow_degenerate).defect
-
-
-def main_theorem_defect_vanishes(d: int, allow_degenerate: bool = False) -> bool:
-    """True iff the main combination's defect vanishes in degree d+1."""
-    return universal_report(d, allow_degenerate=allow_degenerate).top_degree_zero
-
-
 # ----------------------------------------------------------------------
 # vanishing of the ideal-block product
 
@@ -223,6 +193,8 @@ def ducrot_defect(d: int, factors=None, allow_short: bool = False) -> TruncatedS
     if factors is None:
         names = [f"l{i}" for i in range(1, d + 3)]
     elif isinstance(factors, int):
+        if factors < 0:
+            raise DomainError("the factor count must be >= 0")
         names = [f"l{i}" for i in range(1, factors + 1)]
     else:
         names = list(factors)
@@ -244,26 +216,7 @@ def ducrot_defect(d: int, factors=None, allow_short: bool = False) -> TruncatedS
 
 def bundle_ch(model: ChowModel, bundle: BundleClass) -> TruncatedSeries:
     """Chern character of a bundle class in the model ring, normal form."""
-    if bundle.chern is not None:
-        return model.normal_form(ch_from_chern(bundle.rank, model.normal_form(bundle.chern)))
-    acc = model.zero()
-    for n, exps in bundle.line_combo:
-        c1 = model.zero()
-        for i, e in enumerate(exps):
-            if e:
-                if model.vars.weights[i] != 1:
-                    raise ModelError("line exponents must sit on weight-one generators")
-                c1 = c1 + model.gen(model.vars.names[i]) * e
-        acc = acc + c1.exp() * n
-    return model.normal_form(acc)
-
-
-def _as_line(model: ChowModel, line) -> BundleClass:
-    if isinstance(line, BundleClass):
-        return line
-    if isinstance(line, dict):
-        return BundleClass.line(model, line)
-    raise DomainError("line must be a BundleClass or a divisor-coefficient dict")
+    return model.normal_form(ch_from_chern(bundle.rank, model.normal_form(bundle.chern)))
 
 
 def _integral_value(value: Rational, what: str) -> int:
@@ -322,16 +275,18 @@ class MainReport:
         }
 
 
-def verify_main_on_model(model: ChowModel, line) -> MainReport:
-    """Exact integer check of the exponent identity on a family model."""
+def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
+    """Exact integer check of the exponent identity on a family model.
+
+    ``line`` maps weight-one generator names to divisor coefficients.
+    """
     d = model.rel_dim
     if d < 1:
         raise DomainError("need a family of positive relative dimension")
     if model.total_dim - d != 1:
         raise DomainError("the verification needs a one-dimensional base")
-    line_coeffs = dict(line) if isinstance(line, dict) else {}
-    bundle = _as_line(model, line)
-    c1 = bundle.chern.component(1)
+    line_coeffs = dict(line)
+    c1 = BundleClass.line(model, line_coeffs).chern.component(1)
     ch_l = model.normal_form(c1.exp())
     table = coeff_table(d)
     lhs_degree = _c1_lambda_from_ch(model, ch_l)
@@ -431,13 +386,6 @@ class PicardLattice:
                     for i in range(len(g)):
                         g[i] -= q * row[i]
         return (not any(g), g)
-
-    def to_obj(self) -> dict:
-        return {
-            "symbols": self.symbols,
-            "relations": [[str(x) for x in r] for r in self.relations],
-            "echelon": [[str(x) for x in row] for _, row in self.echelon],
-        }
 
 
 @dataclass(frozen=True)

@@ -40,15 +40,11 @@ __all__ = [
     "LamProd",
     "O",
     "T",
-    "atom",
-    "ten",
-    "lin",
     "o_minus",
     "tpow",
     "normalize",
     "normalize_expr",
     "canonical_state",
-    "to_expr",
     "render_expr",
     "parse_expr",
     "render_monomial",
@@ -68,8 +64,6 @@ __all__ = [
     "script_multadd_d1",
     "get_chain",
     "builtin_chain_names",
-    "multiadditivity_expand",
-    "MultAddReport",
 ]
 
 
@@ -165,18 +159,6 @@ class LamProd:
 
 O = One()
 T = Twist()
-
-
-def atom(name: str) -> Atom:
-    return Atom(name)
-
-
-def ten(*factors):
-    return Ten(*factors)
-
-
-def lin(*pairs):
-    return Lin(*pairs)
 
 
 def o_minus(e) -> Lin:
@@ -332,28 +314,6 @@ def canonical_state(state: list) -> dict:
     return out
 
 
-def to_expr(canon) -> Lin:
-    """Rebuild a (sheaf-level) tree from a canonical coefficient tuple."""
-    terms = []
-    for (factors, tw), c in canon:
-        parts = []
-        for kind, name, param, dual in factors:
-            base = Atom(name)
-            if kind == "sym":
-                base = Sym(param, Dual(base)) if dual else Sym(param, base)
-            elif kind == "push":
-                base = Push(name, tpow(Atom(name), param))
-                if dual:
-                    base = Dual(base)
-            elif dual:
-                base = Dual(base)
-            parts.append(base)
-        if tw:
-            parts.append(T)
-        terms.append((c, Ten(*parts) if parts else O))
-    return Lin(*terms) if terms else Lin((0, O))
-
-
 def render_monomial(m) -> str:
     factors, tw = m
     bits = []
@@ -407,12 +367,18 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _INT = re.compile(r"-?\d+\Z")
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
 
+# Deepest form nesting parse_expr accepts. The shipped chains nest at most 8
+# deep; the cap keeps parsing and the recursive normalization of a parsed
+# tree well inside Python's recursion limit.
+MAX_NESTING = 200
+
 
 def parse_expr(text: str):
+    """Parse one s-expression; forms nested deeper than MAX_NESTING are rejected."""
     tokens = _TOKEN.findall(text)
     pos = 0
 
-    def parse():
+    def parse(depth=0):
         nonlocal pos
         if pos >= len(tokens):
             raise ScriptError("unexpected end of expression")
@@ -428,6 +394,8 @@ def parse_expr(text: str):
             if _NAME.match(t):
                 return Atom(t)
             raise ScriptError(f"bad token {t!r}")
+        if depth >= MAX_NESTING:
+            raise ScriptError(f"expression nests deeper than {MAX_NESTING} forms")
         if pos >= len(tokens) or tokens[pos] in ("(", ")"):
             raise ScriptError("expected a form head")
         head = tokens[pos]
@@ -435,7 +403,7 @@ def parse_expr(text: str):
         args = []
         while pos < len(tokens) and tokens[pos] != ")":
             if tokens[pos] == "(" or not _INT.match(tokens[pos]):
-                args.append(parse())
+                args.append(parse(depth + 1))
             else:
                 args.append(int(tokens[pos]))
                 pos += 1
@@ -1138,66 +1106,3 @@ def get_chain(name: str, dim: int = 1) -> ChainScript:
     if name == "multadd-d1":
         return script_multadd_d1()
     raise ScriptError(f"unknown chain {name!r}")
-
-
-# ----------------------------------------------------------------------
-# multiadditivity expansion
-
-
-@dataclass(frozen=True)
-class MultAddReport:
-    lines: tuple
-    q: str
-    lhs: object
-    rhs: object
-    defect: tuple
-    defect_is_trivial_block: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.defect_is_trivial_block
-
-    def to_obj(self) -> dict:
-        return {
-            "lines": list(self.lines),
-            "q": self.q,
-            "lhs": render_expr(self.lhs),
-            "rhs": render_expr(self.rhs),
-            "defect": render_canonical(self.defect),
-            "defect_is_trivial_block": self.defect_is_trivial_block,
-        }
-
-
-def multiadditivity_expand(lines, q) -> MultAddReport:
-    """Expand I(L1 (x) Q, rest) against I(L1, rest) (x) I(Q, rest).
-
-    The two sides are not formally equal; their lambda-exponent difference
-    must be exactly minus the full (d+2)-factor block
-    (O - L1)(O - Q)(O - L2)...(O - L_{d+1}), the canonically trivial one.
-    """
-    lines = [str(x) for x in lines]
-    if not lines:
-        raise ScriptError("need at least one line")
-    q = str(q)
-
-    def leaf(name):
-        return O if name == "O" else Atom(name)
-
-    first, rest = lines[0], lines[1:]
-    rest_blocks = [o_minus(leaf(x)) for x in rest]
-    lhs = Lam(Ten(o_minus(Ten(leaf(first), leaf(q))), *rest_blocks))
-    rhs = LamProd(
-        Lam(Ten(o_minus(leaf(first)), *rest_blocks)),
-        Lam(Ten(o_minus(leaf(q)), *rest_blocks)),
-    )
-    diff = canonical_state(_state_of(lhs) + [(fs, -e) for fs, e in _state_of(rhs)])
-    block = Lam(Ten(o_minus(leaf(first)), o_minus(leaf(q)), *rest_blocks), -1)
-    want = canonical_state(_state_of(block))
-    return MultAddReport(
-        lines=tuple(lines),
-        q=q,
-        lhs=lhs,
-        rhs=rhs,
-        defect=_canon_items(diff),
-        defect_is_trivial_block=diff == want,
-    )

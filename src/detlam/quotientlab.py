@@ -32,7 +32,6 @@ __all__ = [
     "hilbert_series",
     "signed_hilbert_series",
     "invariants_hs",
-    "odd_part_hs",
     "series_coefficients",
     "fixed_ideal",
     "conormal_degree_zero",
@@ -80,10 +79,6 @@ class GradedAlgebra:
     def odd_variables(self) -> tuple:
         return tuple(v for v in self.variables if v[2] == 1)
 
-    @property
-    def even_variables(self) -> tuple:
-        return tuple(v for v in self.variables if v[2] == 0)
-
     @classmethod
     def from_spec(cls, text: str) -> "GradedAlgebra":
         """Parse ``"x:1:odd,y:2:even"`` (parities also accepted as 0/1)."""
@@ -106,14 +101,6 @@ class GradedAlgebra:
                 raise StructureError(f"bad parity in {chunk!r}")
             variables.append((name, degree, parity))
         return cls(tuple(variables))
-
-    def to_obj(self) -> dict:
-        return {"variables": [list(v) for v in self.variables]}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "GradedAlgebra":
-        return cls(tuple(tuple(v) for v in obj["variables"]))
-
 
 def _geometric(degree: int, bound: int, sign: int) -> TruncatedSeries:
     """1 / (1 - sign * t^degree) as a truncated series."""
@@ -147,12 +134,6 @@ def invariants_hs(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> Truncat
     return (hilbert_series(algebra, bound) + signed_hilbert_series(algebra, bound)).scale(half)
 
 
-def odd_part_hs(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> TruncatedSeries:
-    """Hilbert series of the odd-parity module R1."""
-    half = Rational(1, 2)
-    return (hilbert_series(algebra, bound) - signed_hilbert_series(algebra, bound)).scale(half)
-
-
 def series_coefficients(series: TruncatedSeries) -> list[int]:
     """Integer coefficient list [c_0, ..., c_bound]; rejects non-integers."""
     out = []
@@ -169,13 +150,6 @@ class FixedIdeal:
     generators: tuple
     cartier: bool
     fixed_locus_is_everything: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "cartier": self.cartier,
-            "fixed_locus_is_everything": self.fixed_locus_is_everything,
-        }
 
 
 def fixed_ideal(algebra: GradedAlgebra) -> FixedIdeal:
@@ -207,17 +181,6 @@ class FlatnessReport:
     witness: dict | None
     certified: bool
     note: str
-
-    def to_obj(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "bound": self.bound,
-            "ratio": list(self.ratio_coeffs),
-            "basis": list(self.basis) if self.basis is not None else None,
-            "witness": self.witness,
-            "certified": self.certified,
-            "note": self.note,
-        }
 
 
 def _candidate_basis(algebra: GradedAlgebra) -> list[tuple[int, str]]:

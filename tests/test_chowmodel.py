@@ -21,7 +21,7 @@ from detlam.exactalg import Rational, TruncatedSeries
 
 
 def mono(model, exps, coeff=1):
-    return TruncatedSeries.monomial(model.vars, model.total_dim, exps, coeff)
+    return TruncatedSeries(model.vars, model.total_dim, {exps: coeff})
 
 
 # ----------------------------------------------------------------------
@@ -35,6 +35,12 @@ def test_pn_normal_form_and_integrate():
     assert p2.integrate(mono(p2, (2,))) == 1
     assert p2.integrate(mono(p2, (1,))) == 0
     assert p2.integrate(mono(p2, (2,), Rational(5, 3))) == Rational(5, 3)
+
+
+def test_normal_form_drops_terms_above_the_window():
+    p2 = model_pn(2)
+    wide = TruncatedSeries(p2.vars, 4, {(1,): 2, (2,): 3, (3,): 1, (4,): 1})
+    assert p2.normal_form(wide) == TruncatedSeries(p2.vars, 4, {(1,): 2, (2,): 3})
 
 
 def test_pn_structure():
@@ -62,7 +68,7 @@ def test_product_family_pushforward():
     m = model_pn_x_pm(1, 1)
     # push(h * beta) = beta, push(1) = 0, push(s) = 0
     assert m.fiber_pushforward(mono(m, (1, 0))) == TruncatedSeries.one(m.vars, 1)
-    assert m.fiber_pushforward(mono(m, (1, 1))) == TruncatedSeries.monomial(m.vars, 1, (0, 1))
+    assert m.fiber_pushforward(mono(m, (1, 1))) == TruncatedSeries(m.vars, 1, {(0, 1): 1})
     assert m.fiber_pushforward(m.one()).is_zero()
     assert m.fiber_pushforward(mono(m, (0, 1))).is_zero()
 
@@ -95,8 +101,8 @@ def test_hirzebruch_pushforward():
     m = model_hirzebruch(2)
     one_base = TruncatedSeries.one(m.vars, 1)
     assert m.fiber_pushforward(mono(m, (1, 0))) == one_base
-    assert m.fiber_pushforward(mono(m, (1, 1))) == TruncatedSeries.monomial(m.vars, 1, (0, 1))
-    assert m.fiber_pushforward(mono(m, (2, 0))) == TruncatedSeries.monomial(m.vars, 1, (0, 1), -2)
+    assert m.fiber_pushforward(mono(m, (1, 1))) == TruncatedSeries(m.vars, 1, {(0, 1): 1})
+    assert m.fiber_pushforward(mono(m, (2, 0))) == TruncatedSeries(m.vars, 1, {(0, 1): -2})
     assert m.fiber_pushforward(mono(m, (0, 1))).is_zero()
 
 
@@ -138,7 +144,7 @@ def test_wrong_sign_pairing_breaks_euler_anchor():
         tangent_chern=good.tangent_chern,
         point_class=(1, 1),
     )
-    base_t = bad.one() + TruncatedSeries.monomial(bad.vars, 2, (0, 1), 2)
+    base_t = bad.one() + TruncatedSeries(bad.vars, 2, {(0, 1): 2})
     total = bad.normal_form(bad.tangent_chern * base_t)
     chi = bad.integrate(todd_from_chern(total))
     assert chi != 1 and chi.denominator != 1
@@ -239,13 +245,9 @@ def test_bundle_class_validation():
     line = BundleClass.line(m, {"h": 1, "s": 1})
     assert line.rank == 1
     assert line.chern.coefficient((1, 0)) == 1
+    bad_chern = TruncatedSeries(m.vars, m.total_dim, {(1, 0): 1})
     with pytest.raises(ModelError):
-        BundleClass(rank=1, chern=None, line_combo=None)
-    with pytest.raises(ModelError):
-        BundleClass(rank=1, chern=m.one(), line_combo=((1, (1, 0)),))
-    bad_chern = TruncatedSeries.monomial(m.vars, m.total_dim, (1, 0))
-    with pytest.raises(ModelError):
-        BundleClass(rank=1, chern=bad_chern, line_combo=None)  # constant term != 1
+        BundleClass(rank=1, chern=bad_chern)  # constant term != 1
 
 
 # ----------------------------------------------------------------------

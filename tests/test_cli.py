@@ -10,8 +10,10 @@ import sys
 
 import pytest
 
+from detlam import cli
 from detlam.chowmodel import model_pn_x_pm
 from detlam.cli import _pool_size, main
+from detlam.kexpr import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +111,9 @@ class TestDucrot:
         assert code == 1
         assert obj["is_zero"] is False
         assert obj["defect"]
+
+    def test_negative_factor_count_is_usage_error(self, capsys):
+        run_usage_error(capsys, "ducrot", "--dim", "1", "--factors", "-3")
 
 
 class TestModelCommands:
@@ -252,6 +257,19 @@ class TestRewrite:
         path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
         run_usage_error(capsys, "rewrite", "--script", str(path))
 
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 5000])
+    def test_nesting_cap(self, capsys, tmp_path, depth):
+        # (lam (dual ... (dual A) ...) 1) nests depth forms: lam and depth - 1 duals
+        expr = "(lam " + "(dual " * (depth - 1) + "A" + ")" * (depth - 1) + " 1)"
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"start": expr, "end": expr, "steps": []}), encoding="utf-8")
+        if depth <= MAX_NESTING:
+            code, rep = run_json(capsys, "rewrite", "--script", str(path))
+            assert code == 0 and rep["ok"]
+        else:
+            err = run_usage_error(capsys, "rewrite", "--script", str(path))
+            assert "nests deeper" in err and "Traceback" not in err
+
     def test_needs_chain_or_script(self, capsys):
         code, _ = run_cli(capsys, "rewrite")
         assert code == 2
@@ -318,6 +336,41 @@ class TestVerifyAll:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, capsys, jobs):
         run_usage_error(capsys, "verify-all", "--max-dim", "1", "--jobs", jobs)
+
+    @pytest.mark.parametrize("max_dim", ["0", "-1"])
+    def test_max_dim_below_one_is_usage_error(self, capsys, max_dim):
+        run_usage_error(capsys, "verify-all", "--max-dim", max_dim)
+
+    def test_crashed_check_is_reported_as_error(self, capsys, monkeypatch):
+        _, clean = run_cli(capsys, "verify-all", "--max-dim", "1")
+
+        def crash(params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_chk_quotient", crash)
+        code, out = run_cli(capsys, "verify-all", "--max-dim", "1")
+        assert code == 1
+        lines, clean_lines = out.splitlines(), clean.splitlines()
+        row = json.loads(lines[-2])
+        assert row["name"] == "quotient-verdicts"
+        assert row["ok"] is False and row["status"] == "error"
+        assert row["witness"] == {"error": "RuntimeError: boom"}
+        assert lines[:-2] == clean_lines[:-2]  # rows of the checks that ran
+        assert json.loads(lines[-1]) == {
+            "overall": False,
+            "checks": len(lines) - 1,
+            "failed": ["quotient-verdicts"],
+        }
+        code, out = run_cli(capsys, "verify-all", "--max-dim", "1", "--text")
+        assert code == 1
+        assert "ERROR  quotient-verdicts" in out
+
+    def test_coeff_tables_check_uses_the_binomial_route(self, monkeypatch):
+        monkeypatch.setattr(cli, "binomial_expansion_check", lambda d: d != 3)
+        assert cli._chk_coeff_tables({}) == {
+            "dim": 3,
+            "error": "binomial expansion disagrees with the table",
+        }
 
     @pytest.mark.parametrize(
         "jobs, checks, cpus, want",

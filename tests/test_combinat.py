@@ -15,7 +15,6 @@ from detlam.combinat import (
     DomainError,
     IntPoly,
     binomial_expansion_check,
-    coeff_matrix,
     coeff_table,
     pk_identity_check,
     pk_poly,
@@ -135,23 +134,10 @@ def test_binomial_expansion_check(d):
     assert binomial_expansion_check(d)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_coeff_matrix_columns_sum_to_table(d):
-    m = coeff_matrix(d)
-    assert len(m) == 2 * d + 1
-    t = coeff_table(d)
-    for j in range(2 * d + 1):
-        assert sum(row[j] for row in m) == t.entries[j]
-    # row i holds 2^(2d-i) (-1)^j C(i,j) for j <= i and zero above the diagonal
-    assert m[0] == [2 ** (2 * d)] + [0] * (2 * d)
-    assert m[2][1] == -comb(2, 1) * 2 ** (2 * d - 2)
-
-
 def test_intpoly_arithmetic():
     two_minus_t = IntPoly((2, -1))
     p = two_minus_t * two_minus_t * two_minus_t
     assert p.coeffs == (8, -12, 6, -1)
-    assert p(0) == 8 and p(2) == 0
     assert IntPoly((1, 1)) * IntPoly((1, -1)) == IntPoly((1, 0, -1))
 
 

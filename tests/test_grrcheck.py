@@ -20,16 +20,13 @@ from detlam.grrcheck import (
     ComboTerm,
     PicardLattice,
     c1_lambda,
-    combo_from_obj,
     deligne_combo_d1,
     ducrot_defect,
     euler_char,
     main_combo,
-    main_theorem_defect_vanishes,
     parse_linear_expr,
     picard_deduce,
     preset_relations,
-    universal_defect,
     universal_report,
     verify_main_on_model,
 )
@@ -40,7 +37,7 @@ from detlam.grrcheck import (
 
 def test_universal_defect_d1_frozen_components():
     vt = VarTable([("l", 1), ("a1", 1)])
-    defect = universal_defect(1)
+    defect = universal_report(1).defect
     l = TruncatedSeries.gen(vt, 2, "l")
     a = TruncatedSeries.gen(vt, 2, "a1")
     assert defect.component(0) == TruncatedSeries.constant(vt, 2, 12)
@@ -64,8 +61,9 @@ def test_universal_report_d1_shows_combo_and_todd():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_main_theorem_defect_vanishes(d):
-    assert main_theorem_defect_vanishes(d)
-    defect = universal_defect(d)
+    rep = universal_report(d)
+    assert rep.top_degree_zero
+    defect = rep.defect
     assert defect.component(d + 1).is_zero()
     assert not defect.component(d).is_zero()
     # degree-0 part counts virtual ranks: each Sym^j of the rank-d
@@ -78,18 +76,19 @@ def test_main_theorem_defect_vanishes(d):
 
 
 def test_degenerate_d0_fails_with_frozen_witness():
-    assert not main_theorem_defect_vanishes(0, allow_degenerate=True)
-    defect = universal_defect(0, allow_degenerate=True)
+    rep = universal_report(0, allow_degenerate=True)
+    assert not rep.top_degree_zero
+    defect = rep.defect
     vt = defect.vars
     assert defect.component(1) == 2 * TruncatedSeries.gen(vt, 1, "l")
     with pytest.raises(DomainError):
-        universal_defect(0)
+        universal_report(0)
 
 
 def test_deligne_combo_d1_vanishes_in_top_degree():
     combo = deligne_combo_d1()
     assert sum(t.coeff for t in combo) == 0
-    defect = universal_defect(1, combo)
+    defect = universal_report(1, combo).defect
     vt = defect.vars
     l = TruncatedSeries.gen(vt, 2, "l")
     assert defect.component(0).is_zero()
@@ -99,8 +98,9 @@ def test_deligne_combo_d1_vanishes_in_top_degree():
 
 def test_combo_serialization_round_trip():
     combo = main_combo(2)
-    obj = [t.to_obj() for t in combo]
-    assert combo_from_obj(obj) == combo
+    obj = universal_report(2).to_obj()["combo"]
+    rebuilt = tuple(ComboTerm(int(r["coeff"]), r["twist"], r["sym"], r["dual"]) for r in obj)
+    assert rebuilt == combo
     assert all(set(rec) == {"coeff", "twist", "sym", "dual"} for rec in obj)
 
 
@@ -293,8 +293,8 @@ def test_euler_char_rejects_families():
 
 def test_euler_char_line_combo():
     p1 = model_pn(1)
-    combo = BundleClass(rank=0, line_combo=((1, (2,)), (-1, (0,))))
-    # chi(O(2)) - chi(O) = 3 - 1
+    # rank 0 with c_1 = 2h is the class O(2) - O: chi(O(2)) - chi(O) = 3 - 1
+    combo = BundleClass(rank=0, chern=p1.one() + p1.gen("h") * 2)
     assert euler_char(p1, combo) == 2
 
 

@@ -32,8 +32,6 @@ from detlam.kexpr import (
     chain_verify,
     corrupt_script,
     get_chain,
-    lin,
-    multiadditivity_expand,
     normalize,
     normalize_expr,
     o_minus,
@@ -42,7 +40,6 @@ from detlam.kexpr import (
     script_from_obj,
     script_to_obj,
     shipped_chain,
-    to_expr,
     tpow,
 )
 
@@ -158,11 +155,6 @@ class TestNormalize:
         got = normalize(LamProd(Lam(A, 2), Lam(A, -2), Lam(B, 5)))
         assert dict(got) == {mono(at("B")): 5}
 
-    def test_to_expr_round_trip(self):
-        e = Ten(o_minus(L), Lin((3, A), (1, Ten(B, T))), Dual(A))
-        c = normalize(e)
-        assert normalize(to_expr(c)) == c
-
 
 class TestPkTree:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -186,7 +178,7 @@ class TestPkTree:
         for j in range(k + 1):
             want = sum(2 ** (k - i) * comb(i, j) for i in range(j, k + 1))
             assert got[mono(*([at("L")] * j))] == want
-        assert got[mono()] == int(pk_poly(k)(1))
+        assert got[mono()] == sum(pk_poly(k).coeffs)  # P_k(1)
         assert sum(got.values()) == (k + 1) * 2 ** k
 
 
@@ -476,7 +468,6 @@ class TestConfluenceCorpus:
             count += 1
             scrambled = _scramble(rng, tree)
             assert normalize(scrambled) == canon
-            assert normalize(to_expr(canon)) == canon
         assert count >= 1000
 
 
@@ -506,11 +497,28 @@ class TestAxiomRegistry:
             ChainStep("nope", 0, {}, "x", Lam(A, 1))
 
 
+def multiadditivity_defect(lines, q):
+    """Distributed exponents of I(L1 (x) Q, rest) - I(L1, rest) - I(Q, rest).
+
+    I(X, rest) is lambda((O - X) (x) (O - L2) (x) ...); the difference must be
+    exactly minus the full (d+2)-factor block (O - L1)(O - Q)(O - L2)...
+    """
+
+    def leaf(name):
+        return O if name == "O" else Atom(name)
+
+    first, q, rest = leaf(lines[0]), leaf(q), [o_minus(leaf(x)) for x in lines[1:]]
+    lhs = Lam(Ten(o_minus(Ten(first, q)), *rest))
+    split = [Lam(Ten(o_minus(x), *rest), -1) for x in (first, q)]
+    block = normalize(Lam(Ten(o_minus(first), o_minus(q), *rest), -1))
+    return normalize(LamProd(lhs, *split)), block
+
+
 class TestMultiadditivity:
     def test_defect_is_trivial_block_d1(self):
-        rep = multiadditivity_expand(["L1", "L2"], "Q")
-        assert rep.ok
-        got = dict(rep.defect)
+        defect, block = multiadditivity_defect(["L1", "L2"], "Q")
+        assert defect == block
+        got = dict(defect)
         want = {}
         names = ["L1", "Q", "L2"]
         for bits in range(8):
@@ -521,21 +529,10 @@ class TestMultiadditivity:
 
     @pytest.mark.parametrize("rest", [["L2"], ["L2", "L3"], ["L2", "L3", "L4"]])
     def test_defect_across_dimensions(self, rest):
-        rep = multiadditivity_expand(["L1"] + rest, "Q")
-        assert rep.ok
-        assert len(rep.defect) == 2 ** (len(rest) + 2)
+        defect, block = multiadditivity_defect(["L1"] + rest, "Q")
+        assert defect == block
+        assert len(defect) == 2 ** (len(rest) + 2)
 
     def test_unit_slot_collapses(self):
-        rep = multiadditivity_expand(["L1", "L2"], "O")
-        assert rep.ok
-        assert rep.defect == ()
-        assert normalize(rep.lhs) == normalize(rep.rhs)
-
-    def test_requires_lines(self):
-        with pytest.raises(ScriptError):
-            multiadditivity_expand([], "Q")
-
-    def test_report_serializes(self):
-        obj = multiadditivity_expand(["L1", "L2"], "Q").to_obj()
-        json.dumps(obj)
-        assert obj["defect_is_trivial_block"] is True
+        defect, block = multiadditivity_defect(["L1", "L2"], "O")
+        assert defect == block == ()
