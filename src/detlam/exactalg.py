@@ -6,6 +6,19 @@ weighted total degree above the bound is discarded, so all ring operations
 are exact on the retained window. Coefficients are ``fractions.Fraction``
 values, re-exported as :data:`Rational`.
 
+``inverse`` and ``exp`` never multiply whole series. They split the input f
+once into weighted-degree components f_0..f_bound and build the result g one
+component at a time, each from the components already built:
+
+* inverse: g_0 = 1/f_0 and g_n = -(1/f_0) * sum_{k=1..n} f_k g_{n-k};
+* exp (f_0 = 0): g_0 = 1 and n g_n = sum_{k=1..n} k f_k g_{n-k}.
+
+These are the classical power-series recurrences of Knuth (The Art of
+Computer Programming, vol. 2, section 4.7) and Brent & Kung ("Fast algorithms
+for manipulating formal power series", JACM 25, 1978). A univariate inverse
+costs O(bound^2) coefficient products instead of the O(bound^3) of summing
+the powers of 1 - f/f_0.
+
 Examples
 --------
 >>> vt = VarTable([("x", 1), ("y", 1)])
@@ -18,6 +31,7 @@ Fraction(1, 1)
 """
 
 from fractions import Fraction as Rational
+from operator import add
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -280,34 +294,66 @@ class TruncatedSeries:
                 base = base * base
         return out
 
+    def _components(self) -> list[list]:
+        """The terms split by weighted degree: entry k lists the degree-k
+        (exponents, coefficient) pairs, for k = 0..bound."""
+        parts: list[list] = [[] for _ in range(self.bound + 1)]
+        degree = self.vars.degree
+        for exps, coeff in self.terms.items():
+            parts[degree(exps)].append((exps, coeff))
+        return parts
+
+    def _graded_solve(self, head: Rational, parts: list, outer) -> "TruncatedSeries":
+        """The series g with g_0 = head and, for n = 1..bound,
+        g_n = outer(n) * sum_{k=1..n} parts[k] * g_{n-k},
+        one homogeneous component at a time (each g_n is final once built)."""
+        zero = (0,) * len(self.vars)
+        g: list[list] = [[(zero, head)]]
+        out = {zero: head}
+        for n in range(1, self.bound + 1):
+            acc: dict[tuple[int, ...], Rational] = {}
+            for k in range(1, n + 1):
+                fk, gk = parts[k], g[n - k]
+                if not fk or not gk:
+                    continue
+                for fe, fc in fk:
+                    for ge, gc in gk:
+                        key = tuple(map(add, fe, ge))
+                        acc[key] = acc.get(key, 0) + fc * gc
+            scale = outer(n)
+            gn = [(e, c * scale) for e, c in acc.items() if c]
+            g.append(gn)
+            out.update(gn)
+        return TruncatedSeries(self.vars, self.bound, out)
+
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, exactly on the window."""
+        """exp of a series with zero constant term, exactly on the window.
+
+        With f_k the weighted-degree-k component of ``self`` and g = exp(f),
+        the weighted Euler operator E (E x^a = deg(a) x^a) is a derivation,
+        so E g = E(f) g; comparing degree-n parts gives g_0 = 1 and
+        n g_n = sum_{k=1..n} k f_k g_{n-k} (Knuth, TAOCP vol. 2, 4.7;
+        Brent & Kung, JACM 25, 1978), for any positive variable weights.
+        """
         if self.constant_term:
             raise DomainError("exp needs zero constant term")
-        out = TruncatedSeries.one(self.vars, self.bound)
-        term = TruncatedSeries.one(self.vars, self.bound)
-        for k in range(1, self.bound + 1):
-            term = term * self / k
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+        parts = [[(e, c * k) for e, c in part] for k, part in enumerate(self._components())]
+        return self._graded_solve(Rational(1), parts, lambda n: Rational(1, n))
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be nonzero."""
+        """Multiplicative inverse; the constant term must be nonzero.
+
+        With f_k the weighted-degree-k component of ``self`` (f_0 = c0, as
+        every weight is at least 1) and g = 1/f, the degree-n part of f g = 1
+        gives g_0 = 1/c0 and g_n = -(1/c0) sum_{k=1..n} f_k g_{n-k}
+        (Knuth, TAOCP vol. 2, 4.7; Brent & Kung, JACM 25, 1978).
+        """
         c0 = self.constant_term
         if not c0:
             raise DomainError("inverse needs a nonzero constant term")
-        one = TruncatedSeries.one(self.vars, self.bound)
-        r = one - self / c0
-        out = one
-        power = one
-        for _ in range(self.bound):
-            power = power * r
-            if power.is_zero():
-                break
-            out = out + power
-        return out / c0
+        inv_c0 = 1 / c0
+        minus_inv_c0 = -inv_c0
+        return self._graded_solve(inv_c0, self._components(), lambda n: minus_inv_c0)
 
     def component(self, k: int) -> "TruncatedSeries":
         """The weighted-degree-k homogeneous part, kept at the same bound."""

@@ -188,7 +188,19 @@ def _fs_add(a: dict, b: dict, scale: int = 1) -> dict:
     return out
 
 
+# Ceiling on the monomials one tensor product may distribute (the product of
+# its two operands' sizes), checked before the product is expanded. A tensor
+# of n two-term sums distributes 2^n monomials; the shipped chains and their
+# corrupted variants stay at or below 20.
+MAX_MONOMIALS = 4096
+
+
 def _fs_mul(a: dict, b: dict) -> dict:
+    if len(a) * len(b) > MAX_MONOMIALS:
+        raise ScriptError(
+            f"a tensor product would distribute {len(a) * len(b)} monomials, "
+            f"more than MAX_MONOMIALS = {MAX_MONOMIALS}"
+        )
     out: dict = {}
     for (fa, ta), ca in a.items():
         for (fb, tb), cb in b.items():

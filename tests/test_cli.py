@@ -5,15 +5,18 @@ one test goes through a real subprocess to cover the module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from detlam import cli
+from detlam import cli, kexpr
 from detlam.chowmodel import model_pn_x_pm
 from detlam.cli import _pool_size, main
 from detlam.kexpr import MAX_NESTING
+from detlam.quotientlab import MAX_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +273,30 @@ class TestRewrite:
             err = run_usage_error(capsys, "rewrite", "--script", str(path))
             assert "nests deeper" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("width", [16, 17])
+    def test_wide_tensor_of_sums_is_usage_error(self, capsys, tmp_path, width):
+        # a tensor of n two-term sums distributes 2^n monomials
+        body = " ".join(f"(lin 1 A{i} 1 B{i})" for i in range(width))
+        expr = f"(lam (* {body}) 1)"
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"start": expr, "end": expr, "steps": []}), encoding="utf-8")
+        t0 = time.perf_counter()
+        err = run_usage_error(capsys, "rewrite", "--script", str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert f"MAX_MONOMIALS = {kexpr.MAX_MONOMIALS}" in err
+
+    def test_monomial_cap_leaves_shipped_chains_unchanged(self, capsys, monkeypatch):
+        data = os.path.join(os.path.dirname(kexpr.__file__), "data")
+        runs = [["--script", os.path.join(data, f)] for f in sorted(os.listdir(data))]
+        for name in kexpr.builtin_chain_names():
+            steps = len(kexpr.get_chain(name).steps)
+            runs.append(["--chain", name])
+            runs += [["--chain", name, "--corrupt", str(k)] for k in range(1, steps + 1)]
+        capped = [run_cli(capsys, "rewrite", *argv) for argv in runs]
+        monkeypatch.setattr(kexpr, "MAX_MONOMIALS", float("inf"))
+        assert capped == [run_cli(capsys, "rewrite", *argv) for argv in runs]
+        assert {code for code, _out in capped} == {0, 1}
+
     def test_needs_chain_or_script(self, capsys):
         code, _ = run_cli(capsys, "rewrite")
         assert code == 2
@@ -304,6 +331,14 @@ class TestQuotient:
     def test_bad_vars(self, capsys):
         code, _ = run_cli(capsys, "quotient", "--vars", "x:one:odd")
         assert code == 2
+
+    def test_bound_ceiling(self, capsys):
+        code, obj = run_json(capsys, "quotient", "--vars", "x:1:odd", "--bound", str(MAX_BOUND))
+        assert code == 0 and obj["bound"] == MAX_BOUND
+        # cap + 1 first: without the check it fails here at a small bound
+        for bound in (MAX_BOUND + 1, 10**12):
+            err = run_usage_error(capsys, "quotient", "--vars", "x:1:odd", "--bound", str(bound))
+            assert f"MAX_BOUND = {MAX_BOUND}" in err
 
 
 class TestVerifyAll:

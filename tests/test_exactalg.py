@@ -202,3 +202,110 @@ def test_sum_of_components_reassembles(a):
     for p in parts:
         total = total + p
     assert total == a
+
+
+# ----------------------------------------------------------------------
+# graded recurrences against the power-sum definitions
+
+
+def power_sum_exp(f):
+    """exp(f) = sum_k f^k / k!, summed until a power vanishes on the window."""
+    out = TruncatedSeries.one(f.vars, f.bound)
+    term = TruncatedSeries.one(f.vars, f.bound)
+    for k in range(1, f.bound + 1):
+        term = term * f / k
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
+def power_sum_inverse(f):
+    """1/f = (1/c0) sum_k (1 - f/c0)^k, summed until a power vanishes."""
+    c0 = f.constant_term
+    one = TruncatedSeries.one(f.vars, f.bound)
+    r = one - f / c0
+    out = one
+    power = one
+    for _ in range(f.bound):
+        power = power * r
+        if power.is_zero():
+            break
+        out = out + power
+    return out / c0
+
+
+ABC = VarTable([("a", 1), ("b", 2), ("c", 3)])
+
+
+def weighted_terms(degrees):
+    """One or two terms in each listed weighted degree of ABC (others empty)."""
+    pick = {
+        1: [((1, 0, 0), 2)],
+        2: [((0, 1, 0), Rational(-1, 3)), ((2, 0, 0), 1)],
+        3: [((0, 0, 1), 5), ((1, 1, 0), Rational(3, 2))],
+        4: [((1, 0, 1), -1), ((0, 2, 0), Rational(1, 4))],
+        5: [((0, 1, 1), Rational(-2, 7))],
+        6: [((0, 0, 2), 3), ((2, 2, 0), -1)],
+    }
+    return [t for d in degrees for t in pick[d]]
+
+
+GAPPY_DEGREES = [(), (1,), (2,), (3,), (1, 3), (2, 5), (3, 6), (1, 4, 6), (2, 3, 5)]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 6, 8])
+@pytest.mark.parametrize("degrees", GAPPY_DEGREES)
+def test_exp_matches_power_sum_on_weighted_tables(bound, degrees):
+    f = S(ABC, bound, weighted_terms(degrees))
+    assert f.exp() == power_sum_exp(f)
+
+
+@pytest.mark.parametrize("c0", [1, -3, Rational(2, 5), Rational(-7, 2)])
+@pytest.mark.parametrize("bound", [0, 1, 2, 6, 8])
+@pytest.mark.parametrize("degrees", GAPPY_DEGREES)
+def test_inverse_matches_power_sum_on_weighted_tables(c0, bound, degrees):
+    f = S(ABC, bound, [((0, 0, 0), c0)] + weighted_terms(degrees))
+    inv = f.inverse()
+    assert inv == power_sum_inverse(f)
+    assert f * inv == 1
+
+
+def test_bound_zero_keeps_only_the_constant():
+    f = S(ABC, 0, [((0, 0, 0), Rational(-4, 3)), ((1, 0, 0), 9)])
+    assert f.inverse() == TruncatedSeries.constant(ABC, 0, Rational(-3, 4))
+    assert TruncatedSeries.zero(ABC, 0).exp() == TruncatedSeries.one(ABC, 0)
+
+
+def weighted_series(bound, min_degree=0, unit=False):
+    exps = st.tuples(
+        st.integers(min_value=0, max_value=bound),
+        st.integers(min_value=0, max_value=bound // 2),
+        st.integers(min_value=0, max_value=bound // 3),
+    ).filter(lambda e: min_degree <= ABC.degree(e) <= bound)
+    nonzero = coeffs.filter(bool)
+
+    def build(args):
+        terms, c0 = args
+        items = list(terms.items())
+        if unit:
+            items = [(e, c) for e, c in items if any(e)] + [((0, 0, 0), c0)]
+        return TruncatedSeries.from_terms(ABC, bound, items)
+
+    return st.tuples(st.dictionaries(exps, coeffs, max_size=5), nonzero).map(build)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_series(6, unit=True))
+def test_weighted_inverse_is_two_sided_and_matches_power_sum(s):
+    inv = s.inverse()
+    assert s * inv == 1
+    assert inv == power_sum_inverse(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_series(6, min_degree=1))
+def test_weighted_exp_of_negation_is_inverse(f):
+    e = f.exp()
+    assert e == power_sum_exp(f)
+    assert e.inverse() == (-f).exp()

@@ -1,10 +1,14 @@
 """Tests for sign-involution quotients of graded polynomial algebras.
 
 The oracle counts monomials by (degree, parity) directly, one variable at a
-time, and every series-level claim is checked against those counts.
+time, and every series-level claim is checked against those counts. A second
+oracle enumerates every exponent vector in the window and shares no code with
+either the library or the first oracle.
 """
 
 import json
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ from detlam.exactalg import DomainError, StructureError
 from detlam.quotientlab import (
     FixedIdeal,
     FlatnessReport,
+    MAX_BOUND,
     GradedAlgebra,
     conormal_degree_zero,
     fixed_ideal,
@@ -38,6 +43,27 @@ def monomial_counts(variables, bound):
             else:
                 even[n], odd[n] = even[n] + odd[n - d], odd[n] + even[n - d]
     return even, odd
+
+
+def enumerated_counts(variables, bound):
+    """Brute force: list every exponent vector of weighted degree <= bound and
+    tally it by degree, as (all monomials, parity-signed sum)."""
+    plain = [0] * (bound + 1)
+    signed = [0] * (bound + 1)
+    ranges = [range(bound // d + 1) for _name, d, _p in variables]
+    for exps in product(*ranges):
+        degree = sum(e * d for e, (_n, d, _p) in zip(exps, variables))
+        if degree <= bound:
+            parity = sum(e * p for e, (_n, _d, p) in zip(exps, variables)) % 2
+            plain[degree] += 1
+            signed[degree] += -1 if parity else 1
+    return plain, signed
+
+
+def seeded_algebra(seed):
+    rng = random.Random(seed)
+    n = 1 + seed % 4
+    return tuple((f"v{i}", rng.randint(1, 4), rng.randint(0, 1)) for i in range(n))
 
 
 def alg(*variables):
@@ -138,6 +164,15 @@ class TestHilbertSeries:
     def test_default_bound(self):
         s = hilbert_series(alg(("x", 1, 1)))
         assert s.bound == 40
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_enumerated_monomials(self, seed):
+        variables = seeded_algebra(seed)
+        bound = 6 + seed % 7
+        plain, signed = enumerated_counts(variables, bound)
+        a = alg(*variables)
+        assert series_coefficients(hilbert_series(a, bound)) == plain
+        assert series_coefficients(signed_hilbert_series(a, bound)) == signed
 
 
 class TestFixedIdeal:
@@ -300,3 +335,14 @@ class TestQuotientReport:
         one = json.dumps(quotient_report(a, bound=10), sort_keys=True)
         two = json.dumps(quotient_report(a, bound=10), sort_keys=True)
         assert one == two
+
+    def test_bound_ceiling(self):
+        a = alg(("x", 1, 1))
+        at_cap = quotient_report(a, bound=MAX_BOUND)
+        assert at_cap["verdict"] == "FREE" and len(at_cap["ratio"]) == MAX_BOUND + 1
+        # cap + 1 is tried first, so a missing check fails here at a small
+        # bound instead of allocating at 10**12
+        for bound in (MAX_BOUND + 1, 10**12):
+            for fn in (hilbert_series, signed_hilbert_series, flatness_verdict, quotient_report):
+                with pytest.raises(DomainError, match=f"MAX_BOUND = {MAX_BOUND}"):
+                    fn(a, bound)
