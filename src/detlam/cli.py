@@ -34,6 +34,10 @@ from .kexpr import ScriptError
 
 __all__ = ["main"]
 
+# Largest verify-all --max-dim: the registry holds universal-defect checks for
+# d = 1..4 only, so a larger value would silently run the same checks.
+MAX_VERIFY_DIM = 4
+
 _USAGE_ERRORS = (
     DomainError,
     StructureError,
@@ -414,7 +418,7 @@ def _build_registry(max_dim: int):
         "t * P_k(t) = 2^(k+1) - (2-t)^(k+1) for k <= 64",
         _chk_poly_identity,
     )
-    for d in range(1, min(max_dim, 4) + 1):
+    for d in range(1, max_dim + 1):
         _register(
             f"universal-defect-d{d}",
             "degree-(d+1) component of the main-combination defect vanishes; "
@@ -496,8 +500,10 @@ def _pool_size(jobs: int, checks: int, cpus: int | None) -> int:
 def _cmd_verify_all(args):
     if args.jobs < 1:
         raise DomainError("--jobs must be >= 1")
-    if args.max_dim < 1:
-        raise DomainError("--max-dim must be >= 1")
+    if not 1 <= args.max_dim <= MAX_VERIFY_DIM:
+        raise DomainError(
+            f"--max-dim must be between 1 and MAX_VERIFY_DIM = {MAX_VERIFY_DIM}"
+        )
     registry = _build_registry(args.max_dim)
     workers = _pool_size(args.jobs, len(registry), os.cpu_count())
     started = time.perf_counter()

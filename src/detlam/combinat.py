@@ -25,7 +25,6 @@ from .exactalg import DomainError
 
 __all__ = [
     "DomainError",
-    "IntPoly",
     "CoeffTable",
     "pk_poly",
     "pk_identity_check",
@@ -34,53 +33,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Dense univariate integer polynomial; index = degree, trailing zeros trimmed."""
-
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return IntPoly(
-            tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-        )
-
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(tuple(other * x for x in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return IntPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-
-def pk_poly(k: int) -> IntPoly:
-    """P_k(t) = sum_{i=0}^{k} 2^(k-i) (2-t)^i.
+def pk_poly(k: int) -> tuple[int, ...]:
+    """P_k(t) = sum_{i=0}^{k} 2^(k-i) (2-t)^i as its coefficient tuple
+    (index = degree; the leading coefficient (-1)^k is never zero).
 
     The sum is evaluated in nested form, P_i = 2^i + (2-t) P_{i-1} from
     P_0 = 1, on a plain integer list: multiplying p by 2 - t gives
-    q[j] = 2 p[j] - p[j-1]. One IntPoly is built at the end.
+    q[j] = 2 p[j] - p[j-1].
 
-    >>> pk_poly(1).coeffs
+    >>> pk_poly(1)
     (4, -1)
     """
     if k < 0:
@@ -88,7 +49,7 @@ def pk_poly(k: int) -> IntPoly:
     p = [1]
     for i in range(1, k + 1):
         p = [2**i + 2 * p[0]] + [2 * p[j] - p[j - 1] for j in range(1, len(p))] + [-p[-1]]
-    return IntPoly(tuple(p))
+    return tuple(p)
 
 
 def pk_identity_check(k: int) -> bool:
@@ -102,7 +63,7 @@ def pk_identity_check(k: int) -> bool:
     if k < 0:
         raise DomainError("k must be nonnegative")
     n = k + 1
-    lhs = (0,) + pk_poly(k).coeffs
+    lhs = (0,) + pk_poly(k)
     rhs = [-comb(n, j) * 2 ** (n - j) * (-1) ** j for j in range(n + 1)]
     rhs[0] += 2**n
     return lhs == tuple(rhs)
@@ -175,11 +136,11 @@ def binomial_expansion_check(d: int) -> bool:
     """
     if d < 1:
         raise DomainError("d must be >= 1")
-    one_minus_u = IntPoly((1, -1))
-    acc = IntPoly()
-    p = IntPoly((1,))
-    for i in range(2 * d + 1):
-        acc = acc + (2 ** (2 * d - i)) * p
-        p = p * one_minus_u
-    want = coeff_table(d).entries
-    return tuple(acc.coefficient(j) for j in range(2 * d + 1)) == want and acc.degree == 2 * d
+    n = 2 * d
+    acc = [0] * (n + 1)
+    p = [1]  # (1-u)^i, coefficient list
+    for i in range(n + 1):
+        for j, c in enumerate(p):
+            acc[j] += 2 ** (n - i) * c
+        p = [a - b for a, b in zip(p + [0], [0] + p)]
+    return tuple(acc) == coeff_table(d).entries

@@ -177,15 +177,15 @@ def tpow(e, n: int):
 # normalization to formal sums
 
 
-def _fs_add(a: dict, b: dict, scale: int = 1) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, 0) + scale * c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
+def _fs(pairs) -> dict:
+    """The formal sum of (monomial, coefficient) pairs: equal monomials
+    merged, zero coefficients dropped. Every formal sum is built here."""
+    out: dict = {}
+    for m, c in pairs:
+        out[m] = out.get(m, 0) + c
+    if all(out.values()):  # nothing cancelled, the common case
+        return out
+    return {m: c for m, c in out.items() if c}
 
 
 # Ceiling on the monomials one tensor product may distribute (the product of
@@ -194,6 +194,9 @@ def _fs_add(a: dict, b: dict, scale: int = 1) -> dict:
 # corrupted variants stay at or below 20.
 MAX_MONOMIALS = 4096
 
+_FS_ONE_MONO = ((), 0)
+_FS_ONE = {_FS_ONE_MONO: 1}
+
 
 def _fs_mul(a: dict, b: dict) -> dict:
     if len(a) * len(b) > MAX_MONOMIALS:
@@ -201,19 +204,15 @@ def _fs_mul(a: dict, b: dict) -> dict:
             f"a tensor product would distribute {len(a) * len(b)} monomials, "
             f"more than MAX_MONOMIALS = {MAX_MONOMIALS}"
         )
-    out: dict = {}
-    for (fa, ta), ca in a.items():
-        for (fb, tb), cb in b.items():
-            m = (tuple(sorted(fa + fb)), (ta + tb) % 2)
-            v = out.get(m, 0) + ca * cb
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return out
-
-
-_FS_ONE_MONO = ((), 0)
+    if a == _FS_ONE:  # O (x) b is b, already a canonical formal sum
+        return b
+    return _fs(
+        [
+            ((tuple(sorted(fa + fb)), (ta + tb) % 2), ca * cb)
+            for (fa, ta), ca in a.items()
+            for (fb, tb), cb in b.items()
+        ]
+    )
 
 
 def normalize_expr(e) -> dict:
@@ -225,22 +224,19 @@ def normalize_expr(e) -> dict:
     if isinstance(e, Atom):
         return {((("atom", e.name, 0, 0),), 0): 1}
     if isinstance(e, Dual):
-        inner = normalize_expr(e.inner)
-        out: dict = {}
-        for (fs, tw), c in inner.items():
-            m = (tuple(sorted((k, n, p, 1 - d) for k, n, p, d in fs)), tw)
-            out[m] = out.get(m, 0) + c
-        return {m: c for m, c in out.items() if c}
+        return _fs(
+            [
+                ((tuple(sorted([(k, n, p, 1 - d) for k, n, p, d in fs])), tw), c)
+                for (fs, tw), c in normalize_expr(e.inner).items()
+            ]
+        )
     if isinstance(e, Ten):
         out = {_FS_ONE_MONO: 1}
         for f in e.factors:
             out = _fs_mul(out, normalize_expr(f))
         return out
     if isinstance(e, Lin):
-        out = {}
-        for n, sub in e.terms:
-            out = _fs_add(out, normalize_expr(sub), n)
-        return out
+        return _fs([(m, n * c) for n, sub in e.terms for m, c in normalize_expr(sub).items()])
     if isinstance(e, Sym):
         return _normalize_sym(e.power, e.inner)
     if isinstance(e, Push):
@@ -273,24 +269,13 @@ def _normalize_sym(j: int, inner) -> dict:
 
 
 def _normalize_push(binder: str, fs: dict) -> dict:
-    out: dict = {}
-    for (factors, tw), c in fs.items():
-        j = 0
-        for kind, name, param, dual in factors:
-            if (kind, name, param, dual) == ("atom", binder, 0, 0):
-                j += 1
-            else:
-                raise UnsupportedExpression(
-                    "pushforward binder applies only to powers of its atom"
-                )
-        new = (("push", binder, j, 0),) if j else ()
-        m = (new, (tw - j) % 2)
-        v = out.get(m, 0) + c
-        if v:
-            out[m] = v
-        else:
-            del out[m]
-    return out
+    def pushed(factors, tw):
+        if any(f != ("atom", binder, 0, 0) for f in factors):
+            raise UnsupportedExpression("pushforward binder applies only to powers of its atom")
+        j = len(factors)
+        return ((("push", binder, j, 0),) if j else (), (tw - j) % 2)
+
+    return _fs([(pushed(*m), c) for m, c in fs.items()])
 
 
 def _canon_items(fs: dict) -> tuple:
@@ -315,15 +300,7 @@ def _state_of(e) -> list:
 
 def canonical_state(state: list) -> dict:
     """Fully distributed lambda-exponent map of a factor list."""
-    out: dict = {}
-    for fs, exp in state:
-        for m, c in fs.items():
-            v = out.get(m, 0) + exp * c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return out
+    return _fs([(m, exp * c) for fs, exp in state for m, c in fs.items()])
 
 
 def render_monomial(m) -> str:
@@ -552,59 +529,51 @@ def _count_atom(factors, name: str) -> int:
 
 
 def _apply_axiom(state: list, axiom: RewriteAxiom, position: int, args: dict) -> list:
+    """The factor list after one axiom rewrites the factor at ``position``."""
     if not 0 <= position < len(state):
         raise _StepFailure(f"factor position {position} out of range")
     fs, exp = state[position]
     kind = axiom.kind
+    parts = None  # replacement factors; by default the one factor [out, exp]
 
     if kind == "regroup":
-        return [list(t) for t in state]
+        out = fs
 
-    if kind == "twist_flip":
+    elif kind == "twist_flip":
         name = args["atom"]
-        out: dict = {}
-        hit = False
-        for (factors, tw), c in fs.items():
-            n = _count_atom(factors, name)
-            hit = hit or n > 0
-            m = (factors, (tw + n) % 2)
-            out[m] = out.get(m, 0) + c * ((-1) ** n)
-        if not hit:
+        counts = [_count_atom(factors, name) for factors, _tw in fs]
+        if not any(counts):
             raise _StepFailure(f"atom {name!r} does not occur at factor {position}")
-        new = [list(t) for t in state]
-        new[position] = [out, exp]
-        return new
+        out = _fs(
+            [
+                ((factors, (tw + n) % 2), c * (-1) ** n)
+                for ((factors, tw), c), n in zip(fs.items(), counts)
+            ]
+        )
 
-    if kind == "subst":
+    elif kind == "subst":
         src, dst = args["src"], args["dst"]
-        out = {}
-        hit = False
-        for (factors, tw), c in fs.items():
-            nf = []
-            for k, n, p, d in factors:
-                if n == src and k in ("atom", "sym"):
-                    nf.append((k, dst, p, d))
-                    hit = True
-                else:
-                    nf.append((k, n, p, d))
-            m = (tuple(sorted(nf)), tw)
-            out[m] = out.get(m, 0) + c
-        if not hit:
-            raise _StepFailure(f"atom {src!r} does not occur at factor {position}")
-        new = [list(t) for t in state]
-        new[position] = [out, exp]
-        return new
 
-    if kind == "descend":
+        def hit(k, n):
+            return n == src and k in ("atom", "sym")
+
+        if not any(hit(k, n) for factors, _tw in fs for k, n, _p, _d in factors):
+            raise _StepFailure(f"atom {src!r} does not occur at factor {position}")
+        out = _fs(
+            [
+                ((tuple(sorted([(k, dst if hit(k, n) else n, p, d) for k, n, p, d in f])), tw), c)
+                for (f, tw), c in fs.items()
+            ]
+        )
+
+    elif kind == "descend":
         mapping = {
             src: (dst, int(twd), int(sign))
             for src, (dst, twd, sign) in args["map"].items()
         }
-        out = {}
+        pairs = []
         for (factors, tw), c in fs.items():
             nf = []
-            coeff = c
-            twist = tw
             for k, n, p, d in factors:
                 if k != "atom" or d != 0:
                     raise _StepFailure("descent supports plain atoms only")
@@ -612,46 +581,34 @@ def _apply_axiom(state: list, axiom: RewriteAxiom, position: int, args: dict) ->
                     raise _StepFailure(f"descent does not cover atom {n!r}")
                 dst, twd, sign = mapping[n]
                 nf.append(("atom", dst, 0, 0))
-                twist = (twist + twd) % 2
-                coeff *= sign
-            m = (tuple(sorted(nf)), twist)
-            out[m] = out.get(m, 0) + coeff
+                tw = (tw + twd) % 2
+                c *= sign
+            pairs.append(((tuple(sorted(nf)), tw), c))
+        out = _fs(pairs)
         multiplier = args.get("multiplier")
         if multiplier is not None:
             out = _fs_mul(out, normalize_expr(multiplier))
-        new = [list(t) for t in state]
-        new[position] = [out, exp]
-        return new
 
-    if kind == "split":
+    elif kind == "split":
         name, plus, minus = args["atom"], args["plus"], args["minus"]
-        out = {}
-        hit = False
-        for (factors, tw), c in fs.items():
-            n = _count_atom(factors, name)
-            if n == 0:
-                out[(factors, tw)] = out.get((factors, tw), 0) + c
-                continue
-            if n > 1:
-                raise _StepFailure("split supports a single occurrence per monomial")
-            hit = True
-            rest = tuple(f for f in factors if (f[0], f[1], f[3]) != ("atom", name, 0))
-            for repl, sgn in ((plus, 1), (minus, -1)):
-                m = (tuple(sorted(rest + (("atom", repl, 0, 0),))), tw)
-                v = out.get(m, 0) + sgn * c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        if not hit:
+        counts = [_count_atom(factors, name) for factors, _tw in fs]
+        if any(n > 1 for n in counts):
+            raise _StepFailure("split supports a single occurrence per monomial")
+        if not any(counts):
             raise _StepFailure(f"atom {name!r} does not occur at factor {position}")
-        new = [list(t) for t in state]
-        new[position] = [out, exp]
-        return new
+        pairs = []
+        for ((factors, tw), c), n in zip(fs.items(), counts):
+            if not n:
+                pairs.append(((factors, tw), c))
+            else:
+                rest = tuple(f for f in factors if (f[0], f[1], f[3]) != ("atom", name, 0))
+                pairs.append(((tuple(sorted(rest + (("atom", plus, 0, 0),))), tw), c))
+                pairs.append(((tuple(sorted(rest + (("atom", minus, 0, 0),))), tw), -c))
+        out = _fs(pairs)
 
-    if kind == "push":
+    elif kind == "push":
         pulled, restrict, binder = args["pulled"], args["restrict"], args["binder"]
-        out = {}
+        pairs = []
         for (factors, tw), c in fs.items():
             j = 0
             seen_pulled = 0
@@ -669,13 +626,10 @@ def _apply_axiom(state: list, axiom: RewriteAxiom, position: int, args: dict) ->
             nf = [("atom", restrict, 0, 0)]
             if j:
                 nf.append(("push", binder, j, 0))
-            m = (tuple(sorted(nf)), (tw - j) % 2)
-            out[m] = out.get(m, 0) + c
-        new = [list(t) for t in state]
-        new[position] = [out, exp]
-        return new
+            pairs.append(((tuple(sorted(nf)), (tw - j) % 2), c))
+        out = _fs(pairs)
 
-    if kind == "collapse":
+    elif kind == "collapse":
         restrict, binder = args["restrict"], args["binder"]
         base, k = args["base"], int(args["k"])
         want = normalize_expr(
@@ -685,11 +639,9 @@ def _apply_axiom(state: list, axiom: RewriteAxiom, position: int, args: dict) ->
             raise _StepFailure("collapse needs a factor of exponent 1")
         if fs != want:
             raise _StepFailure("factor is not the pushed polynomial block")
-        new = [list(t) for t in state]
-        new[position] = [{((("atom", base, 0, 0),), 0): 1}, 2 ** (k + 1)]
-        return new
+        out, exp = {((("atom", base, 0, 0),), 0): 1}, 2 ** (k + 1)
 
-    if kind == "multadd":
+    elif kind == "multadd":
         a, b = args["a"], args["b"]
         others = list(args["others"])
         blocks = [o_minus(Atom(x)) for x in others]
@@ -698,11 +650,14 @@ def _apply_axiom(state: list, axiom: RewriteAxiom, position: int, args: dict) ->
             raise _StepFailure("factor is not a first-slot pairing block")
         fa = normalize_expr(Ten(o_minus(Atom(a)), *blocks))
         fb = normalize_expr(Ten(o_minus(Atom(b)), *blocks))
-        new = [list(t) for t in state]
-        new[position : position + 1] = [[fa, exp], [fb, exp]]
-        return new
+        parts = [[fa, exp], [fb, exp]]
 
-    raise ScriptError(f"axiom kind {kind!r} has no interpreter")
+    else:
+        raise ScriptError(f"axiom kind {kind!r} has no interpreter")
+
+    new = [list(t) for t in state]
+    new[position : position + 1] = parts or [[out, exp]]
+    return new
 
 
 # ----------------------------------------------------------------------

@@ -297,6 +297,44 @@ class TestRewrite:
         assert capped == [run_cli(capsys, "rewrite", *argv) for argv in runs]
         assert {code for code, _out in capped} == {0, 1}
 
+    # start, one step (axiom, args), and the expected display, which is also the end
+    CANCELLING = {
+        "zero-exponent": ("(lam A 1)", "cancel", {}, "(prod (lam A 1) (lam B 0))"),
+        "subst-cancels": (
+            "(lam (lin 1 A -1 B) 1)", "iso-subst", {"src": "B", "dst": "A"}, "(prod)"
+        ),
+        "descent-cancels": (
+            "(lam (lin 1 A -1 B) 1)",
+            "quotient-descent",
+            {"map": {"A": ["C", 0, 1], "B": ["C", 0, 1]}},
+            "(prod)",
+        ),
+        "zero-coefficient": ("(lam (lin 0 A) 1)", "cancel", {}, "(lam O 0)"),
+    }
+
+    @staticmethod
+    def _one_step_script(tmp_path, start, axiom, args, expected):
+        path = tmp_path / "one-step.json"
+        step = {"axiom": axiom, "position": 0, "args": args, "expected": expected}
+        obj = {"start": start, "end": expected, "steps": [step]}
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(CANCELLING))
+    def test_cancelling_rewrites_verify(self, capsys, tmp_path, case):
+        # lambda(0) and lambda(F)^0 are trivial, so each script holds
+        path = self._one_step_script(tmp_path, *self.CANCELLING[case])
+        code, rep = run_json(capsys, "rewrite", "--script", path)
+        assert code == 0 and rep["ok"] is True and rep["endpoint_ok"] is True
+
+    def test_cancelling_rewrite_with_a_wrong_target_fails(self, capsys, tmp_path):
+        path = self._one_step_script(
+            tmp_path, "(lam (lin 1 A -1 B) 1)", "iso-subst", {"src": "B", "dst": "C"}, "(prod)"
+        )
+        code, rep = run_json(capsys, "rewrite", "--script", path)
+        assert code == 1
+        assert rep["failed_step"] == 1 and rep["reason"] == "display mismatch"
+
     def test_needs_chain_or_script(self, capsys):
         code, _ = run_cli(capsys, "rewrite")
         assert code == 2
@@ -375,6 +413,23 @@ class TestVerifyAll:
     @pytest.mark.parametrize("max_dim", ["0", "-1"])
     def test_max_dim_below_one_is_usage_error(self, capsys, max_dim):
         run_usage_error(capsys, "verify-all", "--max-dim", max_dim)
+
+    @pytest.mark.parametrize("max_dim", [cli.MAX_VERIFY_DIM + 1, 10**12])
+    def test_max_dim_above_the_cap_is_usage_error(self, capsys, monkeypatch, max_dim):
+        built = []
+        monkeypatch.setattr(cli, "_build_registry", built.append)
+        err = run_usage_error(capsys, "verify-all", "--max-dim", str(max_dim))
+        assert f"MAX_VERIFY_DIM = {cli.MAX_VERIFY_DIM}" in err
+        assert built == []  # rejected before any check is registered
+
+    def test_max_dim_at_the_cap_is_accepted(self, capsys, monkeypatch):
+        assert cli.MAX_VERIFY_DIM == 4
+        assert len(cli._build_registry(4)) == 17  # every check, none run here
+        built = []
+        monkeypatch.setattr(cli, "_build_registry", lambda d: built.append(d) or [])
+        code, out = run_cli(capsys, "verify-all", "--max-dim", "4")
+        assert code == 0 and built == [4]
+        assert json.loads(out) == {"overall": True, "checks": 0, "failed": []}
 
     def test_crashed_check_is_reported_as_error(self, capsys, monkeypatch):
         _, clean = run_cli(capsys, "verify-all", "--max-dim", "1")

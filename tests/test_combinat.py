@@ -13,7 +13,6 @@ from detlam import combinat
 from detlam.combinat import (
     CoeffTable,
     DomainError,
-    IntPoly,
     binomial_expansion_check,
     coeff_table,
     pk_identity_check,
@@ -21,7 +20,7 @@ from detlam.combinat import (
 )
 
 # ----------------------------------------------------------------------
-# independent oracles (list-based polynomial arithmetic, no IntPoly)
+# independent oracles (list-based polynomial arithmetic)
 
 
 def poly_mul(a, b):
@@ -64,14 +63,14 @@ def oracle_coeff_entries(d):
 
 
 def test_pk_poly_frozen():
-    assert pk_poly(0).coeffs == (1,)
-    assert pk_poly(1).coeffs == (4, -1)
-    assert pk_poly(2).coeffs == (12, -6, 1)
+    assert pk_poly(0) == (1,)
+    assert pk_poly(1) == (4, -1)
+    assert pk_poly(2) == (12, -6, 1)
 
 
 @pytest.mark.parametrize("k", range(0, 65))
 def test_pk_poly_matches_oracle(k):
-    got = list(pk_poly(k).coeffs)
+    got = list(pk_poly(k))
     want = oracle_pk(k)
     while want and want[-1] == 0:
         want.pop()
@@ -96,7 +95,7 @@ def test_pk_identity_check_rejects_a_wrong_pk(monkeypatch, k):
     for m in range(k + 1):
         wrong = oracle_pk(k)
         wrong[m] += 1
-        monkeypatch.setattr(combinat, "pk_poly", lambda _k, w=wrong: IntPoly(tuple(w)))
+        monkeypatch.setattr(combinat, "pk_poly", lambda _k, w=wrong: tuple(w))
         assert not pk_identity_check(k)
 
 
@@ -132,13 +131,6 @@ def test_coeff_table_rejects_degenerate_dims():
 @pytest.mark.parametrize("d", range(1, 9))
 def test_binomial_expansion_check(d):
     assert binomial_expansion_check(d)
-
-
-def test_intpoly_arithmetic():
-    two_minus_t = IntPoly((2, -1))
-    p = two_minus_t * two_minus_t * two_minus_t
-    assert p.coeffs == (8, -12, 6, -1)
-    assert IntPoly((1, 1)) * IntPoly((1, -1)) == IntPoly((1, 0, -1))
 
 
 def test_coeff_table_validation_guards():

@@ -7,13 +7,21 @@ function that only tests call either gets a product use or is deleted.
 
 References are matched by name: ``f`` or ``x.f`` anywhere in the package
 counts for every public ``f``, because the receiver's type is not known
-statically. A method whose name a used method of another class shares (such
-as ``to_obj``) is therefore not caught.
+statically. A method whose name several classes define (such as ``to_obj``)
+is therefore also keyed by class: ``cli.main`` runs each subcommand once at
+small arguments under ``sys.setprofile``, and every such method's own code
+object must be among the code the CLI executed.
 """
 
 import ast
+import contextlib
+import importlib
+import io
+import sys
 from collections import defaultdict
 from pathlib import Path
+
+from detlam import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "detlam"
 
@@ -24,6 +32,28 @@ ALLOWED = {
     "chowmodel.ChowModel.fiber_pushforward": "documented capability; product use not decided yet",
     "chowmodel.ChowModel.base_integrate": "documented capability; product use not decided yet",
 }
+
+# module.Class.method -> why it stays although no CLI run executes it
+ALLOWED_UNRUN = {
+    "chowmodel.ChowModel.to_obj": "the README names it as the model-file schema, and "
+    "perfbench's model-sweep workload round-trips models through it",
+}
+
+# one run of each subcommand at small arguments
+CLI_RUNS = [
+    ["coeffs", "--dim", "1"],
+    ["polyid", "--max-k", "3"],
+    ["universal", "--dim", "1"],
+    ["universal", "--dim", "1", "--combo", "deligne"],
+    ["ducrot", "--dim", "1"],
+    ["c1lambda", "--model", "P1xP1", "--line", "1,1"],
+    ["verify-main", "--model", "P1xP1", "--line", "1,1"],
+    ["euler", "--model", "P2", "--line", "1"],
+    ["picard", "--preset", "mumford", "--goal", "l2 = 13*l1"],
+    ["rewrite", "--chain", "multadd-d1"],
+    ["quotient", "--vars", "x:1:odd,y:1:even", "--bound", "8"],
+    ["verify-all", "--max-dim", "1"],
+]
 
 
 def _trees():
@@ -87,3 +117,53 @@ def test_every_public_name_has_a_product_reference():
 def test_allowlist_names_exist_and_are_still_unreferenced():
     assert sorted(ALLOWED) == sorted(n for n in _unreferenced() if n in ALLOWED)
     assert all(ALLOWED.values())
+
+
+def _shared_method_names(trees):
+    """module.Class.method for each public method whose name several classes define."""
+    classes = defaultdict(list)
+    for mod, qual in _public_names(trees):
+        if "." in qual:
+            classes[qual.split(".")[1]].append(f"{mod}.{qual}")
+    return sorted(q for quals in classes.values() if len(quals) > 1 for q in quals)
+
+
+def _code_of(dotted):
+    mod, cls, name = dotted.split(".")
+    attr = vars(getattr(importlib.import_module(f"detlam.{mod}"), cls))[name]
+    fn = getattr(attr, "fget", None) or getattr(attr, "__func__", attr)
+    return fn.__code__
+
+
+def _code_run_by_cli():
+    seen = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sink = io.StringIO()
+    for argv in CLI_RUNS:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            sys.setprofile(record)
+            try:
+                code = cli.main(argv)
+            finally:
+                sys.setprofile(None)
+        assert code == 0, argv
+    return seen
+
+
+def _unrun_shared_methods():
+    seen = _code_run_by_cli()
+    return [q for q in _shared_method_names(_trees()) if _code_of(q) not in seen]
+
+
+def test_every_shared_method_name_runs_in_its_own_class():
+    unrun = _unrun_shared_methods()
+    assert [q for q in unrun if q not in ALLOWED_UNRUN] == [], (
+        "methods that share a name with another class's method but never run "
+        "from the CLI: give each a product use or delete it"
+    )
+    assert sorted(ALLOWED_UNRUN) == sorted(q for q in unrun if q in ALLOWED_UNRUN)
+    assert all(ALLOWED_UNRUN.values())
