@@ -11,6 +11,7 @@ across runs; timing is written to stderr only.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -38,6 +39,10 @@ __all__ = ["main"]
 # d = 1..4 only, so a larger value would silently run the same checks.
 MAX_VERIFY_DIM = 4
 
+# Largest polyid --max-k: the sweep re-expands every P_k, about K^3 integer
+# operations in all; --max-k 256 takes under a second on a 2-core host.
+MAX_POLYID_K = 256
+
 _USAGE_ERRORS = (
     DomainError,
     StructureError,
@@ -51,34 +56,48 @@ _USAGE_ERRORS = (
 # output
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _out(text: str) -> None:
+    """Print one block of the report to stdout and flush it.
+
+    A reader that stops early (``detlam verify-all | head -1``) closes the
+    pipe, and the next write raises BrokenPipeError. The rest of the output
+    then goes to the null device, so the run still finishes and exits with
+    the code it earned, and the flush at interpreter exit cannot fail.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
 
 
-def _print_text(obj, indent: str = "") -> None:
+def _text_lines(obj, indent: str = ""):
     if isinstance(obj, dict):
         for key in sorted(obj):
             value = obj[key]
             if isinstance(value, (dict, list)):
-                print(f"{indent}{key}:")
-                _print_text(value, indent + "  ")
+                yield f"{indent}{key}:"
+                yield from _text_lines(value, indent + "  ")
             else:
-                print(f"{indent}{key}: {value}")
+                yield f"{indent}{key}: {value}"
     elif isinstance(obj, list):
         for value in obj:
             if isinstance(value, (dict, list)):
-                _print_text(value, indent + "  ")
+                yield from _text_lines(value, indent + "  ")
             else:
-                print(f"{indent}- {value}")
+                yield f"{indent}- {value}"
     else:
-        print(f"{indent}{obj}")
+        yield f"{indent}{obj}"
 
 
 def _emit(args, obj) -> None:
     if args.text:
-        _print_text(obj)
+        _out("\n".join(_text_lines(obj)))
     else:
-        _print_json(obj)
+        _out(json.dumps(obj, indent=2, sort_keys=True))
 
 
 # ----------------------------------------------------------------------
@@ -127,8 +146,8 @@ def _cmd_coeffs(args):
 
 
 def _cmd_polyid(args):
-    if args.max_k < 0:
-        raise DomainError("--max-k must be >= 0")
+    if not 0 <= args.max_k <= MAX_POLYID_K:
+        raise DomainError(f"--max-k must be between 0 and MAX_POLYID_K = {MAX_POLYID_K}")
     failures = [k for k in range(args.max_k + 1) if not pk_identity_check(k)]
     obj = {
         "command": "polyid",
@@ -517,9 +536,9 @@ def _cmd_verify_all(args):
     summary = {"overall": not failed, "checks": len(rows), "failed": failed}
     if args.text:
         status = "PASS" if not failed else "FAIL"
-        print(f"{status}: {len(rows) - len(failed)}/{len(rows)} checks")
+        _out(f"{status}: {len(rows) - len(failed)}/{len(rows)} checks")
     else:
-        print(json.dumps(summary, sort_keys=True))
+        _out(json.dumps(summary, sort_keys=True))
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"verify-all: {len(rows)} checks in {elapsed:.0f} ms", file=sys.stderr)
     return (0 if not failed else 1), None
@@ -531,12 +550,12 @@ def _stream_rows(args, row_iter):
         rows.append(row)
         if args.text:
             mark = "PASS" if row["ok"] else row.get("status", "fail").upper()
-            print(f"{mark}  {row['name']}")
+            text = f"{mark}  {row['name']}"
             if row["witness"] is not None:
-                print(f"      witness: {json.dumps(row['witness'], sort_keys=True)}")
+                text += f"\n      witness: {json.dumps(row['witness'], sort_keys=True)}"
+            _out(text)
         else:
-            print(json.dumps(row, sort_keys=True))
-        sys.stdout.flush()
+            _out(json.dumps(row, sort_keys=True))
     return rows
 
 

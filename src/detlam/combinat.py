@@ -29,6 +29,7 @@ __all__ = [
     "pk_poly",
     "pk_identity_check",
     "coeff_table",
+    "MAX_COEFF_DIM",
     "binomial_expansion_check",
 ]
 
@@ -109,6 +110,11 @@ class CoeffTable:
         }
 
 
+# Largest d for coeff_table: the double sum costs about d^3 big-integer
+# operations, and ``coeffs --dim 256`` takes about a second on a 2-core host.
+MAX_COEFF_DIM = 256
+
+
 def coeff_table(d: int) -> CoeffTable:
     """The exponent table c_j = sum_{i=j}^{2d} 2^(2d-i) (-1)^j C(i,j).
 
@@ -120,6 +126,8 @@ def coeff_table(d: int) -> CoeffTable:
     """
     if d < 1:
         raise DomainError("d must be >= 1 (d = 0 collapses the table)")
+    if d > MAX_COEFF_DIM:
+        raise DomainError(f"d = {d} exceeds the ceiling MAX_COEFF_DIM = {MAX_COEFF_DIM}")
     entries = [
         sum(2 ** (2 * d - i) * (-1) ** j * comb(i, j) for i in range(j, 2 * d + 1))
         for j in range(2 * d + 1)

@@ -3,10 +3,11 @@
 Two settings share one code path:
 
 * universal: the base-free check over the ring Q[l, a_1..a_d] truncated in
-  degree d+1, where l is the first Chern class of the line bundle and the
-  a_i are the Chern roots of the relative cotangent sheaf. The weighted
-  alternating combination of Chern characters, multiplied by the Todd class
-  of the relative tangent sheaf, must vanish identically in degree d+1.
+  degree d+1, where l is the first Chern class of the line bundle and a_i,
+  of weight i, is the i-th Chern class of the relative cotangent sheaf.
+  The weighted alternating combination of Chern characters, multiplied by
+  the Todd class of the relative tangent sheaf, must vanish identically in
+  degree d+1.
 * on a model: for a family with one-dimensional base, the degree of the
   determinant of cohomology of F is the integral of ch(F) Td(T_f) over the
   total space, and the exponent identity is checked as exact integers.
@@ -29,8 +30,11 @@ __all__ = [
     "main_combo",
     "deligne_combo_d1",
     "universal_report",
+    "MAX_UNIVERSAL_DIM",
     "UniversalReport",
     "ducrot_defect",
+    "MAX_DUCROT_DIM",
+    "MAX_DUCROT_FACTORS",
     "bundle_ch",
     "c1_lambda",
     "verify_main_on_model",
@@ -95,9 +99,13 @@ def deligne_combo_d1() -> tuple[ComboTerm, ...]:
 # ----------------------------------------------------------------------
 # universal defect
 
+# Largest d for universal_report: the work grows about 2x per dimension,
+# and d = 8 takes about 1.2 s on a 2-core host.
+MAX_UNIVERSAL_DIM = 8
+
 
 def _universal_ring(d: int) -> VarTable:
-    return VarTable([("l", 1)] + [(f"a{i}", 1) for i in range(1, d + 1)])
+    return VarTable([("l", 1)] + [(f"a{i}", i) for i in range(1, d + 1)])
 
 
 def _check_dim(d: int, allow_degenerate: bool):
@@ -105,10 +113,26 @@ def _check_dim(d: int, allow_degenerate: bool):
         raise DomainError("d must be a nonnegative integer")
     if d == 0 and not allow_degenerate:
         raise DomainError("d = 0 is degenerate; pass allow_degenerate=True to inspect it")
+    if d > MAX_UNIVERSAL_DIM:
+        raise DomainError(f"d = {d} exceeds the ceiling MAX_UNIVERSAL_DIM = {MAX_UNIVERSAL_DIM}")
 
 
 def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport":
     """Assemble the universal defect and its degree breakdown.
+
+    The ring is Q[l, a_1..a_d] truncated in degree d+1, where a_i has
+    weight i and stands for c_i(Omega), the i-th elementary symmetric
+    function of the Chern roots. So c(Omega) = 1 + a_1 + ... + a_d,
+    ch(Omega) = ``ch_from_chern(d, c(Omega))`` and Td(T) is the Todd class
+    of c(T) = psi^(-1) c(Omega), the route ``verify_main_on_model`` takes on
+    a model. At d = 1 this is the root ring itself (a_1 is the one root).
+
+    The verdicts are those of the root ring Q[l, r_1..r_d], all weights 1:
+    a_i -> e_i(r) is a ring map that preserves weighted degree, and it is
+    injective because the e_i are algebraically independent. Every step
+    below is a ring operation on c(Omega), so it maps the defect here onto
+    the root-ring defect, and a component vanishes in one ring exactly
+    when it vanishes in the other.
 
     The Sym^j characters of the cotangent sheaf are built once, as one
     ``sym_ch_table`` up to the largest Sym degree in the combination. Terms
@@ -121,16 +145,13 @@ def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport"
     combo = tuple(combo) if combo is not None else main_combo(d, allow_degenerate)
     vt = _universal_ring(d)
     bound = d + 1
-    one = TruncatedSeries.one(vt, bound)
     l = TruncatedSeries.gen(vt, bound, "l")
-    roots = [TruncatedSeries.gen(vt, bound, f"a{i}") for i in range(1, d + 1)]
-    ch_omega = TruncatedSeries.zero(vt, bound)
-    for a in roots:
-        ch_omega = ch_omega + a.exp()
-    tangent_chern = one
-    for a in roots:
-        tangent_chern = tangent_chern * (one - a)
-    todd = todd_from_chern(tangent_chern)
+    omega_chern = sum(
+        (TruncatedSeries.gen(vt, bound, f"a{i}") for i in range(1, d + 1)),
+        TruncatedSeries.one(vt, bound),
+    )
+    ch_omega = ch_from_chern(d, omega_chern)
+    todd = todd_from_chern(adams_rescale(omega_chern, -1))
     sym = sym_ch_table(ch_omega, max((term.sym for term in combo), default=0))
     by_twist: dict[int, TruncatedSeries] = {}
     for term in combo:
@@ -181,7 +202,16 @@ class UniversalReport:
 # vanishing of the ideal-block product
 
 
-def ducrot_defect(d: int, factors=None, allow_short: bool = False) -> TruncatedSeries:
+# Ceilings for ducrot_defect: the product has up to 2^(d+1) terms, and each
+# factor is a series in every factor's variable. d = 12 with 64 factors takes
+# under a second on a 2-core host.
+MAX_DUCROT_DIM = 12
+MAX_DUCROT_FACTORS = 64
+
+
+def ducrot_defect(
+    d: int, factors: int | None = None, allow_short: bool = False
+) -> TruncatedSeries:
     """Chern character of the product of (O - line) blocks, truncated at d+1.
 
     With d+2 factors the product of classes (1 - e^(l_i)) has every term of
@@ -190,16 +220,19 @@ def ducrot_defect(d: int, factors=None, allow_short: bool = False) -> TruncatedS
     """
     if d < 0:
         raise DomainError("d must be >= 0")
+    if d > MAX_DUCROT_DIM:
+        raise DomainError(f"d = {d} exceeds the ceiling MAX_DUCROT_DIM = {MAX_DUCROT_DIM}")
     if factors is None:
-        names = [f"l{i}" for i in range(1, d + 3)]
-    elif isinstance(factors, int):
-        if factors < 0:
-            raise DomainError("the factor count must be >= 0")
-        names = [f"l{i}" for i in range(1, factors + 1)]
-    else:
-        names = list(factors)
-    if len(names) != d + 2 and not allow_short:
-        raise DomainError(f"need exactly d+2 = {d + 2} factors, got {len(names)}")
+        factors = d + 2
+    if factors < 0:
+        raise DomainError("the factor count must be >= 0")
+    if factors > MAX_DUCROT_FACTORS:
+        raise DomainError(
+            f"{factors} factors exceed the ceiling MAX_DUCROT_FACTORS = {MAX_DUCROT_FACTORS}"
+        )
+    if factors != d + 2 and not allow_short:
+        raise DomainError(f"need exactly d+2 = {d + 2} factors, got {factors}")
+    names = [f"l{i}" for i in range(1, factors + 1)]
     vt = VarTable([(n, 1) for n in names])
     bound = d + 1
     out = TruncatedSeries.one(vt, bound)

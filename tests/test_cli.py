@@ -4,6 +4,7 @@ Each test drives main() in process and inspects exit code and JSON output;
 one test goes through a real subprocess to cover the module entry point.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import time
 
 import pytest
 
-from detlam import cli, kexpr
+from detlam import cli, combinat, grrcheck, kexpr
 from detlam.chowmodel import model_pn_x_pm
 from detlam.cli import _pool_size, main
 from detlam.kexpr import MAX_NESTING
@@ -40,6 +41,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+class _Reached(Exception):
+    """Raised by a stub that stands in for the expensive part of a command."""
+
+
 class TestCoeffs:
     def test_dim1_json(self, capsys):
         code, obj = run_json(capsys, "coeffs", "--dim", "1")
@@ -61,6 +66,20 @@ class TestCoeffs:
         code, _out = run_cli(capsys, "coeffs", "--dim", "0")
         assert code == 2
 
+    def test_dim_ceiling(self, capsys, monkeypatch):
+        assert combinat.MAX_COEFF_DIM >= grrcheck.MAX_UNIVERSAL_DIM
+
+        def reached(*args):
+            raise _Reached
+
+        monkeypatch.setattr(combinat, "comb", reached)  # the table's first product
+        with pytest.raises(_Reached):
+            main(["coeffs", "--dim", str(combinat.MAX_COEFF_DIM)])
+        # cap + 1 first: without the check it reaches the table here
+        for dim in (combinat.MAX_COEFF_DIM + 1, 10**12):
+            err = run_usage_error(capsys, "coeffs", "--dim", str(dim))
+            assert f"MAX_COEFF_DIM = {combinat.MAX_COEFF_DIM}" in err
+
 
 class TestPolyId:
     def test_default_range(self, capsys):
@@ -76,6 +95,18 @@ class TestPolyId:
 
     def test_negative_max_k_is_usage_error(self, capsys):
         run_usage_error(capsys, "polyid", "--max-k", "-5")
+
+    def test_max_k_ceiling(self, capsys, monkeypatch):
+        checked = []
+        monkeypatch.setattr(cli, "pk_identity_check", lambda k: checked.append(k) or True)
+        code, obj = run_json(capsys, "polyid", "--max-k", str(cli.MAX_POLYID_K))
+        assert code == 0 and obj["ok"]
+        assert checked == list(range(cli.MAX_POLYID_K + 1))
+        checked.clear()
+        for max_k in (cli.MAX_POLYID_K + 1, 10**12):
+            err = run_usage_error(capsys, "polyid", "--max-k", str(max_k))
+            assert f"MAX_POLYID_K = {cli.MAX_POLYID_K}" in err
+        assert checked == []  # rejected before the sweep starts
 
 
 class TestUniversal:
@@ -101,6 +132,27 @@ class TestUniversal:
         code, _ = run_cli(capsys, "universal", "--dim", "0")
         assert code == 2
 
+    def test_dim_ceiling(self, capsys, monkeypatch):
+        cap = grrcheck.MAX_UNIVERSAL_DIM
+        assert cap >= cli.MAX_VERIFY_DIM
+        combos = []
+
+        def reached(d, allow_degenerate=False):
+            combos.append(d)
+            raise _Reached
+
+        monkeypatch.setattr(grrcheck, "main_combo", reached)  # the first step past the checks
+        with pytest.raises(_Reached):
+            main(["universal", "--dim", str(cap)])
+        assert combos == [cap]
+        combos.clear()
+        for dim in (cap + 1, 10**12):
+            started = time.perf_counter()
+            err = run_usage_error(capsys, "universal", "--dim", str(dim))
+            assert time.perf_counter() - started < 0.5
+            assert f"MAX_UNIVERSAL_DIM = {cap}" in err
+        assert combos == []  # rejected before any ring is built
+
 
 class TestDucrot:
     def test_full_block_trivial(self, capsys):
@@ -117,6 +169,29 @@ class TestDucrot:
 
     def test_negative_factor_count_is_usage_error(self, capsys):
         run_usage_error(capsys, "ducrot", "--dim", "1", "--factors", "-3")
+
+    def test_dim_and_factor_ceilings(self, capsys, monkeypatch):
+        dim, factors = grrcheck.MAX_DUCROT_DIM, grrcheck.MAX_DUCROT_FACTORS
+        assert factors >= dim + 2
+        tables = []
+
+        def reached(variables):
+            tables.append(len(variables))
+            raise _Reached
+
+        monkeypatch.setattr(grrcheck, "VarTable", reached)  # the product's ring
+        with pytest.raises(_Reached):
+            main(["ducrot", "--dim", str(dim), "--factors", str(factors)])
+        assert tables == [factors]
+        tables.clear()
+        # cap + 1 first: without the checks it reaches the ring here
+        for big in (dim + 1, 10**12):
+            err = run_usage_error(capsys, "ducrot", "--dim", str(big))
+            assert f"MAX_DUCROT_DIM = {dim}" in err
+        for big in (factors + 1, 10**12):
+            err = run_usage_error(capsys, "ducrot", "--dim", "1", "--factors", str(big))
+            assert f"MAX_DUCROT_FACTORS = {factors}" in err
+        assert tables == []
 
 
 class TestModelCommands:
@@ -481,6 +556,55 @@ class TestVerifyAll:
         assert code == 0
         assert "PASS  coeff-tables" in out
         assert out.strip().splitlines()[-1].startswith("PASS:")
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as after ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that stops early is not a failed check."""
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [(["verify-all"], 1), (["universal", "--dim", "4"], 1), (["universal", "--dim", "4"], 0)],
+        ids=["verify-all-after-one-line", "universal-after-one-line", "universal-before-any-line"],
+    )
+    def test_pipe_closed_early(self, argv, lines):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "detlam.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err and "Exception ignored" not in err
+        if argv == ["verify-all"]:
+            assert "verify-all: 17 checks in" in err  # every check still ran
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["universal", "--dim", "2"], 0),
+            (["ducrot", "--dim", "2", "--factors", "3"], 1),
+            (["verify-all", "--max-dim", "1", "--text"], 0),
+        ],
+        ids=["universal", "ducrot-short", "verify-all"],
+    )
+    def test_exit_code_is_the_runs_own(self, capsys, monkeypatch, argv, want):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(argv) == want
+        err = capsys.readouterr().err
+        if argv[0] == "verify-all":
+            assert "checks in" in err
 
 
 class TestUsage:

@@ -48,14 +48,15 @@ def _digest(argv):
 
 
 # " ".join(argv) -> (sha256 of stdout, exit code), recorded before the
-# formal-sum refactor of kexpr
+# formal-sum refactor of kexpr; ``universal --dim 2..4`` print exponent
+# vectors over l, c_1..c_d
 GOLDEN = {
     "verify-all": ("32f0de441691424ea7a2b3bc5d07b3df3afca4ad0122ff69ce25d2ffd5d33fec", 0),
     "verify-all --text": ("095e58fa896d9c44a664cab0c6b53959a98a49482b2d807d76dada810dae5df5", 0),
     "universal --dim 1": ("f8b584e5ed8ee8545d459ccbdfe10ba6801ae9c1b1c4554bdda7fa27e08864b2", 0),
-    "universal --dim 2": ("45eb7faf338d99e33e9c2265f6ff1c0c190a235808b617695c6c7e7fad04ffbc", 0),
-    "universal --dim 3": ("9f7aac2884c89e370fe131940d08ff717ec0530d8074983235dac09c4cdb87a9", 0),
-    "universal --dim 4": ("13eebf929c9dbec77b5561da6a90fc849aaa07af0c4ab8cb251098ab3e8f98ac", 0),
+    "universal --dim 2": ("c5997e8cae2e6f73b063466a16f1fbc037243ba0dafd9409227768c4fccf4a7f", 0),
+    "universal --dim 3": ("94dd7f97a703c69ffb4225d9cd1934d55a45b249ade335410215c5781d83f7e8", 0),
+    "universal --dim 4": ("0e613561e6b7587adefc9a4cd000603b2de29c12a7caf5e90f1b2e6cc2a1b35e", 0),
     "universal --dim 1 --combo deligne": ("217682e9d55094874280542d43570d22a55b24c2f3324ae7442f1f60424d3589", 0),
     "coeffs --dim 1": ("3df3a5aa681563b66950a070da0ad419736afd4844b0e4fb93d2fe1639c9bdc6", 0),
     "coeffs --dim 2": ("76010a0db747504b60083751e019dfcb97421d4943e846636a36b511d1df12e8", 0),

@@ -6,6 +6,8 @@ cohomology determinant degrees for the trivial product family (via monomial
 counting), and the integer lattice deductions.
 """
 
+from math import factorial
+
 import pytest
 
 from detlam.charclass import dual_ch, sym_ch
@@ -59,7 +61,7 @@ def test_universal_report_d1_shows_combo_and_todd():
     assert not rep.subtop_zero
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_main_theorem_defect_vanishes(d):
     rep = universal_report(d)
     assert rep.top_degree_zero
@@ -104,21 +106,52 @@ def test_combo_serialization_round_trip():
     assert all(set(rec) == {"coeff", "twist", "sym", "dual"} for rec in obj)
 
 
-def _combo_ch_term_by_term(d, combo):
-    """coeff * exp(twist*l) * (dual?) ch(Sym^sym Omega), one term at a time."""
-    vt = VarTable([("l", 1)] + [(f"a{i}", 1) for i in range(1, d + 1)])
+def _root_ring(d):
+    return VarTable([("l", 1)] + [(f"r{i}", 1) for i in range(1, d + 1)])
+
+
+def _substitute_roots(series, d):
+    """``series`` over l, a_1..a_d with each a_i -> e_i(r_1..r_d), in the
+    root ring, one monomial at a time."""
+    vt = _root_ring(d)
+    bound = d + 1
+    roots = [TruncatedSeries.gen(vt, bound, f"r{i}") for i in range(1, d + 1)]
+    total = TruncatedSeries.one(vt, bound)
+    for r in roots:
+        total = total * (1 + r)
+    images = [TruncatedSeries.gen(vt, bound, "l")] + [total.component(i) for i in range(1, d + 1)]
+    out = TruncatedSeries.zero(vt, bound)
+    for exps, coeff in series.terms.items():
+        term = TruncatedSeries.constant(vt, bound, coeff)
+        for image, e in zip(images, exps):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+def _root_ring_universal(d, combo):
+    """combo_ch, Td(T) and the defect over the Chern roots r_i of Omega.
+
+    combo_ch is summed one term at a time from ch(Omega) = sum_i e^(r_i).
+    Td(T) is the product over the tangent roots -r_i of the single-root
+    factor -r/(1 - e^r) = 1 / sum_n r^n/(n+1)!, with no Chern class.
+    """
+    vt = _root_ring(d)
     bound = d + 1
     l = TruncatedSeries.gen(vt, bound, "l")
-    ch_omega = TruncatedSeries.zero(vt, bound)
-    for i in range(1, d + 1):
-        ch_omega = ch_omega + TruncatedSeries.gen(vt, bound, f"a{i}").exp()
-    out = TruncatedSeries.zero(vt, bound)
+    roots = [TruncatedSeries.gen(vt, bound, f"r{i}") for i in range(1, d + 1)]
+    zero = TruncatedSeries.zero(vt, bound)
+    ch_omega = sum((r.exp() for r in roots), zero)
+    combo_ch = zero
     for term in combo:
         s = sym_ch(ch_omega, term.sym)
         if term.dual:
             s = dual_ch(s)
-        out = out + (l * term.twist).exp() * s * term.coeff
-    return out
+        combo_ch = combo_ch + (l * term.twist).exp() * s * term.coeff
+    todd = TruncatedSeries.one(vt, bound)
+    for r in roots:
+        todd = todd * sum((r**n / factorial(n + 1) for n in range(bound + 1)), zero).inverse()
+    return combo_ch, todd, combo_ch * todd
 
 
 # repeats twists 1 and 0, each with dual and non-dual terms
@@ -134,11 +167,15 @@ MIXED_COMBO = (
 
 @pytest.mark.parametrize(
     "d, combo",
-    [(1, None), (2, None), (3, None), (1, deligne_combo_d1()), (2, MIXED_COMBO)],
+    [(1, None), (2, None), (3, None), (1, deligne_combo_d1()), (2, MIXED_COMBO), (4, None)],
 )
 def test_universal_combo_ch_matches_term_by_term_sum(d, combo):
-    want = _combo_ch_term_by_term(d, combo if combo is not None else main_combo(d))
-    assert universal_report(d, combo).combo_ch == want
+    # a_i -> e_i(r) carries the Chern-class ring report onto the root ring
+    rep = universal_report(d, combo)
+    want_combo_ch, want_todd, want_defect = _root_ring_universal(d, rep.combo)
+    assert _substitute_roots(rep.combo_ch, d) == want_combo_ch
+    assert _substitute_roots(rep.todd, d) == want_todd
+    assert _substitute_roots(rep.defect, d) == want_defect
 
 
 # ----------------------------------------------------------------------
