@@ -109,11 +109,7 @@ def adams_rescale(ch: TruncatedSeries, m: int) -> TruncatedSeries:
     """Adams operation psi^m: multiply the degree-k component by m^k."""
     if not isinstance(m, int):
         raise DomainError("Adams index must be an integer")
-    return TruncatedSeries(
-        ch.vars,
-        ch.bound,
-        {e: c * (m ** ch.vars.degree(e)) for e, c in ch.terms.items()},
-    )
+    return ch._graded_scale(m)
 
 
 def dual_ch(ch: TruncatedSeries) -> TruncatedSeries:

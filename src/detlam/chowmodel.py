@@ -17,8 +17,10 @@ Built-in presentations:
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from math import lcm
 
-from .exactalg import Rational, StructureError, TruncatedSeries, VarTable
+from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable, _reduced
 
 __all__ = [
     "ModelError",
@@ -31,6 +33,7 @@ __all__ = [
     "model_pn",
     "model_pn_x_pm",
     "model_hirzebruch",
+    "MAX_MODEL_DIM",
 ]
 
 
@@ -96,6 +99,7 @@ class ChowModel:
 
         self.rules = self._parse_rules(relations)
         self._nf_cache: dict[tuple[int, ...], dict] = {}
+        self._packed_nf: dict[int, dict[int, tuple[dict, int]]] = {}
         self._check_dimension_closure()
         self.point_class = self._check_point_class(point_class)
         self.tangent_chern = self._check_tangent(tangent_chern)
@@ -282,19 +286,40 @@ class ChowModel:
         return s
 
     def normal_form(self, series: TruncatedSeries) -> TruncatedSeries:
+        """Reduce every term of degree <= total_dim; drop the rest.
+
+        Works on the series' packed form (see ``exactalg``): the reduction
+        of each monomial is cached per bound as integer numerators over
+        packed keys and one denominator.
+        """
         if series.vars != self.vars:
             raise ModelError("series lives in a different ring")
-        acc: dict[tuple[int, ...], Rational] = {}
-        for exps, coeff in series.terms.items():
-            if self.vars.degree(exps) > self.total_dim:
+        lay = series._lay
+        cache = self._packed_nf.setdefault(series.bound, {})
+        cut = (self.total_dim + 1) << lay.dshift
+        images = []
+        for key, num in series._num.items():
+            if key >= cut:
                 continue
-            for nexps, nc in self._reduce_monomial(exps).items():
-                v = acc.get(nexps, Rational(0)) + coeff * nc
-                if v:
-                    acc[nexps] = v
-                else:
-                    del acc[nexps]
-        return TruncatedSeries(self.vars, series.bound, acc)
+            image = cache.get(key)
+            if image is None:
+                nf = self._reduce_monomial(lay.exps(key))
+                rden = reduce(lcm, (c.denominator for c in nf.values()), 1)
+                image = cache[key] = (
+                    {lay.key(e): c.numerator * (rden // c.denominator) for e, c in nf.items()},
+                    rden,
+                )
+            images.append((num, image))
+        den = reduce(lcm, (rden for _num, (_img, rden) in images), 1)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for num, (image, rden) in images:
+            m = num * (den // rden)
+            for k, v in image.items():
+                acc[k] = get(k, 0) + m * v
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        return _reduced(series, acc, series._den * den)
 
     def integrate(self, series: TruncatedSeries) -> Rational:
         """Coefficient of the point class in the normal form."""
@@ -375,10 +400,24 @@ class BundleClass:
 # built-in models
 
 
+# Largest total dimension of a built-in projective model (n for P^n, n + m
+# for P^n x P^m). The slowest command at the ceiling, verify-main on
+# P31xP1, takes about 1.3 s on a 2-core host.
+MAX_MODEL_DIM = 32
+
+
+def _check_model_dim(name: str, dim: int):
+    if dim > MAX_MODEL_DIM:
+        raise DomainError(
+            f"{name} has dimension {dim}, above the ceiling MAX_MODEL_DIM = {MAX_MODEL_DIM}"
+        )
+
+
 def model_pn(n: int) -> ChowModel:
     """P^n over a point: one generator h, relation h^(n+1) = 0."""
     if n < 1:
         raise ModelError("need n >= 1")
+    _check_model_dim(f"P{n}", n)
     vt = [("h", 1)]
     vars_ = VarTable(vt)
     tangent = (TruncatedSeries.one(vars_, n) + TruncatedSeries.gen(vars_, n, "h")) ** (n + 1)
@@ -398,6 +437,7 @@ def model_pn_x_pm(n: int, m: int) -> ChowModel:
     """The product family P^n x P^m -> P^m; h is the fiber class, s the base."""
     if n < 1 or m < 1:
         raise ModelError("need n, m >= 1")
+    _check_model_dim(f"P{n}xP{m}", n + m)
     vt = [("h", 1), ("s", 1)]
     vars_ = VarTable(vt)
     total = n + m
@@ -462,9 +502,10 @@ def builtin_model(name: str, n: int | None = None, m: int | None = None, e: int 
         # forms like P1xP1 / P2xP1
         try:
             left, right = key[1:].split("xp")
-            return model_pn_x_pm(int(left), int(right))
+            n, m = int(left), int(right)
         except ValueError as exc:
             raise ModelError(f"cannot parse product model {name!r}") from exc
+        return model_pn_x_pm(n, m)
     if key == "hirzebruch":
         if e is None:
             raise ModelError("Hirzebruch needs --e")

@@ -3,8 +3,39 @@
 A series lives over a fixed :class:`VarTable` (ordered variable names with
 positive integer weights) and a fixed truncation bound: every monomial of
 weighted total degree above the bound is discarded, so all ring operations
-are exact on the retained window. Coefficients are ``fractions.Fraction``
-values, re-exported as :data:`Rational`.
+are exact on the retained window. Coefficients read back as
+``fractions.Fraction`` values, re-exported as :data:`Rational`.
+
+Layout. Inside a series each monomial is one ``int`` key and the
+coefficients are ``int`` numerators over one positive common denominator,
+with the gcd of the denominator and all numerators taken out once per
+result (so equal series have equal numerators and denominators). The
+layout of one (variable table, bound) pair has fields of width
+``W = bound.bit_length() + 1``: the weighted degree sits in the top field,
+above the exponent fields, which hold variable 0 in the highest bits:
+
+    key = deg << (n*W) | e_0 << ((n-1)*W) | ... | e_(n-1).
+
+This is the packed-monomial layout of sparse polynomial kernels (Monagan &
+Pearce, "Sparse polynomial division using a heap", JSC 46, 2011).
+
+* No carry: every exponent of a window monomial is at most ``bound``, so
+  the sum of two is at most ``2*bound < 2**W``. Adding two keys therefore
+  adds every field exactly, degree included: it multiplies the monomials.
+* Truncation: a sum of two keys has degree above the bound exactly when it
+  is at least ``(bound + 1) << (n*W)``, one integer comparison.
+* Order: comparing keys as ints compares the degree first and then the
+  exponents from variable 0 on, which is the ``(degree, exponents)`` order
+  ``sorted_items`` and ``to_obj`` print. A product loop over key-sorted
+  operands can stop the inner loop at the first partner whose sum leaves
+  the window, since every later partner has a larger key.
+
+The public surface reads the packed form back: ``terms`` is an exponents ->
+``Fraction`` view whose length is the stored term count, and
+``coefficient``, ``to_obj`` and ``repr`` unpack on demand. Two callers in
+the package work on the packed form directly: ``charclass.adams_rescale``
+(through ``_graded_scale``) and ``ChowModel.normal_form`` (through
+``_num``, ``_den``, ``_lay`` and ``_reduced``).
 
 ``inverse`` and ``exp`` never multiply whole series. They split the input f
 once into weighted-degree components f_0..f_bound and build the result g one
@@ -17,7 +48,8 @@ These are the classical power-series recurrences of Knuth (The Art of
 Computer Programming, vol. 2, section 4.7) and Brent & Kung ("Fast algorithms
 for manipulating formal power series", JACM 25, 1978). A univariate inverse
 costs O(bound^2) coefficient products instead of the O(bound^3) of summing
-the powers of 1 - f/f_0.
+the powers of 1 - f/f_0. Both run on integer numerators; the methods' own
+docstrings give the scaling that keeps every step integral.
 
 Examples
 --------
@@ -30,8 +62,10 @@ True
 Fraction(1, 1)
 """
 
+from collections.abc import Mapping
 from fractions import Fraction as Rational
-from operator import add
+from functools import reduce
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -52,10 +86,10 @@ class DomainError(ValueError):
 
 
 def _as_rational(value) -> Rational:
-    if isinstance(value, Rational):
-        return value
     if isinstance(value, int):
         return Rational(value)
+    if isinstance(value, Rational):
+        return value
     if isinstance(value, str):
         return Rational(value)
     raise StructureError(f"not an exact rational: {value!r}")
@@ -69,7 +103,7 @@ class VarTable:
     instance Chern classes c_k of weight k) are modeled by weights > 1.
     """
 
-    __slots__ = ("names", "weights", "_index")
+    __slots__ = ("names", "weights", "_index", "_layouts")
 
     def __init__(self, variables: Iterable):
         names = []
@@ -90,6 +124,7 @@ class VarTable:
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_layouts", {})
 
     def __setattr__(self, *a):
         raise AttributeError("VarTable is immutable")
@@ -108,6 +143,12 @@ class VarTable:
             raise StructureError("exponent vector length mismatch")
         return sum(e * w for e, w in zip(exponents, self.weights))
 
+    def _layout(self, bound: int) -> "_Layout":
+        lay = self._layouts.get(bound)
+        if lay is None:
+            lay = self._layouts[bound] = _Layout(self.weights, bound)
+        return lay
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VarTable)
@@ -123,35 +164,113 @@ class VarTable:
         return f"VarTable({body})"
 
 
+class _Layout:
+    """The packed keys of one (weights, bound) pair; see the module docstring.
+
+    It holds no reference to its VarTable, which caches it: a cycle would
+    leave every dropped table to the cyclic garbage collector."""
+
+    __slots__ = ("weights", "bound", "width", "mask", "dshift", "limit")
+
+    def __init__(self, weights: tuple[int, ...], bound: int):
+        self.weights = weights
+        self.bound = bound
+        self.width = bound.bit_length() + 1
+        self.mask = (1 << self.width) - 1
+        self.dshift = self.width * len(self.weights)
+        self.limit = (bound + 1) << self.dshift
+
+    def key(self, exps) -> int | None:
+        """The key of a window monomial; None for a vector of the wrong
+        length, with a negative or non-int entry, or above the bound."""
+        if len(exps) != len(self.weights):
+            return None
+        deg = packed = 0
+        width = self.width
+        for e, w in zip(exps, self.weights):
+            if not isinstance(e, int) or e < 0:
+                return None
+            deg += e * w
+            packed = (packed << width) | e
+        if deg > self.bound:
+            return None
+        return (deg << self.dshift) | packed
+
+    def exps(self, key: int) -> tuple[int, ...]:
+        out = []
+        width, mask = self.width, self.mask
+        for _ in self.weights:
+            out.append(key & mask)
+            key >>= width
+        return tuple(reversed(out))
+
+
+class _Terms(Mapping):
+    """The read-only exponents -> Rational view that ``TruncatedSeries.terms``
+    returns; its length is the stored term count, built without Fractions."""
+
+    __slots__ = ("_series",)
+
+    def __len__(self) -> int:
+        return len(self._series._num)
+
+    def __iter__(self):
+        return map(self._series._lay.exps, self._series._num)
+
+    def __getitem__(self, exps) -> Rational:
+        s = self._series
+        num = s._num.get(s._lay.key(tuple(exps)))
+        if num is None:
+            raise KeyError(exps)
+        return Rational(num, s._den)
+
+
 class TruncatedSeries:
     """A sparse exact power series truncated at a weighted total degree.
 
-    Terms are held as a map from exponent vectors to nonzero Rational
-    coefficients; every stored vector has weighted degree <= ``bound``.
-    Instances are treated as immutable.
+    Terms read back through ``terms`` as a map from exponent vectors to
+    nonzero Rational coefficients; every stored vector has weighted degree
+    <= ``bound``. Instances are treated as immutable.
     """
 
-    __slots__ = ("vars", "bound", "terms")
+    __slots__ = ("vars", "_lay", "_num", "_den")
 
     def __init__(self, vars: VarTable, bound: int, terms: dict | None = None):
         if not isinstance(vars, VarTable):
             raise StructureError("vars must be a VarTable")
         if not isinstance(bound, int) or bound < 0:
             raise StructureError("bound must be a nonnegative int")
-        clean: dict[tuple[int, ...], Rational] = {}
+        lay = vars._layout(bound)
+        clean: list[tuple[int, int | Rational]] = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != len(vars) or any(e < 0 or not isinstance(e, int) for e in exps):
                 raise StructureError(f"bad exponent vector {exps!r}")
-            coeff = _as_rational(coeff)
-            if coeff and vars.degree(exps) <= bound:
-                clean[exps] = coeff
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "terms", clean)
+            if not isinstance(coeff, int):
+                coeff = _as_rational(coeff)
+            if coeff:
+                key = lay.key(exps)  # None above the bound
+                if key is not None:
+                    clean.append((key, coeff))
+        # over the lcm of reduced denominators (an int's is 1), the
+        # numerators share no factor with it: already in lowest terms
+        den = reduce(lcm, (c.denominator for _k, c in clean), 1)
+        _set_vars(self, vars)
+        _set_lay(self, lay)
+        _set_num(self, {k: c.numerator * (den // c.denominator) for k, c in clean})
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncatedSeries is immutable")
+
+    @property
+    def bound(self) -> int:
+        return self._lay.bound
+
+    def _like(self, value) -> "TruncatedSeries":
+        """The constant ``value`` in this ring."""
+        value = _as_rational(value)
+        return _series(self, {0: value.numerator} if value else {}, value.denominator)
 
     # ------------------------------------------------------------------
     # constructors
@@ -185,54 +304,74 @@ class TruncatedSeries:
     # ------------------------------------------------------------------
     # basic queries
 
+    @property
+    def terms(self) -> Mapping:
+        # built without a Python-level __init__: the benchmark tracer takes
+        # len(s.terms) on every traced product
+        view = _blank(_Terms)
+        _set_series(view, self)
+        return view
+
     def coefficient(self, exponents) -> Rational:
-        return self.terms.get(tuple(exponents), Rational(0))
+        num = self._num.get(self._lay.key(tuple(exponents)))
+        return Rational(num, self._den) if num else Rational(0)
 
     @property
     def constant_term(self) -> Rational:
-        return self.terms.get((0,) * len(self.vars), Rational(0))
+        num = self._num.get(0)
+        return Rational(num, self._den) if num else Rational(0)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def _key(self, exps: tuple[int, ...]):
-        return (self.vars.degree(exps), exps)
+        return not self._num
 
     def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: self._key(kv[0]))
+        exps, den = self._lay.exps, self._den
+        return [(exps(k), Rational(v, den)) for k, v in sorted(self._num.items())]
 
     def _check(self, other: "TruncatedSeries"):
-        if self.vars != other.vars or self.bound != other.bound:
+        if self._lay is not other._lay and (
+            self.vars != other.vars or self.bound != other.bound
+        ):
             raise StructureError("mismatched variable tables or bounds")
 
     # ------------------------------------------------------------------
     # ring operations
 
     def __add__(self, other):
-        if isinstance(other, (int, Rational)):
-            other = TruncatedSeries.constant(self.vars, self.bound, other)
-        if not isinstance(other, TruncatedSeries):
+        if isinstance(other, TruncatedSeries):
+            self._check(other)
+        elif isinstance(other, (int, Rational)):
+            other = self._like(other)
+        else:
             return NotImplemented
-        self._check(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            v = acc.get(exps, Rational(0)) + coeff
-            if v:
-                acc[exps] = v
-            else:
-                acc.pop(exps, None)
-        return TruncatedSeries(self.vars, self.bound, acc)
+        if not other._num:
+            return self
+        da, db = self._den, other._den
+        if da == db:
+            acc = dict(self._num)
+            get = acc.get
+            for k, v in other._num.items():
+                acc[k] = get(k, 0) + v
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            acc = {k: v * ma for k, v in self._num.items()}
+            get = acc.get
+            for k, v in other._num.items():
+                acc[k] = get(k, 0) + v * mb
+            da *= ma
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        return _reduced(self, acc, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.vars, self.bound, {e: -c for e, c in self.terms.items()}
-        )
+        return _series(self, {k: -v for k, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Rational)):
-            other = TruncatedSeries.constant(self.vars, self.bound, other)
+            other = self._like(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self + (-other)
@@ -241,35 +380,45 @@ class TruncatedSeries:
         return (-self) + other
 
     def scale(self, value) -> "TruncatedSeries":
+        if isinstance(value, int):
+            # the numerators are coprime to the denominator, so only the
+            # factor gcd(value, denominator) cancels
+            if not value:
+                return _series(self, {}, 1)
+            g = gcd(value, self._den)
+            value //= g
+            return _series(self, {k: v * value for k, v in self._num.items()}, self._den // g)
         value = _as_rational(value)
         if not value:
-            return TruncatedSeries.zero(self.vars, self.bound)
-        return TruncatedSeries(
-            self.vars, self.bound, {e: c * value for e, c in self.terms.items()}
-        )
+            return _series(self, {}, 1)
+        n, d = value.numerator, value.denominator
+        return _reduced(self, {k: v * n for k, v in self._num.items()}, self._den * d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Rational)):
-            return self.scale(other)
         if not isinstance(other, TruncatedSeries):
+            if isinstance(other, (int, Rational)):
+                return self.scale(other)
             return NotImplemented
         self._check(other)
-        vars_, bound = self.vars, self.bound
-        weights = vars_.weights
-        acc: dict[tuple[int, ...], Rational] = {}
-        left = [(e, vars_.degree(e), c) for e, c in self.terms.items()]
-        for fe, fc in other.terms.items():
-            fdeg = vars_.degree(fe)
-            for e, deg, c in left:
-                if deg + fdeg > bound:
-                    continue
-                key = tuple(a + b for a, b in zip(e, fe))
-                v = acc.get(key, Rational(0)) + c * fc
-                if v:
-                    acc[key] = v
-                else:
-                    del acc[key]
-        return TruncatedSeries(vars_, bound, acc)
+        if not self._num or not other._num:
+            return _series(self, {}, 1)
+        limit = self._lay.limit
+        right = sorted(other._num.items())
+        low = right[0][0]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, na in sorted(self._num.items()):
+            room = limit - ka
+            if low >= room:
+                break
+            for kb, nb in right:
+                if kb >= room:
+                    break
+                k = ka + kb
+                acc[k] = get(k, 0) + na * nb
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        return _reduced(self, acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -294,37 +443,44 @@ class TruncatedSeries:
                 base = base * base
         return out
 
-    def _components(self) -> list[list]:
-        """The terms split by weighted degree: entry k lists the degree-k
-        (exponents, coefficient) pairs, for k = 0..bound."""
+    def _components(self, weight) -> list[list]:
+        """The numerators split by weighted degree: entry k lists the
+        degree-k (key, numerator * weight[k]) pairs, for k = 0..bound."""
         parts: list[list] = [[] for _ in range(self.bound + 1)]
-        degree = self.vars.degree
-        for exps, coeff in self.terms.items():
-            parts[degree(exps)].append((exps, coeff))
+        shift = self._lay.dshift
+        for k, v in self._num.items():
+            deg = k >> shift
+            parts[deg].append((k, v * weight[deg]))
         return parts
 
-    def _graded_solve(self, head: Rational, parts: list, outer) -> "TruncatedSeries":
-        """The series g with g_0 = head and, for n = 1..bound,
-        g_n = outer(n) * sum_{k=1..n} parts[k] * g_{n-k},
-        one homogeneous component at a time (each g_n is final once built)."""
-        zero = (0,) * len(self.vars)
-        g: list[list] = [[(zero, head)]]
-        out = {zero: head}
+    def _graded_solve(self, parts: list, head: int, divisor, den: int, scale: list) -> "TruncatedSeries":
+        """The series sum_n H_n * scale[n] / den, where H_0 = head and, for
+        n = 1..bound, H_n = (sum_{k=1..n} parts[k] * H_{n-k}) / divisor(n)
+        with every division exact, built one homogeneous component at a
+        time (each H_n is final once built)."""
+        h: list[list] = [[(0, head)]]
         for n in range(1, self.bound + 1):
-            acc: dict[tuple[int, ...], Rational] = {}
+            acc: dict[int, int] = {}
+            get = acc.get
             for k in range(1, n + 1):
-                fk, gk = parts[k], g[n - k]
-                if not fk or not gk:
+                fk, hk = parts[k], h[n - k]
+                if not fk or not hk:
                     continue
                 for fe, fc in fk:
-                    for ge, gc in gk:
-                        key = tuple(map(add, fe, ge))
-                        acc[key] = acc.get(key, 0) + fc * gc
-            scale = outer(n)
-            gn = [(e, c * scale) for e, c in acc.items() if c]
-            g.append(gn)
-            out.update(gn)
-        return TruncatedSeries(self.vars, self.bound, out)
+                    for he, hc in hk:
+                        key = fe + he
+                        acc[key] = get(key, 0) + fc * hc
+            q = divisor(n)
+            h.append([(e, c // q) for e, c in acc.items() if c])
+        num = {}
+        for n, hn in enumerate(h):
+            m = scale[n]
+            for e, c in hn:
+                num[e] = c * m
+        if den < 0:
+            num = {e: -c for e, c in num.items()}
+            den = -den
+        return _reduced(self, num, den)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, exactly on the window.
@@ -334,11 +490,25 @@ class TruncatedSeries:
         so E g = E(f) g; comparing degree-n parts gives g_0 = 1 and
         n g_n = sum_{k=1..n} k f_k g_{n-k} (Knuth, TAOCP vol. 2, 4.7;
         Brent & Kung, JACM 25, 1978), for any positive variable weights.
+
+        In integers: with f = F/D and B = bound!, H_n = g_n D^n B is an
+        integer, since g_n is a sum of products of at most n components of
+        f over factorials up to n!. Then H_0 = B and
+        n H_n = sum_{k=1..n} (k D^(k-1) F_k) H_{n-k}, an exact division by n.
         """
-        if self.constant_term:
+        if 0 in self._num:
             raise DomainError("exp needs zero constant term")
-        parts = [[(e, c * k) for e, c in part] for k, part in enumerate(self._components())]
-        return self._graded_solve(Rational(1), parts, lambda n: Rational(1, n))
+        bound, d = self.bound, self._den
+        dpow = [1]
+        fact = 1
+        for k in range(1, bound + 1):
+            dpow.append(dpow[-1] * d)
+            fact *= k
+        weight = [0] + [k * dpow[k - 1] for k in range(1, bound + 1)]
+        scale = dpow[::-1]
+        return self._graded_solve(
+            self._components(weight), fact, lambda n: n, dpow[-1] * fact, scale
+        )
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be nonzero.
@@ -347,31 +517,62 @@ class TruncatedSeries:
         every weight is at least 1) and g = 1/f, the degree-n part of f g = 1
         gives g_0 = 1/c0 and g_n = -(1/c0) sum_{k=1..n} f_k g_{n-k}
         (Knuth, TAOCP vol. 2, 4.7; Brent & Kung, JACM 25, 1978).
+
+        In integers: write f = F/D = (c/D) P, with c the gcd of the integer
+        numerators F, so P = F/c has integer coefficients and constant term
+        p. Then 1/P has degree-n part H_n / p^(n+1) with H_0 = 1 and
+        H_n = -sum_{k=1..n} (p^(k-1) F_k) H_{n-k} / c, an exact division by
+        -c, and 1/f = (D/c) / P.
         """
-        c0 = self.constant_term
+        num = self._num
+        c0 = num.get(0)
         if not c0:
             raise DomainError("inverse needs a nonzero constant term")
-        inv_c0 = 1 / c0
-        minus_inv_c0 = -inv_c0
-        return self._graded_solve(inv_c0, self._components(), lambda n: minus_inv_c0)
+        bound = self.bound
+        content = reduce(gcd, num.values())
+        p = c0 // content
+        ppow = [1]
+        for _ in range(bound + 1):
+            ppow.append(ppow[-1] * p)
+        scale = [self._den * ppow[bound - n] for n in range(bound + 1)]
+        return self._graded_solve(
+            self._components([1] + ppow[:bound]),
+            1,
+            lambda n: -content,
+            content * ppow[bound + 1],
+            scale,
+        )
 
     def component(self, k: int) -> "TruncatedSeries":
         """The weighted-degree-k homogeneous part, kept at the same bound."""
-        keep = {e: c for e, c in self.terms.items() if self.vars.degree(e) == k}
-        return TruncatedSeries(self.vars, self.bound, keep)
+        shift = self._lay.dshift
+        return _reduced(
+            self, {e: v for e, v in self._num.items() if e >> shift == k}, self._den
+        )
+
+    def _graded_scale(self, m: int) -> "TruncatedSeries":
+        """Multiply the weighted-degree-k component by m**k."""
+        shift = self._lay.dshift
+        mpow = [m**k for k in range(self.bound + 1)]
+        return _reduced(
+            self,
+            {e: v * mpow[e >> shift] for e, v in self._num.items() if m or not e},
+            self._den,
+        )
 
     # ------------------------------------------------------------------
     # comparison and serialization
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Rational)):
-            other = TruncatedSeries.constant(self.vars, self.bound, other)
+            other = self._like(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (
             self.vars == other.vars
             and self.bound == other.bound
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     __hash__ = None
@@ -398,5 +599,38 @@ class TruncatedSeries:
                 if e
             )
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
-        tail = " + ..." if len(self.terms) > 8 else ""
+        tail = " + ..." if len(self._num) > 8 else ""
         return "<series " + " + ".join(bits) + tail + ">"
+
+
+_blank = object.__new__
+_set_vars = TruncatedSeries.vars.__set__
+_set_lay = TruncatedSeries._lay.__set__
+_set_num = TruncatedSeries._num.__set__
+_set_den = TruncatedSeries._den.__set__
+_set_series = _Terms._series.__set__
+
+
+def _series(ring: TruncatedSeries, num: dict, den: int) -> TruncatedSeries:
+    """The series in the ring (variables and bound) of ``ring`` with integer
+    numerators ``num`` (packed keys, no zero values) over ``den`` > 0,
+    already in lowest terms. Results of the ring operations are built here,
+    not by the validating constructor."""
+    out = _blank(TruncatedSeries)
+    _set_vars(out, ring.vars)
+    _set_lay(out, ring._lay)
+    _set_num(out, num)
+    _set_den(out, den)
+    return out
+
+
+def _reduced(ring: TruncatedSeries, num: dict, den: int) -> TruncatedSeries:
+    """As ``_series``, after taking out the gcd of den and the numerators."""
+    if den != 1:
+        # reduce, not gcd(den, *values): a fresh argument tuple of every
+        # size would be parked in the interpreter's tuple free lists
+        g = reduce(gcd, num.values(), den)
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+    return _series(ring, num, den)

@@ -64,6 +64,7 @@ __all__ = [
     "script_multadd_d1",
     "get_chain",
     "builtin_chain_names",
+    "MAX_CHAIN_DIM",
 ]
 
 
@@ -1065,7 +1066,15 @@ def builtin_chain_names() -> list[str]:
     return ["invfunc-a-k", "invfunc-l-p", "multadd-d1"]
 
 
+# Largest --dim for the shipped chains. Their P_k trees grow with dim and
+# verifying one costs about dim^2; either chain at dim = 60 verifies in
+# about 1.7 s on a 2-core host.
+MAX_CHAIN_DIM = 60
+
+
 def get_chain(name: str, dim: int = 1) -> ChainScript:
+    if dim > MAX_CHAIN_DIM:
+        raise ScriptError(f"dim = {dim} exceeds the ceiling MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
     if name == "invfunc-a-k":
         return script_invfunc_a_k(dim)
     if name == "invfunc-l-p":

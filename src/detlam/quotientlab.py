@@ -141,8 +141,13 @@ def signed_hilbert_series(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) ->
 
 def invariants_hs(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> TruncatedSeries:
     """Hilbert series of the even-parity subalgebra R0."""
-    half = Rational(1, 2)
-    return (hilbert_series(algebra, bound) + signed_hilbert_series(algebra, bound)).scale(half)
+    return _invariants_from(algebra, bound, hilbert_series(algebra, bound))
+
+
+def _invariants_from(algebra: GradedAlgebra, bound: int, hs: TruncatedSeries) -> TruncatedSeries:
+    """Hilbert series of R0 as the average of ``hs``, the plain series of
+    R, and the sign-twisted series."""
+    return (hs + signed_hilbert_series(algebra, bound)).scale(Rational(1, 2))
 
 
 def series_coefficients(series: TruncatedSeries) -> list[int]:
@@ -212,7 +217,7 @@ def flatness_verdict(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> Flat
     if not isinstance(bound, int) or bound < 1:
         raise DomainError("bound must be a positive int")
     hs = hilbert_series(algebra, bound)
-    inv = invariants_hs(algebra, bound)
+    inv = _invariants_from(algebra, bound, hs)
     ratio = hs * inv.inverse()
     coeffs = tuple(series_coefficients(ratio))
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from detlam import cli, combinat, grrcheck, kexpr
+from detlam import chowmodel, cli, combinat, grrcheck, kexpr
 from detlam.chowmodel import model_pn_x_pm
 from detlam.cli import _pool_size, main
 from detlam.kexpr import MAX_NESTING
@@ -255,6 +255,48 @@ class TestModelCommands:
         code, _ = run_cli(capsys, "c1lambda", "--model", "P1xP1", "--line", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "at_cap, above",
+        [
+            (["--model", "Pn", "--n", "{cap}"], [["--model", "Pn", "--n", "{big}"], ["--model", "P{big}"]]),
+            (
+                ["--model", "PnxPm", "--n", "{cap_1}", "--m", "1"],
+                [
+                    ["--model", "PnxPm", "--n", "{cap}", "--m", "1"],
+                    ["--model", "PnxPm", "--n", "1", "--m", "{big}"],
+                    ["--model", "PnxPm", "--n", "{big}", "--m", "1"],
+                    ["--model", "P{big}xP1"],
+                ],
+            ),
+        ],
+        ids=["Pn", "PnxPm"],
+    )
+    def test_model_dim_ceiling(self, capsys, monkeypatch, at_cap, above):
+        cap = chowmodel.MAX_MODEL_DIM
+        tables = []
+
+        def reached(variables):
+            tables.append(variables)
+            raise _Reached
+
+        def argv(template, big):
+            fill = {"cap": cap, "cap_1": cap - 1, "big": big}
+            return ["verify-main", *(a.format(**fill) for a in template), "--line", "1,1"]
+
+        monkeypatch.setattr(chowmodel, "VarTable", reached)  # the model's ring
+        with pytest.raises(_Reached):
+            main(argv(at_cap, None))
+        assert len(tables) == 1
+        tables.clear()
+        # cap + 1 first: without the check it reaches the ring here
+        for big in (cap + 1, 10**12):
+            for template in above:
+                started = time.perf_counter()
+                err = run_usage_error(capsys, *argv(template, big))
+                assert time.perf_counter() - started < 0.5
+                assert f"MAX_MODEL_DIM = {cap}" in err
+        assert tables == []
+
 
 class TestPicard:
     def test_preset_mumford_goal_holds(self, capsys):
@@ -312,6 +354,28 @@ class TestRewrite:
         assert code == 1
         assert obj["failed_step"] == 6
         assert obj["steps"][-1]["witness"]
+
+    @pytest.mark.parametrize("chain", ["invfunc-a-k", "invfunc-l-p"])
+    def test_dim_ceiling(self, capsys, monkeypatch, chain):
+        cap = kexpr.MAX_CHAIN_DIM
+        make_script = "script_" + chain.replace("-", "_")
+        dims = []
+
+        def reached(dim):
+            dims.append(dim)
+            raise _Reached
+
+        monkeypatch.setattr(kexpr, make_script, reached)  # the chain's construction
+        with pytest.raises(_Reached):
+            main(["rewrite", "--chain", chain, "--dim", str(cap)])
+        assert dims == [cap]
+        dims.clear()
+        for dim in (cap + 1, 10**12):
+            started = time.perf_counter()
+            err = run_usage_error(capsys, "rewrite", "--chain", chain, "--dim", str(dim))
+            assert time.perf_counter() - started < 0.5
+            assert f"MAX_CHAIN_DIM = {cap}" in err
+        assert dims == []
 
     def test_corrupt_out_of_range(self, capsys):
         code, _ = run_cli(capsys, "rewrite", "--chain", "multadd-d1", "--corrupt", "99")
@@ -625,3 +689,13 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "31" in proc.stdout
+
+    def test_package_entry_point(self, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-m", "detlam", "coeffs", "--dim", "1"],
+            capture_output=True,
+            text=True,
+        )
+        code, out = run_cli(capsys, "coeffs", "--dim", "1")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out

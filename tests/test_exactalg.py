@@ -309,3 +309,207 @@ def test_weighted_exp_of_negation_is_inverse(f):
     e = f.exp()
     assert e == power_sum_exp(f)
     assert e.inverse() == (-f).exp()
+
+
+# ----------------------------------------------------------------------
+# the packed kernel against a reference kernel on exponent tuples
+#
+# The reference holds a series as {exponent tuple: Fraction} with zero
+# coefficients and monomials above the bound dropped, multiplies by the
+# schoolbook double loop with a degree cut, and takes inverse and exp from
+# their power-sum definitions. It shares no code with detlam.
+
+
+def ref_degree(weights, exps):
+    return sum(e * w for e, w in zip(exps, weights))
+
+
+def ref_clean(weights, bound, terms):
+    return {e: c for e, c in terms.items() if c and ref_degree(weights, e) <= bound}
+
+
+def ref_add(weights, bound, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Rational(0)) + c
+    return ref_clean(weights, bound, out)
+
+
+def ref_scale(weights, bound, a, value):
+    return ref_clean(weights, bound, {e: c * value for e, c in a.items()})
+
+
+def ref_mul(weights, bound, a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if ref_degree(weights, e) <= bound:
+                out[e] = out.get(e, Rational(0)) + ca * cb
+    return ref_clean(weights, bound, out)
+
+
+def ref_power_sum(weights, bound, ratio, coeff):
+    """sum_j coeff(j) * ratio^j for j = 0..bound (ratio has no constant)."""
+    zero = (0,) * len(weights)
+    out, power = {}, {zero: Rational(1)}
+    for j in range(bound + 1):
+        out = ref_add(weights, bound, out, ref_scale(weights, bound, power, coeff(j)))
+        power = ref_mul(weights, bound, power, ratio)
+    return out
+
+
+def ref_inverse(weights, bound, a):
+    """1/a = (1/c0) sum_j (1 - a/c0)^j."""
+    zero = (0,) * len(weights)
+    c0 = a[zero]
+    ratio = ref_scale(weights, bound, {e: c for e, c in a.items() if e != zero}, -1 / c0)
+    return ref_power_sum(weights, bound, ratio, lambda j: 1 / c0)
+
+
+def ref_exp(weights, bound, a):
+    """exp(a) = sum_j a^j / j!."""
+    fact = [1]
+    for j in range(1, bound + 1):
+        fact.append(fact[-1] * j)
+    return ref_power_sum(weights, bound, a, lambda j: Rational(1, fact[j]))
+
+
+def ref_component(weights, a, k):
+    return {e: c for e, c in a.items() if ref_degree(weights, e) == k}
+
+
+def ref_adams(weights, a, m):
+    return {e: c * m ** ref_degree(weights, e) for e, c in a.items() if m or not any(e)}
+
+
+def assert_matches(series, ref):
+    """Same coefficients, same canonical series, same printed order."""
+    assert series.terms == ref
+    assert len(series.terms) == len(ref)
+    assert series == TruncatedSeries(series.vars, series.bound, ref)
+    weights = series.vars.weights
+    printed = [tuple(rec["exponents"]) for rec in series.to_obj()]
+    assert printed == sorted(ref, key=lambda e: (ref_degree(weights, e), e))
+
+
+KERNEL_BOUNDS = [1, 3, 4, 7, 8, 15]  # each side of a field-width change
+
+
+def window_terms(weights, bound):
+    """Up to 6 terms anywhere in the window."""
+    exps = st.tuples(*(st.integers(0, bound // w) for w in weights)).filter(
+        lambda e: ref_degree(weights, e) <= bound
+    )
+    return st.dictionaries(exps, coeffs, max_size=6)
+
+
+@st.composite
+def kernel_case(draw, unit=False, no_constant=False):
+    """(vars, bound, ref) for a weighted multivariate series: 1-3 variables
+    of weight 1-3, up to 6 terms anywhere in the window."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    bound = draw(st.sampled_from([0, 2] + KERNEL_BOUNDS))
+    vars_ = VarTable([(f"v{i}", w) for i, w in enumerate(weights)])
+    terms = draw(window_terms(weights, bound))
+    zero = (0,) * len(weights)
+    if no_constant:
+        terms.pop(zero, None)
+    if unit:
+        terms[zero] = draw(coeffs.filter(bool))
+    return vars_, bound, ref_clean(weights, bound, terms)
+
+
+@st.composite
+def kernel_pair(draw):
+    vars_, bound, a = draw(kernel_case())
+    b = draw(window_terms(vars_.weights, bound))
+    return vars_, bound, a, ref_clean(vars_.weights, bound, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_pair(), coeffs)
+def test_kernel_ring_operations_match_reference(case, value):
+    vars_, bound, a, b = case
+    w = vars_.weights
+    sa, sb = TruncatedSeries(vars_, bound, a), TruncatedSeries(vars_, bound, b)
+    assert_matches(sa + sb, ref_add(w, bound, a, b))
+    assert_matches(sa - sb, ref_add(w, bound, a, ref_scale(w, bound, b, -1)))
+    assert_matches(sa * sb, ref_mul(w, bound, a, b))
+    assert_matches(sa.scale(value), ref_scale(w, bound, a, value))
+    assert_matches(sa * 6, ref_scale(w, bound, a, Rational(6)))
+    for k in range(bound + 2):
+        assert_matches(sa.component(k), ref_component(w, a, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_case(unit=True))
+def test_kernel_inverse_matches_reference(case):
+    vars_, bound, a = case
+    assert_matches(TruncatedSeries(vars_, bound, a).inverse(), ref_inverse(vars_.weights, bound, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_case(no_constant=True))
+def test_kernel_exp_matches_reference(case):
+    vars_, bound, a = case
+    assert_matches(TruncatedSeries(vars_, bound, a).exp(), ref_exp(vars_.weights, bound, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_case(), st.integers(-3, 3))
+def test_kernel_adams_rescale_matches_reference(case, m):
+    from detlam.charclass import adams_rescale
+
+    vars_, bound, a = case
+    assert_matches(adams_rescale(TruncatedSeries(vars_, bound, a), m), ref_adams(vars_.weights, a, m))
+
+
+EDGE_TABLES = [(1,), (1, 2), (3, 1), (2, 3, 1)]
+
+
+@pytest.mark.parametrize("weights", EDGE_TABLES, ids=str)
+@pytest.mark.parametrize("bound", KERNEL_BOUNDS)
+def test_kernel_edges_at_field_widths(bound, weights):
+    vars_ = VarTable([(f"v{i}", w) for i, w in enumerate(weights)])
+    n = len(weights)
+    zero = (0,) * n
+
+    def unit(i, e):
+        return tuple(e if j == i else 0 for j in range(n))
+
+    # the pure power of each variable at the top of the window, plus 1
+    tops = [unit(i, bound // w) for i, w in enumerate(weights)]
+    a = {zero: Rational(1), **{t: Rational(i + 2) for i, t in enumerate(tops)}}
+    # pairs whose exponent sums reach 2*bound - 1 and 2*bound: all dropped
+    b = {unit(i, bound // w - 1): Rational(-1, 3) for i, w in enumerate(weights) if bound // w}
+    b[zero] = Rational(2, 5)
+    sa, sb = TruncatedSeries(vars_, bound, a), TruncatedSeries(vars_, bound, b)
+    for top in tops:
+        assert sa.coefficient(top) != 0
+    assert_matches(sa, a)
+    assert_matches(sa * sa, ref_mul(weights, bound, a, a))
+    assert_matches(sa * sb, ref_mul(weights, bound, a, b))
+    assert_matches(sb * sa, ref_mul(weights, bound, b, a))
+    top_power = TruncatedSeries(vars_, bound, {tops[0]: 1})
+    assert (top_power * top_power).is_zero() == (bound // weights[0] > 0)
+    for k in range(bound + 1):
+        assert_matches(sa.component(k), ref_component(weights, a, k))
+    for c0 in (Rational(-3), Rational(2, 5)):
+        f = {**a, zero: c0}
+        assert_matches(TruncatedSeries(vars_, bound, f).inverse(), ref_inverse(weights, bound, f))
+    g = {e: c for e, c in a.items() if e != zero}
+    assert_matches(TruncatedSeries(vars_, bound, g).exp(), ref_exp(weights, bound, g))
+
+
+@pytest.mark.parametrize("bound", KERNEL_BOUNDS)
+def test_coefficient_outside_the_window_is_zero(bound):
+    vars_ = VarTable([("x", 1), ("y", 2)])
+    s = TruncatedSeries(vars_, bound, {(bound, 0): 7, (0, bound // 2): -1, (0, 0): 1})
+    assert s.coefficient((bound, 0)) == 7 and s.coefficient([0, 0]) == 1
+    for exps in [(), (0,), (bound,), (0, 0, 0), (bound, 0, 0), (-1, 0), (0, -1), (-1, 1),
+                 (bound + 1, 0), (bound, 1), (0, bound), (2 * bound, 0), (10**12, 0)]:
+        assert s.coefficient(exps) == 0
+        assert exps not in s.terms
+    with pytest.raises(KeyError):
+        s.terms[(bound + 1, 0)]

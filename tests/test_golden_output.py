@@ -21,7 +21,7 @@ def _cases():
     cases = [
         ["verify-all"],
         ["verify-all", "--text"],
-        *(["universal", "--dim", str(d)] for d in range(1, 5)),
+        *(["universal", "--dim", str(d)] for d in range(1, 9)),
         ["universal", "--dim", "1", "--combo", "deligne"],
         *(["coeffs", "--dim", str(d)] for d in range(1, 4)),
         ["polyid"],
@@ -29,10 +29,14 @@ def _cases():
         ["verify-main", "--model", "P1xP1", "--line", "1,1"],
         ["verify-main", "--model", "Hirzebruch", "--e", "2", "--line", "0,0"],
         ["verify-main", "--model", "P2xP1", "--line", "1,1"],
+        ["verify-main", "--model", "PnxPm", "--n", "3", "--m", "1", "--line", "1,1"],
+        ["verify-main", "--model", "Hirzebruch", "--e", "3", "--line", "2,3"],
         ["c1lambda", "--model", "Hirzebruch", "--e", "2", "--line", "1,0"],
         ["euler", "--model", "P2", "--line", "3"],
         ["picard", "--preset", "mumford", "--goal", "l2 = 13*l1"],
         ["quotient", "--vars", "x:1:odd,y:1:even"],
+        ["quotient", "--vars", "a:1:odd,b:2:odd,c:3:even,d:1:even", "--bound", "200"],
+        ["ducrot", "--dim", "9"],
     ]
     for name in kexpr.builtin_chain_names():
         cases.append(["rewrite", "--chain", name])
@@ -49,7 +53,10 @@ def _digest(argv):
 
 # " ".join(argv) -> (sha256 of stdout, exit code), recorded before the
 # formal-sum refactor of kexpr; ``universal --dim 2..4`` print exponent
-# vectors over l, c_1..c_d
+# vectors over l, c_1..c_d. The cases from ``universal --dim 5`` on were
+# recorded on the Fraction-dict series kernel, before the packed-key kernel:
+# the largest denominators, a deep inverse with power-of-two denominators,
+# and two more models
 GOLDEN = {
     "verify-all": ("32f0de441691424ea7a2b3bc5d07b3df3afca4ad0122ff69ce25d2ffd5d33fec", 0),
     "verify-all --text": ("095e58fa896d9c44a664cab0c6b53959a98a49482b2d807d76dada810dae5df5", 0),
@@ -57,6 +64,14 @@ GOLDEN = {
     "universal --dim 2": ("c5997e8cae2e6f73b063466a16f1fbc037243ba0dafd9409227768c4fccf4a7f", 0),
     "universal --dim 3": ("94dd7f97a703c69ffb4225d9cd1934d55a45b249ade335410215c5781d83f7e8", 0),
     "universal --dim 4": ("0e613561e6b7587adefc9a4cd000603b2de29c12a7caf5e90f1b2e6cc2a1b35e", 0),
+    "universal --dim 5": ("228c035673bfae07760a7538dc6aa838cbd31abc807c2377f367316c9ca4769c", 0),
+    "universal --dim 6": ("51f41e36bff9f48070419b11da972022b6923e196f0da708f99affde1fec612d", 0),
+    "universal --dim 7": ("7ad7d3507764f6791e16573fec39b627a6cd5f77e393db43045b3ff4ecd70922", 0),
+    "universal --dim 8": ("4a886a11f11aad7ab24fde4f08dd0a8c3749f0d6ccd212ba080ecdfa7816b6f0", 0),
+    "verify-main --model PnxPm --n 3 --m 1 --line 1,1": ("c24634ef5cf9ce1542c1857f8cfd3e5affcf1d488db777bc1ed832bce64a5a28", 0),
+    "verify-main --model Hirzebruch --e 3 --line 2,3": ("b68c07c0a87f4fb2f0137199294271158e13b6b101bfeeb52f538259e3c40f44", 0),
+    "quotient --vars a:1:odd,b:2:odd,c:3:even,d:1:even --bound 200": ("6befa563e2081d1dd71b390c485e21beb2eac7e7a9a784c1928e49949c838da2", 0),
+    "ducrot --dim 9": ("9283e97a167243a64920a0e5435fc9fd0619b2c1c4a6e8951f71e66492971f2b", 0),
     "universal --dim 1 --combo deligne": ("217682e9d55094874280542d43570d22a55b24c2f3324ae7442f1f60424d3589", 0),
     "coeffs --dim 1": ("3df3a5aa681563b66950a070da0ad419736afd4844b0e4fb93d2fe1639c9bdc6", 0),
     "coeffs --dim 2": ("76010a0db747504b60083751e019dfcb97421d4943e846636a36b511d1df12e8", 0),

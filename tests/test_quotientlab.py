@@ -276,6 +276,22 @@ class TestFlatness:
         ]
         assert conv == total
 
+    def test_one_hilbert_series_per_verdict(self, monkeypatch):
+        from detlam import quotientlab
+
+        built = []
+
+        def counted(algebra, bound):
+            built.append(bound)
+            return hilbert_series(algebra, bound)
+
+        monkeypatch.setattr(quotientlab, "hilbert_series", counted)
+        a = alg(("x", 1, 1), ("y", 2, 0))
+        rep = flatness_verdict(a, bound=12)
+        assert built == [12]
+        assert rep.verdict == "FREE" and rep.ratio_coeffs == (1, 1) + (0,) * 11
+        assert series_coefficients(invariants_hs(a, 12)) == monomial_counts(a.variables, 12)[0]
+
     def test_report_serializes(self):
         rep = flatness_verdict(alg(("x", 1, 1)))
         obj = quotient_report(alg(("x", 1, 1)))
