@@ -13,12 +13,21 @@ read off through the equivalent recurrence j*s_j = sum_m psi^m(ch E) s_{j-m}.
 That recurrence produces s_0..s_top in a single pass, so ``sym_ch_table``
 returns the whole list and ``sym_ch`` is its last entry: a caller that
 needs several symmetric powers builds the table once per call instead of
-re-running the recurrence for each degree. Nothing is cached across calls.
+re-running the recurrence for each degree.
+
+Newton's recurrence runs once over the packed graded components of the
+class on integer numerators (``TruncatedSeries._power_sums``), and the
+Chern character and the Todd logarithm sum their weighted power sums over
+one common denominator; neither calls a series inverse. The only cache
+here is the Todd logarithm's coefficients, per bound. The classes of a
+model's cotangent sheaf (c, ch and the Sym characters) are cached on the
+model, by ``ChowModel.cotangent_sym_table``.
 """
 
 from functools import lru_cache
+from math import comb
 
-from .exactalg import DomainError, Rational, TruncatedSeries, VarTable
+from .exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine
 
 __all__ = [
     "power_sums",
@@ -41,53 +50,52 @@ def power_sums(chern: TruncatedSeries) -> list[TruncatedSeries]:
 
     p_0 is returned as the zero series (the rank is not encoded in the
     class); for k >= 1 Newton's identity gives
-    p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(k-1-i) e_{k-i} p_i.
+    p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(k-1-i) e_{k-i} p_i,
+    run once over the graded components of the class on integer numerators
+    (``TruncatedSeries._power_sums``).
+
+    For a split class (1 + a)(1 + b), p_k = a^k + b^k:
+
+    >>> vt = VarTable([("a", 1), ("b", 1)])
+    >>> a, b = (TruncatedSeries.gen(vt, 3, n) for n in "ab")
+    >>> p = power_sums((1 + a) * (1 + b))
+    >>> all(p[k] == a**k + b**k for k in range(1, 4))
+    True
     """
     _require_unit(chern, "total Chern class")
-    bound = chern.bound
-    e = [chern.component(k) for k in range(bound + 1)]
-    p = [TruncatedSeries.zero(chern.vars, bound)]
-    for k in range(1, bound + 1):
-        acc = e[k] * ((-1) ** (k - 1) * k)
-        for i in range(1, k):
-            acc = acc + e[k - i] * p[i] * ((-1) ** (k - 1 - i))
-        p.append(acc)
-    return p
+    return chern._power_sums()
 
 
 def ch_from_chern(rank: int, chern: TruncatedSeries) -> TruncatedSeries:
-    """Chern character: rank + sum_{k>=1} p_k / k!."""
-    p = power_sums(chern)
-    out = TruncatedSeries.constant(chern.vars, chern.bound, rank)
+    """Chern character: rank + sum_{k>=1} p_k / k!, summed over one common
+    denominator."""
+    terms = [(rank, TruncatedSeries.one(chern.vars, chern.bound))]
     fact = 1
-    for k in range(1, chern.bound + 1):
+    for k, pk in enumerate(power_sums(chern)[1:], 1):
         fact *= k
-        out = out + p[k] / fact
-    return out
+        terms.append((Rational(1, fact), pk))
+    return _combine(chern, terms)
 
 
 @lru_cache(maxsize=None)
 def _todd_log_coeffs(bound: int) -> tuple[Rational, ...]:
-    """Coefficients g_k with log(x / (1 - e^(-x))) = sum g_k x^k.
+    """Coefficients g_1..g_bound with log(x / (1 - e^(-x))) = sum g_k x^k.
 
-    Uses g' = t' * (1/t) where 1/t = (1 - e^(-x))/x is known termwise
-    from factorials, avoiding a general series logarithm.
+    The logarithm's derivative is 1/x - 1/(e^x - 1), and
+    x/(e^x - 1) = sum_k B_k x^k / k! defines the Bernoulli numbers
+    (B_0 = 1, B_1 = -1/2), so g_k = -B_k / (k k!) for k >= 1: g_1 = 1/2,
+    g_2 = -1/24, and g_k = 0 for odd k >= 3 (Hirzebruch, Topological
+    Methods in Algebraic Geometry, 1.7). The B_k come from
+    sum_{j=0..m} C(m+1, j) B_j = 0.
     """
-    vt = VarTable([("x", 1)])
-    fact = [1]
-    for k in range(1, bound + 3):
-        fact.append(fact[-1] * k)
-    inv_t = TruncatedSeries.from_terms(
-        vt, bound, [((n,), Rational((-1) ** n, fact[n + 1])) for n in range(bound + 1)]
-    )
-    t = inv_t.inverse()
-    t_prime = TruncatedSeries.from_terms(
-        vt, bound, [((k - 1,), c * k) for (k,), c in t.terms.items() if k]
-    )
-    g_prime = t_prime * inv_t
-    return tuple(
-        g_prime.coefficient((k - 1,)) / k for k in range(1, bound + 1)
-    )
+    bern = [Rational(1)]
+    out = []
+    fact = 1
+    for k in range(1, bound + 1):
+        bern.append(-sum(comb(k + 1, j) * bern[j] for j in range(k)) / (k + 1))
+        fact *= k
+        out.append(-bern[k] / (k * fact))
+    return tuple(out)
 
 
 def todd_from_chern(chern: TruncatedSeries) -> TruncatedSeries:
@@ -95,14 +103,10 @@ def todd_from_chern(chern: TruncatedSeries) -> TruncatedSeries:
 
     Computed as exp(sum_k g_k p_k) where g is the logarithm of the single
     root factor x/(1 - e^(-x)); multiplicativity over sums of bundles is
-    then automatic.
+    then automatic. The sum is taken over one common denominator.
     """
     p = power_sums(chern)
-    g = _todd_log_coeffs(chern.bound)
-    acc = TruncatedSeries.zero(chern.vars, chern.bound)
-    for k in range(1, chern.bound + 1):
-        acc = acc + p[k] * g[k - 1]
-    return acc.exp()
+    return _combine(chern, zip(_todd_log_coeffs(chern.bound), p[1:])).exp()
 
 
 def adams_rescale(ch: TruncatedSeries, m: int) -> TruncatedSeries:

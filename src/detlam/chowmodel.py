@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import lcm
 
+from .charclass import adams_rescale, ch_from_chern, sym_ch_table
 from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable, _reduced
 
 __all__ = [
@@ -100,6 +101,7 @@ class ChowModel:
         self.rules = self._parse_rules(relations)
         self._nf_cache: dict[tuple[int, ...], dict] = {}
         self._packed_nf: dict[int, dict[int, tuple[dict, int]]] = {}
+        self._cotangent_sym: tuple[TruncatedSeries, ...] | None = None
         self._check_dimension_closure()
         self.point_class = self._check_point_class(point_class)
         self.tangent_chern = self._check_tangent(tangent_chern)
@@ -321,6 +323,22 @@ class ChowModel:
             acc = {k: v for k, v in acc.items() if v}
         return _reduced(series, acc, series._den * den)
 
+    def cotangent_sym_table(self) -> tuple[TruncatedSeries, ...]:
+        """Chern characters of Sym^0..Sym^(2d) of the relative cotangent
+        sheaf Omega, d = rel_dim: the symmetric powers the right side of the
+        exponent identity twists.
+
+        c(Omega) = psi^(-1) c(T) and ch(Omega) are taken in normal form, and
+        the entries are ``sym_ch_table(ch(Omega), 2d)`` as that returns them.
+        None of it depends on a line bundle, so the table is built on first
+        use and cached on the model, like the normal forms of monomials.
+        """
+        if self._cotangent_sym is None:
+            chern = self.normal_form(adams_rescale(self.tangent_chern, -1))
+            ch = self.normal_form(ch_from_chern(self.rel_dim, chern))
+            self._cotangent_sym = tuple(sym_ch_table(ch, 2 * self.rel_dim))
+        return self._cotangent_sym
+
     def integrate(self, series: TruncatedSeries) -> Rational:
         """Coefficient of the point class in the normal form."""
         nf = self.normal_form(series)
@@ -402,7 +420,7 @@ class BundleClass:
 
 # Largest total dimension of a built-in projective model (n for P^n, n + m
 # for P^n x P^m). The slowest command at the ceiling, verify-main on
-# P31xP1, takes about 1.3 s on a 2-core host.
+# P31xP1, takes about 1.2 s on a 2-core host.
 MAX_MODEL_DIM = 32
 
 

@@ -32,10 +32,13 @@ Pearce, "Sparse polynomial division using a heap", JSC 46, 2011).
 
 The public surface reads the packed form back: ``terms`` is an exponents ->
 ``Fraction`` view whose length is the stored term count, and
-``coefficient``, ``to_obj`` and ``repr`` unpack on demand. Two callers in
-the package work on the packed form directly: ``charclass.adams_rescale``
-(through ``_graded_scale``) and ``ChowModel.normal_form`` (through
-``_num``, ``_den``, ``_lay`` and ``_reduced``).
+``coefficient``, ``to_obj`` and ``repr`` unpack on demand. These callers
+in the package work on the packed form directly: ``charclass.adams_rescale``
+(through ``_graded_scale``), ``charclass.power_sums``, ``ch_from_chern`` and
+``todd_from_chern`` (through ``_power_sums``, Newton's recurrence on
+integer numerators, and ``_combine``, a weighted sum over one common
+denominator), and ``ChowModel.normal_form`` (through ``_num``, ``_den``,
+``_lay`` and ``_reduced``).
 
 ``inverse`` and ``exp`` never multiply whole series. They split the input f
 once into weighted-degree components f_0..f_bound and build the result g one
@@ -482,6 +485,43 @@ class TruncatedSeries:
             den = -den
         return _reduced(self, num, den)
 
+    def _power_sums(self) -> list["TruncatedSeries"]:
+        """Power sums p_0..p_bound of the roots of ``self``, a total Chern
+        class c with constant term 1; p_0 is the zero series.
+
+        Newton's identity (Macdonald, Symmetric Functions and Hall
+        Polynomials, I.2) reads p_n = (-1)^(n-1) n e_n +
+        sum_{i=1..n-1} (-1)^(n-1-i) e_{n-i} p_i, with e_m the degree-m
+        component of c. In integers: with c = C/D, P_n = p_n D^n and
+        E_m = (-1)^(m-1) D^(m-1) C_m, it becomes
+        P_n = n E_n + sum_{i=1..n-1} E_{n-i} P_i, with no division; each
+        P_n is built once, one homogeneous component at a time.
+        """
+        bound, d = self.bound, self._den
+        weight = [0, 1]
+        for _ in range(2, bound + 1):
+            weight.append(-weight[-1] * d)
+        parts = self._components(weight)
+        out = [_series(self, {}, 1)]
+        ps: list[list] = [[]]
+        dn = 1
+        for n in range(1, bound + 1):
+            acc = {e: n * c for e, c in parts[n]}
+            get = acc.get
+            for i in range(1, n):
+                fk, pi = parts[n - i], ps[i]
+                if not fk or not pi:
+                    continue
+                for fe, fc in fk:
+                    for pe, pc in pi:
+                        key = fe + pe
+                        acc[key] = get(key, 0) + fc * pc
+            pn = {e: c for e, c in acc.items() if c}
+            ps.append(list(pn.items()))
+            dn *= d
+            out.append(_reduced(self, pn, dn))
+        return out
+
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, exactly on the window.
 
@@ -634,3 +674,21 @@ def _reduced(ring: TruncatedSeries, num: dict, den: int) -> TruncatedSeries:
             num = {k: v // g for k, v in num.items()}
             den //= g
     return _series(ring, num, den)
+
+
+def _combine(ring: TruncatedSeries, terms) -> TruncatedSeries:
+    """sum w * s over the (weight, series) pairs ``terms``, every series in
+    the ring of ``ring`` and every weight an int or Rational: the numerators
+    are summed over one common denominator and reduced once."""
+    pairs = [(_as_rational(w), s) for w, s in terms]
+    pairs = [(w, s) for w, s in pairs if w and s._num]
+    den = reduce(lcm, (s._den * w.denominator for w, s in pairs), 1)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for w, s in pairs:
+        m = w.numerator * (den // (s._den * w.denominator))
+        for k, v in s._num.items():
+            acc[k] = get(k, 0) + v * m
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    return _reduced(ring, acc, den)

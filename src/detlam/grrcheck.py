@@ -311,7 +311,10 @@ class MainReport:
 def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     """Exact integer check of the exponent identity on a family model.
 
-    ``line`` maps weight-one generator names to divisor coefficients.
+    ``line`` maps weight-one generator names to divisor coefficients. The
+    Sym^j characters of the cotangent sheaf come from the model's cache
+    (``ChowModel.cotangent_sym_table``); only the line's classes and the
+    per-row products are built on each call.
     """
     d = model.rel_dim
     if d < 1:
@@ -324,10 +327,8 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     table = coeff_table(d)
     lhs_degree = _c1_lambda_from_ch(model, ch_l)
     lhs = table.lhs_exponent * lhs_degree
-    omega_chern = model.normal_form(adams_rescale(model.tangent_chern, -1))
-    ch_omega = model.normal_form(ch_from_chern(d, omega_chern))
     ch_l2 = model.normal_form((c1 * 2).exp())
-    sym = sym_ch_table(ch_omega, len(table.entries) - 1)
+    sym = model.cotangent_sym_table()
     rows = []
     rhs = 0
     for j, c in enumerate(table.entries):

@@ -139,14 +139,14 @@ def signed_hilbert_series(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) ->
     return _divided_hs(algebra, bound, signed=True)
 
 
-def invariants_hs(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> TruncatedSeries:
-    """Hilbert series of the even-parity subalgebra R0."""
-    return _invariants_from(algebra, bound, hilbert_series(algebra, bound))
-
-
-def _invariants_from(algebra: GradedAlgebra, bound: int, hs: TruncatedSeries) -> TruncatedSeries:
-    """Hilbert series of R0 as the average of ``hs``, the plain series of
-    R, and the sign-twisted series."""
+def invariants_hs(
+    algebra: GradedAlgebra, bound: int = DEFAULT_BOUND, hs: TruncatedSeries | None = None
+) -> TruncatedSeries:
+    """Hilbert series of the even-parity subalgebra R0: the average of the
+    plain series of R and the sign-twisted series. A caller that has already
+    built the plain series at this bound passes it as ``hs``."""
+    if hs is None:
+        hs = hilbert_series(algebra, bound)
     return (hs + signed_hilbert_series(algebra, bound)).scale(Rational(1, 2))
 
 
@@ -212,12 +212,24 @@ def _candidate_basis(algebra: GradedAlgebra) -> list[tuple[int, str]]:
     return out
 
 
-def flatness_verdict(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> FlatnessReport:
-    """Decide freeness of R over R0 by exact series division."""
+def _series_pair(algebra: GradedAlgebra, bound: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The Hilbert series of R and of R0 at a checked bound, each built once."""
     if not isinstance(bound, int) or bound < 1:
         raise DomainError("bound must be a positive int")
     hs = hilbert_series(algebra, bound)
-    inv = _invariants_from(algebra, bound, hs)
+    return hs, invariants_hs(algebra, bound, hs)
+
+
+def flatness_verdict(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> FlatnessReport:
+    """Decide freeness of R over R0 by exact series division."""
+    return _verdict(algebra, bound, *_series_pair(algebra, bound))
+
+
+def _verdict(
+    algebra: GradedAlgebra, bound: int, hs: TruncatedSeries, inv: TruncatedSeries
+) -> FlatnessReport:
+    """``flatness_verdict`` from the Hilbert series ``hs`` of R and ``inv``
+    of R0."""
     ratio = hs * inv.inverse()
     coeffs = tuple(series_coefficients(ratio))
 
@@ -261,12 +273,13 @@ def flatness_verdict(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> Flat
 def quotient_report(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> dict:
     """Full JSON-ready verdict for one algebra."""
     fi = fixed_ideal(algebra)
-    rep = flatness_verdict(algebra, bound)
+    hs, inv = _series_pair(algebra, bound)
+    rep = _verdict(algebra, bound, hs, inv)
     return {
         "variables": [list(v) for v in algebra.variables],
         "bound": bound,
-        "hs_R": series_coefficients(hilbert_series(algebra, bound)),
-        "hs_R0": series_coefficients(invariants_hs(algebra, bound)),
+        "hs_R": series_coefficients(hs),
+        "hs_R0": series_coefficients(inv),
         "ratio": list(rep.ratio_coeffs),
         "verdict": rep.verdict,
         "basis": list(rep.basis) if rep.basis is not None else None,

@@ -4,6 +4,11 @@ Frozen expansions (Todd through degree 3, the rank-2 Chern character) were
 derived by hand from the defining series x/(1 - e^(-x)) and the Newton
 power-sum recurrence, and are asserted literally; definitional identities
 are checked against series built from factorials alone.
+
+Two reference routes stay here as oracles: Newton's recurrence run as
+whole-series products and sums (``reference_power_sums`` and the Chern
+character and Todd class built from it), and the Todd logarithm's
+coefficients read off a series inverse (``reference_todd_log_coeffs``).
 """
 
 from math import comb
@@ -12,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlam.charclass import (
+    _todd_log_coeffs,
     adams_rescale,
     ch_from_chern,
     dual_ch,
@@ -20,6 +26,7 @@ from detlam.charclass import (
     sym_ch_table,
     todd_from_chern,
 )
+from detlam.chowmodel import builtin_model
 from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable
 
 X = VarTable([("x", 1)])
@@ -189,3 +196,115 @@ def test_power_sums_additive_over_products(a, b):
     pa, pb, pab = power_sums(a), power_sums(b), power_sums(a * b)
     for k in range(1, 4):
         assert pab[k] == pa[k] + pb[k]
+
+
+# ----------------------------------------------------------------------
+# reference routes
+
+
+def reference_power_sums(chern):
+    """Newton's identity on whole series: p_k = (-1)^(k-1) k e_k +
+    sum_{i<k} (-1)^(k-1-i) e_{k-i} p_i."""
+    bound = chern.bound
+    e = [chern.component(k) for k in range(bound + 1)]
+    p = [TruncatedSeries.zero(chern.vars, bound)]
+    for k in range(1, bound + 1):
+        acc = e[k] * ((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            acc = acc + e[k - i] * p[i] * ((-1) ** (k - 1 - i))
+        p.append(acc)
+    return p
+
+
+def reference_todd_log_coeffs(bound):
+    """g_k of log(x/(1 - e^(-x))) through g' = t' / t, with 1/t = (1 - e^(-x))/x
+    known from factorials and t its series inverse."""
+    vt = VarTable([("x", 1)])
+    fact = [1]
+    for k in range(1, bound + 3):
+        fact.append(fact[-1] * k)
+    inv_t = TruncatedSeries.from_terms(
+        vt, bound, [((n,), Rational((-1) ** n, fact[n + 1])) for n in range(bound + 1)]
+    )
+    t = inv_t.inverse()
+    t_prime = TruncatedSeries.from_terms(
+        vt, bound, [((k - 1,), c * k) for (k,), c in t.terms.items() if k]
+    )
+    g_prime = t_prime * inv_t
+    return tuple(g_prime.coefficient((k - 1,)) / k for k in range(1, bound + 1))
+
+
+def reference_ch(rank, chern):
+    p = reference_power_sums(chern)
+    out = TruncatedSeries.constant(chern.vars, chern.bound, rank)
+    fact = 1
+    for k in range(1, chern.bound + 1):
+        fact *= k
+        out = out + p[k] / fact
+    return out
+
+
+def reference_todd(chern):
+    p = reference_power_sums(chern)
+    g = reference_todd_log_coeffs(chern.bound)
+    acc = TruncatedSeries.zero(chern.vars, chern.bound)
+    for k in range(1, chern.bound + 1):
+        acc = acc + p[k] * g[k - 1]
+    return acc.exp()
+
+
+def assert_matches_reference(rank, chern):
+    assert power_sums(chern) == reference_power_sums(chern)
+    assert ch_from_chern(rank, chern) == reference_ch(rank, chern)
+    assert todd_from_chern(chern) == reference_todd(chern)
+
+
+@pytest.mark.parametrize("bound", range(21))
+def test_todd_log_coeffs_match_series_route(bound):
+    assert _todd_log_coeffs(bound) == reference_todd_log_coeffs(bound)
+
+
+@st.composite
+def weighted_unit_classes(draw):
+    """A unit Chern class with rational coefficients over 1-3 variables of
+    weights 1-3, bound 0..8, with whole degrees left out at random."""
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    vt = VarTable([(f"c{i}", w) for i, w in enumerate(weights)])
+    bound = draw(st.integers(0, 8))
+    gaps = draw(st.sets(st.integers(1, 8), max_size=4))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 8 // w) for w in weights]),
+            st.builds(Rational, st.integers(-5, 5), st.integers(1, 4)),
+            max_size=6,
+        )
+    )
+    kept = [
+        (e, c) for e, c in terms.items() if 1 <= vt.degree(e) <= bound and vt.degree(e) not in gaps
+    ]
+    return TruncatedSeries.one(vt, bound) + TruncatedSeries.from_terms(vt, bound, kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_unit_classes(), st.integers(0, 4))
+def test_newton_kernel_matches_whole_series_route(chern, rank):
+    assert_matches_reference(rank, chern)
+
+
+SWEEP_MODELS = [
+    ("P1xP1", {}),
+    ("P2xP1", {}),
+    ("P3xP1", {}),
+    ("Hirzebruch", {"e": 0}),
+    ("Hirzebruch", {"e": 1}),
+    ("Hirzebruch", {"e": 2}),
+    ("Hirzebruch", {"e": 3}),
+]
+
+
+@pytest.mark.parametrize("name, params", SWEEP_MODELS)
+def test_newton_kernel_on_model_tangent_classes(name, params):
+    model = builtin_model(name, **params)
+    tangent = model.tangent_chern
+    assert_matches_reference(model.rel_dim, tangent)
+    assert_matches_reference(model.rel_dim, adams_rescale(tangent, -1))

@@ -230,6 +230,20 @@ class TestModelCommands:
         )
         assert code == 0 and obj["ok"]
 
+    def test_model_file_with_rational_tangent_class(self, capsys, tmp_path):
+        # c(T) = 1 + h/3 on P1xP1 gives a non-integral determinant degree
+        obj = model_pn_x_pm(1, 1).to_obj()
+        obj["tangent_chern"] = [
+            {"exponents": [0, 0], "coeff": "1"},
+            {"exponents": [1, 0], "coeff": "1/3"},
+        ]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        err = run_usage_error(
+            capsys, "verify-main", "--model-file", str(path), "--line", "1,1"
+        )
+        assert "determinant degree came out non-integral (7/6)" in err
+
     def test_euler_p2(self, capsys):
         code, obj = run_json(capsys, "euler", "--model", "Pn", "--n", "2", "--line", "2")
         assert code == 0

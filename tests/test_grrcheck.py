@@ -6,13 +6,16 @@ cohomology determinant degrees for the trivial product family (via monomial
 counting), and the integer lattice deductions.
 """
 
+import random
 from math import factorial
 
 import pytest
 
-from detlam.charclass import dual_ch, sym_ch
+from detlam import chowmodel
+from detlam.charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch, sym_ch_table
 from detlam.chowmodel import (
     BundleClass,
+    builtin_model,
     model_hirzebruch,
     model_pn,
     model_pn_x_pm,
@@ -279,6 +282,67 @@ def test_verify_main_d2_family():
     assert len(rep.rhs_rows) == 5
     assert rep.ok
     assert verify_main_on_model(m, {"h": -1, "s": 2}).ok
+
+
+# the model-sweep families: P^n x P^1 and the Hirzebruch surfaces
+CACHE_MODELS = [
+    ("P1xP1", {}),
+    ("P2xP1", {}),
+    ("P3xP1", {}),
+    ("Hirzebruch", {"e": 0}),
+    ("Hirzebruch", {"e": 1}),
+    ("Hirzebruch", {"e": 2}),
+    ("Hirzebruch", {"e": 3}),
+]
+
+
+@pytest.mark.parametrize("name, params", CACHE_MODELS)
+def test_warm_model_reports_equal_fresh_model_reports(name, params):
+    warm = builtin_model(name, **params)
+    before = warm.to_obj()
+    rng = random.Random(f"{name}{params}")
+    for _ in range(8):
+        line = {g: rng.randint(-3, 3) for g in warm.vars.names}
+        got = verify_main_on_model(warm, line)
+        want = verify_main_on_model(builtin_model(name, **params), line)
+        assert got == want
+        assert got.to_obj() == want.to_obj()
+    assert warm.to_obj() == before
+
+
+@pytest.mark.parametrize("name, params", CACHE_MODELS)
+def test_cotangent_sym_table_matches_direct_route(name, params):
+    m = builtin_model(name, **params)
+    d = m.rel_dim
+    omega_chern = m.normal_form(adams_rescale(m.tangent_chern, -1))
+    ch_omega = m.normal_form(ch_from_chern(d, omega_chern))
+    assert m.cotangent_sym_table() == tuple(sym_ch_table(ch_omega, 2 * d))
+
+
+def test_cotangent_sym_table_is_built_once_per_model(monkeypatch):
+    built = []
+
+    def counted(ch, top):
+        built.append(top)
+        return sym_ch_table(ch, top)
+
+    monkeypatch.setattr(chowmodel, "sym_ch_table", counted)
+    m = model_pn_x_pm(2, 1)
+    for a in range(-1, 2):
+        assert verify_main_on_model(m, {"h": a, "s": 1}).ok
+    assert built == [4]
+    verify_main_on_model(model_pn_x_pm(2, 1), {"h": 1, "s": 1})
+    assert built == [4, 4]
+
+
+def test_hirzebruch_models_do_not_share_cached_classes():
+    one, two = model_hirzebruch(1), model_hirzebruch(2)
+    t1, t2 = one.cotangent_sym_table(), two.cotangent_sym_table()
+    assert t1[1] != t2[1]
+    assert t2 == model_hirzebruch(2).cotangent_sym_table()
+    assert one.cotangent_sym_table() is t1
+    line = {"z": 1, "f": 1}
+    assert verify_main_on_model(two, line) == verify_main_on_model(model_hirzebruch(2), line)
 
 
 def test_mumford_ratio_on_hirzebruch():

@@ -292,6 +292,30 @@ class TestFlatness:
         assert rep.verdict == "FREE" and rep.ratio_coeffs == (1, 1) + (0,) * 11
         assert series_coefficients(invariants_hs(a, 12)) == monomial_counts(a.variables, 12)[0]
 
+    def test_one_hilbert_series_per_report(self, monkeypatch):
+        from detlam import quotientlab
+
+        built = []
+
+        def counted(fn, kind):
+            def wrapper(algebra, bound):
+                built.append((kind, bound))
+                return fn(algebra, bound)
+
+            return wrapper
+
+        monkeypatch.setattr(quotientlab, "hilbert_series", counted(hilbert_series, "plain"))
+        monkeypatch.setattr(
+            quotientlab, "signed_hilbert_series", counted(signed_hilbert_series, "signed")
+        )
+        a = alg(("x", 1, 1), ("y", 2, 0))
+        obj = quotient_report(a, bound=12)
+        assert sorted(built) == [("plain", 12), ("signed", 12)]
+        even, odd = monomial_counts(a.variables, 12)
+        assert obj["verdict"] == "FREE"
+        assert obj["hs_R"] == [e + o for e, o in zip(even, odd)]
+        assert obj["hs_R0"] == even
+
     def test_report_serializes(self):
         rep = flatness_verdict(alg(("x", 1, 1)))
         obj = quotient_report(alg(("x", 1, 1)))
