@@ -105,11 +105,8 @@ class ChowModel:
         self._check_dimension_closure()
         self.point_class = self._check_point_class(point_class)
         self.tangent_chern = self._check_tangent(tangent_chern)
-        self._rel_point = self._find_relative_point()
-        self._base_point = tuple(
-            p - r for p, r in zip(self.point_class, self._rel_point)
-        )
-        if any(e < 0 for e in self._base_point):
+        rel_point = self._find_relative_point()
+        if any(p < r for p, r in zip(self.point_class, rel_point)):
             raise UnsupportedModelError("point class does not factor through the fiber point")
 
     # ------------------------------------------------------------------
@@ -244,8 +241,8 @@ class ChowModel:
                 f"found {len(candidates)}"
             )
         rel_pt = candidates[0]
-        # soundness of the pushforward: every normal monomial must split into
-        # a normal fiber part times a base part, and fiber parts of full
+        # the ring must fiber over the base: every normal monomial must split
+        # into a normal fiber part times a base part, and fiber parts of full
         # fiber degree must coincide with the fiber point
         for deg in range(self.total_dim + 1):
             for exps in _exponents_of_degree(self.vars.weights, deg):
@@ -343,24 +340,6 @@ class ChowModel:
         """Coefficient of the point class in the normal form."""
         nf = self.normal_form(series)
         return nf.coefficient(self.point_class)
-
-    def fiber_pushforward(self, series: TruncatedSeries) -> TruncatedSeries:
-        """Integrate over the fibers; degree drops by rel_dim."""
-        nf = self.normal_form(series)
-        rel_pt = self._rel_point
-        out: dict[tuple[int, ...], Rational] = {}
-        for exps, coeff in nf.terms.items():
-            fiber_part = tuple(
-                0 if i in self._base_idx else e for i, e in enumerate(exps)
-            )
-            if fiber_part == rel_pt:
-                base_part = tuple(e - r for e, r in zip(exps, rel_pt))
-                out[base_part] = out.get(base_part, Rational(0)) + coeff
-        return TruncatedSeries(self.vars, self.total_dim - self.rel_dim, out)
-
-    def base_integrate(self, series: TruncatedSeries) -> Rational:
-        """Coefficient of the base point class; inverse step of integrate."""
-        return series.coefficient(self._base_point)
 
     # ------------------------------------------------------------------
     # serialization

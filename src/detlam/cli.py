@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .chowmodel import (
     BundleClass,
@@ -28,7 +28,7 @@ from .chowmodel import (
     model_pn,
     model_pn_x_pm,
 )
-from .combinat import binomial_expansion_check, coeff_table, pk_identity_check
+from .combinat import MAX_POLYID_K, binomial_expansion_check, coeff_table, pk_identity_check
 from .exactalg import DomainError, StructureError
 from . import grrcheck, kexpr, quotientlab
 from .kexpr import ScriptError
@@ -38,10 +38,6 @@ __all__ = ["main"]
 # Largest verify-all --max-dim: the registry holds universal-defect checks for
 # d = 1..4 only, so a larger value would silently run the same checks.
 MAX_VERIFY_DIM = 4
-
-# Largest polyid --max-k: the sweep re-expands every P_k, about K^3 integer
-# operations in all; --max-k 256 takes under a second on a 2-core host.
-MAX_POLYID_K = 256
 
 _USAGE_ERRORS = (
     DomainError,
@@ -267,7 +263,7 @@ def _cmd_quotient(args):
 # verify-all registry
 
 
-def _chk_coeff_tables(params):
+def _chk_coeff_tables():
     if coeff_table(1).entries != (7, -4, 1):
         return {"got": list(coeff_table(1).entries)}
     if coeff_table(2).entries != (31, -26, 16, -6, 1):
@@ -284,13 +280,12 @@ def _chk_coeff_tables(params):
     return None
 
 
-def _chk_poly_identity(params):
+def _chk_poly_identity():
     bad = [k for k in range(65) if not pk_identity_check(k)]
     return {"failures": bad} if bad else None
 
 
-def _chk_universal(params):
-    d = params["dim"]
+def _chk_universal(d):
     report = grrcheck.universal_report(d)
     if not report.top_degree_zero:
         return {"dim": d, "top_component": "nonzero"}
@@ -299,15 +294,14 @@ def _chk_universal(params):
     return None
 
 
-def _chk_deligne(params):
+def _chk_deligne():
     report = grrcheck.universal_report(1, grrcheck.deligne_combo_d1())
     if not report.top_degree_zero:
         return {"top_component": "nonzero"}
     return None
 
 
-def _chk_ducrot(params):
-    d = params["dim"]
+def _chk_ducrot(d):
     full = grrcheck.ducrot_defect(d)
     if not full.is_zero():
         return {"dim": d, "factors": d + 2, "error": "full block not trivial"}
@@ -317,7 +311,7 @@ def _chk_ducrot(params):
     return None
 
 
-def _chk_family_p1xp1(params):
+def _chk_family_p1xp1():
     model = model_pn_x_pm(1, 1)
     headline = grrcheck.verify_main_on_model(model, {"h": 1, "s": 1})
     if headline.lhs != 32 or headline.rhs != 32 or not headline.ok:
@@ -330,7 +324,7 @@ def _chk_family_p1xp1(params):
     return None
 
 
-def _chk_family_hirzebruch(params):
+def _chk_family_hirzebruch():
     for e in range(4):
         model = model_hirzebruch(e)
         report = grrcheck.verify_main_on_model(model, {"z": 0, "f": 0})
@@ -347,7 +341,7 @@ def _chk_family_hirzebruch(params):
     return None
 
 
-def _chk_family_p2xp1(params):
+def _chk_family_p2xp1():
     model = model_pn_x_pm(2, 1)
     report = grrcheck.verify_main_on_model(model, {"h": 1, "s": 1})
     if not report.ok:
@@ -355,7 +349,7 @@ def _chk_family_p2xp1(params):
     return None
 
 
-def _chk_mumford(params):
+def _chk_mumford():
     for e in (1, 2, 3):
         model = model_hirzebruch(e)
         omega = BundleClass.line(model, {"z": -2, "f": -e})
@@ -373,7 +367,7 @@ def _chk_mumford(params):
     return None
 
 
-def _chk_euler_anchors(params):
+def _chk_euler_anchors():
     p1 = model_pn(1)
     for a in range(-3, 4):
         chi = grrcheck.euler_char(p1, BundleClass.line(p1, {"h": a}))
@@ -387,7 +381,7 @@ def _chk_euler_anchors(params):
     return None
 
 
-def _chk_rewrite(params):
+def _chk_rewrite():
     for name in kexpr.builtin_chain_names():
         script = kexpr.get_chain(name, 1)
         report = kexpr.chain_verify(script)
@@ -403,7 +397,7 @@ def _chk_rewrite(params):
     return None
 
 
-def _chk_quotient(params):
+def _chk_quotient():
     free = quotientlab.flatness_verdict(
         quotientlab.GradedAlgebra((("x", 1, 1),))
     )
@@ -422,10 +416,16 @@ def _chk_quotient(params):
 
 
 def _build_registry(max_dim: int):
-    registry: list[tuple[str, str, object, dict]] = []
+    """The verify-all checks in run order, as ``(name, law, check)`` triples.
 
-    def _register(name, law, fn, **params):
-        registry.append((name, law, fn, params))
+    ``check()`` returns None when the law holds and a witness otherwise. The
+    ``_chk_*`` functions are looked up when this runs, so a test can replace
+    one of them.
+    """
+    registry: list[tuple[str, str, object]] = []
+
+    def _register(name, law, check):
+        registry.append((name, law, check))
 
     _register(
         "coeff-tables",
@@ -442,8 +442,7 @@ def _build_registry(max_dim: int):
             f"universal-defect-d{d}",
             "degree-(d+1) component of the main-combination defect vanishes; "
             "degree-d component does not",
-            _chk_universal,
-            dim=d,
+            partial(_chk_universal, d),
         )
     _register(
         "deligne-crosscheck",
@@ -455,8 +454,7 @@ def _build_registry(max_dim: int):
             f"ducrot-d{d}",
             "lambda of the (d+2)-factor product of (O - L_i) blocks is trivial; "
             "(d+1) factors are not",
-            _chk_ducrot,
-            dim=d,
+            partial(_chk_ducrot, d),
         )
     _register(
         "family-p1xp1",
@@ -501,62 +499,42 @@ def _build_registry(max_dim: int):
     return registry
 
 
-def _run_check(item):
-    name, law, fn, params = item
-    try:
-        witness = fn(params)
-    except Exception as exc:  # a crashed check is reported apart from a false identity
-        witness = {"error": f"{type(exc).__name__}: {exc}"}
-        return {"name": name, "law": law, "ok": False, "status": "error", "witness": witness}
-    return {"name": name, "law": law, "ok": witness is None, "witness": witness}
-
-
-def _pool_size(jobs: int, checks: int, cpus: int | None) -> int:
-    """Worker processes for verify-all: at most one per check and per CPU."""
-    return max(1, min(jobs, checks, cpus or 1))
-
-
 def _cmd_verify_all(args):
-    if args.jobs < 1:
-        raise DomainError("--jobs must be >= 1")
     if not 1 <= args.max_dim <= MAX_VERIFY_DIM:
         raise DomainError(
             f"--max-dim must be between 1 and MAX_VERIFY_DIM = {MAX_VERIFY_DIM}"
         )
     registry = _build_registry(args.max_dim)
-    workers = _pool_size(args.jobs, len(registry), os.cpu_count())
     started = time.perf_counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(_run_check, registry)
-            rows = _stream_rows(args, rows)
-    else:
-        rows = _stream_rows(args, map(_run_check, registry))
-    failed = [row["name"] for row in rows if not row["ok"]]
-    summary = {"overall": not failed, "checks": len(rows), "failed": failed}
-    if args.text:
-        status = "PASS" if not failed else "FAIL"
-        _out(f"{status}: {len(rows) - len(failed)}/{len(rows)} checks")
-    else:
-        _out(json.dumps(summary, sort_keys=True))
-    elapsed = (time.perf_counter() - started) * 1000.0
-    print(f"verify-all: {len(rows)} checks in {elapsed:.0f} ms", file=sys.stderr)
-    return (0 if not failed else 1), None
-
-
-def _stream_rows(args, row_iter):
-    rows = []
-    for row in row_iter:
-        rows.append(row)
+    failed = []
+    for name, law, check in registry:
+        row = {"name": name, "law": law}
+        try:
+            witness = check()
+        except Exception as exc:  # a crashed check is reported apart from a false identity
+            witness = {"error": f"{type(exc).__name__}: {exc}"}
+            row.update(ok=False, status="error", witness=witness)
+        else:
+            row.update(ok=witness is None, witness=witness)
+        if not row["ok"]:
+            failed.append(name)
         if args.text:
             mark = "PASS" if row["ok"] else row.get("status", "fail").upper()
-            text = f"{mark}  {row['name']}"
-            if row["witness"] is not None:
-                text += f"\n      witness: {json.dumps(row['witness'], sort_keys=True)}"
+            text = f"{mark}  {name}"
+            if witness is not None:
+                text += f"\n      witness: {json.dumps(witness, sort_keys=True)}"
             _out(text)
         else:
             _out(json.dumps(row, sort_keys=True))
-    return rows
+    summary = {"overall": not failed, "checks": len(registry), "failed": failed}
+    if args.text:
+        status = "PASS" if not failed else "FAIL"
+        _out(f"{status}: {len(registry) - len(failed)}/{len(registry)} checks")
+    else:
+        _out(json.dumps(summary, sort_keys=True))
+    elapsed = (time.perf_counter() - started) * 1000.0
+    print(f"verify-all: {len(registry)} checks in {elapsed:.0f} ms", file=sys.stderr)
+    return (0 if not failed else 1), None
 
 
 # ----------------------------------------------------------------------
@@ -630,14 +608,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", parents=[common], help="run every check suite")
     p.add_argument("--max-dim", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_verify_all)
 
     return parser
 
 
+def _attach_line_values(argv):
+    """Rewrite ``--line -3,2`` as ``--line=-3,2``.
+
+    argparse reads a token such as ``-3,2`` as an unknown option rather than
+    as the value of ``--line``. No detlam option starts with a dash and a
+    digit, so such a token after ``--line`` is always its value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--line" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--line={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _attach_line_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

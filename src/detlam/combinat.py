@@ -30,8 +30,21 @@ __all__ = [
     "pk_identity_check",
     "coeff_table",
     "MAX_COEFF_DIM",
+    "MAX_POLYID_K",
     "binomial_expansion_check",
 ]
+
+
+# Largest k of the polyid sweep (CLI ``polyid --max-k``). The carried P_k
+# makes the left sides cost about K^2 integer operations in all, but the
+# binomial right sides still cost about K^3; --max-k 256 takes about 0.1 s
+# on a 2-core host.
+MAX_POLYID_K = 256
+
+# The last P_k built, as (k, coefficients), kept only for k <= MAX_POLYID_K:
+# a sweep k = 0, 1, 2, ... then costs one step of the recurrence per k. Only
+# the cost of pk_poly depends on it, never the result.
+_carried_pk: tuple[int, tuple[int, ...]] = (0, (1,))
 
 
 def pk_poly(k: int) -> tuple[int, ...]:
@@ -39,18 +52,22 @@ def pk_poly(k: int) -> tuple[int, ...]:
     (index = degree; the leading coefficient (-1)^k is never zero).
 
     The sum is evaluated in nested form, P_i = 2^i + (2-t) P_{i-1} from
-    P_0 = 1, on a plain integer list: multiplying p by 2 - t gives
-    q[j] = 2 p[j] - p[j-1].
+    P_0 = 1, on plain integer tuples: multiplying p by 2 - t gives
+    q[j] = 2 p[j] - p[j-1]. The recurrence resumes from the last P_k built
+    when that k is not larger than the one asked for.
 
     >>> pk_poly(1)
     (4, -1)
     """
+    global _carried_pk
     if k < 0:
         raise DomainError("k must be nonnegative")
-    p = [1]
-    for i in range(1, k + 1):
-        p = [2**i + 2 * p[0]] + [2 * p[j] - p[j - 1] for j in range(1, len(p))] + [-p[-1]]
-    return tuple(p)
+    start, p = _carried_pk if _carried_pk[0] <= k else (0, (1,))
+    for i in range(start + 1, k + 1):
+        p = (2**i + 2 * p[0], *(2 * p[j] - p[j - 1] for j in range(1, len(p))), -p[-1])
+    if k <= MAX_POLYID_K:
+        _carried_pk = (k, p)
+    return p
 
 
 def pk_identity_check(k: int) -> bool:

@@ -12,6 +12,7 @@ from detlam.chowmodel import (
     BundleClass,
     ChowModel,
     ModelError,
+    UnsupportedModelError,
     load_model,
     model_hirzebruch,
     model_pn,
@@ -64,22 +65,6 @@ def test_product_family_basics():
     assert m.normal_form(mono(m, (0, 2))).is_zero()
 
 
-def test_product_family_pushforward():
-    m = model_pn_x_pm(1, 1)
-    # push(h * beta) = beta, push(1) = 0, push(s) = 0
-    assert m.fiber_pushforward(mono(m, (1, 0))) == TruncatedSeries.one(m.vars, 1)
-    assert m.fiber_pushforward(mono(m, (1, 1))) == TruncatedSeries(m.vars, 1, {(0, 1): 1})
-    assert m.fiber_pushforward(m.one()).is_zero()
-    assert m.fiber_pushforward(mono(m, (0, 1))).is_zero()
-
-
-def test_pushforward_then_base_integration_equals_integrate():
-    m = model_pn_x_pm(2, 1)
-    for exps in [(2, 1), (1, 1), (2, 0), (0, 0), (1, 0)]:
-        s = mono(m, exps, Rational(3, 7))
-        assert m.base_integrate(m.fiber_pushforward(s)) == m.integrate(s)
-
-
 # ----------------------------------------------------------------------
 # Hirzebruch surfaces
 
@@ -95,15 +80,6 @@ def test_hirzebruch_relations_frozen():
         # x := 2z + e f satisfies x^2 = 0
         x = mono(m, (1, 0), 2) + mono(m, (0, 1), e)
         assert m.normal_form(x * x).is_zero()
-
-
-def test_hirzebruch_pushforward():
-    m = model_hirzebruch(2)
-    one_base = TruncatedSeries.one(m.vars, 1)
-    assert m.fiber_pushforward(mono(m, (1, 0))) == one_base
-    assert m.fiber_pushforward(mono(m, (1, 1))) == TruncatedSeries(m.vars, 1, {(0, 1): 1})
-    assert m.fiber_pushforward(mono(m, (2, 0))) == TruncatedSeries(m.vars, 1, {(0, 1): -2})
-    assert m.fiber_pushforward(mono(m, (0, 1))).is_zero()
 
 
 def test_hirzebruch_zero_matches_product():
@@ -159,7 +135,6 @@ def test_model_json_round_trip():
     obj = m.to_obj()
     m2 = load_model(obj)
     assert m2.integrate(mono(m2, (2, 0))) == -3
-    assert m2.fiber_pushforward(mono(m2, (1, 0))) == TruncatedSeries.one(m2.vars, 1)
     assert m2.to_obj() == obj
 
 
@@ -237,6 +212,22 @@ def test_validation_rejects_family_without_base_marks():
             base_generators=[],
             tangent_chern=None,
             point_class=(1, 1),
+        )
+
+
+def test_validation_rejects_point_class_off_the_fiber_point():
+    # h s = 0 leaves s^2 as the only normal monomial of degree 2, and it has
+    # no factor of the fiber point h
+    with pytest.raises(UnsupportedModelError, match="does not factor through the fiber point"):
+        ChowModel(
+            name="bad",
+            generators=[("h", 1), ("s", 1)],
+            relations=[((2, 0), []), ((1, 1), []), ((0, 3), [])],
+            rel_dim=1,
+            total_dim=2,
+            base_generators=["s"],
+            tangent_chern=None,
+            point_class=(0, 2),
         )
 
 

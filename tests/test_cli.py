@@ -15,7 +15,7 @@ import pytest
 
 from detlam import chowmodel, cli, combinat, grrcheck, kexpr
 from detlam.chowmodel import model_pn_x_pm
-from detlam.cli import _pool_size, main
+from detlam.cli import main
 from detlam.kexpr import MAX_NESTING
 from detlam.quotientlab import MAX_BOUND
 
@@ -215,6 +215,21 @@ class TestModelCommands:
             capsys, "verify-main", "--model", "P1xP1", "--line=-2,-1"
         )
         assert code == 0 and obj["ok"]
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["c1lambda", "--model", "P1xP1"], "-1,2"),
+            (["verify-main", "--model", "P3xP1"], "-3,2"),
+            (["euler", "--model", "P2"], "-3"),
+        ],
+        ids=["c1lambda", "verify-main", "euler"],
+    )
+    def test_negative_line_value_after_a_space(self, capsys, argv, value):
+        joined = run_cli(capsys, *argv, f"--line={value}")
+        spaced = run_cli(capsys, *argv, "--line", value)
+        assert joined[0] == spaced[0] == 0
+        assert spaced[1] == joined[1] != ""
 
     def test_verify_main_hirzebruch(self, capsys):
         code, obj = run_json(
@@ -554,14 +569,22 @@ class TestVerifyAll:
         _, two = run_cli(capsys, "verify-all", "--max-dim", "1")
         assert one == two
 
-    def test_jobs_matches_sequential(self, capsys):
-        _, seq = run_cli(capsys, "verify-all", "--max-dim", "1")
-        _, par = run_cli(capsys, "verify-all", "--max-dim", "1", "--jobs", "2")
-        assert seq == par
+    @pytest.mark.parametrize("jobs", ["2", "0", "-3"])
+    def test_jobs_flag_is_usage_error(self, capsys, jobs):
+        # verify-all has one sequential path and no --jobs option
+        code = main(["verify-all", "--max-dim", "1", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"unrecognized arguments: --jobs {jobs}" in captured.err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
-        run_usage_error(capsys, "verify-all", "--max-dim", "1", "--jobs", jobs)
+    def test_import_starts_no_process_pool_machinery(self):
+        probe = (
+            "import sys, detlam.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("max_dim", ["0", "-1"])
     def test_max_dim_below_one_is_usage_error(self, capsys, max_dim):
@@ -587,7 +610,7 @@ class TestVerifyAll:
     def test_crashed_check_is_reported_as_error(self, capsys, monkeypatch):
         _, clean = run_cli(capsys, "verify-all", "--max-dim", "1")
 
-        def crash(params):
+        def crash():
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "_chk_quotient", crash)
@@ -610,24 +633,10 @@ class TestVerifyAll:
 
     def test_coeff_tables_check_uses_the_binomial_route(self, monkeypatch):
         monkeypatch.setattr(cli, "binomial_expansion_check", lambda d: d != 3)
-        assert cli._chk_coeff_tables({}) == {
+        assert cli._chk_coeff_tables() == {
             "dim": 3,
             "error": "binomial expansion disagrees with the table",
         }
-
-    @pytest.mark.parametrize(
-        "jobs, checks, cpus, want",
-        [
-            (1, 17, 8, 1),
-            (2, 17, 2, 2),
-            (10**9, 17, 2, 2),  # capped by the CPUs
-            (10**9, 3, 64, 3),  # capped by the checks
-            (4, 17, None, 1),  # unknown CPU count runs sequentially
-            (4, 0, 8, 1),  # an empty registry still gets one worker
-        ],
-    )
-    def test_pool_size_is_clamped(self, jobs, checks, cpus, want):
-        assert _pool_size(jobs, checks, cpus) == want
 
     def test_text_mode(self, capsys):
         code, out = run_cli(capsys, "verify-all", "--max-dim", "1", "--text")

@@ -88,6 +88,19 @@ def test_pk_identity_all_k_up_to_64():
     assert all(pk_identity_check(k) for k in range(65))
 
 
+def test_pk_poly_does_not_depend_on_call_order():
+    # the recurrence resumes from the last P_k built, or restarts from P_0
+    for k in (64, 3, 3, 70, 65, 0, 12):
+        assert list(pk_poly(k)) == oracle_pk(k)
+
+
+def test_pk_poly_carries_nothing_above_max_polyid_k():
+    pk_poly(5)
+    big = combinat.MAX_POLYID_K + 1
+    assert len(pk_poly(big)) == big + 1
+    assert combinat._carried_pk == (5, pk_poly(5))
+
+
 @pytest.mark.parametrize("k", [0, 1, 7, 32, 64])
 def test_pk_identity_check_rejects_a_wrong_pk(monkeypatch, k):
     # The right side is expanded without pk_poly, so a P_k that is off by one

@@ -29,8 +29,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "detlam"
 ALLOWED = {
     "charclass.sym_ch": "benchmark tracer target: perfbench wraps charclass.sym_ch by name",
     "kexpr.normalize": "acceptance oracle: tests/test_acceptance.py compares normal forms with it",
-    "chowmodel.ChowModel.fiber_pushforward": "documented capability; product use not decided yet",
-    "chowmodel.ChowModel.base_integrate": "documented capability; product use not decided yet",
 }
 
 # module.Class.method -> why it stays although no CLI run executes it
