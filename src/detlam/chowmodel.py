@@ -100,7 +100,7 @@ class ChowModel:
 
         self.rules = self._parse_rules(relations)
         self._nf_cache: dict[tuple[int, ...], dict] = {}
-        self._packed_nf: dict[int, dict[int, tuple[dict, int]]] = {}
+        self._packed_nf: dict[int, tuple[dict, int]] = {}
         self._cotangent_sym: tuple[TruncatedSeries, ...] | None = None
         self._check_dimension_closure()
         self.point_class = self._check_point_class(point_class)
@@ -156,9 +156,9 @@ class ChowModel:
         Every rule is homogeneous (``_parse_rules`` rejects any other), so
         each rewrite step keeps the degree of the monomial: a monomial inside
         the window [0, total_dim] only ever reaches monomials of its own
-        degree. The window cut therefore lives with the callers, in
-        ``normal_form``, and the dimension-closure check can reduce
-        monomials above the window through this same recursion.
+        degree. ``normal_form`` therefore takes only series truncated at
+        total_dim, and the dimension-closure check can reduce monomials
+        above the window through this same recursion.
         """
         cached = self._nf_cache.get(exps)
         if cached is not None:
@@ -285,21 +285,19 @@ class ChowModel:
         return s
 
     def normal_form(self, series: TruncatedSeries) -> TruncatedSeries:
-        """Reduce every term of degree <= total_dim; drop the rest.
+        """Reduce every term of a series of the model's ring, truncated at
+        total_dim.
 
         Works on the series' packed form (see ``exactalg``): the reduction
-        of each monomial is cached per bound as integer numerators over
-        packed keys and one denominator.
+        of each monomial is cached as integer numerators over packed keys
+        and one denominator.
         """
-        if series.vars != self.vars:
+        if series.vars != self.vars or series.bound != self.total_dim:
             raise ModelError("series lives in a different ring")
         lay = series._lay
-        cache = self._packed_nf.setdefault(series.bound, {})
-        cut = (self.total_dim + 1) << lay.dshift
+        cache = self._packed_nf
         images = []
         for key, num in series._num.items():
-            if key >= cut:
-                continue
             image = cache.get(key)
             if image is None:
                 nf = self._reduce_monomial(lay.exps(key))

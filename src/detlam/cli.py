@@ -35,8 +35,9 @@ from .kexpr import ScriptError
 
 __all__ = ["main"]
 
-# Largest verify-all --max-dim: the registry holds universal-defect checks for
-# d = 1..4 only, so a larger value would silently run the same checks.
+# Largest verify-all --max-dim, a time budget: a pass runs universal-defect-d1
+# up to d{max_dim}, and its checks take about 50 ms at 4. The ducrot checks
+# stop at d = 3 whatever the value.
 MAX_VERIFY_DIM = 4
 
 _USAGE_ERRORS = (
@@ -137,7 +138,6 @@ def _parse_line(model, text):
 def _cmd_coeffs(args):
     table = coeff_table(args.dim)
     obj = table.to_obj()
-    obj["command"] = "coeffs"
     return 0, obj
 
 
@@ -146,7 +146,6 @@ def _cmd_polyid(args):
         raise DomainError(f"--max-k must be between 0 and MAX_POLYID_K = {MAX_POLYID_K}")
     failures = [k for k in range(args.max_k + 1) if not pk_identity_check(k)]
     obj = {
-        "command": "polyid",
         "law": "t * P_k(t) = 2^(k+1) - (2-t)^(k+1)",
         "max_k": args.max_k,
         "failures": failures,
@@ -166,7 +165,6 @@ def _cmd_universal(args):
         args.dim, combo, allow_degenerate=args.allow_degenerate
     )
     obj = report.to_obj()
-    obj["command"] = "universal"
     return (0 if report.top_degree_zero else 1), obj
 
 
@@ -176,7 +174,6 @@ def _cmd_ducrot(args):
         args.dim, factors, allow_short=factors is not None
     )
     obj = {
-        "command": "ducrot",
         "dim": args.dim,
         "factors": factors if factors is not None else args.dim + 2,
         "is_zero": defect.is_zero(),
@@ -190,7 +187,6 @@ def _cmd_c1lambda(args):
     line = BundleClass.line(model, _parse_line(model, args.line))
     deg = grrcheck.c1_lambda(model, line)
     obj = {
-        "command": "c1lambda",
         "model": model.name,
         "line": args.line,
         "degree": str(deg),
@@ -202,7 +198,6 @@ def _cmd_verify_main(args):
     model = _load_model(args)
     report = grrcheck.verify_main_on_model(model, _parse_line(model, args.line))
     obj = report.to_obj()
-    obj["command"] = "verify-main"
     return (0 if report.ok else 1), obj
 
 
@@ -211,7 +206,6 @@ def _cmd_euler(args):
     line = BundleClass.line(model, _parse_line(model, args.line))
     chi = grrcheck.euler_char(model, line)
     obj = {
-        "command": "euler",
         "model": model.name,
         "line": args.line,
         "chi": str(chi),
@@ -233,7 +227,6 @@ def _cmd_picard(args):
         ]
     report = grrcheck.picard_deduce(symbols, relations, args.goal)
     obj = report.to_obj()
-    obj["command"] = "picard"
     return (0 if report.derivable else 1), obj
 
 
@@ -248,14 +241,12 @@ def _cmd_rewrite(args):
         script = kexpr.corrupt_script(script, args.corrupt)
     report = kexpr.chain_verify(script)
     obj = report.to_obj()
-    obj["command"] = "rewrite"
     return (0 if report.ok else 1), obj
 
 
 def _cmd_quotient(args):
     algebra = quotientlab.GradedAlgebra.from_spec(args.vars)
     obj = quotientlab.quotient_report(algebra, bound=args.bound)
-    obj["command"] = "quotient"
     return (0 if obj["verdict"] != "INCONCLUSIVE" else 1), obj
 
 
@@ -642,6 +633,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if payload is not None:
+        payload["command"] = args.command
         _emit(args, payload)
     return code
 

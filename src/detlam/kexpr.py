@@ -68,12 +68,12 @@ __all__ = [
 ]
 
 
-class UnsupportedExpression(ValueError):
-    """Constructor combination outside the supported normalization fragment."""
-
-
 class ScriptError(ValueError):
     """Malformed chain script."""
+
+
+class UnsupportedExpression(ScriptError):
+    """Constructor combination outside the supported normalization fragment."""
 
 
 class _StepFailure(Exception):
@@ -436,229 +436,216 @@ def parse_expr(text: str):
 
 # ----------------------------------------------------------------------
 # axioms
+#
+# An interpreter takes the formal sum and exponent of the factor a step
+# rewrites, and the step's arguments, and returns the [formal sum, exponent]
+# factors that replace it; it raises _StepFailure where its law does not apply.
 
 
 @dataclass(frozen=True)
 class RewriteAxiom:
     name: str
-    kind: str
     law: str
-    description: str
+    apply: object
 
 
-AXIOMS: dict[str, RewriteAxiom] = {}
-
-
-def _axiom(name, kind, law, description):
-    AXIOMS[name] = RewriteAxiom(name, kind, law, description)
-
-
-_axiom(
-    "line-twist-flip",
-    "twist_flip",
-    "lambda(F{-1}) ~ lambda(F)^(-1): replace -A by +A(x){-1} per occurrence",
-    "flip the sign of a line atom into a twist",
-)
-_axiom(
-    "iso-subst",
-    "subst",
-    "substitute along a declared canonical isomorphism src ~ dst",
-    "rename one atom along an isomorphism such as adjunction",
-)
-_axiom(
-    "ideal-descent",
-    "descend",
-    "restriction sequence of the fixed divisor: O - L resolves the direct image "
-    "of the structure sheaf of the divisor",
-    "move the lambda argument from the divisor to the ambient space, "
-    "then tensor by the resolving block",
-)
-_axiom(
-    "quotient-descent",
-    "descend",
-    "projection formula along the quotient: q^*(J) ~ L{-1} and q^*(q_*(M)) ~ M "
-    "on invariant sections",
-    "descend every atom through the quotient map",
-)
-_axiom(
-    "pk-identity",
-    "regroup",
-    "t * P_k(t) = 2^(k+1) - (2-t)^(k+1)",
-    "recognize the telescoped polynomial identity",
-)
-_axiom(
-    "binomial",
-    "regroup",
-    "(O - X)^(x)i = sum_j C(i,j) (-X)^(x)j",
-    "recognize a binomial expansion",
-)
-_axiom(
-    "cancel",
-    "regroup",
-    "formal cancellation / regrouping of identical lambda-monomials",
-    "regroup factors without changing the distributed form",
-)
-_axiom(
-    "plus-minus-split",
-    "split",
-    "lambda(F) := det(F_+) (x) det(F_-)^(-1): F ~ F_+ - F_-",
-    "split an equivariant atom into its invariant and anti-invariant parts",
-)
-_axiom(
-    "pushforward",
-    "push",
-    "projection formula: R p_*(p^*(A) (x) Phi) ~ A (x) R p_*(Phi)",
-    "pull the pulled-back factor out of a derived pushforward",
-)
-_axiom(
-    "cartier-collapse",
-    "collapse",
-    "lambda(i^*(M) (x) P_k(O + N{-1})) ~ lambda(M)^(2^(k+1)) over a Cartier "
-    "fixed divisor, applied at k = d",
-    "collapse the pushed polynomial block to a power of lambda(M)",
-)
-_axiom(
-    "multadd-split",
-    "multadd",
-    "I(A (x) B, L_2..L_{d+1}) ~ I(A, L_2..L_{d+1}) (x) I(B, L_2..L_{d+1})",
-    "split the first slot of a Deligne-style pairing block",
-)
+class _AtomAbsent(_StepFailure):
+    """Internal: the atom a step rewrites does not occur in its factor."""
 
 
 def _count_atom(factors, name: str) -> int:
     return sum(1 for k, n, p, d in factors if (k, n, d) == ("atom", name, 0))
 
 
+def _regroup(fs, exp, args):
+    return [[fs, exp]]
+
+
+def _twist_flip(fs, exp, args):
+    name = args["atom"]
+    counts = [_count_atom(factors, name) for factors, _tw in fs]
+    if not any(counts):
+        raise _AtomAbsent(name)
+    pairs = [
+        ((factors, (tw + n) % 2), c * (-1) ** n)
+        for ((factors, tw), c), n in zip(fs.items(), counts)
+    ]
+    return [[_fs(pairs), exp]]
+
+
+def _subst(fs, exp, args):
+    src, dst = args["src"], args["dst"]
+
+    def hit(k, n):
+        return n == src and k in ("atom", "sym")
+
+    if not any(hit(k, n) for factors, _tw in fs for k, n, _p, _d in factors):
+        raise _AtomAbsent(src)
+    pairs = [
+        ((tuple(sorted([(k, dst if hit(k, n) else n, p, d) for k, n, p, d in f])), tw), c)
+        for (f, tw), c in fs.items()
+    ]
+    return [[_fs(pairs), exp]]
+
+
+def _descend(fs, exp, args):
+    mapping = {src: (dst, int(twd), int(sign)) for src, (dst, twd, sign) in args["map"].items()}
+    pairs = []
+    for (factors, tw), c in fs.items():
+        nf = []
+        for k, n, p, d in factors:
+            if k != "atom" or d != 0:
+                raise _StepFailure("descent supports plain atoms only")
+            if n not in mapping:
+                raise _StepFailure(f"descent does not cover atom {n!r}")
+            dst, twd, sign = mapping[n]
+            nf.append(("atom", dst, 0, 0))
+            tw = (tw + twd) % 2
+            c *= sign
+        pairs.append(((tuple(sorted(nf)), tw), c))
+    out = _fs(pairs)
+    multiplier = args.get("multiplier")
+    if multiplier is not None:
+        out = _fs_mul(out, normalize_expr(multiplier))
+    return [[out, exp]]
+
+
+def _split(fs, exp, args):
+    name, plus, minus = args["atom"], args["plus"], args["minus"]
+    counts = [_count_atom(factors, name) for factors, _tw in fs]
+    if any(n > 1 for n in counts):
+        raise _StepFailure("split supports a single occurrence per monomial")
+    if not any(counts):
+        raise _AtomAbsent(name)
+    pairs = []
+    for ((factors, tw), c), n in zip(fs.items(), counts):
+        if not n:
+            pairs.append(((factors, tw), c))
+        else:
+            rest = tuple(f for f in factors if (f[0], f[1], f[3]) != ("atom", name, 0))
+            pairs.append(((tuple(sorted(rest + (("atom", plus, 0, 0),))), tw), c))
+            pairs.append(((tuple(sorted(rest + (("atom", minus, 0, 0),))), tw), -c))
+    return [[_fs(pairs), exp]]
+
+
+def _push(fs, exp, args):
+    pulled, restrict, binder = args["pulled"], args["restrict"], args["binder"]
+    pairs = []
+    for (factors, tw), c in fs.items():
+        j = seen_pulled = 0
+        for k, n, p, d in factors:
+            if (k, n, p, d) == ("atom", pulled, 0, 0):
+                seen_pulled += 1
+            elif (k, n, p, d) == ("atom", binder, 0, 0):
+                j += 1
+            else:
+                raise _StepFailure(f"unexpected factor {n!r} under the pushforward")
+        if seen_pulled != 1:
+            raise _StepFailure("need exactly one pulled-back factor per monomial")
+        nf = [("atom", restrict, 0, 0)]
+        if j:
+            nf.append(("push", binder, j, 0))
+        pairs.append(((tuple(sorted(nf)), (tw - j) % 2), c))
+    return [[_fs(pairs), exp]]
+
+
+def _collapse(fs, exp, args):
+    restrict, binder, base, k = args["restrict"], args["binder"], args["base"], int(args["k"])
+    if not 0 <= k <= MAX_CHAIN_DIM:
+        raise ScriptError(f"cartier-collapse needs 0 <= k <= MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
+    if exp != 1:
+        raise _StepFailure("collapse needs a factor of exponent 1")
+    block = Ten(Atom(restrict), Push(binder, _pk_tree(k, _o_plus_twisted(binder))))
+    if fs != normalize_expr(block):
+        raise _StepFailure("factor is not the pushed polynomial block")
+    return [[{((("atom", base, 0, 0),), 0): 1}, 2 ** (k + 1)]]
+
+
+def _multadd(fs, exp, args):
+    a, b = args["a"], args["b"]
+    blocks = [o_minus(Atom(x)) for x in args["others"]]
+    if fs != normalize_expr(Ten(o_minus(Ten(Atom(a), Atom(b))), *blocks)):
+        raise _StepFailure("factor is not a first-slot pairing block")
+    return [[normalize_expr(Ten(o_minus(Atom(x)), *blocks)), exp] for x in (a, b)]
+
+
+AXIOMS: dict[str, RewriteAxiom] = {
+    ax.name: ax
+    for ax in (
+        RewriteAxiom(
+            "line-twist-flip",
+            "lambda(F{-1}) ~ lambda(F)^(-1): replace -A by +A(x){-1} per occurrence",
+            _twist_flip,
+        ),
+        RewriteAxiom(
+            "iso-subst", "substitute along a declared canonical isomorphism src ~ dst", _subst
+        ),
+        RewriteAxiom(
+            "ideal-descent",
+            "restriction sequence of the fixed divisor: O - L resolves the direct image "
+            "of the structure sheaf of the divisor",
+            _descend,
+        ),
+        RewriteAxiom(
+            "quotient-descent",
+            "projection formula along the quotient: q^*(J) ~ L{-1} and q^*(q_*(M)) ~ M "
+            "on invariant sections",
+            _descend,
+        ),
+        RewriteAxiom("pk-identity", "t * P_k(t) = 2^(k+1) - (2-t)^(k+1)", _regroup),
+        RewriteAxiom("binomial", "(O - X)^(x)i = sum_j C(i,j) (-X)^(x)j", _regroup),
+        RewriteAxiom(
+            "cancel", "formal cancellation / regrouping of identical lambda-monomials", _regroup
+        ),
+        RewriteAxiom(
+            "plus-minus-split",
+            "lambda(F) := det(F_+) (x) det(F_-)^(-1): F ~ F_+ - F_-",
+            _split,
+        ),
+        RewriteAxiom(
+            "pushforward",
+            "projection formula: R p_*(p^*(A) (x) Phi) ~ A (x) R p_*(Phi)",
+            _push,
+        ),
+        RewriteAxiom(
+            "cartier-collapse",
+            "lambda(i^*(M) (x) P_k(O + N{-1})) ~ lambda(M)^(2^(k+1)) over a Cartier "
+            "fixed divisor, applied at k = d",
+            _collapse,
+        ),
+        RewriteAxiom(
+            "multadd-split",
+            "I(A (x) B, L_2..L_{d+1}) ~ I(A, L_2..L_{d+1}) (x) I(B, L_2..L_{d+1})",
+            _multadd,
+        ),
+    )
+}
+
+# What a malformed script argument or field raises in an interpreter or parser.
+_BAD_INPUT = (ArithmeticError, AttributeError, LookupError, TypeError, ValueError)
+
+
 def _apply_axiom(state: list, axiom: RewriteAxiom, position: int, args: dict) -> list:
-    """The factor list after one axiom rewrites the factor at ``position``."""
+    """The factor list after one axiom rewrites the factor at ``position``.
+
+    Arguments an interpreter cannot use, including atom names that are not
+    strings, are a ScriptError naming the axiom.
+    """
     if not 0 <= position < len(state):
         raise _StepFailure(f"factor position {position} out of range")
-    fs, exp = state[position]
-    kind = axiom.kind
-    parts = None  # replacement factors; by default the one factor [out, exp]
-
-    if kind == "regroup":
-        out = fs
-
-    elif kind == "twist_flip":
-        name = args["atom"]
-        counts = [_count_atom(factors, name) for factors, _tw in fs]
-        if not any(counts):
-            raise _StepFailure(f"atom {name!r} does not occur at factor {position}")
-        out = _fs(
-            [
-                ((factors, (tw + n) % 2), c * (-1) ** n)
-                for ((factors, tw), c), n in zip(fs.items(), counts)
-            ]
-        )
-
-    elif kind == "subst":
-        src, dst = args["src"], args["dst"]
-
-        def hit(k, n):
-            return n == src and k in ("atom", "sym")
-
-        if not any(hit(k, n) for factors, _tw in fs for k, n, _p, _d in factors):
-            raise _StepFailure(f"atom {src!r} does not occur at factor {position}")
-        out = _fs(
-            [
-                ((tuple(sorted([(k, dst if hit(k, n) else n, p, d) for k, n, p, d in f])), tw), c)
-                for (f, tw), c in fs.items()
-            ]
-        )
-
-    elif kind == "descend":
-        mapping = {
-            src: (dst, int(twd), int(sign))
-            for src, (dst, twd, sign) in args["map"].items()
-        }
-        pairs = []
-        for (factors, tw), c in fs.items():
-            nf = []
-            for k, n, p, d in factors:
-                if k != "atom" or d != 0:
-                    raise _StepFailure("descent supports plain atoms only")
-                if n not in mapping:
-                    raise _StepFailure(f"descent does not cover atom {n!r}")
-                dst, twd, sign = mapping[n]
-                nf.append(("atom", dst, 0, 0))
-                tw = (tw + twd) % 2
-                c *= sign
-            pairs.append(((tuple(sorted(nf)), tw), c))
-        out = _fs(pairs)
-        multiplier = args.get("multiplier")
-        if multiplier is not None:
-            out = _fs_mul(out, normalize_expr(multiplier))
-
-    elif kind == "split":
-        name, plus, minus = args["atom"], args["plus"], args["minus"]
-        counts = [_count_atom(factors, name) for factors, _tw in fs]
-        if any(n > 1 for n in counts):
-            raise _StepFailure("split supports a single occurrence per monomial")
-        if not any(counts):
-            raise _StepFailure(f"atom {name!r} does not occur at factor {position}")
-        pairs = []
-        for ((factors, tw), c), n in zip(fs.items(), counts):
-            if not n:
-                pairs.append(((factors, tw), c))
-            else:
-                rest = tuple(f for f in factors if (f[0], f[1], f[3]) != ("atom", name, 0))
-                pairs.append(((tuple(sorted(rest + (("atom", plus, 0, 0),))), tw), c))
-                pairs.append(((tuple(sorted(rest + (("atom", minus, 0, 0),))), tw), -c))
-        out = _fs(pairs)
-
-    elif kind == "push":
-        pulled, restrict, binder = args["pulled"], args["restrict"], args["binder"]
-        pairs = []
-        for (factors, tw), c in fs.items():
-            j = 0
-            seen_pulled = 0
-            for k, n, p, d in factors:
-                if (k, n, p, d) == ("atom", pulled, 0, 0):
-                    seen_pulled += 1
-                elif (k, n, p, d) == ("atom", binder, 0, 0):
-                    j += 1
-                else:
-                    raise _StepFailure(
-                        f"unexpected factor {n!r} under the pushforward"
-                    )
-            if seen_pulled != 1:
-                raise _StepFailure("need exactly one pulled-back factor per monomial")
-            nf = [("atom", restrict, 0, 0)]
-            if j:
-                nf.append(("push", binder, j, 0))
-            pairs.append(((tuple(sorted(nf)), (tw - j) % 2), c))
-        out = _fs(pairs)
-
-    elif kind == "collapse":
-        restrict, binder = args["restrict"], args["binder"]
-        base, k = args["base"], int(args["k"])
-        want = normalize_expr(
-            Ten(Atom(restrict), Push(binder, _pk_tree(k, _o_plus_twisted(binder))))
-        )
-        if exp != 1:
-            raise _StepFailure("collapse needs a factor of exponent 1")
-        if fs != want:
-            raise _StepFailure("factor is not the pushed polynomial block")
-        out, exp = {((("atom", base, 0, 0),), 0): 1}, 2 ** (k + 1)
-
-    elif kind == "multadd":
-        a, b = args["a"], args["b"]
-        others = list(args["others"])
-        blocks = [o_minus(Atom(x)) for x in others]
-        want = normalize_expr(Ten(o_minus(Ten(Atom(a), Atom(b))), *blocks))
-        if fs != want:
-            raise _StepFailure("factor is not a first-slot pairing block")
-        fa = normalize_expr(Ten(o_minus(Atom(a)), *blocks))
-        fb = normalize_expr(Ten(o_minus(Atom(b)), *blocks))
-        parts = [[fa, exp], [fb, exp]]
-
-    else:
-        raise ScriptError(f"axiom kind {kind!r} has no interpreter")
-
-    new = [list(t) for t in state]
-    new[position : position + 1] = parts or [[out, exp]]
-    return new
+    try:
+        parts = axiom.apply(*state[position], args)
+        if not all(type(f[1]) is str for fs, _exp in parts for m in fs for f in m[0]):
+            raise TypeError("atom names must be strings")
+    except _AtomAbsent as absent:
+        name = absent.args[0]
+        raise _StepFailure(f"atom {name!r} does not occur at factor {position}") from None
+    except ScriptError:
+        raise
+    except _BAD_INPUT as exc:
+        why = f"{type(exc).__name__}: {exc}"
+        raise ScriptError(f"bad arguments for axiom {axiom.name!r}: {why}") from None
+    return state[:position] + parts + state[position + 1 :]
 
 
 # ----------------------------------------------------------------------
@@ -688,6 +675,10 @@ class ChainScript:
     steps: tuple
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.end, (Lam, LamProd)):
+            raise ScriptError("a script ends at a lambda expression")
+
 
 @dataclass(frozen=True)
 class ChainReport:
@@ -712,37 +703,24 @@ class ChainReport:
 def chain_verify(script: ChainScript) -> ChainReport:
     """Run a script, checking every step against its expected display."""
     state = _state_of(script.start)
+    want = _canon_items(canonical_state(state))
     rows = []
     for idx, step in enumerate(script.steps, 1):
         ax = AXIOMS[step.axiom]
-        row = {"step": idx, "note": step.note, "axiom": ax.name, "law": ax.law}
-        try:
-            new_state = _apply_axiom(state, ax, step.position, step.args)
-        except _StepFailure as fail:
-            row["ok"] = False
-            row["witness"] = {"error": str(fail)}
-            rows.append(row)
-            return ChainReport(script.name, False, idx, str(fail), tuple(rows), False)
-        exp_state = _state_of(step.expected)
-        got = _canon_items(canonical_state(new_state))
-        want = _canon_items(canonical_state(exp_state))
-        if got != want:
-            row["ok"] = False
-            row["witness"] = {
-                "expected": render_canonical(want),
-                "got": render_canonical(got),
-            }
-            rows.append(row)
-            return ChainReport(
-                script.name, False, idx, "display mismatch", tuple(rows), False
-            )
-        row["ok"] = True
+        row = {"step": idx, "note": step.note, "axiom": ax.name, "law": ax.law, "ok": False}
         rows.append(row)
-        state = exp_state
-    end_ok = _canon_items(canonical_state(state)) == _canon_items(
-        canonical_state(_state_of(script.end))
-    )
-    if not end_ok:
+        try:
+            got = _canon_items(canonical_state(_apply_axiom(state, ax, step.position, step.args)))
+        except _StepFailure as fail:
+            row["witness"] = {"error": str(fail)}
+            return ChainReport(script.name, False, idx, str(fail), tuple(rows), False)
+        state = _state_of(step.expected)
+        want = _canon_items(canonical_state(state))
+        if got != want:
+            row["witness"] = {"expected": render_canonical(want), "got": render_canonical(got)}
+            return ChainReport(script.name, False, idx, "display mismatch", tuple(rows), False)
+        row["ok"] = True
+    if want != normalize(script.end):
         return ChainReport(script.name, False, None, "endpoint mismatch", tuple(rows), False)
     return ChainReport(script.name, True, None, "", tuple(rows), True)
 
@@ -817,15 +795,15 @@ def script_from_obj(obj: dict) -> ChainScript:
             for rec in obj["steps"]
         )
         return ChainScript(
-            name=obj.get("name", "script"),
+            name=str(obj.get("name", "script")),
             start=parse_expr(obj["start"]),
             end=parse_expr(obj["end"]),
             steps=steps,
             params=dict(obj.get("params", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ScriptError):
-            raise
+    except ScriptError:
+        raise
+    except _BAD_INPUT as exc:
         raise ScriptError(f"malformed script: {exc}") from exc
 
 

@@ -38,10 +38,12 @@ def test_pn_normal_form_and_integrate():
     assert p2.integrate(mono(p2, (2,), Rational(5, 3))) == Rational(5, 3)
 
 
-def test_normal_form_drops_terms_above_the_window():
+@pytest.mark.parametrize("bound", [1, 4])
+def test_normal_form_rejects_a_series_at_another_bound(bound):
     p2 = model_pn(2)
-    wide = TruncatedSeries(p2.vars, 4, {(1,): 2, (2,): 3, (3,): 1, (4,): 1})
-    assert p2.normal_form(wide) == TruncatedSeries(p2.vars, 4, {(1,): 2, (2,): 3})
+    other = TruncatedSeries(p2.vars, bound, {(1,): 2})
+    with pytest.raises(ModelError, match="different ring"):
+        p2.normal_form(other)
 
 
 def test_pn_structure():

@@ -503,6 +503,94 @@ class TestRewrite:
         assert code == 1
         assert rep["failed_step"] == 1 and rep["reason"] == "display mismatch"
 
+    COLLAPSE = {"restrict": "iM", "binder": "Nt", "base": "bM"}
+
+    # start, one step (axiom, args), and a fragment of the one error line
+    MALFORMED = {
+        "outside-fragment": (
+            "(lam (sym 2 (lin 1 A 1 B)) 1)", "cancel", {}, "Sym of a formal sum"
+        ),
+        "args-not-an-object": ("(lam A 1)", "cancel", [1], "malformed script"),
+        "subst-without-dst": ("(lam A 1)", "iso-subst", {"src": "A"}, "axiom 'iso-subst'"),
+        "short-descent-image": (
+            "(lam A 1)", "ideal-descent", {"map": {"A": ["B", 0]}}, "axiom 'ideal-descent'"
+        ),
+        "others-not-a-list": (
+            "(lam A 1)",
+            "multadd-split",
+            {"a": "A", "b": "B", "others": 5},
+            "axiom 'multadd-split'",
+        ),
+        "non-string-atom": (
+            "(lam A 1)", "iso-subst", {"src": "A", "dst": 5}, "atom names must be strings"
+        ),
+        "collapse-k-200": (
+            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=200), "MAX_CHAIN_DIM = 60"
+        ),
+        "collapse-k-100000": (
+            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=100000), "MAX_CHAIN_DIM = 60"
+        ),
+        "collapse-k-negative": (
+            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=-3), "MAX_CHAIN_DIM = 60"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_step_is_usage_error(self, capsys, tmp_path, case):
+        start, axiom, args, fragment = self.MALFORMED[case]
+        path = self._one_step_script(tmp_path, start, axiom, args, start)
+        started = time.perf_counter()
+        err = run_usage_error(capsys, "rewrite", "--script", path)
+        assert time.perf_counter() - started < 1.0
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert fragment in err
+
+    def test_script_error_inside_an_axiom_passes_through(self, capsys, tmp_path):
+        wide = "(* " + " ".join(f"(lin 1 A{i} 1 B{i})" for i in range(17)) + ")"
+        args = {"map": {"A": ["B", 0, 1]}, "multiplier": {"expr": wide}}
+        path = self._one_step_script(tmp_path, "(lam A 1)", "ideal-descent", args, "(lam A 1)")
+        err = run_usage_error(capsys, "rewrite", "--script", path)
+        assert err.startswith("error: a tensor product would distribute")
+        assert "axiom" not in err
+
+    def test_collapse_k_ceiling(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(kexpr, "MAX_CHAIN_DIM", 3)
+
+        def collapse(k):
+            args = dict(self.COLLAPSE, k=k)
+            return self._one_step_script(tmp_path, "(lam A 1)", "cartier-collapse", args, "(lam A 1)")
+
+        code, rep = run_json(capsys, "rewrite", "--script", collapse(3))
+        assert code == 1 and rep["reason"] == "factor is not the pushed polynomial block"
+        err = run_usage_error(capsys, "rewrite", "--script", collapse(4))
+        assert "MAX_CHAIN_DIM = 3" in err
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"start": "(lam A 1)", "end": "A", "steps": []},
+            {
+                "start": "(lam A 1)",
+                "end": "(lam A 1)",
+                "steps": [{"axiom": "cancel", "position": float("inf"), "expected": "(lam A 1)"}],
+            },
+        ],
+        ids=["sheaf-end", "infinite-position"],
+    )
+    def test_malformed_script_fields_are_usage_errors(self, capsys, tmp_path, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        err = run_usage_error(capsys, "rewrite", "--script", str(path))
+        assert err.count("\n") == 1
+
+    def test_non_string_script_name_is_a_label(self, capsys, tmp_path):
+        path = tmp_path / "named.json"
+        obj = {"name": [1], "start": "(lam A 1)", "end": "(lam A 1)", "steps": []}
+        obj["steps"].append({"axiom": "cancel", "position": 0, "expected": "(lam A 1)"})
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, rep = run_json(capsys, "rewrite", "--script", str(path), "--corrupt", "1")
+        assert code == 1 and rep["name"] == "[1]#corrupt1" and rep["failed_step"] == 1
+
     def test_needs_chain_or_script(self, capsys):
         code, _ = run_cli(capsys, "rewrite")
         assert code == 2

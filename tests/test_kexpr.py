@@ -271,6 +271,105 @@ class TestChains:
         assert not rep.ok and rep.failed_step is None
         assert rep.reason == "endpoint mismatch"
 
+    # every reason an axiom can refuse its factor: (start, axiom, position, args, reason)
+    STEP_FAILURES = {
+        "position": ("(lam A 1)", "cancel", 3, {}, "factor position 3 out of range"),
+        "flip-absent": (
+            "(prod (lam A 1) (lam B 1))",
+            "line-twist-flip",
+            1,
+            {"atom": "A"},
+            "atom 'A' does not occur at factor 1",
+        ),
+        "subst-absent": (
+            "(prod (lam A 1) (lam B 1))",
+            "iso-subst",
+            1,
+            {"src": "A", "dst": "C"},
+            "atom 'A' does not occur at factor 1",
+        ),
+        "split-absent": (
+            "(prod (lam A 1) (lam B 1))",
+            "plus-minus-split",
+            1,
+            {"atom": "A", "plus": "P", "minus": "Q"},
+            "atom 'A' does not occur at factor 1",
+        ),
+        "descent-non-plain": (
+            "(lam (dual A) 1)",
+            "ideal-descent",
+            0,
+            {"map": {"A": ["B", 0, 1]}},
+            "descent supports plain atoms only",
+        ),
+        "descent-uncovered": (
+            "(lam (* A B) 1)",
+            "quotient-descent",
+            0,
+            {"map": {"A": ["C", 0, 1]}},
+            "descent does not cover atom 'B'",
+        ),
+        "split-twice": (
+            "(lam (* A A) 1)",
+            "plus-minus-split",
+            0,
+            {"atom": "A", "plus": "P", "minus": "Q"},
+            "split supports a single occurrence per monomial",
+        ),
+        "push-foreign": (
+            "(lam (* M C) 1)",
+            "pushforward",
+            0,
+            {"pulled": "M", "restrict": "iM", "binder": "N"},
+            "unexpected factor 'C' under the pushforward",
+        ),
+        "push-no-pulled": (
+            "(lam (* N N) 1)",
+            "pushforward",
+            0,
+            {"pulled": "M", "restrict": "iM", "binder": "N"},
+            "need exactly one pulled-back factor per monomial",
+        ),
+        "collapse-exponent": (
+            "(lam A 2)",
+            "cartier-collapse",
+            0,
+            {"restrict": "iM", "binder": "Nt", "base": "bM", "k": 1},
+            "collapse needs a factor of exponent 1",
+        ),
+        "collapse-block": (
+            "(lam A 1)",
+            "cartier-collapse",
+            0,
+            {"restrict": "iM", "binder": "Nt", "base": "bM", "k": 1},
+            "factor is not the pushed polynomial block",
+        ),
+        "multadd-block": (
+            "(lam A 1)",
+            "multadd-split",
+            0,
+            {"a": "A", "b": "B", "others": ["C"]},
+            "factor is not a first-slot pairing block",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STEP_FAILURES))
+    def test_step_failure_reasons(self, case):
+        start, axiom, position, args, reason = self.STEP_FAILURES[case]
+        step = {"axiom": axiom, "position": position, "args": args, "note": "s", "expected": start}
+        rep = chain_verify(script_from_obj({"start": start, "end": start, "steps": [step]}))
+        assert (rep.ok, rep.failed_step, rep.reason, rep.endpoint_ok) == (False, 1, reason, False)
+        assert rep.rows == (
+            {
+                "step": 1,
+                "note": "s",
+                "axiom": axiom,
+                "law": AXIOMS[axiom].law,
+                "ok": False,
+                "witness": {"error": reason},
+            },
+        )
+
     def test_report_serializes(self):
         rep = chain_verify(get_chain("multadd-d1"))
         obj = rep.to_obj()
@@ -488,8 +587,9 @@ class TestAxiomRegistry:
         }
 
     def test_laws_nonempty(self):
-        for ax in AXIOMS.values():
-            assert ax.law and ax.description
+        assert [f.name for f in dataclasses.fields(kx.RewriteAxiom)] == ["name", "law", "apply"]
+        for name, ax in AXIOMS.items():
+            assert ax.name == name and ax.law and callable(ax.apply)
             assert ax.name in repr(ax)
 
     def test_unknown_axiom_in_step(self):

@@ -28,7 +28,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "detlam"
 # module.qualified name -> why it stays without a product reference
 ALLOWED = {
     "charclass.sym_ch": "benchmark tracer target: perfbench wraps charclass.sym_ch by name",
-    "kexpr.normalize": "acceptance oracle: tests/test_acceptance.py compares normal forms with it",
 }
 
 # module.Class.method -> why it stays although no CLI run executes it
