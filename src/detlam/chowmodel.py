@@ -35,6 +35,7 @@ __all__ = [
     "model_pn_x_pm",
     "model_hirzebruch",
     "MAX_MODEL_DIM",
+    "MAX_MODEL_WINDOW",
 ]
 
 
@@ -56,6 +57,40 @@ def _exponents_of_degree(weights: tuple[int, ...], degree: int):
     for e in range(degree // w + 1):
         for rest in _exponents_of_degree(weights[1:], degree - e * w):
             yield (e,) + rest
+
+
+# Largest validation window of a model. Validation reduces every monomial of
+# weighted degree <= total_dim + (largest weight), so its cost follows their
+# number: about 12 us each on a 2-core host. A file with five weight-one
+# generators and 42,504 monomials in its window loads in about 0.5 s; seven
+# generators with g_i^3 = 0 (170,544 monomials) took 2.8 s before this cap.
+MAX_MODEL_WINDOW = 50_000
+
+
+def _check_window(name: str, weights: tuple[int, ...], top: int):
+    """Count the monomials in the validation window without listing them.
+
+    ways[k] is the number of exponent vectors of weighted degree k over the
+    generators seen so far (the coin-change recurrence), one generator at a
+    time; the count stops at the first generator that takes it past the
+    ceiling. The window's degree is checked first, since validation loops
+    over every degree in it and the count needs a list that long.
+    """
+    last = top + max(weights, default=1)
+    if last > MAX_MODEL_WINDOW:
+        raise ModelError(
+            f"model {name!r} needs a validation window up to degree {last}, "
+            f"above the ceiling MAX_MODEL_WINDOW = {MAX_MODEL_WINDOW}"
+        )
+    ways = [1] + [0] * last
+    for w in weights:
+        for k in range(w, last + 1):
+            ways[k] += ways[k - w]
+        if sum(ways) > MAX_MODEL_WINDOW:
+            raise ModelError(
+                f"model {name!r} has more than MAX_MODEL_WINDOW = {MAX_MODEL_WINDOW} "
+                f"monomials of degree <= {last} to validate"
+            )
 
 
 def _divides(lead: tuple[int, ...], exps: tuple[int, ...]) -> bool:
@@ -87,6 +122,7 @@ class ChowModel:
             raise ModelError("need 0 <= rel_dim <= total_dim")
         self.rel_dim = rel_dim
         self.total_dim = total_dim
+        _check_window(self.name, self.vars.weights, total_dim)
 
         base = tuple(base_generators)
         for b in base:
@@ -519,12 +555,13 @@ def load_model(obj: dict) -> ChowModel:
     if not isinstance(obj, dict):
         raise ModelError("model description must be an object")
     try:
+        total = int(obj["total_dim"])
+        _check_model_dim(str(obj.get("name", "model")), total)
         generators = [
             (g["name"], int(g.get("weight", 1))) if isinstance(g, dict) else (g[0], int(g[1]))
             for g in obj["generators"]
         ]
         vars_ = VarTable(generators)
-        total = int(obj["total_dim"])
         tangent = TruncatedSeries.from_terms(
             vars_,
             total,
@@ -533,8 +570,6 @@ def load_model(obj: dict) -> ChowModel:
                 for rec in obj.get("tangent_chern", [])
             ],
         )
-        if not obj.get("tangent_chern"):
-            tangent = TruncatedSeries.one(vars_, total)
         return ChowModel(
             name=obj.get("name", "model"),
             generators=generators,
@@ -542,11 +577,11 @@ def load_model(obj: dict) -> ChowModel:
             rel_dim=int(obj["rel_dim"]),
             total_dim=total,
             base_generators=obj.get("base_generators", []),
-            tangent_chern=tangent,
+            tangent_chern=tangent if obj.get("tangent_chern") else None,
             point_class=tuple(int(x) for x in obj["point_class"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ModelError):
+        if isinstance(exc, (ModelError, DomainError)):
             raise
         raise ModelError(f"malformed model description: {exc}") from exc
 

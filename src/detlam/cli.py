@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 from .chowmodel import (
     BundleClass,
@@ -136,9 +136,7 @@ def _parse_line(model, text):
 
 
 def _cmd_coeffs(args):
-    table = coeff_table(args.dim)
-    obj = table.to_obj()
-    return 0, obj
+    return 0, coeff_table(args.dim).to_obj()
 
 
 def _cmd_polyid(args):
@@ -164,8 +162,7 @@ def _cmd_universal(args):
     report = grrcheck.universal_report(
         args.dim, combo, allow_degenerate=args.allow_degenerate
     )
-    obj = report.to_obj()
-    return (0 if report.top_degree_zero else 1), obj
+    return (0 if report.top_degree_zero else 1), report.to_obj()
 
 
 def _cmd_ducrot(args):
@@ -197,8 +194,7 @@ def _cmd_c1lambda(args):
 def _cmd_verify_main(args):
     model = _load_model(args)
     report = grrcheck.verify_main_on_model(model, _parse_line(model, args.line))
-    obj = report.to_obj()
-    return (0 if report.ok else 1), obj
+    return (0 if report.ok else 1), report.to_obj()
 
 
 def _cmd_euler(args):
@@ -226,8 +222,7 @@ def _cmd_picard(args):
             chunk.strip() for chunk in args.relations.split(";") if chunk.strip()
         ]
     report = grrcheck.picard_deduce(symbols, relations, args.goal)
-    obj = report.to_obj()
-    return (0 if report.derivable else 1), obj
+    return (0 if report.derivable else 1), report.to_obj()
 
 
 def _cmd_rewrite(args):
@@ -240,8 +235,7 @@ def _cmd_rewrite(args):
     if args.corrupt is not None:
         script = kexpr.corrupt_script(script, args.corrupt)
     report = kexpr.chain_verify(script)
-    obj = report.to_obj()
-    return (0 if report.ok else 1), obj
+    return (0 if report.ok else 1), report.to_obj()
 
 
 def _cmd_quotient(args):
@@ -532,7 +526,13 @@ def _cmd_verify_all(args):
 # parser
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Each subcommand's handler is bound here; the handlers look up the
+    registry and the checks when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="detlam",
         description="Exact verification of determinant-of-cohomology identities.",

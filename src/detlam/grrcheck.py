@@ -1,6 +1,8 @@
 """First-Chern-class verification of the determinant-bundle identities.
 
-Two settings share one code path:
+The identity is checked in two settings. Both read the terms
+(coeff, twist, Sym degree) of ``main_combo(d)`` and take the Sym^j
+characters of the cotangent sheaf from one ``sym_ch_table``:
 
 * universal: the base-free check over the ring Q[l, a_1..a_d] truncated in
   degree d+1, where l is the first Chern class of the line bundle and a_i,
@@ -11,10 +13,15 @@ Two settings share one code path:
 * on a model: for a family with one-dimensional base, the degree of the
   determinant of cohomology of F is the integral of ch(F) Td(T_f) over the
   total space, and the exponent identity is checked as exact integers.
+  Every model degree (each term of the identity, ``c1_lambda`` and
+  ``euler_char``) is that one integral, computed by ``_degree``, which also
+  checks that it is an integer. The Sym^j characters come from the model's
+  cached table (``ChowModel.cotangent_sym_table``).
 
 Integer lattice deductions about determinant classes (divisibility and
 torsion consequences) are handled by Hermite-style integer row reduction,
-with no division at any point.
+with no division at any point; ``preset_relations`` reads its exponent
+relation off ``main_combo(1)``.
 """
 
 import re
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from .charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch_table, todd_from_chern
 from .chowmodel import BundleClass, ChowModel
 from .combinat import coeff_table
-from .exactalg import DomainError, Rational, TruncatedSeries, VarTable
+from .exactalg import DomainError, TruncatedSeries, VarTable
 
 __all__ = [
     "ComboTerm",
@@ -40,7 +47,6 @@ __all__ = [
     "verify_main_on_model",
     "MainReport",
     "euler_char",
-    "PicardLattice",
     "picard_deduce",
     "DeduceReport",
     "parse_linear_expr",
@@ -99,9 +105,10 @@ def deligne_combo_d1() -> tuple[ComboTerm, ...]:
 # ----------------------------------------------------------------------
 # universal defect
 
-# Largest d for universal_report: the work grows about 2x per dimension,
-# and d = 8 takes about 1.2 s on a 2-core host.
-MAX_UNIVERSAL_DIM = 8
+# Largest d for universal_report: the work grows about 2x per dimension.
+# On a 2-core host the CLI run `universal --dim 13`, JSON output included,
+# takes about 1.8 s; d = 14 takes about 3.3 s.
+MAX_UNIVERSAL_DIM = 13
 
 
 def _universal_ring(d: int) -> VarTable:
@@ -203,9 +210,10 @@ class UniversalReport:
 
 
 # Ceilings for ducrot_defect: the product has up to 2^(d+1) terms, and each
-# factor is a series in every factor's variable. d = 12 with 64 factors takes
-# under a second on a 2-core host.
-MAX_DUCROT_DIM = 12
+# factor is a series in every factor's variable. The default d + 2 factors
+# are the worst case, since the product is zero from then on. On a 2-core
+# host the CLI run `ducrot --dim 18` takes about 1.3 s; d = 19 takes 2.8 s.
+MAX_DUCROT_DIM = 18
 MAX_DUCROT_FACTORS = 64
 
 
@@ -252,17 +260,13 @@ def bundle_ch(model: ChowModel, bundle: BundleClass) -> TruncatedSeries:
     return model.normal_form(ch_from_chern(bundle.rank, model.normal_form(bundle.chern)))
 
 
-def _integral_value(value: Rational, what: str) -> int:
+def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
+    """The integral of ch Td(T_f) over the total space, checked to be an
+    integer: the one route from a Chern character to a model degree."""
+    value = model.integrate(ch * todd_from_chern(model.tangent_chern))
     if value.denominator != 1:
         raise DomainError(f"{what} came out non-integral ({value}); model data inconsistent")
     return int(value)
-
-
-def _c1_lambda_from_ch(model: ChowModel, ch: TruncatedSeries) -> int:
-    td = todd_from_chern(model.tangent_chern)
-    return _integral_value(
-        model.integrate(ch * td), "determinant degree"
-    )
 
 
 def c1_lambda(model: ChowModel, bundle: BundleClass) -> int:
@@ -273,7 +277,7 @@ def c1_lambda(model: ChowModel, bundle: BundleClass) -> int:
     """
     if model.total_dim - model.rel_dim != 1:
         raise DomainError("determinant degree needs a one-dimensional base")
-    return _c1_lambda_from_ch(model, bundle_ch(model, bundle))
+    return _degree(model, bundle_ch(model, bundle), "determinant degree")
 
 
 @dataclass(frozen=True)
@@ -311,10 +315,12 @@ class MainReport:
 def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     """Exact integer check of the exponent identity on a family model.
 
-    ``line`` maps weight-one generator names to divisor coefficients. The
-    Sym^j characters of the cotangent sheaf come from the model's cache
-    (``ChowModel.cotangent_sym_table``); only the line's classes and the
-    per-row products are built on each call.
+    ``line`` maps weight-one generator names to divisor coefficients. Each
+    term (coeff, twist t, Sym^j) of ``main_combo(d)`` contributes the degree
+    of L^t (x) Sym^j Omega: the first term, coeff 2^(2d+2) at twist 1 and
+    Sym^0, is the left side, and the terms (-c_j, twist 2, Sym^j) are the
+    rows of the right side. ch(L^t) is built once per twist; the Sym^j
+    characters come from the model's cache (``ChowModel.cotangent_sym_table``).
     """
     d = model.rel_dim
     if d < 1:
@@ -322,29 +328,25 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     if model.total_dim - d != 1:
         raise DomainError("the verification needs a one-dimensional base")
     line_coeffs = dict(line)
-    c1 = BundleClass.line(model, line_coeffs).chern.component(1)
-    ch_l = model.normal_form(c1.exp())
-    table = coeff_table(d)
-    lhs_degree = _c1_lambda_from_ch(model, ch_l)
-    lhs = table.lhs_exponent * lhs_degree
-    ch_l2 = model.normal_form((c1 * 2).exp())
+    c1 = model.normal_form(model.first_chern(line_coeffs))
+    combo = main_combo(d)
+    head, *terms = combo
+    ch_twist = {t: model.normal_form((c1 * t).exp()) for t in {term.twist for term in combo}}
     sym = model.cotangent_sym_table()
-    rows = []
-    rhs = 0
-    for j, c in enumerate(table.entries):
-        ch_j = model.normal_form(ch_l2 * sym[j])
-        deg_j = _c1_lambda_from_ch(model, ch_j)
-        rows.append((j, c, deg_j))
-        rhs += c * deg_j
+    lhs_degree, *degrees = (
+        _degree(model, model.normal_form(ch_twist[t.twist] * sym[t.sym]), "determinant degree")
+        for t in combo
+    )
+    rows = tuple((term.sym, -term.coeff, deg) for term, deg in zip(terms, degrees))
     return MainReport(
         model=model.name,
         dim=d,
         line=line_coeffs,
-        lhs_exponent=table.lhs_exponent,
+        lhs_exponent=head.coeff,
         lhs_degree=lhs_degree,
-        lhs=lhs,
-        rhs_rows=tuple(rows),
-        rhs=rhs,
+        lhs=head.coeff * lhs_degree,
+        rhs_rows=rows,
+        rhs=sum(c * deg for _j, c, deg in rows),
     )
 
 
@@ -352,8 +354,7 @@ def euler_char(model: ChowModel, bundle: BundleClass) -> int:
     """chi(F) over a point base: the integral of ch(F) Td(T)."""
     if model.rel_dim != model.total_dim:
         raise DomainError("Euler characteristic needs a point base")
-    td = todd_from_chern(model.tangent_chern)
-    return _integral_value(model.integrate(bundle_ch(model, bundle) * td), "chi")
+    return _degree(model, bundle_ch(model, bundle), "chi")
 
 
 # ----------------------------------------------------------------------
@@ -392,36 +393,6 @@ def _integer_echelon(rows, n: int):
     return out
 
 
-class PicardLattice:
-    """Integer relations between determinant classes, in reduced form."""
-
-    def __init__(self, symbols, relations):
-        self.symbols = [str(s) for s in symbols]
-        if len(set(self.symbols)) != len(self.symbols):
-            raise DomainError("duplicate symbols")
-        n = len(self.symbols)
-        self.relations = [
-            parse_linear_expr(r, self.symbols) if isinstance(r, str) else [int(x) for x in r]
-            for r in relations
-        ]
-        self.echelon = _integer_echelon(self.relations, n)
-
-    def contains(self, goal) -> tuple[bool, list[int]]:
-        """Is the goal vector in the integer span? Returns (flag, remainder)."""
-        if isinstance(goal, str):
-            goal = parse_linear_expr(goal, self.symbols)
-        g = [int(x) for x in goal]
-        if len(g) != len(self.symbols):
-            raise DomainError("goal vector length mismatch")
-        for col, row in self.echelon:
-            if g[col]:
-                q = g[col] // row[col]
-                if q:
-                    for i in range(len(g)):
-                        g[i] -= q * row[i]
-        return (not any(g), g)
-
-
 @dataclass(frozen=True)
 class DeduceReport:
     symbols: list
@@ -439,13 +410,30 @@ class DeduceReport:
 
 
 def picard_deduce(symbols, relations, goal) -> DeduceReport:
-    """Decide whether the goal relation follows by integer combination."""
-    lat = PicardLattice(symbols, relations)
-    goal_vec = parse_linear_expr(goal, lat.symbols) if isinstance(goal, str) else [
-        int(x) for x in goal
-    ]
-    ok, rem = lat.contains(goal_vec)
-    return DeduceReport(symbols=lat.symbols, goal=goal_vec, derivable=ok, remainder=rem)
+    """Decide whether the goal relation follows by integer combination.
+
+    Relations and the goal are integer vectors over the symbols, or strings
+    that ``parse_linear_expr`` reads. The relations are brought to integer
+    echelon form and the goal is reduced against the pivot rows; it follows
+    exactly when nothing remains.
+    """
+    symbols = [str(s) for s in symbols]
+    if len(set(symbols)) != len(symbols):
+        raise DomainError("duplicate symbols")
+
+    def vector(v):
+        return parse_linear_expr(v, symbols) if isinstance(v, str) else [int(x) for x in v]
+
+    echelon = _integer_echelon([vector(r) for r in relations], len(symbols))
+    goal_vec = vector(goal)
+    if len(goal_vec) != len(symbols):
+        raise DomainError("goal vector length mismatch")
+    rem = list(goal_vec)
+    for col, row in echelon:
+        q = rem[col] // row[col]
+        for i in range(len(rem)):
+            rem[i] -= q * row[i]
+    return DeduceReport(symbols=symbols, goal=goal_vec, derivable=not any(rem), remainder=rem)
 
 
 _TOKEN = re.compile(r"[A-Za-z_]\w*|\d+|\S")
@@ -521,11 +509,10 @@ def preset_relations(name: str):
     'elliptic': the same plus l2 = l1, which forces 12*l1 = 0.
     """
     symbols = ["l0", "l1", "l2"]
-    table = coeff_table(1)
+    # at L = O every lambda(L^t (x) Sym^j Omega) of the d = 1 combination is l_j
     power = [0, 0, 0]
-    power[0] += 16
-    for j, c in enumerate(table.entries):
-        power[j] -= c
+    for term in main_combo(1):
+        power[term.sym] += term.coeff
     serre = [1, -1, 0]
     if name == "mumford":
         return symbols, [power, serre]

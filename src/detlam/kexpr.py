@@ -488,8 +488,19 @@ def _subst(fs, exp, args):
     return [[_fs(pairs), exp]]
 
 
+def _integer(value, field: str) -> int:
+    """A number read from a script: a JSON integer, never a float, a string
+    or a bool."""
+    if type(value) is not int:
+        raise ScriptError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _descend(fs, exp, args):
-    mapping = {src: (dst, int(twd), int(sign)) for src, (dst, twd, sign) in args["map"].items()}
+    mapping = {
+        src: (dst, _integer(twd, "map twist"), _integer(sign, "map sign"))
+        for src, (dst, twd, sign) in args["map"].items()
+    }
     pairs = []
     for (factors, tw), c in fs.items():
         nf = []
@@ -550,7 +561,8 @@ def _push(fs, exp, args):
 
 
 def _collapse(fs, exp, args):
-    restrict, binder, base, k = args["restrict"], args["binder"], args["base"], int(args["k"])
+    restrict, binder, base = args["restrict"], args["binder"], args["base"]
+    k = _integer(args["k"], "cartier-collapse k")
     if not 0 <= k <= MAX_CHAIN_DIM:
         raise ScriptError(f"cartier-collapse needs 0 <= k <= MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
     if exp != 1:
@@ -663,6 +675,7 @@ class ChainStep:
     def __post_init__(self):
         if self.axiom not in AXIOMS:
             raise ScriptError(f"unknown axiom {self.axiom!r}")
+        _integer(self.position, "step position")
         if self.expected is None:
             raise ScriptError("every step carries its expected display")
 
@@ -787,7 +800,7 @@ def script_from_obj(obj: dict) -> ChainScript:
         steps = tuple(
             ChainStep(
                 axiom=rec["axiom"],
-                position=int(rec["position"]),
+                position=rec["position"],
                 args=_args_from_obj(rec.get("args", {})),
                 note=rec.get("note", ""),
                 expected=parse_expr(rec["expected"]),
@@ -1051,12 +1064,14 @@ MAX_CHAIN_DIM = 60
 
 
 def get_chain(name: str, dim: int = 1) -> ChainScript:
+    if name == "multadd-d1":
+        if dim != 1:
+            raise ScriptError(f"chain {name!r} exists only at dim = 1, got dim = {dim}")
+        return script_multadd_d1()
     if dim > MAX_CHAIN_DIM:
         raise ScriptError(f"dim = {dim} exceeds the ceiling MAX_CHAIN_DIM = {MAX_CHAIN_DIM}")
     if name == "invfunc-a-k":
         return script_invfunc_a_k(dim)
     if name == "invfunc-l-p":
         return script_invfunc_l_p(dim)
-    if name == "multadd-d1":
-        return script_multadd_d1()
     raise ScriptError(f"unknown chain {name!r}")

@@ -326,6 +326,59 @@ class TestModelCommands:
                 assert f"MAX_MODEL_DIM = {cap}" in err
         assert tables == []
 
+    @staticmethod
+    def _cube_model(k):
+        # k weight-one generators with g_i^3 = 0 over a point: dimension 2k
+        rules = [{"lead": [3 * (i == j) for j in range(k)], "replace": []} for i in range(k)]
+        return {
+            "name": f"cube{k}",
+            "generators": [{"name": f"g{i}", "weight": 1} for i in range(k)],
+            "relations": rules,
+            "rel_dim": 2 * k,
+            "total_dim": 2 * k,
+            "base_generators": [],
+            "point_class": [2] * k,
+        }
+
+    @pytest.mark.parametrize(
+        "case, fragment",
+        [("P256", "MAX_MODEL_DIM = 32"), ("cube10", "MAX_MODEL_WINDOW"), ("heavy", "degree")],
+    )
+    def test_model_file_ceilings(self, capsys, tmp_path, case, fragment):
+        if case == "P256":
+            obj = chowmodel.model_pn(1).to_obj()
+            obj.update(name="P256", total_dim=256, rel_dim=256, point_class=[256])
+            obj["relations"][0]["lead"] = [257]
+        elif case == "cube10":
+            obj = self._cube_model(10)  # 44 million monomials to validate
+        else:  # P1 with a generator g = 0 of weight 10^9
+            obj = {
+                "name": "heavy",
+                "generators": [{"name": "h", "weight": 1}, {"name": "g", "weight": 10**9}],
+                "relations": [{"lead": [2, 0], "replace": []}, {"lead": [0, 1], "replace": []}],
+                "rel_dim": 1,
+                "total_dim": 1,
+                "base_generators": [],
+                "point_class": [1, 0],
+            }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        line = ",".join("0" * len(obj["generators"]))
+        started = time.perf_counter()
+        err = run_usage_error(capsys, "euler", "--model-file", str(path), "--line", line)
+        assert time.perf_counter() - started < 1.0
+        assert err.count("\n") == 1 and fragment in err
+
+    def test_model_files_under_the_ceilings_load(self, capsys, tmp_path):
+        cap = chowmodel.MAX_MODEL_DIM
+        for model in (chowmodel.model_pn(cap), model_pn_x_pm(cap - 1, 1)):
+            obj = model.to_obj()
+            assert chowmodel.load_model(obj).to_obj() == obj
+        # six generators: 27,132 monomials in the window
+        path = tmp_path / "cube6.json"
+        path.write_text(json.dumps(self._cube_model(6)), encoding="utf-8")
+        assert chowmodel.load_model_file(str(path)).total_dim == 12
+
 
 class TestPicard:
     def test_preset_mumford_goal_holds(self, capsys):
@@ -590,6 +643,39 @@ class TestRewrite:
         path.write_text(json.dumps(obj), encoding="utf-8")
         code, rep = run_json(capsys, "rewrite", "--script", str(path), "--corrupt", "1")
         assert code == 1 and rep["name"] == "[1]#corrupt1" and rep["failed_step"] == 1
+
+    @pytest.mark.parametrize("dim", ["5", "0", "-3"])
+    def test_multadd_chain_exists_only_at_dim_one(self, capsys, dim):
+        started = time.perf_counter()
+        err = run_usage_error(capsys, "rewrite", "--chain", "multadd-d1", f"--dim={dim}")
+        assert time.perf_counter() - started < 1.0
+        assert err.count("\n") == 1 and "'multadd-d1'" in err
+
+    # one step, its start and expected display, and the field the error names;
+    # before script numbers were checked, each value was coerced to an integer
+    NON_INTEGERS = {
+        "position-float": ("cancel", 0.9, {}, "(lam A 1)", "step position"),
+        "position-bool": ("cancel", True, {}, "(prod (lam A 1) (lam A 1))", "step position"),
+        "twist-float": ("ideal-descent", 0, {"map": {"A": ["B", 0.5, 1]}}, "(lam B 1)", "map twist"),
+        "sign-string": ("ideal-descent", 0, {"map": {"A": ["B", 0, "1"]}}, "(lam B 1)", "map sign"),
+        "collapse-k-float": (
+            "cartier-collapse", 0, dict(COLLAPSE, k=1.0), "(lam A 1)", "cartier-collapse k"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+    def test_script_numbers_must_be_integers(self, capsys, tmp_path, case):
+        axiom, position, args, expected, field = self.NON_INTEGERS[case]
+        start = "(prod (lam A 1) (lam A 1))" if case == "position-bool" else "(lam A 1)"
+        step = {"axiom": axiom, "position": position, "args": args, "expected": expected}
+        path = tmp_path / "numbers.json"
+        obj = {"start": start, "end": expected, "steps": [step]}
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        started = time.perf_counter()
+        err = run_usage_error(capsys, "rewrite", "--script", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{field} must be an integer" in err
 
     def test_needs_chain_or_script(self, capsys):
         code, _ = run_cli(capsys, "rewrite")

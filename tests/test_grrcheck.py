@@ -11,7 +11,7 @@ from math import factorial
 
 import pytest
 
-from detlam import chowmodel
+from detlam import chowmodel, grrcheck
 from detlam.charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch, sym_ch_table
 from detlam.chowmodel import (
     BundleClass,
@@ -23,7 +23,6 @@ from detlam.chowmodel import (
 from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable
 from detlam.grrcheck import (
     ComboTerm,
-    PicardLattice,
     c1_lambda,
     deligne_combo_d1,
     ducrot_defect,
@@ -404,21 +403,19 @@ def test_euler_char_line_combo():
 
 
 def test_picard_deduction_chain_frozen():
-    lat = PicardLattice(["l0", "l1", "l2"], [[9, 4, -1], [1, -1, 0]])
-    ok, rem = lat.contains([0, 13, -1])
-    assert ok and not any(rem)
-    ok, rem = lat.contains([0, 12, 0])
-    assert not ok
-    lat2 = PicardLattice(["l0", "l1", "l2"], [[9, 4, -1], [1, -1, 0], [0, 1, -1]])
-    ok, _ = lat2.contains([0, 12, 0])
-    assert ok
+    symbols = ["l0", "l1", "l2"]
+    rep = picard_deduce(symbols, [[9, 4, -1], [1, -1, 0]], [0, 13, -1])
+    assert rep.derivable and not any(rep.remainder)
+    assert not picard_deduce(symbols, [[9, 4, -1], [1, -1, 0]], [0, 12, 0]).derivable
+    rep = picard_deduce(symbols, [[9, 4, -1], [1, -1, 0], [0, 1, -1]], [0, 12, 0])
+    assert rep.derivable
 
 
 def test_picard_integer_vs_rational_span():
-    lat = PicardLattice(["x", "y"], [[2, 0]])
-    assert not lat.contains([1, 0])[0]
-    assert lat.contains([4, 0])[0]
-    assert not lat.contains([0, 1])[0]
+    relations = [[2, 0]]
+    assert not picard_deduce(["x", "y"], relations, [1, 0]).derivable
+    assert picard_deduce(["x", "y"], relations, [4, 0]).derivable
+    assert not picard_deduce(["x", "y"], relations, [0, 1]).derivable
 
 
 def test_picard_deduce_reports():
@@ -445,6 +442,27 @@ def test_preset_relations_match_table():
     assert [0, 1, -1] in relations_e
 
 
+def test_model_check_and_presets_read_main_combo(monkeypatch):
+    # both settings take their coefficients from main_combo: scaling its
+    # rows scales the model check's rows and the preset's exponent relation
+    original = grrcheck.main_combo
+
+    def scaled(d, allow_degenerate=False):
+        head, *rows = original(d, allow_degenerate)
+        return (head, *(ComboTerm(3 * t.coeff, t.twist, t.sym, t.dual) for t in rows))
+
+    model = model_pn_x_pm(1, 1)
+    before = verify_main_on_model(model, {"h": 1, "s": 1})
+    monkeypatch.setattr(grrcheck, "main_combo", scaled)
+    after = verify_main_on_model(model, {"h": 1, "s": 1})
+    assert after.rhs_rows == tuple((j, 3 * c, deg) for j, c, deg in before.rhs_rows)
+    assert after.rhs == 3 * before.rhs == 96
+    assert (after.lhs_exponent, after.lhs) == (before.lhs_exponent, before.lhs) == (16, 32)
+    assert not after.ok
+    symbols, relations = preset_relations("mumford")
+    assert relations == [[16 - 3 * 7, 3 * 4, -3], [1, -1, 0]]
+
+
 def test_parse_linear_expr():
     sym = ["l0", "l1", "l2"]
     assert parse_linear_expr("13*l1 - l2", sym) == [0, 13, -1]
@@ -462,8 +480,7 @@ def test_relation_sets_do_not_merge_formally():
     symbols = ["lL", "lO", "lL2", "lL2O", "lL2O2", "lLOd", "lL2Od"]
     deligne = [[18, -18, 0, 0, 0, 6, -6]]
     main = [16, 0, -7, 4, -1, 0, 0]
-    lat = PicardLattice(symbols, deligne)
-    assert not lat.contains(main)[0]
+    assert not picard_deduce(symbols, deligne, main).derivable
 
 
 # ----------------------------------------------------------------------
