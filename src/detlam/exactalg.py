@@ -38,7 +38,10 @@ in the package work on the packed form directly: ``charclass.adams_rescale``
 ``todd_from_chern`` (through ``_power_sums``, Newton's recurrence on
 integer numerators, and ``_combine``, a weighted sum over one common
 denominator), and ``ChowModel.normal_form`` (through ``_num``, ``_den``,
-``_lay`` and ``_reduced``).
+``_lay`` and ``_reduced``). ``inverse`` has no product caller, since the
+quotient lab divides its integer series itself; it stays because the
+benchmark's span tracer (``perfbench/tracer.py``) wraps it by name and the
+quotient-lab tests use it in their oracle route.
 
 ``inverse`` and ``exp`` never multiply whole series. They split the input f
 once into weighted-degree components f_0..f_bound and build the result g one

@@ -6,13 +6,16 @@ involution negates the odd-parity variables. The invariant subalgebra R0
 is spanned by the monomials of even total parity, and its Hilbert series
 is the average of the plain series with the sign-twisted one.
 
-Both series are built on an integer coefficient list c_0..c_bound, starting
-from c = 1. Dividing by 1 - s*t^d (one variable of degree d, with s = -1 for
-an odd variable in the sign-twisted series and s = +1 otherwise) is the
-recurrence c_n += s*c_{n-d}, run in place for n = d..bound in increasing
-order, so c_{n-d} is already divided when it is read. The window never
+Every series here is a list of integer coefficients c_0..c_bound. The plain
+and the sign-twisted series start from c = 1. Dividing by 1 - s*t^d (one
+variable of degree d, with s = -1 for an odd variable in the sign-twisted
+series and s = +1 otherwise) is the recurrence c_n += s*c_{n-d}, run in
+place for n = d..bound in increasing order, so c_{n-d} is already divided
+when it is read. Their sum is even term by term (the two series differ by
+twice the count of odd-parity monomials), so the series of R0 is the sum
+halved exactly; an odd term is an error, never rounded. The window never
 exceeds ``MAX_BOUND``; a larger bound is a ``DomainError`` raised before any
-list is allocated.
+list is allocated. An algebra has at most ``MAX_VARIABLES`` variables.
 
 ``flatness_verdict`` decides whether R is a free R0-module by exact
 power-series division inside a finite window:
@@ -25,13 +28,29 @@ power-series division inside a finite window:
   (FREE);
 * otherwise the window is too small to decide (INCONCLUSIVE), which is
   reported rather than guessed.
+
+The ratio r = HS_R / HS_{R0} is one exact division. The constant term of
+HS_{R0} is inv_0 = 1, so r_n = hs_n - sum_{k=1..n} inv_k r_{n-k} divides by
+no coefficient and every r_n is an integer (Knuth, The Art of Computer
+Programming, vol. 2, section 4.7). The candidate basis has the Hilbert series
+prod(1 + t^d_v) over the odd variables v, folded into a list one factor at a
+time: c_n += c_{n-d} for n = bound..d in decreasing order, so that c_{n-d}
+still holds the value before this factor. The defect test compares the
+truncated convolution of that series with HS_{R0} against HS_R. It never
+reads the ratio, so a FREE verdict is checked by multiplication, apart from
+the division. The basis labels, one per subset of the odd variables, are
+listed only for a FREE verdict; R is free over R0 only when R0 is a
+polynomial ring, which for a sign involution means at most one odd variable
+(Stanley, "Invariants of finite groups and their applications to
+combinatorics", Bull. AMS 1, 1979, sections 3-4).
 """
 
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, mul
 
-from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable
+from .exactalg import DomainError, StructureError
 
 __all__ = [
     "GradedAlgebra",
@@ -40,23 +59,27 @@ __all__ = [
     "hilbert_series",
     "signed_hilbert_series",
     "invariants_hs",
-    "series_coefficients",
     "fixed_ideal",
     "conormal_degree_zero",
     "flatness_verdict",
     "quotient_report",
     "DEFAULT_BOUND",
     "MAX_BOUND",
+    "MAX_VARIABLES",
 ]
 
 DEFAULT_BOUND = 40
-# Ceiling on the series window. The division and the series inverse are
-# quadratic in the bound; the slowest 4-variable algebras measured at the
-# ceiling take 1.6-1.8 s on a 2-core host.
-MAX_BOUND = 500
+# Ceilings on the series window and the variable count, measured together
+# with `detlam quotient` (JSON output, 2-core host): the slowest algebras
+# found at both ceilings, 64 variables of degree 1-2 nearly all odd, take
+# 1.5-2.1 s; 4- and 8-variable algebras at bound 1,500 take 0.2-0.5 s. The
+# ratio's coefficients grow geometrically, faster with more odd variables;
+# at both ceilings the largest has about 2,400 digits, under the 4,300 that
+# Python converts to text by default.
+MAX_BOUND = 1500
+MAX_VARIABLES = 64
 
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
-_T = VarTable(("t",))
 
 
 @dataclass(frozen=True)
@@ -69,6 +92,10 @@ class GradedAlgebra:
         raw = tuple(self.variables)
         if not raw:
             raise StructureError("need at least one variable")
+        if len(raw) > MAX_VARIABLES:
+            raise StructureError(
+                f"{len(raw)} variables exceed the ceiling MAX_VARIABLES = {MAX_VARIABLES}"
+            )
         seen = set()
         vars_ = []
         for rec in raw:
@@ -116,49 +143,43 @@ class GradedAlgebra:
         return cls(tuple(variables))
 
 
-def _divided_hs(algebra: GradedAlgebra, bound: int, signed: bool) -> TruncatedSeries:
+def _divided_hs(algebra: GradedAlgebra, bound: int, signed: bool) -> list[int]:
     """1 / prod(1 - s_v t^d_v) over the variables v, with s_v = -1 for an odd
     variable when ``signed`` and +1 otherwise, by in-place division."""
     if bound > MAX_BOUND:
         raise DomainError(f"bound {bound} exceeds the ceiling MAX_BOUND = {MAX_BOUND}")
+    if not isinstance(bound, int) or bound < 0:
+        raise StructureError("bound must be a nonnegative int")
     coeffs = [1] + [0] * bound
     for _name, degree, parity in algebra.variables:
         sign = -1 if signed and parity else 1
         for n in range(degree, bound + 1):
             coeffs[n] += sign * coeffs[n - degree]
-    return TruncatedSeries(_T, bound, {(n,): c for n, c in enumerate(coeffs)})
+    return coeffs
 
 
-def hilbert_series(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> TruncatedSeries:
-    """Hilbert series of the full polynomial algebra."""
+def hilbert_series(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> list[int]:
+    """Hilbert series of the full polynomial algebra, c_0..c_bound."""
     return _divided_hs(algebra, bound, signed=False)
 
 
-def signed_hilbert_series(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> TruncatedSeries:
+def signed_hilbert_series(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> list[int]:
     """Trace series of the involution: odd variables contribute 1/(1+t^d)."""
     return _divided_hs(algebra, bound, signed=True)
 
 
 def invariants_hs(
-    algebra: GradedAlgebra, bound: int = DEFAULT_BOUND, hs: TruncatedSeries | None = None
-) -> TruncatedSeries:
+    algebra: GradedAlgebra, bound: int = DEFAULT_BOUND, hs: list[int] | None = None
+) -> list[int]:
     """Hilbert series of the even-parity subalgebra R0: the average of the
     plain series of R and the sign-twisted series. A caller that has already
     built the plain series at this bound passes it as ``hs``."""
     if hs is None:
         hs = hilbert_series(algebra, bound)
-    return (hs + signed_hilbert_series(algebra, bound)).scale(Rational(1, 2))
-
-
-def series_coefficients(series: TruncatedSeries) -> list[int]:
-    """Integer coefficient list [c_0, ..., c_bound]; rejects non-integers."""
-    out = []
-    for k in range(series.bound + 1):
-        c = series.coefficient((k,))
-        if c.denominator != 1:
-            raise DomainError(f"non-integer coefficient at degree {k}")
-        out.append(int(c))
-    return out
+    total = list(map(add, hs, signed_hilbert_series(algebra, bound)))
+    if any(c % 2 for c in total):
+        raise DomainError("the plain and signed series differ by an odd coefficient")
+    return [c // 2 for c in total]
 
 
 @dataclass(frozen=True)
@@ -212,7 +233,7 @@ def _candidate_basis(algebra: GradedAlgebra) -> list[tuple[int, str]]:
     return out
 
 
-def _series_pair(algebra: GradedAlgebra, bound: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+def _series_pair(algebra: GradedAlgebra, bound: int) -> tuple[list[int], list[int]]:
     """The Hilbert series of R and of R0 at a checked bound, each built once."""
     if not isinstance(bound, int) or bound < 1:
         raise DomainError("bound must be a positive int")
@@ -225,13 +246,14 @@ def flatness_verdict(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> Flat
     return _verdict(algebra, bound, *_series_pair(algebra, bound))
 
 
-def _verdict(
-    algebra: GradedAlgebra, bound: int, hs: TruncatedSeries, inv: TruncatedSeries
-) -> FlatnessReport:
+def _verdict(algebra: GradedAlgebra, bound: int, hs: list[int], inv: list[int]) -> FlatnessReport:
     """``flatness_verdict`` from the Hilbert series ``hs`` of R and ``inv``
-    of R0."""
-    ratio = hs * inv.inverse()
-    coeffs = tuple(series_coefficients(ratio))
+    of R0, both c_0..c_bound with ``inv[0] == 1``."""
+    # r_n = hs_n - sum_{k=1..n} inv_k r_{n-k}, with r_{n-1}, ..., r_0 newest first
+    newest_first, tail = [], inv[1:]
+    for c in hs:
+        newest_first.insert(0, c - sum(map(mul, tail, newest_first)))
+    coeffs = tuple(reversed(newest_first))
 
     for k in range(bound):
         if coeffs[k] < 0:
@@ -246,24 +268,26 @@ def _verdict(
                 "non-negative coefficients",
             )
 
-    basis = _candidate_basis(algebra)
     cap = sum(d for _n, d, _p in algebra.odd_variables)
-    candidate = TruncatedSeries.from_terms(
-        _T, bound, (((deg,), 1) for deg, _label in basis)
+    candidate = [1] + [0] * bound
+    for _name, degree, _parity in algebra.odd_variables:
+        for n in range(bound, degree - 1, -1):
+            candidate[n] += candidate[n - degree]
+    matches = all(
+        sum(map(mul, candidate[: n + 1], inv[n::-1])) == c for n, c in enumerate(hs)
     )
-    defect = candidate * inv - hs
-    if defect.is_zero() and 2 * cap < bound:
+    if matches and 2 * cap < bound:
         return FlatnessReport(
             "FREE",
             bound,
             coeffs,
-            tuple(label for _deg, label in basis),
+            tuple(label for _deg, label in _candidate_basis(algebra)),
             None,
             True,
             "candidate basis reproduces the Hilbert series; the window "
             "exceeds twice the total odd degree, forcing the identity",
         )
-    if defect.is_zero():
+    if matches:
         note = "window too small to certify the candidate basis"
     else:
         note = "candidate basis does not match inside the window"
@@ -278,8 +302,8 @@ def quotient_report(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> dict:
     return {
         "variables": [list(v) for v in algebra.variables],
         "bound": bound,
-        "hs_R": series_coefficients(hs),
-        "hs_R0": series_coefficients(inv),
+        "hs_R": hs,
+        "hs_R0": inv,
         "ratio": list(rep.ratio_coeffs),
         "verdict": rep.verdict,
         "basis": list(rep.basis) if rep.basis is not None else None,

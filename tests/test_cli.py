@@ -17,7 +17,7 @@ from detlam import chowmodel, cli, combinat, grrcheck, kexpr
 from detlam.chowmodel import model_pn_x_pm
 from detlam.cli import main
 from detlam.kexpr import MAX_NESTING
-from detlam.quotientlab import MAX_BOUND
+from detlam.quotientlab import MAX_BOUND, MAX_VARIABLES
 
 
 def run_cli(capsys, *argv):
@@ -719,6 +719,24 @@ class TestQuotient:
         for bound in (MAX_BOUND + 1, 10**12):
             err = run_usage_error(capsys, "quotient", "--vars", "x:1:odd", "--bound", str(bound))
             assert f"MAX_BOUND = {MAX_BOUND}" in err
+
+    def test_many_odd_variables_stay_fast(self, capsys):
+        spec = ",".join(f"x{i}:100:odd" for i in range(40))
+        start = time.perf_counter()
+        code, obj = run_json(capsys, "quotient", "--vars", spec, "--bound", "40")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and obj["verdict"] == "INCONCLUSIVE"
+
+    def test_variable_ceiling(self, capsys):
+        spec = ",".join(f"x{i}:1:even" for i in range(MAX_VARIABLES))
+        code, obj = run_json(capsys, "quotient", "--vars", spec)
+        assert code == 0 and len(obj["variables"]) == MAX_VARIABLES
+        for n in (MAX_VARIABLES + 1, 5000):
+            spec = ",".join(f"x{i}:1:odd" for i in range(n))
+            start = time.perf_counter()
+            err = run_usage_error(capsys, "quotient", "--vars", spec, "--bound", str(MAX_BOUND))
+            assert time.perf_counter() - start < 1.0
+            assert f"MAX_VARIABLES = {MAX_VARIABLES}" in err
 
 
 class TestVerifyAll:

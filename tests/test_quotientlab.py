@@ -3,21 +3,25 @@
 The oracle counts monomials by (degree, parity) directly, one variable at a
 time, and every series-level claim is checked against those counts. A second
 oracle enumerates every exponent vector in the window and shares no code with
-either the library or the first oracle.
+either the library or the first oracle. ``oracle_report`` recomputes whole
+verdicts on ``TruncatedSeries``: a series inverse and products instead of the
+library's integer-list division and convolution.
 """
 
 import json
 import random
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detlam.exactalg import DomainError, StructureError
+from detlam.exactalg import DomainError, StructureError, TruncatedSeries, VarTable
 from detlam.quotientlab import (
     FixedIdeal,
     FlatnessReport,
     MAX_BOUND,
+    MAX_VARIABLES,
     GradedAlgebra,
     conormal_degree_zero,
     fixed_ideal,
@@ -25,7 +29,6 @@ from detlam.quotientlab import (
     hilbert_series,
     invariants_hs,
     quotient_report,
-    series_coefficients,
     signed_hilbert_series,
 )
 
@@ -117,6 +120,13 @@ class TestGradedAlgebra:
         b = GradedAlgebra.from_spec("u:3:1")
         assert b.variables == (("u", 3, 1),)
 
+    def test_variable_ceiling(self):
+        at_cap = alg(*((f"x{i}", 1, i % 2) for i in range(MAX_VARIABLES)))
+        assert len(at_cap.variables) == MAX_VARIABLES
+        for n in (MAX_VARIABLES + 1, 5000):
+            with pytest.raises(StructureError, match=f"MAX_VARIABLES = {MAX_VARIABLES}"):
+                alg(*((f"x{i}", 1, 1) for i in range(n)))
+
     def test_from_spec_rejects(self):
         for text in ["", "x", "x:1", "x:1:odd:extra", "x:0:odd", "x:1:maybe"]:
             with pytest.raises(StructureError):
@@ -126,29 +136,29 @@ class TestGradedAlgebra:
 class TestHilbertSeries:
     def test_single_odd_variable_invariants(self):
         a = alg(("x", 1, 1))
-        got = series_coefficients(invariants_hs(a, bound=8))
+        got = invariants_hs(a, bound=8)
         assert got == [1, 0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_odd_plus_even_invariants(self):
         a = alg(("x", 1, 1), ("y", 1, 0))
-        got = series_coefficients(invariants_hs(a, bound=5))
+        got = invariants_hs(a, bound=5)
         assert got == [1, 1, 2, 2, 3, 3]
 
     def test_two_odd_invariants(self):
         a = alg(("x", 1, 1), ("y", 1, 1))
-        got = series_coefficients(invariants_hs(a, bound=6))
+        got = invariants_hs(a, bound=6)
         assert got == [1, 0, 3, 0, 5, 0, 7]
 
     def test_full_series_is_monomial_count(self):
         a = alg(("x", 1, 1), ("y", 2, 0), ("z", 3, 1))
         even, odd = monomial_counts(a.variables, 12)
-        got = series_coefficients(hilbert_series(a, bound=12))
+        got = hilbert_series(a, bound=12)
         assert got == [e + o for e, o in zip(even, odd)]
 
     def test_signed_series_is_trace(self):
         a = alg(("x", 1, 1), ("y", 2, 0))
         even, odd = monomial_counts(a.variables, 10)
-        got = series_coefficients(signed_hilbert_series(a, bound=10))
+        got = signed_hilbert_series(a, bound=10)
         assert got == [e - o for e, o in zip(even, odd)]
 
     @settings(max_examples=60, deadline=None)
@@ -156,14 +166,19 @@ class TestHilbertSeries:
     def test_parity_decomposition_randomized(self, a):
         bound = 20
         even, odd = monomial_counts(a.variables, bound)
-        assert series_coefficients(invariants_hs(a, bound)) == even
+        assert invariants_hs(a, bound) == even
         total = hilbert_series(a, bound)
-        odd_part = total - invariants_hs(a, bound)
-        assert series_coefficients(odd_part) == odd
+        odd_part = [t - e for t, e in zip(total, invariants_hs(a, bound))]
+        assert odd_part == odd
 
     def test_default_bound(self):
         s = hilbert_series(alg(("x", 1, 1)))
-        assert s.bound == 40
+        assert len(s) == 41
+
+    def test_negative_bound_rejected(self):
+        for fn in (hilbert_series, signed_hilbert_series, invariants_hs):
+            with pytest.raises(StructureError, match="nonnegative"):
+                fn(alg(("x", 1, 1)), -1)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_enumerated_monomials(self, seed):
@@ -171,8 +186,8 @@ class TestHilbertSeries:
         bound = 6 + seed % 7
         plain, signed = enumerated_counts(variables, bound)
         a = alg(*variables)
-        assert series_coefficients(hilbert_series(a, bound)) == plain
-        assert series_coefficients(signed_hilbert_series(a, bound)) == signed
+        assert hilbert_series(a, bound) == plain
+        assert signed_hilbert_series(a, bound) == signed
 
 
 class TestFixedIdeal:
@@ -268,13 +283,23 @@ class TestFlatness:
         for m in rep.basis:
             deg = 0 if m == "1" else dict((n, d) for n, d, _ in a.variables)[m]
             b_poly[deg] += 1
-        inv = series_coefficients(invariants_hs(a, bound))
-        total = series_coefficients(hilbert_series(a, bound))
+        inv = invariants_hs(a, bound)
+        total = hilbert_series(a, bound)
         conv = [
             sum(b_poly[i] * inv[n - i] for i in range(n + 1))
             for n in range(bound + 1)
         ]
         assert conv == total
+
+    def test_many_odd_variables_stay_fast(self):
+        # the candidate basis has 2**40 members; only a FREE verdict lists them
+        a = alg(*((f"x{i}", 100, 1) for i in range(40)))
+        start = time.perf_counter()
+        rep = flatness_verdict(a, bound=40)
+        assert time.perf_counter() - start < 0.5
+        assert rep.verdict == "INCONCLUSIVE"
+        assert rep.note == "window too small to certify the candidate basis"
+        assert rep.ratio_coeffs == (1,) + (0,) * 40
 
     def test_one_hilbert_series_per_verdict(self, monkeypatch):
         from detlam import quotientlab
@@ -290,7 +315,7 @@ class TestFlatness:
         rep = flatness_verdict(a, bound=12)
         assert built == [12]
         assert rep.verdict == "FREE" and rep.ratio_coeffs == (1, 1) + (0,) * 11
-        assert series_coefficients(invariants_hs(a, 12)) == monomial_counts(a.variables, 12)[0]
+        assert invariants_hs(a, 12) == monomial_counts(a.variables, 12)[0]
 
     def test_one_hilbert_series_per_report(self, monkeypatch):
         from detlam import quotientlab
@@ -327,6 +352,80 @@ class TestFlatness:
         a = alg(("x", 1, 1), ("y", 2, 0))
         assert flatness_verdict(a) == flatness_verdict(a)
         assert quotient_report(a) == quotient_report(a)
+
+
+_T = VarTable(("t",))
+
+
+def oracle_report(a, bound):
+    """The series-object route: hs and inv as ``TruncatedSeries`` from the
+    monomial counts, the ratio as ``hs * inv.inverse()``, the candidate basis
+    enumerated subset by subset, and the defect ``candidate * inv - hs``."""
+    even, odd = monomial_counts(a.variables, bound)
+    hs = TruncatedSeries(_T, bound, {(n,): e + o for n, (e, o) in enumerate(zip(even, odd))})
+    inv = TruncatedSeries(_T, bound, {(n,): e for n, e in enumerate(even)})
+    ratio = hs * inv.inverse()
+    fractions = [ratio.coefficient((n,)) for n in range(bound + 1)]
+    assert all(c.denominator == 1 for c in fractions)
+    coeffs = tuple(int(c) for c in fractions)
+    for k in range(bound):
+        if coeffs[k] < 0:
+            return FlatnessReport(
+                "NOT-FREE",
+                bound,
+                coeffs,
+                None,
+                {"degree": k, "coefficient": coeffs[k]},
+                True,
+                "a free module's ratio series has the basis degrees as non-negative coefficients",
+            )
+    odd_vars = a.odd_variables
+    basis = sorted(
+        (sum(d for _n, d, _p in subset), "*".join(n for n, _d, _p in subset) or "1")
+        for r in range(len(odd_vars) + 1)
+        for subset in combinations(odd_vars, r)
+    )
+    candidate = TruncatedSeries.from_terms(_T, bound, (((deg,), 1) for deg, _label in basis))
+    matches = (candidate * inv - hs).is_zero()
+    if matches and 2 * sum(d for _n, d, _p in odd_vars) < bound:
+        return FlatnessReport(
+            "FREE",
+            bound,
+            coeffs,
+            tuple(label for _deg, label in basis),
+            None,
+            True,
+            "candidate basis reproduces the Hilbert series; the window exceeds "
+            "twice the total odd degree, forcing the identity",
+        )
+    if matches:
+        note = "window too small to certify the candidate basis"
+    else:
+        note = "candidate basis does not match inside the window"
+    return FlatnessReport("INCONCLUSIVE", bound, coeffs, None, None, False, note)
+
+
+class TestSeriesRouteOracle:
+    """The integer-list verdict against the series-object route it replaced:
+    ratio, verdict, witness, basis, certified flag and note all equal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_algebras(), st.integers(1, 60))
+    def test_matches_series_route(self, a, bound):
+        assert flatness_verdict(a, bound) == oracle_report(a, bound)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_series_route_seeded(self, seed):
+        a = alg(*seeded_algebra(seed))
+        for bound in (2, 9, 60):
+            assert flatness_verdict(a, bound) == oracle_report(a, bound)
+
+    def test_oracle_sees_every_verdict(self):
+        verdicts = {
+            oracle_report(alg(*v), 40).verdict
+            for v in [(("x", 1, 1),), (("x", 1, 1), ("y", 1, 1)), (("x", 30, 1), ("y", 30, 1))]
+        }
+        assert verdicts == {"FREE", "NOT-FREE", "INCONCLUSIVE"}
 
 
 class TestConormal:
@@ -386,3 +485,12 @@ class TestQuotientReport:
             for fn in (hilbert_series, signed_hilbert_series, flatness_verdict, quotient_report):
                 with pytest.raises(DomainError, match=f"MAX_BOUND = {MAX_BOUND}"):
                     fn(a, bound)
+
+    def test_largest_ratio_prints_at_both_ceilings(self):
+        # odd variables of degree 1 grow the ratio fastest; JSON output needs
+        # every coefficient within Python's default int-to-text digit limit
+        a = alg(*((f"x{i}", 1, 1) for i in range(MAX_VARIABLES)))
+        obj = quotient_report(a, bound=MAX_BOUND)
+        assert obj["verdict"] == "NOT-FREE"
+        assert 2000 < len(str(max(obj["ratio"], key=abs))) < 4300
+        json.dumps(obj)
