@@ -7,6 +7,17 @@ carries the data a verification needs: relative and total dimension, marked
 base generators for family models, the total Chern class of the relative
 tangent sheaf, and the point class that normalizes integration.
 
+Integration is the intersection pairing A^k x A^(n-k) -> A^n = Q, n =
+total_dim (Fulton, *Intersection Theory*, 1984, section 19.1): the integral
+of a product a b is the sum, over the term pairs of a and b whose weighted
+degrees add to n, of the coefficient product times the integral of the
+product monomial. Rules are homogeneous, so only the degree-n part of a b
+reaches the point class, and the lower degrees are never multiplied or
+reduced. The integral of every degree-n monomial is read once, while
+validation reduces it, into a table from packed key to point-class
+coefficient. Schubert2 (Macaulay2) and Katz & Stromme's "Schubert"
+integrate by the same top-degree reading.
+
 Built-in presentations:
 
 * ``model_pn(n)``: projective n-space over a point.
@@ -240,6 +251,8 @@ class ChowModel:
             raise ModelError("point class must have degree total_dim")
         if not self._is_normal(pt):
             raise ModelError("point class must be in normal form")
+        lay = self.vars._layout(self.total_dim)
+        top = {}
         for exps in _exponents_of_degree(self.vars.weights, self.total_dim):
             nf = self._reduce_monomial(exps)
             if any(e != pt for e in nf):
@@ -247,6 +260,11 @@ class ChowModel:
                     f"degree-{self.total_dim} monomial {exps} is not a multiple "
                     "of the point class"
                 )
+            top[lay.key(exps)] = nf.get(pt, Rational(0))
+        # the integral of each degree-total_dim monomial, by packed key, as
+        # an integer numerator over the one denominator _top_den
+        self._top_den = den = reduce(lcm, (c.denominator for c in top.values()), 1)
+        self._top = {k: c.numerator * (den // c.denominator) for k, c in top.items()}
         return pt
 
     def _check_tangent(self, tangent):
@@ -320,6 +338,10 @@ class ChowModel:
             s = s + self.gen(gname).scale(a)
         return s
 
+    def _check_ring(self, series: TruncatedSeries):
+        if series.vars != self.vars or series.bound != self.total_dim:
+            raise ModelError("series lives in a different ring")
+
     def normal_form(self, series: TruncatedSeries) -> TruncatedSeries:
         """Reduce every term of a series of the model's ring, truncated at
         total_dim.
@@ -328,8 +350,7 @@ class ChowModel:
         of each monomial is cached as integer numerators over packed keys
         and one denominator.
         """
-        if series.vars != self.vars or series.bound != self.total_dim:
-            raise ModelError("series lives in a different ring")
+        self._check_ring(series)
         lay = series._lay
         cache = self._packed_nf
         images = []
@@ -370,10 +391,35 @@ class ChowModel:
             self._cotangent_sym = tuple(sym_ch_table(ch, 2 * self.rel_dim))
         return self._cotangent_sym
 
-    def integrate(self, series: TruncatedSeries) -> Rational:
-        """Coefficient of the point class in the normal form."""
-        nf = self.normal_form(series)
-        return nf.coefficient(self.point_class)
+    def integrate(self, a: TruncatedSeries, b: TruncatedSeries | None = None) -> Rational:
+        """The integral of a b over the model (b = 1 when omitted), by the
+        top-degree pairing of the module docstring.
+
+        On packed keys the product of two monomials is the sum of their
+        keys, and its degree is total_dim exactly when their degrees add to
+        it, so each such pair reads its integral from the table filled at
+        validation. Reduction is linear and keeps degree, so the pairing is
+        exact on any two series of the model's ring, in normal form or not.
+
+        >>> m = model_pn_x_pm(1, 1)
+        >>> m.integrate(m.gen("h"), m.gen("s"))
+        Fraction(1, 1)
+        >>> m.integrate(m.gen("h"))
+        Fraction(0, 1)
+        """
+        if b is None:
+            b = self.one()
+        self._check_ring(a)
+        self._check_ring(b)
+        top, shift, n = self._top, a._lay.dshift, self.total_dim
+        by_degree: list[list] = [[] for _ in range(n + 1)]
+        for kb, vb in b._num.items():
+            by_degree[kb >> shift].append((kb, vb))
+        num = 0
+        for ka, va in a._num.items():
+            for kb, vb in by_degree[n - (ka >> shift)]:
+                num += va * vb * top[ka + kb]
+        return Rational(num, a._den * b._den * self._top_den)
 
     # ------------------------------------------------------------------
     # serialization

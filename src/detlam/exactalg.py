@@ -31,17 +31,18 @@ Pearce, "Sparse polynomial division using a heap", JSC 46, 2011).
   the window, since every later partner has a larger key.
 
 The public surface reads the packed form back: ``terms`` is an exponents ->
-``Fraction`` view whose length is the stored term count, and
-``coefficient``, ``to_obj`` and ``repr`` unpack on demand. These callers
-in the package work on the packed form directly: ``charclass.adams_rescale``
-(through ``_graded_scale``), ``charclass.power_sums``, ``ch_from_chern`` and
+``Fraction`` view whose length is the stored term count, and ``to_obj``
+and ``repr`` unpack on demand. These callers in the package work on the
+packed form directly: ``charclass.adams_rescale`` (through
+``_graded_scale``), ``charclass.power_sums``, ``ch_from_chern`` and
 ``todd_from_chern`` (through ``_power_sums``, Newton's recurrence on
 integer numerators, and ``_combine``, a weighted sum over one common
-denominator), and ``ChowModel.normal_form`` (through ``_num``, ``_den``,
-``_lay`` and ``_reduced``). ``inverse`` has no product caller, since the
-quotient lab divides its integer series itself; it stays because the
-benchmark's span tracer (``perfbench/tracer.py``) wraps it by name and the
-quotient-lab tests use it in their oracle route.
+denominator), ``ChowModel.normal_form`` (through ``_num``, ``_den``,
+``_lay`` and ``_reduced``) and ``ChowModel.integrate`` (through ``_num``,
+``_den`` and the degree field of ``_lay``). ``inverse`` has no product
+caller, since the quotient lab divides its integer series itself; it
+stays because the benchmark's span tracer (``perfbench/tracer.py``) wraps
+it by name and the quotient-lab tests use it in their oracle route.
 
 ``inverse`` and ``exp`` never multiply whole series. They split the input f
 once into weighted-degree components f_0..f_bound and build the result g one
@@ -64,7 +65,7 @@ Examples
 >>> y = TruncatedSeries.gen(vt, 3, "y")
 >>> (x + y).exp() == x.exp() * y.exp()
 True
->>> (TruncatedSeries.one(vt, 3) - x).inverse().coefficient((2, 0))
+>>> (TruncatedSeries.one(vt, 3) - x).inverse().terms[(2, 0)]
 Fraction(1, 1)
 """
 
@@ -317,10 +318,6 @@ class TruncatedSeries:
         view = _blank(_Terms)
         _set_series(view, self)
         return view
-
-    def coefficient(self, exponents) -> Rational:
-        num = self._num.get(self._lay.key(tuple(exponents)))
-        return Rational(num, self._den) if num else Rational(0)
 
     @property
     def constant_term(self) -> Rational:

@@ -15,8 +15,12 @@ characters of the cotangent sheaf from one ``sym_ch_table``:
   total space, and the exponent identity is checked as exact integers.
   Every model degree (each term of the identity, ``c1_lambda`` and
   ``euler_char``) is that one integral, computed by ``_degree``, which also
-  checks that it is an integer. The Sym^j characters come from the model's
-  cached table (``ChowModel.cotangent_sym_table``).
+  checks that it is an integer. ``_degree`` pairs ch with Td(T_f) by
+  ``ChowModel.integrate``, the top-degree intersection pairing: only the
+  term pairs whose degrees add to the total dimension are multiplied, and
+  nothing is reduced, so a row's product ch(L^t) ch(Sym^j Omega) is paired
+  as it is. The Sym^j characters come from the model's cached table
+  (``ChowModel.cotangent_sym_table``).
 
 Integer lattice deductions about determinant classes (divisibility and
 torsion consequences) are handled by Hermite-style integer row reduction,
@@ -262,8 +266,12 @@ def bundle_ch(model: ChowModel, bundle: BundleClass) -> TruncatedSeries:
 
 def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
     """The integral of ch Td(T_f) over the total space, checked to be an
-    integer: the one route from a Chern character to a model degree."""
-    value = model.integrate(ch * todd_from_chern(model.tangent_chern))
+    integer: the one route from a Chern character to a model degree.
+
+    It is the top-degree pairing ``ChowModel.integrate(ch, Td)``, exact
+    whether or not ch is in normal form; the product ch Td is never formed.
+    """
+    value = model.integrate(ch, todd_from_chern(model.tangent_chern))
     if value.denominator != 1:
         raise DomainError(f"{what} came out non-integral ({value}); model data inconsistent")
     return int(value)
@@ -321,6 +329,8 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     Sym^0, is the left side, and the terms (-c_j, twist 2, Sym^j) are the
     rows of the right side. ch(L^t) is built once per twist; the Sym^j
     characters come from the model's cache (``ChowModel.cotangent_sym_table``).
+    Each term's product ch(L^t) ch(Sym^j Omega) goes to ``_degree`` without
+    a normal form, so a warm call reduces only c_1(L) and the ch(L^t).
     """
     d = model.rel_dim
     if d < 1:
@@ -334,7 +344,7 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     ch_twist = {t: model.normal_form((c1 * t).exp()) for t in {term.twist for term in combo}}
     sym = model.cotangent_sym_table()
     lhs_degree, *degrees = (
-        _degree(model, model.normal_form(ch_twist[t.twist] * sym[t.sym]), "determinant degree")
+        _degree(model, ch_twist[t.twist] * sym[t.sym], "determinant degree")
         for t in combo
     )
     rows = tuple((term.sym, -term.coeff, deg) for term, deg in zip(terms, degrees))

@@ -231,7 +231,7 @@ def reference_todd_log_coeffs(bound):
         vt, bound, [((k - 1,), c * k) for (k,), c in t.terms.items() if k]
     )
     g_prime = t_prime * inv_t
-    return tuple(g_prime.coefficient((k - 1,)) / k for k in range(1, bound + 1))
+    return tuple(g_prime.terms.get((k - 1,), Rational(0)) / k for k in range(1, bound + 1))
 
 
 def reference_ch(rank, chern):

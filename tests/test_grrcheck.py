@@ -334,6 +334,23 @@ def test_cotangent_sym_table_is_built_once_per_model(monkeypatch):
     assert built == [4, 4]
 
 
+def test_warm_verify_main_normal_forms_only_the_line_classes(monkeypatch):
+    m = model_pn_x_pm(1, 1)
+    line = {"h": 2, "s": -1}
+    want = verify_main_on_model(m, line)
+    calls = []
+    original = chowmodel.ChowModel.normal_form
+
+    def counted(self, series):
+        calls.append(series)
+        return original(self, series)
+
+    monkeypatch.setattr(chowmodel.ChowModel, "normal_form", counted)
+    assert verify_main_on_model(m, line) == want
+    # c1 once and ch(L^t) once per twist t = 1, 2; the rows are paired unreduced
+    assert len(calls) <= 3
+
+
 def test_hirzebruch_models_do_not_share_cached_classes():
     one, two = model_hirzebruch(1), model_hirzebruch(2)
     t1, t2 = one.cotangent_sym_table(), two.cotangent_sym_table()

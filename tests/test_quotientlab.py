@@ -365,7 +365,7 @@ def oracle_report(a, bound):
     hs = TruncatedSeries(_T, bound, {(n,): e + o for n, (e, o) in enumerate(zip(even, odd))})
     inv = TruncatedSeries(_T, bound, {(n,): e for n, e in enumerate(even)})
     ratio = hs * inv.inverse()
-    fractions = [ratio.coefficient((n,)) for n in range(bound + 1)]
+    fractions = [ratio.terms.get((n,), 0) for n in range(bound + 1)]
     assert all(c.denominator == 1 for c in fractions)
     coeffs = tuple(int(c) for c in fractions)
     for k in range(bound):
