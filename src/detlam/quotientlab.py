@@ -29,26 +29,37 @@ power-series division inside a finite window:
 * otherwise the window is too small to decide (INCONCLUSIVE), which is
   reported rather than guessed.
 
-The ratio r = HS_R / HS_{R0} is one exact division. The constant term of
-HS_{R0} is inv_0 = 1, so r_n = hs_n - sum_{k=1..n} inv_k r_{n-k} divides by
-no coefficient and every r_n is an integer (Knuth, The Art of Computer
-Programming, vol. 2, section 4.7). The candidate basis has the Hilbert series
-prod(1 + t^d_v) over the odd variables v, folded into a list one factor at a
-time: c_n += c_{n-d} for n = bound..d in decreasing order, so that c_{n-d}
-still holds the value before this factor. The defect test compares the
-truncated convolution of that series with HS_{R0} against HS_R. It never
-reads the ratio, so a FREE verdict is checked by multiplication, apart from
-the division. The basis labels, one per subset of the odd variables, are
-listed only for a FREE verdict; R is free over R0 only when R0 is a
-polynomial ring, which for a sign involution means at most one odd variable
-(Stanley, "Invariants of finite groups and their applications to
-combinatorics", Bull. AMS 1, 1979, sections 3-4).
+The ratio r = HS_R / HS_{R0} is one exact division after both series are
+multiplied, one factor at a time, by Q = prod_v (1 - t^d_v) *
+prod_{v odd} (1 + t^d_v). Q has constant term 1, so it is a unit of the
+truncated ring and (Q HS_R) / (Q HS_{R0}) is the same ratio. Multiplying a
+list by 1 + s*t^d (s = +1 or -1) is c_n += s*c_{n-d} for n = bound..d in
+decreasing order, so c_{n-d} still holds the value before this factor.
+Q HS_{R0} = (prod_odd (1 + t^d) + prod_odd (1 - t^d)) / 2 is a polynomial
+whose degree D is at most the total odd degree. So the division
+r_n = num_n - sum_k den_k r_{n-k} runs only over den's nonzero coefficients
+with 1 <= k <= D, and a verdict takes time linear in the window while D is
+small against it (when D reaches the window, about as long as a dense
+division). den_0 = 1, so the division divides by no coefficient and every
+r_n is an integer; it is exact for any integer lists with den_0 = 1 (Knuth,
+The Art of Computer Programming, vol. 2, section 4.7). The sparsity of den
+makes it fast, not correct.
+
+The candidate basis has the Hilbert series prod(1 + t^d_v) over the odd
+variables v. The defect test folds those factors one at a time into a copy
+of HS_{R0} and compares the truncated product with HS_R. It never reads the
+ratio, so a FREE verdict is checked by multiplication, apart from the
+division. The basis labels, one per subset of the odd variables, are listed
+only for a FREE verdict; R is free over R0 only when R0 is a polynomial ring,
+which for a sign involution means at most one odd variable (Stanley,
+"Invariants of finite groups and their applications to combinatorics",
+Bull. AMS 1, 1979, sections 3-4).
 """
 
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add, mul
+from operator import add
 
 from .exactalg import DomainError, StructureError
 
@@ -71,11 +82,14 @@ __all__ = [
 DEFAULT_BOUND = 40
 # Ceilings on the series window and the variable count, measured together
 # with `detlam quotient` (JSON output, 2-core host): the slowest algebras
-# found at both ceilings, 64 variables of degree 1-2 nearly all odd, take
-# 1.5-2.1 s; 4- and 8-variable algebras at bound 1,500 take 0.2-0.5 s. The
-# ratio's coefficients grow geometrically, faster with more odd variables;
-# at both ceilings the largest has about 2,400 digits, under the 4,300 that
-# Python converts to text by default.
+# found at both ceilings, 64 odd variables of degrees 1-40, whose divisor is
+# as long as the window, take about 0.5 s; 64 variables of degree 1-2, nearly
+# all odd, take 0.3-0.4 s; 4- and 8-variable algebras at bound 1,500 take
+# about 0.2 s, mostly interpreter start-up. Time would allow a larger window,
+# but the ratio's coefficients grow geometrically, faster with more odd
+# variables: at both ceilings the largest (64 odd variables of degree 1) has
+# about 2,400 digits, and doubling the bound would take it to about 4,800,
+# past the 4,300 that Python converts to text by default for the JSON output.
 MAX_BOUND = 1500
 MAX_VARIABLES = 64
 
@@ -146,10 +160,10 @@ class GradedAlgebra:
 def _divided_hs(algebra: GradedAlgebra, bound: int, signed: bool) -> list[int]:
     """1 / prod(1 - s_v t^d_v) over the variables v, with s_v = -1 for an odd
     variable when ``signed`` and +1 otherwise, by in-place division."""
-    if bound > MAX_BOUND:
-        raise DomainError(f"bound {bound} exceeds the ceiling MAX_BOUND = {MAX_BOUND}")
     if not isinstance(bound, int) or bound < 0:
         raise StructureError("bound must be a nonnegative int")
+    if bound > MAX_BOUND:
+        raise DomainError(f"bound {bound} exceeds the ceiling MAX_BOUND = {MAX_BOUND}")
     coeffs = [1] + [0] * bound
     for _name, degree, parity in algebra.variables:
         sign = -1 if signed and parity else 1
@@ -199,7 +213,10 @@ def conormal_degree_zero(algebra: GradedAlgebra) -> bool:
     """True when the parity-0 part of the conormal module vanishes.
 
     Requires a Cartier fixed ideal; its single generator x spans (x)/(x^2),
-    and the parity of that generator decides the claim.
+    and the parity of that generator decides the claim. ``fixed_ideal`` takes
+    exactly the odd variables as generators, so that generator is odd and the
+    answer is True for every Cartier fixed ideal by construction: the report
+    states the fact, it is not a test that can fail.
     """
     fi = fixed_ideal(algebra)
     if not fi.cartier:
@@ -246,14 +263,32 @@ def flatness_verdict(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> Flat
     return _verdict(algebra, bound, *_series_pair(algebra, bound))
 
 
+def _fold(coeffs: list[int], degree: int, sign: int) -> None:
+    """Multiply c_0..c_bound in place by 1 + sign*t^degree, highest n first."""
+    for n in range(len(coeffs) - 1, degree - 1, -1):
+        coeffs[n] += sign * coeffs[n - degree]
+
+
+def _divide(num: list[int], den: list[int]) -> tuple:
+    """The truncated quotient num / den of integer lists with ``den[0] == 1``:
+    r_n = num_n - sum den_k r_{n-k} over the nonzero den_k with k >= 1."""
+    taps = [(k, c) for k, c in enumerate(den) if k and c]
+    ratio = []
+    for n, c in enumerate(num):
+        ratio.append(c - sum(d * ratio[n - k] for k, d in taps if k <= n))
+    return tuple(ratio)
+
+
 def _verdict(algebra: GradedAlgebra, bound: int, hs: list[int], inv: list[int]) -> FlatnessReport:
     """``flatness_verdict`` from the Hilbert series ``hs`` of R and ``inv``
     of R0, both c_0..c_bound with ``inv[0] == 1``."""
-    # r_n = hs_n - sum_{k=1..n} inv_k r_{n-k}, with r_{n-1}, ..., r_0 newest first
-    newest_first, tail = [], inv[1:]
-    for c in hs:
-        newest_first.insert(0, c - sum(map(mul, tail, newest_first)))
-    coeffs = tuple(reversed(newest_first))
+    num, den = hs[:], inv[:]
+    for _name, degree, parity in algebra.variables:
+        for series in (num, den):
+            _fold(series, degree, -1)
+            if parity:
+                _fold(series, degree, 1)
+    coeffs = _divide(num, den)
 
     for k in range(bound):
         if coeffs[k] < 0:
@@ -269,13 +304,10 @@ def _verdict(algebra: GradedAlgebra, bound: int, hs: list[int], inv: list[int]) 
             )
 
     cap = sum(d for _n, d, _p in algebra.odd_variables)
-    candidate = [1] + [0] * bound
+    product = inv[:]
     for _name, degree, _parity in algebra.odd_variables:
-        for n in range(bound, degree - 1, -1):
-            candidate[n] += candidate[n - degree]
-    matches = all(
-        sum(map(mul, candidate[: n + 1], inv[n::-1])) == c for n, c in enumerate(hs)
-    )
+        _fold(product, degree, 1)
+    matches = product == hs
     if matches and 2 * cap < bound:
         return FlatnessReport(
             "FREE",

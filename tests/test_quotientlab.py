@@ -5,17 +5,21 @@ time, and every series-level claim is checked against those counts. A second
 oracle enumerates every exponent vector in the window and shares no code with
 either the library or the first oracle. ``oracle_report`` recomputes whole
 verdicts on ``TruncatedSeries``: a series inverse and products instead of the
-library's integer-list division and convolution.
+library's integer-list division and folds. ``dense_report`` recomputes them on
+integer lists by the dense O(bound^2) division and convolution the library ran
+before it cleared the common denominator.
 """
 
 import json
 import random
 import time
 from itertools import combinations, product
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detlam import quotientlab
 from detlam.exactalg import DomainError, StructureError, TruncatedSeries, VarTable
 from detlam.quotientlab import (
     FixedIdeal,
@@ -177,8 +181,9 @@ class TestHilbertSeries:
 
     def test_negative_bound_rejected(self):
         for fn in (hilbert_series, signed_hilbert_series, invariants_hs):
-            with pytest.raises(StructureError, match="nonnegative"):
-                fn(alg(("x", 1, 1)), -1)
+            for bound in (-1, "5", None):
+                with pytest.raises(StructureError, match="nonnegative"):
+                    fn(alg(("x", 1, 1)), bound)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_enumerated_monomials(self, seed):
@@ -357,17 +362,18 @@ class TestFlatness:
 _T = VarTable(("t",))
 
 
-def oracle_report(a, bound):
-    """The series-object route: hs and inv as ``TruncatedSeries`` from the
-    monomial counts, the ratio as ``hs * inv.inverse()``, the candidate basis
-    enumerated subset by subset, and the defect ``candidate * inv - hs``."""
-    even, odd = monomial_counts(a.variables, bound)
-    hs = TruncatedSeries(_T, bound, {(n,): e + o for n, (e, o) in enumerate(zip(even, odd))})
-    inv = TruncatedSeries(_T, bound, {(n,): e for n, e in enumerate(even)})
-    ratio = hs * inv.inverse()
-    fractions = [ratio.terms.get((n,), 0) for n in range(bound + 1)]
-    assert all(c.denominator == 1 for c in fractions)
-    coeffs = tuple(int(c) for c in fractions)
+def candidate_basis(a):
+    """Squarefree odd monomials as (degree, label), enumerated subset by subset."""
+    odd_vars = a.odd_variables
+    return sorted(
+        (sum(d for _n, d, _p in subset), "*".join(n for n, _d, _p in subset) or "1")
+        for r in range(len(odd_vars) + 1)
+        for subset in combinations(odd_vars, r)
+    )
+
+
+def assemble_report(a, bound, coeffs, matches):
+    """The verdict from the ratio ``coeffs`` and the defect test's outcome."""
     for k in range(bound):
         if coeffs[k] < 0:
             return FlatnessReport(
@@ -379,20 +385,12 @@ def oracle_report(a, bound):
                 True,
                 "a free module's ratio series has the basis degrees as non-negative coefficients",
             )
-    odd_vars = a.odd_variables
-    basis = sorted(
-        (sum(d for _n, d, _p in subset), "*".join(n for n, _d, _p in subset) or "1")
-        for r in range(len(odd_vars) + 1)
-        for subset in combinations(odd_vars, r)
-    )
-    candidate = TruncatedSeries.from_terms(_T, bound, (((deg,), 1) for deg, _label in basis))
-    matches = (candidate * inv - hs).is_zero()
-    if matches and 2 * sum(d for _n, d, _p in odd_vars) < bound:
+    if matches and 2 * sum(d for _n, d, _p in a.odd_variables) < bound:
         return FlatnessReport(
             "FREE",
             bound,
             coeffs,
-            tuple(label for _deg, label in basis),
+            tuple(label for _deg, label in candidate_basis(a)),
             None,
             True,
             "candidate basis reproduces the Hilbert series; the window exceeds "
@@ -403,6 +401,51 @@ def oracle_report(a, bound):
     else:
         note = "candidate basis does not match inside the window"
     return FlatnessReport("INCONCLUSIVE", bound, coeffs, None, None, False, note)
+
+
+def oracle_report(a, bound):
+    """The series-object route: hs and inv as ``TruncatedSeries`` from the
+    monomial counts, the ratio as ``hs * inv.inverse()``, the candidate basis
+    enumerated subset by subset, and the defect ``candidate * inv - hs``."""
+    even, odd = monomial_counts(a.variables, bound)
+    hs = TruncatedSeries(_T, bound, {(n,): e + o for n, (e, o) in enumerate(zip(even, odd))})
+    inv = TruncatedSeries(_T, bound, {(n,): e for n, e in enumerate(even)})
+    ratio = hs * inv.inverse()
+    fractions = [ratio.terms.get((n,), 0) for n in range(bound + 1)]
+    assert all(c.denominator == 1 for c in fractions)
+    coeffs = tuple(int(c) for c in fractions)
+    basis_terms = (((deg,), 1) for deg, _label in candidate_basis(a))
+    candidate = TruncatedSeries.from_terms(_T, bound, basis_terms)
+    return assemble_report(a, bound, coeffs, (candidate * inv - hs).is_zero())
+
+
+def dense_divide(num, den):
+    """num / den for integer lists with den[0] == 1, over every k:
+    r_n = num_n - sum_{k=1..n} den_k r_{n-k}, with r_{n-1}, ..., r_0 newest first."""
+    newest_first, tail = [], den[1:]
+    for c in num:
+        newest_first.insert(0, c - sum(map(mul, tail, newest_first)))
+    return tuple(reversed(newest_first))
+
+
+def dense_product(poly, series):
+    """The truncated convolution of ``poly`` with ``series``, term by term."""
+    return [
+        sum(map(mul, poly[: n + 1], series[n::-1])) for n in range(len(series))
+    ]
+
+
+def dense_report(a, bound):
+    """The integer-list route before the common denominator was cleared: the
+    dense division HS_R / HS_{R0} and the dense convolution of the candidate
+    basis series, expanded subset by subset, with HS_{R0}."""
+    even, odd = monomial_counts(a.variables, bound)
+    hs = list(map(add, even, odd))
+    candidate = [0] * (bound + 1)
+    for deg, _label in candidate_basis(a):
+        if deg <= bound:
+            candidate[deg] += 1
+    return assemble_report(a, bound, dense_divide(hs, even), dense_product(candidate, even) == hs)
 
 
 class TestSeriesRouteOracle:
@@ -426,6 +469,76 @@ class TestSeriesRouteOracle:
             for v in [(("x", 1, 1),), (("x", 1, 1), ("y", 1, 1)), (("x", 30, 1), ("y", 30, 1))]
         }
         assert verdicts == {"FREE", "NOT-FREE", "INCONCLUSIVE"}
+
+
+@st.composite
+def windowed_algebras(draw):
+    """Up to 8 variables of degree 1..6 with a bound 1..120, or a bound at
+    most the total odd degree (so often below it, and below some degrees)."""
+    shapes = draw(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(0, 1)), min_size=1, max_size=8)
+    )
+    a = alg(*((f"x{i}", d, p) for i, (d, p) in enumerate(shapes)))
+    odd_total = sum(d for d, p in shapes if p)
+    bound = draw(st.integers(1, 120) | st.integers(1, max(1, odd_total)))
+    return a, bound
+
+
+# (variables, bound): bounds below the total odd degree, degrees above the
+# bound, and the widest algebras at the largest window
+DENSE_CASES = [
+    ((("x", 6, 1), ("y", 6, 1)), 4),
+    ((("x", 6, 1), ("y", 1, 1), ("z", 5, 0)), 5),
+    ((("x", 1, 1), ("y", 1, 1), ("z", 1, 1)), 2),
+    ((("x", 2, 1), ("y", 3, 1), ("z", 6, 0)), 4),
+    ((("x", 5, 1), ("y", 2, 0)), 9),
+    ((("x", 5, 1), ("y", 2, 0)), 11),
+    (tuple((f"x{i}", 1 + i % 6, 1) for i in range(8)), 20),
+    (tuple((f"x{i}", 1 + i % 6, 1) for i in range(8)), 120),
+    (tuple((f"x{i}", 1 + i % 6, i % 2) for i in range(8)), 120),
+    ((("x", 6, 0),), 3),
+]
+
+
+class TestDenseOracle:
+    """The linear-time division and folds against the dense O(bound^2)
+    division and convolution they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(windowed_algebras())
+    def test_matches_dense_route(self, case):
+        a, bound = case
+        assert flatness_verdict(a, bound) == dense_report(a, bound)
+
+    @pytest.mark.parametrize("variables,bound", DENSE_CASES)
+    def test_matches_dense_route_at_the_edges(self, variables, bound):
+        a = alg(*variables)
+        assert flatness_verdict(a, bound) == dense_report(a, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=50),
+        st.lists(st.just(0) | st.integers(-(10**20), 10**20), max_size=60),
+    )
+    def test_division_is_exact_on_integer_lists(self, num, den_tail):
+        den = [1] + den_tail
+        ratio = quotientlab._divide(num, den)
+        assert ratio == dense_divide(num, den)
+        assert dense_product(den, ratio) == num
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(1, 50), st.sampled_from((1, -1))), max_size=5),
+    )
+    def test_folds_are_the_dense_product(self, series, factors):
+        folded = list(series)
+        poly = [1]
+        for degree, sign in factors:
+            quotientlab._fold(folded, degree, sign)
+            shifted = [0] * degree + poly
+            poly = [c + sign * s for c, s in zip(poly + [0] * degree, shifted)]
+        assert folded == dense_product(poly, series)
 
 
 class TestConormal:
