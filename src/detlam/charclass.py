@@ -16,18 +16,23 @@ needs several symmetric powers builds the table once per call instead of
 re-running the recurrence for each degree.
 
 Newton's recurrence runs once over the packed graded components of the
-class on integer numerators (``TruncatedSeries._power_sums``), and the
-Chern character and the Todd logarithm sum their weighted power sums over
-one common denominator; neither calls a series inverse. The only cache
-here is the Todd logarithm's coefficients, per bound. The classes of a
-model's cotangent sheaf (c, ch and the Sym characters) are cached on the
-model, by ``ChowModel.cotangent_sym_table``.
+class on integer numerators (``TruncatedSeries._newton``). The Chern
+character sums the power sums p_k / k! over one common denominator. The
+Todd class is Hirzebruch's multiplicative sequence exp(sum_k g_k p_k),
+built in one graded pass (``TruncatedSeries._multiplicative_class``): p_k
+is homogeneous of degree k, so the integer components of the power sums
+feed the exp recurrence directly as the degree-k components g_k p_k of the
+logarithm, and no power-sum series is built. Neither calls a series
+inverse. The only caches here are the Todd logarithm's coefficients and
+their integer form, per bound. The classes of a model's cotangent sheaf (c, ch and the Sym
+characters, all in normal form) are cached on the model, by
+``ChowModel.cotangent_sym_table``.
 """
 
 from functools import lru_cache
 from math import comb
 
-from .exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine
+from .exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine, _log_weights
 
 __all__ = [
     "power_sums",
@@ -98,15 +103,24 @@ def _todd_log_coeffs(bound: int) -> tuple[Rational, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _todd_log_weights(bound: int) -> tuple[int, tuple[int, ...]]:
+    """``_todd_log_coeffs(bound)`` in the integer form the multiplicative
+    class kernel takes."""
+    return _log_weights(_todd_log_coeffs(bound))
+
+
 def todd_from_chern(chern: TruncatedSeries) -> TruncatedSeries:
     """Todd class of the bundle with the given total Chern class.
 
-    Computed as exp(sum_k g_k p_k) where g is the logarithm of the single
-    root factor x/(1 - e^(-x)); multiplicativity over sums of bundles is
-    then automatic. The sum is taken over one common denominator.
+    The multiplicative sequence exp(sum_k g_k p_k), where g is the
+    logarithm of the single root factor x/(1 - e^(-x)) and p_k are the power
+    sums of the roots; multiplicativity over sums of bundles is then
+    automatic. It is built in one graded pass from the integer components of
+    Newton's recurrence (``TruncatedSeries._multiplicative_class``).
     """
-    p = power_sums(chern)
-    return _combine(chern, zip(_todd_log_coeffs(chern.bound), p[1:])).exp()
+    _require_unit(chern, "total Chern class")
+    return chern._multiplicative_class(_todd_log_weights(chern.bound))
 
 
 def adams_rescale(ch: TruncatedSeries, m: int) -> TruncatedSeries:
@@ -121,12 +135,18 @@ def dual_ch(ch: TruncatedSeries) -> TruncatedSeries:
     return adams_rescale(ch, -1)
 
 
-def sym_ch_table(ch: TruncatedSeries, top: int) -> list[TruncatedSeries]:
+def sym_ch_table(ch: TruncatedSeries, top: int, normal_form=None) -> list[TruncatedSeries]:
     """Chern characters [s_0, ..., s_top] of the symmetric powers Sym^0..Sym^top.
 
     s_0 = 1 and j*s_j = sum_{m=1}^{j} psi^m(ch) * s_{j-m}, the coefficient
     recurrence of the generating identity in the module docstring; every
     entry comes out of the same pass.
+
+    ``normal_form``, when given, is applied to each entry as it is built,
+    so every later product multiplies reduced entries. It must be a linear
+    map that keeps degree and respects products, as a model's normal form
+    does (its relations are homogeneous): it then commutes with every psi^m,
+    and the table equals the normal forms of the entries built without it.
 
     For a line bundle with ch = e^a, s_j = e^(j*a):
 
@@ -144,7 +164,8 @@ def sym_ch_table(ch: TruncatedSeries, top: int) -> list[TruncatedSeries]:
         acc = TruncatedSeries.zero(ch.vars, ch.bound)
         for m in range(1, n + 1):
             acc = acc + psi[m] * s[n - m]
-        s.append(acc / n)
+        acc = acc / n
+        s.append(acc if normal_form is None else normal_form(acc))
     return s
 
 

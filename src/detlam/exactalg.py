@@ -34,15 +34,18 @@ The public surface reads the packed form back: ``terms`` is an exponents ->
 ``Fraction`` view whose length is the stored term count, and ``to_obj``
 and ``repr`` unpack on demand. These callers in the package work on the
 packed form directly: ``charclass.adams_rescale`` (through
-``_graded_scale``), ``charclass.power_sums``, ``ch_from_chern`` and
-``todd_from_chern`` (through ``_power_sums``, Newton's recurrence on
-integer numerators, and ``_combine``, a weighted sum over one common
-denominator), ``ChowModel.normal_form`` (through ``_num``, ``_den``,
-``_lay`` and ``_reduced``) and ``ChowModel.integrate`` (through ``_num``,
-``_den`` and the degree field of ``_lay``). ``inverse`` has no product
-caller, since the quotient lab divides its integer series itself; it
-stays because the benchmark's span tracer (``perfbench/tracer.py``) wraps
-it by name and the quotient-lab tests use it in their oracle route.
+``_graded_scale``), ``charclass.power_sums`` and ``ch_from_chern`` (through
+``_power_sums``, the series of the integer components of ``_newton``,
+Newton's recurrence on integer numerators, and ``_combine``, a weighted sum
+over one common denominator), ``todd_from_chern`` (through
+``_multiplicative_class``, which feeds the components of ``_newton``
+straight into the exp recurrence), ``ChowModel.normal_form`` (through
+``_num``, ``_den``, ``_lay`` and ``_reduced``) and ``ChowModel.integrate``
+(through ``_num``, ``_den`` and the degree field of ``_lay``). ``inverse``
+has no product caller, since the quotient lab divides its integer series
+itself; it stays because the benchmark's span tracer
+(``perfbench/tracer.py``) wraps it by name and the quotient-lab tests use
+it in their oracle route.
 
 ``inverse`` and ``exp`` never multiply whole series. They split the input f
 once into weighted-degree components f_0..f_bound and build the result g one
@@ -485,14 +488,16 @@ class TruncatedSeries:
             den = -den
         return _reduced(self, num, den)
 
-    def _power_sums(self) -> list["TruncatedSeries"]:
-        """Power sums p_0..p_bound of the roots of ``self``, a total Chern
-        class c with constant term 1; p_0 is the zero series.
+    def _newton(self) -> list[list]:
+        """Newton's recurrence for the power sums p_1..p_bound of the roots
+        of ``self``, a total Chern class c with constant term 1, on integer
+        numerators: entry n lists the degree-n (key, P_n) pairs, where
+        p_n = P_n / D^n and D is the denominator of c; entry 0 is empty.
 
         Newton's identity (Macdonald, Symmetric Functions and Hall
         Polynomials, I.2) reads p_n = (-1)^(n-1) n e_n +
         sum_{i=1..n-1} (-1)^(n-1-i) e_{n-i} p_i, with e_m the degree-m
-        component of c. In integers: with c = C/D, P_n = p_n D^n and
+        component of c. In integers: with c = C/D and
         E_m = (-1)^(m-1) D^(m-1) C_m, it becomes
         P_n = n E_n + sum_{i=1..n-1} E_{n-i} P_i, with no division; each
         P_n is built once, one homogeneous component at a time.
@@ -502,9 +507,7 @@ class TruncatedSeries:
         for _ in range(2, bound + 1):
             weight.append(-weight[-1] * d)
         parts = self._components(weight)
-        out = [_series(self, {}, 1)]
         ps: list[list] = [[]]
-        dn = 1
         for n in range(1, bound + 1):
             acc = {e: n * c for e, c in parts[n]}
             get = acc.get
@@ -516,11 +519,49 @@ class TruncatedSeries:
                     for pe, pc in pi:
                         key = fe + pe
                         acc[key] = get(key, 0) + fc * pc
-            pn = {e: c for e, c in acc.items() if c}
-            ps.append(list(pn.items()))
-            dn *= d
-            out.append(_reduced(self, pn, dn))
+            ps.append([(e, c) for e, c in acc.items() if c])
+        return ps
+
+    def _power_sums(self) -> list["TruncatedSeries"]:
+        """Power sums p_0..p_bound of the roots of ``self`` (see ``_newton``);
+        p_0 is the zero series."""
+        out = [_series(self, {}, 1)]
+        dn = 1
+        for pn in self._newton()[1:]:
+            dn *= self._den
+            out.append(_reduced(self, dict(pn), dn))
         return out
+
+    def _multiplicative_class(self, log_weights: tuple[int, tuple[int, ...]]) -> "TruncatedSeries":
+        """The multiplicative class exp(sum_{k=1..bound} g_k p_k) of the
+        bundle whose total Chern class is ``self``, where p_k are the power
+        sums of its roots: each root x contributes the factor
+        exp(sum_k g_k x^k) (Hirzebruch, Topological Methods in Algebraic
+        Geometry, 1.7). ``log_weights`` is ``_log_weights`` of g_1..g_bound:
+        an integer b such that the denominator of each g_k divides b^k, and
+        the integers w_k = k g_k b^k.
+
+        One graded pass. p_k is homogeneous of degree k, so the degree-k
+        component of the logarithm is g_k p_k = g_k P_k / D^k, with P_k from
+        ``_newton``. With G = D b, that is F_k / G^k for the integer
+        F_k = g_k b^k P_k. The exp recurrence of ``exp`` then needs no other
+        scaling: with B = bound!, H_n = g_n G^n B is an integer (g_n sums
+        products of components of total degree n over factorials up to n!),
+        H_0 = B and n H_n = sum_{k=1..n} k F_k H_{n-k} =
+        sum_{k=1..n} w_k P_k H_{n-k}, an exact division by n.
+        """
+        b, weights = log_weights
+        bound = self.bound
+        ps = self._newton()
+        parts: list[list] = [[]]
+        for w, pk in zip(weights, ps[1:]):
+            parts.append([(e, c * w) for e, c in pk] if w else [])
+        g, gpow = self._den * b, [1]
+        fact = 1
+        for k in range(1, bound + 1):
+            gpow.append(gpow[-1] * g)
+            fact *= k
+        return self._graded_solve(parts, fact, lambda n: n, gpow[-1] * fact, gpow[::-1])
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, exactly on the window.
@@ -674,6 +715,18 @@ def _reduced(ring: TruncatedSeries, num: dict, den: int) -> TruncatedSeries:
             num = {k: v // g for k, v in num.items()}
             den //= g
     return _series(ring, num, den)
+
+
+def _log_weights(log_coeffs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
+    """The integer form (b, (w_1..w_n)) of log coefficients g_1..g_n that
+    ``TruncatedSeries._multiplicative_class`` takes: the denominator of each
+    g_k divides b^k, and w_k = k g_k b^k. b grows one factor at a time, only
+    by what g_k's denominator lacks in b^k, so it stays far below the lcm
+    of the denominators; every earlier g_j's denominator still divides b^j."""
+    b = 1
+    for k, g in enumerate(log_coeffs, 1):
+        b *= g.denominator // gcd(g.denominator, b**k)
+    return b, tuple(k * g.numerator * (b**k // g.denominator) for k, g in enumerate(log_coeffs, 1))
 
 
 def _combine(ring: TruncatedSeries, terms) -> TruncatedSeries:

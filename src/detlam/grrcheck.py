@@ -18,9 +18,10 @@ characters of the cotangent sheaf from one ``sym_ch_table``:
   checks that it is an integer. ``_degree`` pairs ch with Td(T_f) by
   ``ChowModel.integrate``, the top-degree intersection pairing: only the
   term pairs whose degrees add to the total dimension are multiplied, and
-  nothing is reduced, so a row's product ch(L^t) ch(Sym^j Omega) is paired
-  as it is. The Sym^j characters come from the model's cached table
-  (``ChowModel.cotangent_sym_table``).
+  nothing is reduced, so a row's product ch(L^t) ch(Sym^j Omega) of two
+  normal forms is paired as it is. ch(L^t) is psi^t of the one reduced
+  e^(c_1) of the call, and the Sym^j characters come from the model's
+  cached table of normal forms (``ChowModel.cotangent_sym_table``).
 
 Integer lattice deductions about determinant classes (divisibility and
 torsion consequences) are handled by Hermite-style integer row reduction,
@@ -30,6 +31,7 @@ relation off ``main_combo(1)``.
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch_table, todd_from_chern
 from .chowmodel import BundleClass, ChowModel
@@ -85,8 +87,10 @@ class ComboTerm:
         }
 
 
+@lru_cache(maxsize=None)
 def main_combo(d: int, allow_degenerate: bool = False) -> tuple[ComboTerm, ...]:
-    """The exponent-2^(2d+2) side minus the weighted twisted-Sym side."""
+    """The exponent-2^(2d+2) side minus the weighted twisted-Sym side,
+    built once per (d, allow_degenerate): the terms are immutable."""
     if d == 0 and allow_degenerate:
         entries = (1,)
     else:
@@ -327,10 +331,15 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     term (coeff, twist t, Sym^j) of ``main_combo(d)`` contributes the degree
     of L^t (x) Sym^j Omega: the first term, coeff 2^(2d+2) at twist 1 and
     Sym^0, is the left side, and the terms (-c_j, twist 2, Sym^j) are the
-    rows of the right side. ch(L^t) is built once per twist; the Sym^j
-    characters come from the model's cache (``ChowModel.cotangent_sym_table``).
-    Each term's product ch(L^t) ch(Sym^j Omega) goes to ``_degree`` without
-    a normal form, so a warm call reduces only c_1(L) and the ch(L^t).
+    rows of the right side.
+
+    A call does only the work that depends on L: it builds c_1(L), takes
+    one exp and reduces e^(c_1) once. c_1 is homogeneous of degree 1, so
+    e^(t c_1) = psi^t(e^(c_1)), and the normal form commutes with psi^t
+    because the relations are homogeneous: ch(L^t) = psi^t(nf(e^(c_1))),
+    with no further exp or normal form. The Sym^j characters come, already
+    reduced, from the model's cache (``ChowModel.cotangent_sym_table``), and
+    each term's product ch(L^t) ch(Sym^j Omega) goes to ``_degree``.
     """
     d = model.rel_dim
     if d < 1:
@@ -341,7 +350,8 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     c1 = model.normal_form(model.first_chern(line_coeffs))
     combo = main_combo(d)
     head, *terms = combo
-    ch_twist = {t: model.normal_form((c1 * t).exp()) for t in {term.twist for term in combo}}
+    ch_line = model.normal_form(c1.exp())
+    ch_twist = {t: adams_rescale(ch_line, t) for t in {term.twist for term in combo}}
     sym = model.cotangent_sym_table()
     lhs_degree, *degrees = (
         _degree(model, ch_twist[t.twist] * sym[t.sym], "determinant degree")

@@ -15,7 +15,9 @@ when it is read. Their sum is even term by term (the two series differ by
 twice the count of odd-parity monomials), so the series of R0 is the sum
 halved exactly; an odd term is an error, never rounded. The window never
 exceeds ``MAX_BOUND``; a larger bound is a ``DomainError`` raised before any
-list is allocated. An algebra has at most ``MAX_VARIABLES`` variables.
+list is allocated. A bound that is not an int (a bool is not one) or is too
+small is a ``StructureError``, from the one check every entry point runs. An
+algebra has at most ``MAX_VARIABLES`` variables.
 
 ``flatness_verdict`` decides whether R is a free R0-module by exact
 power-series division inside a finite window:
@@ -157,13 +159,22 @@ class GradedAlgebra:
         return cls(tuple(variables))
 
 
+def _check_bound(bound, least: int) -> None:
+    """The one check of a window bound: an int (a bool is not one) of at
+    least ``least``, else a ``StructureError``, and at most ``MAX_BOUND``,
+    else a ``DomainError``. The type is checked first, so a bad value never
+    reaches the comparisons."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < least:
+        kind = "positive" if least else "nonnegative"
+        raise StructureError(f"bound must be a {kind} int, got {bound!r}")
+    if bound > MAX_BOUND:
+        raise DomainError(f"bound {bound} exceeds the ceiling MAX_BOUND = {MAX_BOUND}")
+
+
 def _divided_hs(algebra: GradedAlgebra, bound: int, signed: bool) -> list[int]:
     """1 / prod(1 - s_v t^d_v) over the variables v, with s_v = -1 for an odd
     variable when ``signed`` and +1 otherwise, by in-place division."""
-    if not isinstance(bound, int) or bound < 0:
-        raise StructureError("bound must be a nonnegative int")
-    if bound > MAX_BOUND:
-        raise DomainError(f"bound {bound} exceeds the ceiling MAX_BOUND = {MAX_BOUND}")
+    _check_bound(bound, 0)
     coeffs = [1] + [0] * bound
     for _name, degree, parity in algebra.variables:
         sign = -1 if signed and parity else 1
@@ -252,8 +263,7 @@ def _candidate_basis(algebra: GradedAlgebra) -> list[tuple[int, str]]:
 
 def _series_pair(algebra: GradedAlgebra, bound: int) -> tuple[list[int], list[int]]:
     """The Hilbert series of R and of R0 at a checked bound, each built once."""
-    if not isinstance(bound, int) or bound < 1:
-        raise DomainError("bound must be a positive int")
+    _check_bound(bound, 1)
     hs = hilbert_series(algebra, bound)
     return hs, invariants_hs(algebra, bound, hs)
 

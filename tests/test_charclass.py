@@ -5,10 +5,13 @@ derived by hand from the defining series x/(1 - e^(-x)) and the Newton
 power-sum recurrence, and are asserted literally; definitional identities
 are checked against series built from factorials alone.
 
-Two reference routes stay here as oracles: Newton's recurrence run as
+Three reference routes stay here as oracles: Newton's recurrence run as
 whole-series products and sums (``reference_power_sums`` and the Chern
-character and Todd class built from it), and the Todd logarithm's
-coefficients read off a series inverse (``reference_todd_log_coeffs``).
+character and Todd class built from it), the Todd logarithm's
+coefficients read off a series inverse (``reference_todd_log_coeffs``),
+and the two-pass Todd route that the one-pass multiplicative-class kernel
+replaced: the power-sum series weighted by the log coefficients over one
+common denominator, then ``exp`` (``two_pass_todd``).
 """
 
 from math import comb
@@ -27,7 +30,8 @@ from detlam.charclass import (
     todd_from_chern,
 )
 from detlam.chowmodel import builtin_model
-from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable
+from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine
+from detlam.grrcheck import _universal_ring
 
 X = VarTable([("x", 1)])
 AB = VarTable([("a", 1), ("b", 1)])
@@ -308,3 +312,67 @@ def test_newton_kernel_on_model_tangent_classes(name, params):
     tangent = model.tangent_chern
     assert_matches_reference(model.rel_dim, tangent)
     assert_matches_reference(model.rel_dim, adams_rescale(tangent, -1))
+
+
+# ----------------------------------------------------------------------
+# the one-pass Todd kernel against the two-pass route
+
+
+def two_pass_todd(chern):
+    """Td as the power-sum series p_1..p_bound, each built and reduced,
+    summed with the log coefficients over one common denominator and then
+    exponentiated: the route before the one-pass kernel."""
+    p = power_sums(chern)
+    return _combine(chern, zip(_todd_log_coeffs(chern.bound), p[1:])).exp()
+
+
+@st.composite
+def chern_classes(draw):
+    """A unit Chern class over 1-3 variables of weights 1-2, bound 1..8,
+    with rational coefficients of denominators up to 6."""
+    weights = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    vt = VarTable([(f"c{i}", w) for i, w in enumerate(weights)])
+    bound = draw(st.integers(1, 8))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, bound // w) for w in weights]),
+            st.builds(Rational, st.integers(-6, 6), st.integers(1, 6)),
+            max_size=8,
+        )
+    )
+    kept = [(e, c) for e, c in terms.items() if 1 <= vt.degree(e) <= bound]
+    return TruncatedSeries.one(vt, bound) + TruncatedSeries.from_terms(vt, bound, kept)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chern_classes())
+def test_one_pass_todd_matches_two_pass_route(chern):
+    assert todd_from_chern(chern) == two_pass_todd(chern)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_one_pass_todd_on_the_universal_ring(d):
+    vt, bound = _universal_ring(d), d + 1
+    omega = sum(
+        (TruncatedSeries.gen(vt, bound, f"a{i}") for i in range(1, d + 1)),
+        TruncatedSeries.one(vt, bound),
+    )
+    for chern in (omega, adams_rescale(omega, -1)):
+        assert todd_from_chern(chern) == two_pass_todd(chern)
+
+
+BUILTIN_MODELS = [
+    ("P1", {}),
+    ("P2", {}),
+    ("P5", {}),
+    ("PnxPm", {"n": 2, "m": 2}),
+    ("PnxPm", {"n": 4, "m": 3}),
+    *SWEEP_MODELS,
+]
+
+
+@pytest.mark.parametrize("name, params", BUILTIN_MODELS)
+def test_one_pass_todd_on_builtin_models(name, params):
+    tangent = builtin_model(name, **params).tangent_chern
+    for chern in (tangent, adams_rescale(tangent, -1)):
+        assert todd_from_chern(chern) == two_pass_todd(chern)

@@ -10,8 +10,9 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from detlam import chowmodel, grrcheck
+from detlam import chowmodel, combinat, grrcheck
 from detlam.charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch, sym_ch_table
 from detlam.chowmodel import (
     BundleClass,
@@ -315,15 +316,17 @@ def test_cotangent_sym_table_matches_direct_route(name, params):
     d = m.rel_dim
     omega_chern = m.normal_form(adams_rescale(m.tangent_chern, -1))
     ch_omega = m.normal_form(ch_from_chern(d, omega_chern))
-    assert m.cotangent_sym_table() == tuple(sym_ch_table(ch_omega, 2 * d))
+    # the cache reduces each entry as it is built; that equals reducing the
+    # unreduced table at the end
+    assert m.cotangent_sym_table() == tuple(map(m.normal_form, sym_ch_table(ch_omega, 2 * d)))
 
 
 def test_cotangent_sym_table_is_built_once_per_model(monkeypatch):
     built = []
 
-    def counted(ch, top):
+    def counted(ch, top, *rest):
         built.append(top)
-        return sym_ch_table(ch, top)
+        return sym_ch_table(ch, top, *rest)
 
     monkeypatch.setattr(chowmodel, "sym_ch_table", counted)
     m = model_pn_x_pm(2, 1)
@@ -347,8 +350,53 @@ def test_warm_verify_main_normal_forms_only_the_line_classes(monkeypatch):
 
     monkeypatch.setattr(chowmodel.ChowModel, "normal_form", counted)
     assert verify_main_on_model(m, line) == want
-    # c1 once and ch(L^t) once per twist t = 1, 2; the rows are paired unreduced
-    assert len(calls) <= 3
+    # c1 once and e^(c1) once; ch(L^t) is psi^t of it, and the rows are
+    # paired unreduced
+    assert len(calls) == 2
+
+
+def test_warm_verify_main_takes_one_exp_and_reads_a_cached_combo(monkeypatch):
+    m = model_pn_x_pm(2, 1)
+    line = {"h": -1, "s": 2}
+    want = verify_main_on_model(m, line)
+    exps, tables = [], []
+    exp = TruncatedSeries.exp
+    table = combinat.coeff_table
+
+    def counted_exp(self):
+        exps.append(self)
+        return exp(self)
+
+    def counted_table(d):
+        tables.append(d)
+        return table(d)
+
+    monkeypatch.setattr(TruncatedSeries, "exp", counted_exp)
+    monkeypatch.setattr(grrcheck, "coeff_table", counted_table)
+    monkeypatch.setattr(combinat, "coeff_table", counted_table)
+    assert verify_main_on_model(m, line) == want
+    assert len(exps) == 1 and tables == []
+
+
+BUILTIN_MODELS = [
+    ("P1", {}),
+    ("P3", {}),
+    ("PnxPm", {"n": 2, "m": 2}),
+    *CACHE_MODELS,
+]
+
+
+@pytest.mark.parametrize("name, params", BUILTIN_MODELS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_adams_of_reduced_exp_equals_reduced_twisted_exp(name, params, data):
+    # verify_main_on_model's ch(L^t) = psi^t(nf(e^c1)) against nf(e^(t c1))
+    m = builtin_model(name, **params)
+    line = {g: data.draw(st.integers(-4, 4), label=g) for g in m.vars.names}
+    c1 = m.normal_form(m.first_chern(line))
+    e = m.normal_form(c1.exp())
+    for t in range(-3, 4):
+        assert adams_rescale(e, t) == m.normal_form((c1 * t).exp())
 
 
 def test_hirzebruch_models_do_not_share_cached_classes():
@@ -411,7 +459,8 @@ def test_euler_char_rejects_families():
 def test_euler_char_line_combo():
     p1 = model_pn(1)
     # rank 0 with c_1 = 2h is the class O(2) - O: chi(O(2)) - chi(O) = 3 - 1
-    combo = BundleClass(rank=0, chern=p1.one() + p1.gen("h") * 2)
+    h = TruncatedSeries.gen(p1.vars, p1.total_dim, "h")
+    combo = BundleClass(rank=0, chern=p1.one() + h * 2)
     assert euler_char(p1, combo) == 2
 
 

@@ -185,6 +185,20 @@ class TestHilbertSeries:
                 with pytest.raises(StructureError, match="nonnegative"):
                     fn(alg(("x", 1, 1)), bound)
 
+    def test_bad_bounds_raise_one_error_class(self):
+        # a bool is an int to isinstance; it must not reach a report as
+        # "bound": true, and a non-int must fail the same way everywhere
+        a = alg(("x", 1, 1))
+        fns = (hilbert_series, signed_hilbert_series, invariants_hs, flatness_verdict, quotient_report)
+        for fn in fns:
+            for bound in ("5", None, True, False, 5.0):
+                with pytest.raises(StructureError, match="bound must be"):
+                    fn(a, bound)
+        for fn in (flatness_verdict, quotient_report):
+            for bound in (0, -1):
+                with pytest.raises(StructureError, match="positive"):
+                    fn(a, bound)
+
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_enumerated_monomials(self, seed):
         variables = seeded_algebra(seed)
