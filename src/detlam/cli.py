@@ -393,10 +393,14 @@ def _chk_quotient():
     )
     if stuck.verdict != "NOT-FREE":
         return {"case": "k[x,y] both odd", "verdict": stuck.verdict}
-    for variables in ((("x", 1, 1),), (("x", 2, 1), ("y", 1, 0))):
-        algebra = quotientlab.GradedAlgebra(variables)
-        if not quotientlab.conormal_degree_zero(algebra):
-            return {"case": "conormal", "variables": list(variables)}
+    # the ratio is the basis series 1 + t, and an even variable cancels out
+    one_plus_t = (1, 1) + (0,) * (free.bound - 1)
+    with_even = quotientlab.flatness_verdict(
+        quotientlab.GradedAlgebra((("x", 1, 1), ("y", 1, 0)))
+    )
+    for case, rep in (("k[x] odd", free), ("k[x,y] y even", with_even)):
+        if rep.ratio_coeffs != one_plus_t:
+            return {"case": case, "ratio": list(rep.ratio_coeffs)}
     return None
 
 

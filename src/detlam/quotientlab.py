@@ -31,21 +31,26 @@ power-series division inside a finite window:
 * otherwise the window is too small to decide (INCONCLUSIVE), which is
   reported rather than guessed.
 
-The ratio r = HS_R / HS_{R0} is one exact division after both series are
-multiplied, one factor at a time, by Q = prod_v (1 - t^d_v) *
-prod_{v odd} (1 + t^d_v). Q has constant term 1, so it is a unit of the
-truncated ring and (Q HS_R) / (Q HS_{R0}) is the same ratio. Multiplying a
-list by 1 + s*t^d (s = +1 or -1) is c_n += s*c_{n-d} for n = bound..d in
-decreasing order, so c_{n-d} still holds the value before this factor.
-Q HS_{R0} = (prod_odd (1 + t^d) + prod_odd (1 - t^d)) / 2 is a polynomial
-whose degree D is at most the total odd degree. So the division
+The ratio r = HS_R / HS_{R0} is one exact division, read from the odd
+degrees alone. Multiplying both series by the unit Q = prod_v (1 - t^d_v) *
+prod_{v odd} (1 + t^d_v) (constant term 1) leaves the ratio unchanged. Each
+1 - t^d cancels its 1/(1 - t^d), so Q HS_R = P := prod_odd (1 + t^d). In the
+sign-twisted series an odd variable contributes 1/(1 + t^d), so Q times it is
+M := prod_odd (1 - t^d). So Q HS_{R0} = (P + M) / 2 and r = 2P / (P + M): R is
+R_even (x) R_odd, the involution fixes R_even, and the even variables cancel.
+Truncation commutes with multiplication by a polynomial, so both identities
+hold inside the window. P and M are folded from 1 in lists of length
+min(bound, D) + 1, D the total odd degree: multiplying a list by 1 + s*t^d
+(s = +1 or -1) is c_n += s*c_{n-d} for n from the top down to d, so c_{n-d}
+still holds the value before this factor. The division
 r_n = num_n - sum_k den_k r_{n-k} runs only over den's nonzero coefficients
 with 1 <= k <= D, and a verdict takes time linear in the window while D is
 small against it (when D reaches the window, about as long as a dense
 division). den_0 = 1, so the division divides by no coefficient and every
 r_n is an integer; it is exact for any integer lists with den_0 = 1 (Knuth,
 The Art of Computer Programming, vol. 2, section 4.7). The sparsity of den
-makes it fast, not correct.
+makes it fast, not correct. HS_R and HS_{R0} serve only the defect test below
+and the report.
 
 The candidate basis has the Hilbert series prod(1 + t^d_v) over the odd
 variables v. The defect test folds those factors one at a time into a copy
@@ -83,15 +88,16 @@ __all__ = [
 
 DEFAULT_BOUND = 40
 # Ceilings on the series window and the variable count, measured together
-# with `detlam quotient` (JSON output, 2-core host): the slowest algebras
-# found at both ceilings, 64 odd variables of degrees 1-40, whose divisor is
-# as long as the window, take about 0.5 s; 64 variables of degree 1-2, nearly
-# all odd, take 0.3-0.4 s; 4- and 8-variable algebras at bound 1,500 take
-# about 0.2 s, mostly interpreter start-up. Time would allow a larger window,
-# but the ratio's coefficients grow geometrically, faster with more odd
-# variables: at both ceilings the largest (64 odd variables of degree 1) has
-# about 2,400 digits, and doubling the bound would take it to about 4,800,
-# past the 4,300 that Python converts to text by default for the JSON output.
+# with `detlam quotient` (JSON output, 2-core host, 3 runs each): the slowest
+# algebras found at both ceilings, 64 odd variables of degrees 1-40, whose
+# divisor is as long as the window, take 0.44-0.55 s; 64 variables of degree
+# 1-2, 60 of them odd, take 0.29-0.33 s; 4- and 8-variable algebras at bound
+# 1,500 take 0.13-0.19 s, mostly interpreter start-up. Time would allow a
+# larger window, but the ratio's coefficients grow geometrically, faster with
+# more odd variables: at both ceilings the largest (64 odd variables of
+# degree 1) has about 2,400 digits, and doubling the bound would take it to
+# about 4,800, past the 4,300 that Python converts to text by default for the
+# JSON output.
 MAX_BOUND = 1500
 MAX_VARIABLES = 64
 
@@ -121,9 +127,11 @@ class GradedAlgebra:
                 raise StructureError(f"bad variable record {rec!r}") from None
             if not isinstance(name, str) or not _NAME.match(name):
                 raise StructureError(f"bad variable name {name!r}")
-            if not isinstance(degree, int) or degree < 1:
+            # a bool is an int to isinstance, and True == 1; neither may
+            # reach a report as "true"
+            if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
                 raise StructureError(f"bad degree for {name!r}")
-            if parity not in (0, 1):
+            if isinstance(parity, bool) or not isinstance(parity, int) or parity not in (0, 1):
                 raise StructureError(f"bad parity for {name!r}")
             if name in seen:
                 raise StructureError(f"duplicate variable {name!r}")
@@ -144,9 +152,13 @@ class GradedAlgebra:
             if len(parts) != 3:
                 raise StructureError(f"bad variable spec {chunk!r}")
             name, deg_s, par_s = (p.strip() for p in parts)
+            # ASCII digits only: int() would also read "1_0", "+3" and
+            # non-ASCII digits
+            if not (deg_s.isascii() and deg_s.isdigit()):
+                raise StructureError(f"bad degree in {chunk!r}")
             try:
                 degree = int(deg_s)
-            except ValueError:
+            except ValueError:  # past Python's int-from-text digit limit
                 raise StructureError(f"bad degree in {chunk!r}") from None
             key = par_s.lower()
             if key in ("odd", "1"):
@@ -274,7 +286,7 @@ def flatness_verdict(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> Flat
 
 
 def _fold(coeffs: list[int], degree: int, sign: int) -> None:
-    """Multiply c_0..c_bound in place by 1 + sign*t^degree, highest n first."""
+    """Multiply c_0..c_top in place by 1 + sign*t^degree, highest n first."""
     for n in range(len(coeffs) - 1, degree - 1, -1):
         coeffs[n] += sign * coeffs[n - degree]
 
@@ -291,14 +303,18 @@ def _divide(num: list[int], den: list[int]) -> tuple:
 
 def _verdict(algebra: GradedAlgebra, bound: int, hs: list[int], inv: list[int]) -> FlatnessReport:
     """``flatness_verdict`` from the Hilbert series ``hs`` of R and ``inv``
-    of R0, both c_0..c_bound with ``inv[0] == 1``."""
-    num, den = hs[:], inv[:]
-    for _name, degree, parity in algebra.variables:
-        for series in (num, den):
-            _fold(series, degree, -1)
-            if parity:
-                _fold(series, degree, 1)
-    coeffs = _divide(num, den)
+    of R0, both c_0..c_bound. The ratio reads the odd degrees only, since the
+    even variables cancel: it is 2P / (P + M) with P = prod_odd (1 + t^d) and
+    M = prod_odd (1 - t^d), both truncated to the window. ``hs`` and ``inv``
+    serve only the defect test."""
+    cap = sum(d for _n, d, _p in algebra.odd_variables)
+    plus = [1] + [0] * min(bound, cap)
+    minus = plus[:]
+    for _name, degree, _parity in algebra.odd_variables:
+        _fold(plus, degree, 1)
+        _fold(minus, degree, -1)
+    den = [(p + m) // 2 for p, m in zip(plus, minus)]
+    coeffs = _divide(plus + [0] * (bound + 1 - len(plus)), den)
 
     for k in range(bound):
         if coeffs[k] < 0:
@@ -313,7 +329,6 @@ def _verdict(algebra: GradedAlgebra, bound: int, hs: list[int], inv: list[int]) 
                 "non-negative coefficients",
             )
 
-    cap = sum(d for _n, d, _p in algebra.odd_variables)
     product = inv[:]
     for _name, degree, _parity in algebra.odd_variables:
         _fold(product, degree, 1)

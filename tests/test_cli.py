@@ -4,6 +4,8 @@ Each test drives main() in process and inspects exit code and JSON output;
 one test goes through a real subprocess to cover the module entry point.
 """
 
+import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -12,8 +14,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from detlam import chowmodel, cli, combinat, grrcheck, kexpr
+from detlam import chowmodel, cli, combinat, grrcheck, kexpr, quotientlab
 from detlam.chowmodel import model_pn_x_pm
 from detlam.cli import main
 from detlam.kexpr import MAX_NESTING
@@ -712,6 +715,11 @@ class TestQuotient:
         code, _ = run_cli(capsys, "quotient", "--vars", "x:one:odd")
         assert code == 2
 
+    def test_degree_must_be_ascii_digits(self, capsys):
+        # int() alone reads "1_0" as 10
+        err = run_usage_error(capsys, "quotient", "--vars", "x:1_0:odd")
+        assert "bad degree" in err
+
     def test_bound_ceiling(self, capsys):
         code, obj = run_json(capsys, "quotient", "--vars", "x:1:odd", "--bound", str(MAX_BOUND))
         assert code == 0 and obj["bound"] == MAX_BOUND
@@ -823,6 +831,24 @@ class TestVerifyAll:
         assert code == 1
         assert "ERROR  quotient-verdicts" in out
 
+    @pytest.mark.parametrize(
+        "variables,case",
+        [((("x", 1, 1),), "k[x] odd"), ((("x", 1, 1), ("y", 1, 0)), "k[x,y] y even")],
+    )
+    def test_quotient_check_reads_the_ratio(self, monkeypatch, variables, case):
+        # a FREE verdict whose ratio is not 1 + t fails the row
+        assert cli._chk_quotient() is None
+        real = quotientlab.flatness_verdict
+
+        def wrong_ratio(algebra, bound=quotientlab.DEFAULT_BOUND):
+            rep = real(algebra, bound)
+            if algebra.variables != variables:
+                return rep
+            return dataclasses.replace(rep, ratio_coeffs=(1,) + (0,) * bound)
+
+        monkeypatch.setattr(quotientlab, "flatness_verdict", wrong_ratio)
+        assert cli._chk_quotient() == {"case": case, "ratio": [1] + [0] * 40}
+
     def test_coeff_tables_check_uses_the_binomial_route(self, monkeypatch):
         monkeypatch.setattr(cli, "binomial_expansion_check", lambda d: d != 3)
         assert cli._chk_coeff_tables() == {
@@ -914,3 +940,112 @@ class TestUsage:
         code, out = run_cli(capsys, "coeffs", "--dim", "1")
         assert proc.returncode == code == 0
         assert proc.stdout == out
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract under drawn argv
+
+
+def _ints(ceiling):
+    """A small value, the ceiling + 1 or 10**9: every drawn run is either
+    cheap or refused before its work starts."""
+    return st.one_of(st.integers(-3, 3), st.sampled_from([ceiling + 1, 10**9])).map(str)
+
+
+_JUNK = st.text(alphabet="xyl012-9:,;=*.+_ oddevn()", max_size=12)
+
+
+@pytest.fixture(scope="module")
+def bad_files(tmp_path_factory):
+    """Paths a user might pass as ``--model-file`` or ``--script``: missing,
+    a directory, not JSON, JSON of the wrong shape, too deep, too large, and
+    one valid model file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    contents = {
+        "not-json.json": "{not json",
+        "list.json": "[1, 2]",
+        "empty-object.json": "{}",
+        "deep.json": "[" * 100_000,
+        "huge-dim.json": json.dumps({"total_dim": 10**9, "generators": [["h", 1]]}),
+        "steps.json": json.dumps({"name": "s", "steps": [{"rule": "nope"}]}),
+        "p1xp1.json": json.dumps(model_pn_x_pm(1, 1).to_obj()),
+    }
+    for name, text in contents.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return [str(root / name) for name in contents] + [str(root / "missing.json"), str(root)]
+
+
+@st.composite
+def _fuzz_argv(draw, paths):
+    def ints(ceiling):
+        return draw(_ints(ceiling))
+
+    def opt():
+        return draw(st.booleans())
+
+    path = st.sampled_from(paths)
+    line = st.lists(st.integers(-3, 3) | st.just(10**9), min_size=1, max_size=3).map(
+        lambda vs: ",".join(map(str, vs))
+    )
+    command = draw(st.sampled_from(
+        ["coeffs", "polyid", "universal", "ducrot", "c1lambda", "verify-main",
+         "euler", "picard", "rewrite", "quotient", "verify-all"]
+    ))
+    argv = [command]
+    if command == "coeffs":
+        argv += ["--dim", ints(combinat.MAX_COEFF_DIM)]
+    elif command == "polyid":
+        argv += ["--max-k", ints(combinat.MAX_POLYID_K)]
+    elif command == "universal":
+        argv += ["--dim", ints(grrcheck.MAX_UNIVERSAL_DIM)]
+        argv += ["--combo", draw(st.sampled_from(["main", "deligne"]))]
+        argv += ["--allow-degenerate"] if opt() else []
+    elif command == "ducrot":
+        argv += ["--dim", ints(grrcheck.MAX_DUCROT_DIM)]
+        argv += ["--factors", ints(grrcheck.MAX_DUCROT_FACTORS)] if opt() else []
+    elif command in ("c1lambda", "verify-main", "euler"):
+        if opt():
+            argv += ["--model-file", draw(path)]
+        else:
+            argv += ["--model", draw(st.sampled_from(
+                ["Pn", "PnxPm", "Hirzebruch", "P2", "P1xP1", "P33", "P1xP40", "Px", "Q3"]
+            ))]
+            for flag in ("--n", "--m", "--e"):
+                argv += [flag, ints(chowmodel.MAX_MODEL_DIM)] if opt() else []
+        argv += ["--line", draw(line | _JUNK)]
+    elif command == "picard":
+        if opt():
+            argv += ["--preset", draw(st.sampled_from(["mumford", "elliptic"]))]
+        else:
+            argv += ["--symbols", draw(st.just("a,b") | _JUNK)]
+            argv += ["--relations", draw(st.just("2*a = 0; b = a") | _JUNK)]
+        goal = st.builds("{}*l1 = {}*l2".format, _ints(0), _ints(0))
+        argv += ["--goal", draw(goal | _JUNK)]
+    elif command == "rewrite":
+        if opt():
+            argv += ["--script", draw(path)]
+        else:
+            argv += ["--chain", draw(st.sampled_from(kexpr.builtin_chain_names()))]
+            argv += ["--dim", ints(kexpr.MAX_CHAIN_DIM)]
+        step = st.integers(-3, 12).map(str) | st.just(str(10**9))
+        argv += ["--corrupt", draw(step)] if opt() else []
+    elif command == "quotient":
+        spec = st.sampled_from(["x:1:odd", "x:1:odd,y:1:odd", "x:1_0:odd", "x:+2:even", "x:1"])
+        argv += ["--vars", draw(spec | _JUNK), "--bound", ints(quotientlab.MAX_BOUND)]
+    else:
+        argv += ["--max-dim", ints(cli.MAX_VERIFY_DIM)]
+    if opt():
+        argv.append("--text")
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_drawn_argv_exits_0_1_or_2_without_a_traceback(self, bad_files, data):
+        argv = data.draw(_fuzz_argv(bad_files), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()

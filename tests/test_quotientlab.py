@@ -7,7 +7,9 @@ either the library or the first oracle. ``oracle_report`` recomputes whole
 verdicts on ``TruncatedSeries``: a series inverse and products instead of the
 library's integer-list division and folds. ``dense_report`` recomputes them on
 integer lists by the dense O(bound^2) division and convolution the library ran
-before it cleared the common denominator.
+before it cleared the common denominator. ``folded_num_den`` rebuilds the
+ratio's numerator and divisor by folding Q into both Hilbert series, the
+route the closed form from the odd degrees replaced.
 """
 
 import json
@@ -15,6 +17,7 @@ import random
 import time
 from itertools import combinations, product
 from operator import add, mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +138,20 @@ class TestGradedAlgebra:
         for text in ["", "x", "x:1", "x:1:odd:extra", "x:0:odd", "x:1:maybe"]:
             with pytest.raises(StructureError):
                 GradedAlgebra.from_spec(text)
+
+    def test_rejects_bool_and_non_int_degree_or_parity(self):
+        # True is an int equal to 1; a report must never print "true" for one
+        for record in [("x", True, 1), ("x", 1, True), ("x", True, True), ("x", 1, False),
+                       ("x", 2.0, 1), ("x", 1, 1.0), ("x", "1", 1)]:
+            with pytest.raises(StructureError, match="bad (degree|parity)"):
+                alg(record)
+
+    def test_from_spec_reads_ascii_digits_only(self):
+        # int() alone would read "1_0" as 10 and the Arabic-Indic digit as 3
+        for degree in ["1_0", "+3", "-3", "\u0663", "1.0", "0x1", "9" * 5000]:
+            with pytest.raises(StructureError, match="bad degree"):
+                GradedAlgebra.from_spec(f"x:{degree}:odd")
+        assert GradedAlgebra.from_spec(" x : 10 : odd ").variables == (("x", 10, 1),)
 
 
 class TestHilbertSeries:
@@ -553,6 +570,93 @@ class TestDenseOracle:
             shifted = [0] * degree + poly
             poly = [c + sign * s for c, s in zip(poly + [0] * degree, shifted)]
         assert folded == dense_product(poly, series)
+
+
+def folded_num_den(algebra, bound, hs, inv):
+    """The ratio's numerator and divisor by the route the closed form
+    replaced: copies of HS_R and HS_{R0} multiplied by Q = prod_v (1 - t^d_v)
+    * prod_{v odd} (1 + t^d_v), one factor at a time over every variable."""
+    num, den = hs[:], inv[:]
+    for _name, degree, parity in algebra.variables:
+        for series in (num, den):
+            quotientlab._fold(series, degree, -1)
+            if parity:
+                quotientlab._fold(series, degree, 1)
+    return num, den
+
+
+def divided_pair(algebra, bound):
+    """The verdict and the (num, den) pair that ``flatness_verdict`` hands to
+    ``_divide``, den zero-padded to the window."""
+    seen = []
+    real = quotientlab._divide
+
+    def spy(num, den):
+        seen.append((num, den))
+        return real(num, den)
+
+    with mock.patch.object(quotientlab, "_divide", spy):
+        rep = flatness_verdict(algebra, bound)
+    ((num, den),) = seen
+    return rep, num, den + [0] * (bound + 1 - len(den))
+
+
+@st.composite
+def closed_form_cases(draw):
+    """Up to 8 variables of degree 1..6 or 7..130 (often past the bound), all
+    even in about a fifth of the draws, with a bound 1..120 or at most the
+    total odd degree."""
+    parities = st.just(0) if draw(st.integers(0, 4)) == 0 else st.integers(0, 1)
+    degrees = st.integers(1, 6) | st.integers(7, 130)
+    shapes = draw(st.lists(st.tuples(degrees, parities), min_size=1, max_size=8))
+    a = alg(*((f"x{i}", d, p) for i, (d, p) in enumerate(shapes)))
+    odd_total = sum(d for d, p in shapes if p)
+    bound = draw(st.integers(1, 120) | st.integers(1, max(1, min(odd_total, 120))))
+    return a, bound
+
+
+# (variables, bound): an odd degree equal to the bound, one just past it, the
+# total odd degree equal to the bound and one past it, and even-only algebras
+CLOSED_FORM_CASES = [
+    ((("x", 5, 1),), 5),
+    ((("x", 5, 1), ("y", 5, 1)), 5),
+    ((("x", 6, 1), ("y", 1, 0)), 5),
+    ((("x", 2, 1), ("y", 3, 1)), 5),
+    ((("x", 2, 1), ("y", 3, 1)), 4),
+    ((("x", 2, 1), ("y", 3, 1), ("z", 1, 0)), 10),
+    ((("x", 1, 0), ("y", 3, 0)), 7),
+    ((("x", 9, 0),), 2),
+]
+
+
+class TestClosedForm:
+    """The ratio's numerator prod_odd (1 + t^d) and divisor (P + M) / 2, built
+    from the odd degrees alone, against the Hilbert series folded by Q."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(closed_form_cases())
+    def test_matches_folded_series(self, case):
+        a, bound = case
+        rep, num, den = divided_pair(a, bound)
+        hs = hilbert_series(a, bound)
+        assert (num, den) == folded_num_den(a, bound, hs, invariants_hs(a, bound))
+        assert rep.ratio_coeffs == dense_divide(num, den)
+
+    @pytest.mark.parametrize("variables,bound", CLOSED_FORM_CASES + DENSE_CASES)
+    def test_matches_folded_series_at_the_edges(self, variables, bound):
+        a = alg(*variables)
+        _rep, num, den = divided_pair(a, bound)
+        assert len(num) == bound + 1 and den[0] == 1
+        hs = hilbert_series(a, bound)
+        assert (num, den) == folded_num_den(a, bound, hs, invariants_hs(a, bound))
+
+    @settings(max_examples=100, deadline=None)
+    @given(closed_form_cases(), st.lists(st.integers(1, 130), min_size=1, max_size=4))
+    def test_even_variables_cancel(self, case, even_degrees):
+        a, bound = case
+        evens = tuple((f"y{i}", d, 0) for i, d in enumerate(even_degrees))
+        wider = GradedAlgebra(a.variables + evens)
+        assert flatness_verdict(wider, bound) == flatness_verdict(a, bound)
 
 
 class TestConormal:
