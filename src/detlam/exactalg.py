@@ -215,6 +215,16 @@ class _Layout:
         return tuple(reversed(out))
 
 
+def _ring_layout(vars: VarTable, bound: int) -> _Layout:
+    """The layout of the ring of series in ``vars`` up to ``bound``, after
+    checking both."""
+    if not isinstance(vars, VarTable):
+        raise StructureError("vars must be a VarTable")
+    if not isinstance(bound, int) or bound < 0:
+        raise StructureError("bound must be a nonnegative int")
+    return vars._layout(bound)
+
+
 class _Terms(Mapping):
     """The read-only exponents -> Rational view that ``TruncatedSeries.terms``
     returns; its length is the stored term count, built without Fractions."""
@@ -246,11 +256,7 @@ class TruncatedSeries:
     __slots__ = ("vars", "_lay", "_num", "_den")
 
     def __init__(self, vars: VarTable, bound: int, terms: dict | None = None):
-        if not isinstance(vars, VarTable):
-            raise StructureError("vars must be a VarTable")
-        if not isinstance(bound, int) or bound < 0:
-            raise StructureError("bound must be a nonnegative int")
-        lay = vars._layout(bound)
+        lay = _ring_layout(vars, bound)
         clean: list[tuple[int, int | Rational]] = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
@@ -279,7 +285,8 @@ class TruncatedSeries:
 
     def _like(self, value) -> "TruncatedSeries":
         """The constant ``value`` in this ring."""
-        value = _as_rational(value)
+        if type(value) is not int:  # an int is its own numerator
+            value = _as_rational(value)
         return _series(self, {0: value.numerator} if value else {}, value.denominator)
 
     # ------------------------------------------------------------------
@@ -295,7 +302,15 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, vars: VarTable, bound: int) -> "TruncatedSeries":
-        return cls(vars, bound, {})
+        # built packed, not by the validating constructor: constants are
+        # most of the series the checks build from scratch
+        lay = _ring_layout(vars, bound)
+        out = _blank(TruncatedSeries)
+        _set_vars(out, vars)
+        _set_lay(out, lay)
+        _set_num(out, {})
+        _set_den(out, 1)
+        return out
 
     @classmethod
     def one(cls, vars: VarTable, bound: int) -> "TruncatedSeries":
@@ -303,7 +318,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, vars: VarTable, bound: int, value) -> "TruncatedSeries":
-        return cls(vars, bound, {(0,) * len(vars): _as_rational(value)})
+        return cls.zero(vars, bound)._like(value)
 
     @classmethod
     def gen(cls, vars: VarTable, bound: int, name: str) -> "TruncatedSeries":

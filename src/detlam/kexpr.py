@@ -19,11 +19,21 @@ carries the expected display, built independently from the step's printed
 formula. The engine applies the axiom, demands canonical equality with the
 expected display, and only then adopts the display's factor structure, so a
 corrupted script fails at exactly the corrupted step.
+
+Every tree node normalizes at most once: its formal sum, and for a lambda
+expression its canonical form, are computed on first use and held by the
+node itself, so a subtree shared by several displays, steps or scripts (a
+chain and its corrupted twins share all untouched steps) is not normalized
+again, and the cache goes away with the tree. A tensor product that opens
+with n copies of one factor object, as tpow(f, n) builds, reads f^(x)n from
+the powers held by f, each formed from the one before: f^(x)n =
+f^(x)(n-1) (x) f.
 """
 
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "UnsupportedExpression",
@@ -84,34 +94,50 @@ class _StepFailure(Exception):
 # expression trees
 
 
+class _Tree:
+    """Base of the frozen tree nodes. A node's normal forms are computed on
+    first use and kept in its instance ``__dict__``, which the dataclass
+    ``__eq__``, ``__hash__`` and ``repr`` never read: its formal sum (see
+    ``normalize_expr``), its tensor powers (``_tensor_power``) and, for a
+    lambda expression, its canonical form."""
+
+    @cached_property
+    def _canonical(self) -> tuple:
+        """``normalize`` of a lambda expression."""
+        return _canon_items(canonical_state(_state_of(self)))
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Tree):
     name: str
 
 
 @dataclass(frozen=True)
-class One:
+class One(_Tree):
     pass
 
 
 @dataclass(frozen=True)
-class Twist:
+class Twist(_Tree):
     pass
 
 
 @dataclass(frozen=True)
-class Dual:
+class Dual(_Tree):
     inner: object
 
 
 @dataclass(frozen=True)
-class Sym:
+class Sym(_Tree):
     power: int
     inner: object
 
+    def __post_init__(self):
+        _integer(self.power, "symmetric power", UnsupportedExpression)
+
 
 @dataclass(frozen=True)
-class Ten:
+class Ten(_Tree):
     factors: tuple
 
     def __init__(self, *factors):
@@ -119,17 +145,18 @@ class Ten:
 
 
 @dataclass(frozen=True)
-class Lin:
+class Lin(_Tree):
     """Formal integer combination: tuple of (coefficient, expression)."""
 
     terms: tuple
 
     def __init__(self, *terms):
-        object.__setattr__(self, "terms", tuple((int(n), e) for n, e in terms))
+        terms = tuple((_integer(n, "coefficient", UnsupportedExpression), e) for n, e in terms)
+        object.__setattr__(self, "terms", terms)
 
 
 @dataclass(frozen=True)
-class Push:
+class Push(_Tree):
     """Derived pushforward along the exceptional fibration, binding one atom."""
 
     binder: str
@@ -137,13 +164,16 @@ class Push:
 
 
 @dataclass(frozen=True)
-class Lam:
+class Lam(_Tree):
     arg: object
     exp: int = 1
 
+    def __post_init__(self):
+        _integer(self.exp, "lambda exponent", UnsupportedExpression)
+
 
 @dataclass(frozen=True)
-class LamProd:
+class LamProd(_Tree):
     factors: tuple
 
     def __init__(self, *factors):
@@ -216,8 +246,38 @@ def _fs_mul(a: dict, b: dict) -> dict:
     )
 
 
+def _tensor_power(f, n: int) -> dict:
+    """The formal sum of f^(x)n, n >= 1, from the powers f holds: each
+    missing one is formed from the one before, f^(x)n = f^(x)(n-1) (x) f."""
+    base = normalize_expr(f)  # UnsupportedExpression for a non-tree
+    held = f.__dict__
+    # (f, f^(x)2, ...) is replaced whole, never appended to, so two threads
+    # extending it at once can lose work but never misplace a power
+    powers = held.get("_powers", (base,))
+    while len(powers) < n:
+        powers += (_fs_mul(powers[-1], base),)
+        held["_powers"] = powers
+    return powers[n - 1]
+
+
 def normalize_expr(e) -> dict:
-    """Formal-sum normal form {monomial: int} of a sheaf-level tree."""
+    """Formal-sum normal form {monomial: int} of a sheaf-level tree.
+
+    The result is computed once per node and held by it, so every caller
+    of one node gets the same dict: callers must not mutate it, and none does.
+    """
+    if not isinstance(e, _Tree):
+        raise UnsupportedExpression(f"cannot normalize {type(e).__name__} here")
+    # Not a cached_property: its Python-level __get__ would add two frames
+    # per nesting level to this recursion (see MAX_NESTING).
+    held = e.__dict__
+    fs = held.get("_formal_sum")
+    if fs is None:
+        fs = held["_formal_sum"] = _normalize_node(e)
+    return fs
+
+
+def _normalize_node(e) -> dict:
     if isinstance(e, One):
         return {_FS_ONE_MONO: 1}
     if isinstance(e, Twist):
@@ -232,8 +292,18 @@ def normalize_expr(e) -> dict:
             ]
         )
     if isinstance(e, Ten):
-        out = {_FS_ONE_MONO: 1}
-        for f in e.factors:
+        # A leading run of one factor object, as tpow builds, is read from
+        # that factor's powers; the rest multiply in one at a time. The
+        # products formed are those of a left-to-right fold from O, so
+        # MAX_MONOMIALS trips at the same factor as it would there.
+        factors = e.factors
+        run = 0
+        while run < len(factors) and factors[run] is factors[0]:
+            run += 1
+        if not run:
+            return {_FS_ONE_MONO: 1}
+        out = _fs_mul(_FS_ONE, _tensor_power(factors[0], run))
+        for f in factors[run:]:
             out = _fs_mul(out, normalize_expr(f))
         return out
     if isinstance(e, Lin):
@@ -285,17 +355,17 @@ def _canon_items(fs: dict) -> tuple:
 
 def normalize(e):
     """Canonical form: sorted coefficient tuple for sheaf trees, sorted
-    exponent tuple for lambda products."""
+    exponent tuple for lambda products (held by the lambda node)."""
     if isinstance(e, (Lam, LamProd)):
-        return _canon_items(canonical_state(_state_of(e)))
+        return e._canonical
     return _canon_items(normalize_expr(e))
 
 
 def _state_of(e) -> list:
     if isinstance(e, Lam):
-        return [(normalize_expr(e.arg), int(e.exp))]
+        return [(normalize_expr(e.arg), e.exp)]
     if isinstance(e, LamProd):
-        return [(normalize_expr(f.arg), int(f.exp)) for f in e.factors]
+        return [(normalize_expr(f.arg), f.exp) for f in e.factors]
     raise UnsupportedExpression("expected a lambda expression")
 
 
@@ -406,7 +476,7 @@ def parse_expr(text: str):
                 return Dual(inner)
             if head == "sym":
                 j, inner = args
-                return Sym(int(j), inner)
+                return Sym(j, inner)
             if head == "*":
                 return Ten(*args)
             if head == "lin":
@@ -421,7 +491,7 @@ def parse_expr(text: str):
                 return Push(binder, inner)
             if head == "lam":
                 arg_, exp = args
-                return Lam(arg_, int(exp))
+                return Lam(arg_, exp)
             if head == "prod":
                 return LamProd(*args)
         except (TypeError, ValueError) as exc:
@@ -488,11 +558,11 @@ def _subst(fs, exp, args):
     return [[_fs(pairs), exp]]
 
 
-def _integer(value, field: str) -> int:
-    """A number read from a script: a JSON integer, never a float, a string
-    or a bool."""
+def _integer(value, field: str, error=ScriptError) -> int:
+    """A number read from a script or held by a tree: an int, never a
+    float, a string or a bool."""
     if type(value) is not int:
-        raise ScriptError(f"{field} must be an integer, got {value!r}")
+        raise error(f"{field} must be an integer, got {value!r}")
     return value
 
 
@@ -716,7 +786,7 @@ class ChainReport:
 def chain_verify(script: ChainScript) -> ChainReport:
     """Run a script, checking every step against its expected display."""
     state = _state_of(script.start)
-    want = _canon_items(canonical_state(state))
+    want = normalize(script.start)
     rows = []
     for idx, step in enumerate(script.steps, 1):
         ax = AXIOMS[step.axiom]
@@ -728,7 +798,7 @@ def chain_verify(script: ChainScript) -> ChainReport:
             row["witness"] = {"error": str(fail)}
             return ChainReport(script.name, False, idx, str(fail), tuple(rows), False)
         state = _state_of(step.expected)
-        want = _canon_items(canonical_state(state))
+        want = normalize(step.expected)
         if got != want:
             row["witness"] = {"expected": render_canonical(want), "got": render_canonical(got)}
             return ChainReport(script.name, False, idx, "display mismatch", tuple(rows), False)
@@ -865,6 +935,9 @@ def script_invfunc_a_k(k: int = 1) -> ChainScript:
     iM, iL, N, M, L = Atom("iM"), Atom("iL"), Atom("N"), Atom("M"), Atom("L")
     qM, qMp, qMm, J = Atom("qM"), Atom("qMp"), Atom("qMm"), Atom("J")
     e = 2 ** (k + 1)
+    # one node per repeated power, so each is normalized once (see _Tree)
+    lt_pow = tpow(o_minus(Ten(L, T)), k + 1)
+    j_pow = tpow(o_minus(J), k + 1)
 
     start = Lam(Ten(iM, _pk_tree(k, o_minus(iL))))
     disp_a = Lam(Ten(iM, _pk_tree(k, Lin((1, O), (1, Ten(iL, T))))))
@@ -879,33 +952,33 @@ def script_invfunc_a_k(k: int = 1) -> ChainScript:
             Lin((e, O), (-1, tpow(Lin((2, O), (-1, _o_plus_twisted("L"))), k + 1))),
         )
     )
-    disp_f = Lam(Ten(M, Lin((e, O), (-1, tpow(o_minus(Ten(L, T)), k + 1)))))
+    disp_f = Lam(Ten(M, Lin((e, O), (-1, lt_pow))))
     disp_g = LamProd(
         Lam(M, e),
-        Lam(Ten(M, tpow(o_minus(Ten(L, T)), k + 1)), -1),
+        Lam(Ten(M, lt_pow), -1),
     )
     disp_h = LamProd(
         Lam(M, e),
-        Lam(Ten(qM, tpow(o_minus(J), k + 1)), -1),
+        Lam(Ten(qM, j_pow), -1),
     )
     disp_i = LamProd(
         Lam(M, e),
-        Lam(Ten(Lin((1, qMp), (-1, qMm)), tpow(o_minus(J), k + 1)), -1),
+        Lam(Ten(Lin((1, qMp), (-1, qMm)), j_pow), -1),
     )
     disp_j = LamProd(
         Lam(M, e),
         Lam(
             Ten(
                 Lin((1, o_minus(qMm)), (-1, o_minus(qMp))),
-                tpow(o_minus(J), k + 1),
+                j_pow,
             ),
             -1,
         ),
     )
     disp_k = LamProd(
         Lam(M, e),
-        Lam(Ten(o_minus(qMm), tpow(o_minus(J), k + 1)), -1),
-        Lam(Ten(o_minus(qMp), tpow(o_minus(J), k + 1)), 1),
+        Lam(Ten(o_minus(qMm), j_pow), -1),
+        Lam(Ten(o_minus(qMp), j_pow), 1),
     )
 
     steps = (
@@ -953,26 +1026,29 @@ def script_invfunc_l_p(d: int = 1) -> ChainScript:
     muM, iM, bM, M = Atom("muM"), Atom("iM"), Atom("bM"), Atom("M")
     binder = "Nt"
     Nt = Atom(binder)
+    # shared factor objects, so each tensor power is formed once (see _Tree)
+    plus_twisted = _o_plus_twisted(binder)
+    two_minus = Lin((2, O), (-1, plus_twisted))
+    twisted = Ten(Nt, T)
+    one_minus = o_minus(twisted)
+    twisted_pows = [tpow(twisted, j) for j in range(d + 1)]
 
-    start = Lam(Ten(muM, _pk_tree(d, _o_plus_twisted(binder))))
+    start = Lam(Ten(muM, _pk_tree(d, plus_twisted)))
     inner_l = Lin(
         (2 ** d, O),
-        *(
-            (2 ** (d - i), tpow(Lin((2, O), (-1, _o_plus_twisted(binder))), i))
-            for i in range(1, d + 1)
-        ),
+        *((2 ** (d - i), tpow(two_minus, i)) for i in range(1, d + 1)),
     )
     disp_l = Lam(Ten(iM, Push(binder, inner_l)))
     inner_m = Lin(
         (2 ** d, O),
-        *((2 ** (d - i), tpow(o_minus(Ten(Nt, T)), i)) for i in range(1, d + 1)),
+        *((2 ** (d - i), tpow(one_minus, i)) for i in range(1, d + 1)),
     )
     disp_m = Lam(Ten(iM, Push(binder, inner_m)))
     from math import comb
 
     inner_n = Lin(
         *(
-            (2 ** (d - i) * (-1) ** j * comb(i, j), tpow(Ten(Nt, T), j))
+            (2 ** (d - i) * (-1) ** j * comb(i, j), twisted_pows[j])
             for i in range(d + 1)
             for j in range(i + 1)
         )
@@ -1057,10 +1133,11 @@ def builtin_chain_names() -> list[str]:
     return ["invfunc-a-k", "invfunc-l-p", "multadd-d1"]
 
 
-# Largest --dim for the shipped chains. Their P_k trees grow with dim and
-# verifying one costs about dim^2; either chain at dim = 60 verifies in
-# about 1.7 s on a 2-core host.
-MAX_CHAIN_DIM = 60
+# Largest --dim for the shipped chains. Their P_k trees grow with dim, and a
+# monomial of a power f^(x)n is a sorted tuple of n factors, so verifying
+# one grows a little faster than dim^2. At dim = 120 a `rewrite --dim` run
+# takes about 1.1 s (invfunc-a-k) and 0.7 s (invfunc-l-p) on a 2-core host.
+MAX_CHAIN_DIM = 120
 
 
 def get_chain(name: str, dim: int = 1) -> ChainScript:

@@ -581,13 +581,13 @@ class TestRewrite:
             "(lam A 1)", "iso-subst", {"src": "A", "dst": 5}, "atom names must be strings"
         ),
         "collapse-k-200": (
-            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=200), "MAX_CHAIN_DIM = 60"
+            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=200), f"MAX_CHAIN_DIM = {kexpr.MAX_CHAIN_DIM}"
         ),
         "collapse-k-100000": (
-            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=100000), "MAX_CHAIN_DIM = 60"
+            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=100000), f"MAX_CHAIN_DIM = {kexpr.MAX_CHAIN_DIM}"
         ),
         "collapse-k-negative": (
-            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=-3), "MAX_CHAIN_DIM = 60"
+            "(lam A 1)", "cartier-collapse", dict(COLLAPSE, k=-3), f"MAX_CHAIN_DIM = {kexpr.MAX_CHAIN_DIM}"
         ),
     }
 

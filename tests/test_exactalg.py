@@ -513,3 +513,33 @@ def test_coefficient_outside_the_window_is_zero(bound):
         assert exps not in s.terms
     with pytest.raises(KeyError):
         s.terms[(bound + 1, 0)]
+
+
+def same_packed(got, want):
+    """Equal series with the same layout object and int numerators."""
+    assert got == want and got._lay is want._lay
+    assert type(got._den) is int and all(type(v) is int for v in got._num.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), max_size=3),
+    st.sampled_from([0, 2] + KERNEL_BOUNDS),
+    st.integers(-5, 5) | coeffs | st.sampled_from(["1/3", "-2/7", "0", "4"]),
+)
+def test_constants_match_the_validating_constructor(weights, bound, value):
+    vars_ = VarTable([(f"v{i}", w) for i, w in enumerate(weights)])
+    zero = (0,) * len(weights)
+    want = TruncatedSeries(vars_, bound, {zero: Rational(value)})
+    same_packed(TruncatedSeries.constant(vars_, bound, value), want)
+    same_packed(TruncatedSeries.one(vars_, bound), TruncatedSeries(vars_, bound, {zero: 1}))
+    same_packed(TruncatedSeries.zero(vars_, bound), TruncatedSeries(vars_, bound, {}))
+
+
+@pytest.mark.parametrize("vars_, bound", [(None, 3), (("x",), 3), (X, -1), (X, 1.5), (X, "2")])
+def test_constants_check_the_table_and_bound(vars_, bound):
+    for build in (TruncatedSeries.zero, TruncatedSeries.one):
+        with pytest.raises(StructureError):
+            build(vars_, bound)
+    with pytest.raises(StructureError):
+        TruncatedSeries.constant(vars_, bound, 2)

@@ -4,12 +4,15 @@ Expected canonical forms are hand-derived and frozen; chain displays are
 rebuilt independently through the tree API before comparison.
 """
 
+import copy
 import dataclasses
 import json
 import random
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detlam import kexpr as kx
 from detlam.combinat import coeff_table, pk_poly
@@ -154,6 +157,25 @@ class TestNormalize:
     def test_lambda_product_merges_exponents(self):
         got = normalize(LamProd(Lam(A, 2), Lam(A, -2), Lam(B, 5)))
         assert dict(got) == {mono(at("B")): 5}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Lin((1.5, A)),
+            lambda: Lin((True, A)),
+            lambda: Lin((1, A), ("2", B)),
+            lambda: Lam(A, 2.7),
+            lambda: Lam(A, 2.0),
+            lambda: Lam(A, True),
+            lambda: Sym(2.0, A),
+            lambda: Sym(True, A),
+        ],
+        ids=["lin-float", "lin-bool", "lin-str", "lam-float", "lam-whole-float", "lam-bool",
+             "sym-float", "sym-bool"],
+    )
+    def test_trees_reject_non_integer_numbers(self, build):
+        with pytest.raises(UnsupportedExpression, match="must be an integer"):
+            build()
 
 
 class TestPkTree:
@@ -636,3 +658,172 @@ class TestMultiadditivity:
     def test_unit_slot_collapses(self):
         defect, block = multiadditivity_defect(["L1", "L2"], "O")
         assert defect == block == ()
+
+
+# ----------------------------------------------------------------------
+# normal forms held by the tree, against the uncached route
+
+
+def _oracle(e):
+    """The reference normal form: nothing held by the tree, and a tensor
+    product's factors multiplied in one at a time."""
+    if isinstance(e, kx.One):
+        return {((), 0): 1}
+    if isinstance(e, kx.Twist):
+        return {((), 1): 1}
+    if isinstance(e, Atom):
+        return {((at(e.name),), 0): 1}
+    if isinstance(e, Dual):
+        return kx._fs(
+            ((tuple(sorted((k, n, p, 1 - d) for k, n, p, d in fs)), tw), c)
+            for (fs, tw), c in _oracle(e.inner).items()
+        )
+    if isinstance(e, Ten):
+        out = {((), 0): 1}
+        for f in e.factors:
+            out = kx._fs_mul(out, _oracle(f))
+        return out
+    if isinstance(e, Lin):
+        return kx._fs((m, n * c) for n, sub in e.terms for m, c in _oracle(sub).items())
+    if isinstance(e, Sym):
+        return _oracle_sym(e.power, e.inner)
+    if isinstance(e, Push):
+        return kx._normalize_push(e.binder, _oracle(e.inner))
+    raise UnsupportedExpression(type(e).__name__)
+
+
+def _oracle_sym(j, inner):
+    if j < 0:
+        raise UnsupportedExpression("negative symmetric power")
+    if j == 0:
+        return {((), 0): 1}
+    fs = _oracle(inner)
+    if j == 1:
+        return fs
+    if len(fs) != 1:
+        raise UnsupportedExpression("Sym of a formal sum")
+    (factors, tw), c = next(iter(fs.items()))
+    if c != 1:
+        raise UnsupportedExpression("Sym of a scaled class")
+    if not factors:
+        return {((), tw * j % 2): 1}
+    if len(factors) > 1 or factors[0][0] != "atom":
+        raise UnsupportedExpression("Sym of a composite or nested class")
+    return {((("sym", factors[0][1], j, factors[0][3]),), tw * j % 2): 1}
+
+
+def _outcome(normal_form, e):
+    """The normal form, or the class of the ScriptError (an unsupported
+    tree, or the MAX_MONOMIALS cap) it raises."""
+    try:
+        return normal_form(e)
+    except ScriptError as exc:
+        return type(exc)
+
+
+def _branches(kids):
+    return st.one_of(
+        st.builds(Dual, kids),
+        st.builds(Sym, st.integers(-1, 3), kids),
+        st.builds(Push, st.just("N"), kids),
+        st.lists(kids, max_size=3).map(lambda fs: Ten(*fs)),
+        st.lists(st.tuples(st.integers(-2, 2), kids), min_size=1, max_size=3).map(
+            lambda terms: Lin(*terms)
+        ),
+        # one factor object repeated: a run, an interrupted run, a run and a tail
+        st.builds(lambda e, n: Ten(*[e] * n), kids, st.integers(1, 6)),
+        st.builds(lambda e, f: Ten(e, e, f, e), kids, kids),
+        st.builds(lambda e, f, n: Ten(*[e] * n, f), kids, kids, st.integers(2, 4)),
+        # subtrees shared by several parents
+        st.builds(lambda e, f: Lin((1, Ten(e, e)), (-2, Ten(f, e, e, e)), (3, Dual(e))), kids, kids),
+    )
+
+
+_names = st.sampled_from("ABN")
+# fresh leaves, so no cache outlives one drawn tree; two-term sums make the
+# products grow
+_trees = st.recursive(
+    st.builds(kx.One)
+    | st.builds(kx.Twist)
+    | _names.map(Atom)
+    | st.builds(lambda n, c: Lin((1, kx.One()), (c, Atom(n))), _names, st.sampled_from([-1, 2])),
+    _branches,
+    max_leaves=12,
+)
+_caps = st.sampled_from([4, 16, 64, kx.MAX_MONOMIALS])
+
+
+def _nodes(e):
+    """Every tree node under e once, e first."""
+    seen, out, todo = set(), [], [e]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen or not isinstance(node, kx._Tree):
+            continue
+        seen.add(id(node))
+        out.append(node)
+        if isinstance(node, (Dual, Sym, Push)):
+            todo.append(node.inner)
+        elif isinstance(node, Ten):
+            todo.extend(node.factors)
+        elif isinstance(node, Lin):
+            todo.extend(sub for _n, sub in node.terms)
+    return out
+
+
+class TestTreeHeldNormalForms:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=_trees, cap=_caps)
+    def test_matches_the_uncached_route(self, tree, cap):
+        with mock.patch.object(kx, "MAX_MONOMIALS", cap):
+            want = _outcome(_oracle, tree)
+            assert _outcome(normalize_expr, tree) == want
+            assert _outcome(normalize_expr, tree) == want  # read back from the tree
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree=_trees, cap=_caps, data=st.data())
+    def test_does_not_depend_on_call_order(self, tree, cap, data):
+        twin = copy.deepcopy(tree)  # before either is normalized
+        nodes, twin_nodes = _nodes(tree), _nodes(twin)
+        order = [0] + data.draw(st.permutations(range(1, len(nodes))))
+        with mock.patch.object(kx, "MAX_MONOMIALS", cap):
+            subtrees_first = {i: _outcome(normalize_expr, nodes[i]) for i in order[::-1]}
+            whole_first = {i: _outcome(normalize_expr, twin_nodes[i]) for i in order}
+        assert subtrees_first == whole_first
+
+    def test_runs_of_one_factor_object(self):
+        e, f = o_minus(A), Lin((1, B), (2, T))
+        for tree in (Ten(e), Ten(e, e, e), Ten(e, e, f, e), Ten(e, f, e, e), Ten(e, e, e, f)):
+            assert normalize_expr(tree) == _oracle(tree)
+
+    def test_cache_leaves_equality_hash_and_repr(self):
+        e, twin = Ten(o_minus(A), B), Ten(o_minus(A), B)
+        assert normalize_expr(e) is normalize_expr(e)
+        assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin)
+        assert normalize_expr(twin) == normalize_expr(e)
+        display = LamProd(Lam(e, 2), Lam(B, -1))
+        assert normalize(display) is normalize(display)
+
+    def test_pk_block_costs_about_k_products(self, monkeypatch):
+        products = []
+        mul = kx._fs_mul
+        monkeypatch.setattr(kx, "_fs_mul", lambda a, b: products.append(1) or mul(a, b))
+        k = 30
+        normalize_expr(kx._pk_tree(k, o_minus(L)))
+        assert len(products) <= 2 * k  # not the k^2 / 2 of building each power afresh
+
+    CHAINS = [(n, d) for n in ("invfunc-a-k", "invfunc-l-p") for d in (1, 2, 3)]
+
+    @pytest.mark.parametrize("name, dim", CHAINS + [("multadd-d1", 1)])
+    def test_twins_fail_at_their_step_before_and_after_the_clean_run(self, name, dim):
+        script = get_chain(name, dim)
+        steps = list(range(1, len(script.steps) + 1))
+
+        def failed_steps():
+            return [chain_verify(corrupt_script(script, i)).failed_step for i in steps]
+
+        assert failed_steps() == steps
+        clean = chain_verify(script)
+        assert clean.ok
+        assert failed_steps() == steps
+        assert chain_verify(script).to_obj() == clean.to_obj()
