@@ -18,6 +18,20 @@ validation reduces it, into a table from packed key to point-class
 coefficient. Schubert2 (Macaulay2) and Katz & Stromme's "Schubert"
 integrate by the same top-degree reading.
 
+Two checks read normal monomials, those no rule lead divides (the standard
+monomials of Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+ch. 2 section 6), instead of reducing:
+
+* Closure. A rewrite keeps the degree, so all monomials of degree D reduce
+  to zero exactly when none of degree D is normal. The check reads degrees
+  total_dim + 1 .. total_dim + (largest weight); a heavier monomial is a
+  generator times one of lower degree.
+* Fibration. The fiber part of a monomial (base exponents set to 0)
+  divides it, so the fiber part of a normal monomial is normal. So every
+  normal monomial has a fiber part of degree below rel_dim or equal to the
+  fiber point exactly when that point is the one normal fiber monomial of
+  degree rel_dim and none has a degree in rel_dim + 1 .. total_dim.
+
 Built-in presentations:
 
 * ``model_pn(n)``: projective n-space over a point.
@@ -32,7 +46,8 @@ from functools import reduce
 from math import lcm
 
 from .charclass import adams_rescale, ch_from_chern, sym_ch_table
-from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable, _reduced
+from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable
+from .exactalg import _as_rational, _reduced
 
 __all__ = [
     "ModelError",
@@ -59,22 +74,23 @@ class UnsupportedModelError(ModelError):
 
 
 def _exponents_of_degree(weights: tuple[int, ...], degree: int):
-    """All exponent vectors with the given weighted total degree."""
+    """All exponent vectors with the given weighted total degree; a weight
+    of 0 holds its exponent at 0."""
     if not weights:
         if degree == 0:
             yield ()
         return
     w = weights[0]
-    for e in range(degree // w + 1):
+    for e in range(degree // w + 1) if w else (0,):
         for rest in _exponents_of_degree(weights[1:], degree - e * w):
             yield (e,) + rest
 
 
-# Largest validation window of a model. Validation reduces every monomial of
-# weighted degree <= total_dim + (largest weight), so its cost follows their
-# number: about 12 us each on a 2-core host. A file with five weight-one
-# generators and 42,504 monomials in its window loads in about 0.5 s; seven
-# generators with g_i^3 = 0 (170,544 monomials) took 2.8 s before this cap.
+# Largest validation window of a model: the monomials of weighted degree <=
+# total_dim + (largest weight), which validation enumerates. On a 2-core host
+# a file with five weight-one generators and 42,504 monomials in its window
+# loads in about 0.18 s. The cap was set when validation reduced every one of
+# them: seven generators with g_i^3 = 0 (170,544 monomials) took 2.8 s.
 MAX_MODEL_WINDOW = 50_000
 
 
@@ -127,23 +143,22 @@ class ChowModel:
             self.vars = VarTable(generators)
         except StructureError as exc:
             raise ModelError(str(exc)) from exc
-        if not isinstance(rel_dim, int) or not isinstance(total_dim, int):
+        if type(rel_dim) is not int or type(total_dim) is not int:
             raise ModelError("dimensions must be integers")
         if not 0 <= rel_dim <= total_dim:
             raise ModelError("need 0 <= rel_dim <= total_dim")
+        _check_model_dim(self.name, total_dim)
         self.rel_dim = rel_dim
         self.total_dim = total_dim
         _check_window(self.name, self.vars.weights, total_dim)
 
         base = tuple(base_generators)
-        for b in base:
-            self.vars.index(b)
-        if len(set(base)) != len(base):
+        self._base_idx = frozenset(self.vars.index(b) for b in base)
+        if len(self._base_idx) != len(base):
             raise ModelError("duplicate base generators")
         if (rel_dim < total_dim) != bool(base):
             raise ModelError("base generators must be marked exactly for family models")
         self.base_generators = base
-        self._base_idx = frozenset(self.vars.index(b) for b in base)
 
         self.rules = self._parse_rules(relations)
         self._nf_cache: dict[tuple[int, ...], dict] = {}
@@ -162,28 +177,29 @@ class ChowModel:
     def _mono_key(self, exps: tuple[int, ...]):
         return (self.vars.degree(exps), exps)
 
+    def _exponents(self, exps, what: str) -> tuple[int, ...]:
+        """An exponent vector over the generators: a list or tuple of
+        nonnegative ints (no bools), one per generator."""
+        if not isinstance(exps, (list, tuple)) or len(exps) != len(self.vars) or any(
+            type(e) is not int or e < 0 for e in exps
+        ):
+            raise ModelError(f"bad {what} {exps!r}: need {len(self.vars)} nonnegative integers")
+        return tuple(exps)
+
     def _parse_rules(self, relations):
         rules = []
         leads = set()
-        for rel in relations:
-            if isinstance(rel, dict):
-                lead = tuple(int(e) for e in rel["lead"])
-                replace = [
-                    (tuple(int(e) for e in rec["exponents"]), Rational(str(rec["coeff"])))
-                    for rec in rel["replace"]
-                ]
-            else:
-                lead, replace = rel
-                lead = tuple(int(e) for e in lead)
-                replace = [(tuple(int(e) for e in x), Rational(c)) for x, c in replace]
-            if len(lead) != len(self.vars) or all(e == 0 for e in lead):
+        for lead, replace in relations:
+            lead = self._exponents(lead, "rule lead")
+            if not any(lead):
                 raise ModelError(f"bad rule lead {lead!r}")
             if lead in leads:
                 raise ModelError(f"duplicate rule lead {lead!r}")
             leads.add(lead)
+            terms = []
             for exps, coeff in replace:
-                if len(exps) != len(self.vars):
-                    raise ModelError("bad replacement exponents")
+                exps = self._exponents(exps, "replacement exponents")
+                coeff = _as_rational(coeff)
                 if not coeff:
                     raise ModelError("zero replacement coefficient")
                 if self.vars.degree(exps) != self.vars.degree(lead):
@@ -192,7 +208,8 @@ class ChowModel:
                     raise ModelError(
                         f"rule {lead!r} is not strictly decreasing; would not terminate"
                     )
-            rules.append((lead, tuple(replace)))
+                terms.append((exps, coeff))
+            rules.append((lead, tuple(terms)))
         # deterministic application order: biggest lead first
         rules.sort(key=lambda r: self._mono_key(r[0]), reverse=True)
         return tuple(rules)
@@ -204,8 +221,8 @@ class ChowModel:
         each rewrite step keeps the degree of the monomial: a monomial inside
         the window [0, total_dim] only ever reaches monomials of its own
         degree. ``normal_form`` therefore takes only series truncated at
-        total_dim, and the dimension-closure check can reduce monomials
-        above the window through this same recursion.
+        total_dim. The dimension-closure check reduces nothing above the
+        window (it reads ``_is_normal``), so the cache holds window monomials.
         """
         cached = self._nf_cache.get(exps)
         if cached is not None:
@@ -227,26 +244,25 @@ class ChowModel:
         self._nf_cache[exps] = out
         return out
 
-    def _check_dimension_closure(self):
-        top = self.total_dim
-        max_w = max(self.vars.weights)
-        # homogeneous rules preserve degree, so a monomial just above the
-        # window must reduce to the empty sum; anything heavier factors
-        # through this window one variable at a time
-        for deg in range(top + 1, top + max_w + 1):
-            for exps in _exponents_of_degree(self.vars.weights, deg):
-                if self._reduce_monomial(exps):
-                    raise ModelError(
-                        f"monomial {exps} of degree {deg} does not normalize to zero"
-                    )
-
     def _is_normal(self, exps: tuple[int, ...]) -> bool:
         return not any(_divides(lead, exps) for lead, _ in self.rules)
 
+    def _normal_monomials(self, weights: tuple[int, ...], degrees):
+        """Normal monomials over ``weights`` of the given degrees, lazily."""
+        return (e for d in degrees for e in _exponents_of_degree(weights, d) if self._is_normal(e))
+
+    def _check_dimension_closure(self):
+        # the closure argument of the module docstring
+        top = self.total_dim
+        weights = self.vars.weights
+        for exps in self._normal_monomials(weights, range(top + 1, top + max(weights) + 1)):
+            raise ModelError(
+                f"normal monomial {exps} of degree {self.vars.degree(exps)} lies above "
+                f"total_dim = {top}, so it does not normalize to zero"
+            )
+
     def _check_point_class(self, point_class):
-        pt = tuple(int(e) for e in point_class)
-        if len(pt) != len(self.vars):
-            raise ModelError("point class length mismatch")
+        pt = self._exponents(point_class, "point class")
         if self.vars.degree(pt) != self.total_dim:
             raise ModelError("point class must have degree total_dim")
         if not self._is_normal(pt):
@@ -281,40 +297,22 @@ class ChowModel:
     def _find_relative_point(self):
         if self.rel_dim == 0:
             return (0,) * len(self.vars)
-        fiber_idx = [i for i in range(len(self.vars)) if i not in self._base_idx]
-        if not fiber_idx:
+        # the fibration argument of the module docstring; weight 0 holds the
+        # base exponents at 0, so these weights enumerate fiber monomials only
+        fiber = tuple(0 if i in self._base_idx else w for i, w in enumerate(self.vars.weights))
+        if not any(fiber):
             raise ModelError("no fiber generators for a positive relative dimension")
-        candidates = [
-            exps
-            for exps in _exponents_of_degree(self.vars.weights, self.rel_dim)
-            if all(exps[i] == 0 for i in self._base_idx) and self._is_normal(exps)
-        ]
+        candidates = list(self._normal_monomials(fiber, [self.rel_dim]))
         if len(candidates) != 1:
             raise UnsupportedModelError(
                 f"need exactly one normal fiber monomial of degree {self.rel_dim}, "
                 f"found {len(candidates)}"
             )
-        rel_pt = candidates[0]
-        # the ring must fiber over the base: every normal monomial must split
-        # into a normal fiber part times a base part, and fiber parts of full
-        # fiber degree must coincide with the fiber point
-        for deg in range(self.total_dim + 1):
-            for exps in _exponents_of_degree(self.vars.weights, deg):
-                if not self._is_normal(exps):
-                    continue
-                fiber_part = tuple(
-                    0 if i in self._base_idx else e for i, e in enumerate(exps)
-                )
-                if not self._is_normal(fiber_part):
-                    raise UnsupportedModelError(
-                        "normal monomials do not split over the base"
-                    )
-                fdeg = self.vars.degree(fiber_part)
-                if fdeg >= self.rel_dim and fiber_part != rel_pt:
-                    raise UnsupportedModelError(
-                        "fiber degree exceeds the fiber point; pushforward unsupported"
-                    )
-        return rel_pt
+        if any(self._normal_monomials(fiber, range(self.rel_dim + 1, self.total_dim + 1))):
+            raise UnsupportedModelError(
+                "fiber degree exceeds the fiber point; pushforward unsupported"
+            )
+        return candidates[0]
 
     # ------------------------------------------------------------------
     # ring API
@@ -424,10 +422,8 @@ class ChowModel:
     # serialization
 
     def to_obj(self) -> dict:
-        def series_obj(s: TruncatedSeries):
-            return [
-                {"exponents": list(e), "coeff": str(c)} for e, c in s.sorted_items()
-            ]
+        def terms(pairs):  # rule replacements and the tangent class alike
+            return [{"exponents": list(e), "coeff": str(c)} for e, c in pairs]
 
         return {
             "name": self.name,
@@ -436,18 +432,12 @@ class ChowModel:
                 for n, w in zip(self.vars.names, self.vars.weights)
             ],
             "relations": [
-                {
-                    "lead": list(lead),
-                    "replace": [
-                        {"exponents": list(e), "coeff": str(c)} for e, c in replace
-                    ],
-                }
-                for lead, replace in self.rules
+                {"lead": list(lead), "replace": terms(replace)} for lead, replace in self.rules
             ],
             "rel_dim": self.rel_dim,
             "total_dim": self.total_dim,
             "base_generators": list(self.base_generators),
-            "tangent_chern": series_obj(self.tangent_chern),
+            "tangent_chern": terms(self.tangent_chern.sorted_items()),
             "point_class": list(self.point_class),
         }
 
@@ -546,15 +536,10 @@ def model_hirzebruch(e: int) -> ChowModel:
     one = TruncatedSeries.one(vars_, 2)
     z = TruncatedSeries.gen(vars_, 2, "z")
     f = TruncatedSeries.gen(vars_, 2, "f")
-    relations = [((0, 2), [])]
-    if e:
-        relations.append(((2, 0), [((1, 1), Rational(-e))]))
-    else:
-        relations.append(((2, 0), []))
     return ChowModel(
         name=f"F{e}",
         generators=vt,
-        relations=relations,
+        relations=[((0, 2), []), ((2, 0), [((1, 1), -e)] if e else [])],
         rel_dim=1,
         total_dim=2,
         base_generators=["f"],
@@ -595,35 +580,47 @@ def builtin_model(name: str, n: int | None = None, m: int | None = None, e: int 
 # JSON loading
 
 
+def _json_list(obj: dict, key: str, default=None) -> list:
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, list):
+        raise ModelError(f"{key} must be a JSON list, not {value!r}")
+    return value
+
+
+def _generator(record):
+    """A {"name", "weight"} record as a (name, weight) pair; a [name, weight]
+    list passes as it is."""
+    if isinstance(record, str):
+        raise ModelError(f"generator {record!r} must be an object or a [name, weight] list")
+    return record if isinstance(record, list) else (record["name"], record.get("weight", 1))
+
+
 def load_model(obj: dict) -> ChowModel:
-    """Build and validate a model from its JSON schema dict."""
+    """Build and validate a model from its JSON schema dict.
+
+    Records are reshaped, never converted: ``VarTable``, ``TruncatedSeries``
+    and ``ChowModel`` check each value once.
+    """
     if not isinstance(obj, dict):
         raise ModelError("model description must be an object")
     try:
-        total = int(obj["total_dim"])
-        _check_model_dim(str(obj.get("name", "model")), total)
-        generators = [
-            (g["name"], int(g.get("weight", 1))) if isinstance(g, dict) else (g[0], int(g[1]))
-            for g in obj["generators"]
-        ]
-        vars_ = VarTable(generators)
-        tangent = TruncatedSeries.from_terms(
-            vars_,
-            total,
-            [
-                (tuple(int(x) for x in rec["exponents"]), Rational(str(rec["coeff"])))
-                for rec in obj.get("tangent_chern", [])
-            ],
-        )
+        generators = [_generator(g) for g in _json_list(obj, "generators")]
+        total = obj["total_dim"]
+        tangent = [(r["exponents"], r["coeff"]) for r in _json_list(obj, "tangent_chern", [])]
         return ChowModel(
             name=obj.get("name", "model"),
             generators=generators,
-            relations=obj.get("relations", []),
-            rel_dim=int(obj["rel_dim"]),
+            relations=[
+                (rel["lead"], [(r["exponents"], r["coeff"]) for r in _json_list(rel, "replace")])
+                for rel in _json_list(obj, "relations", [])
+            ],
+            rel_dim=obj["rel_dim"],
             total_dim=total,
-            base_generators=obj.get("base_generators", []),
-            tangent_chern=tangent if obj.get("tangent_chern") else None,
-            point_class=tuple(int(x) for x in obj["point_class"]),
+            base_generators=_json_list(obj, "base_generators", []),
+            tangent_chern=TruncatedSeries.from_terms(VarTable(generators), total, tangent)
+            if tangent
+            else None,
+            point_class=_json_list(obj, "point_class"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (ModelError, DomainError)):

@@ -36,7 +36,7 @@ from .kexpr import ScriptError
 __all__ = ["main"]
 
 # Largest verify-all --max-dim, a time budget: a pass runs universal-defect-d1
-# up to d{max_dim}, and its checks take about 50 ms at 4. The ducrot checks
+# up to d{max_dim}, and its checks take about 35 ms at 4. The ducrot checks
 # stop at d = 3 whatever the value.
 MAX_VERIFY_DIM = 4
 

@@ -60,8 +60,8 @@ def pk_poly(k: int) -> tuple[int, ...]:
     (4, -1)
     """
     global _carried_pk
-    if k < 0:
-        raise DomainError("k must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise DomainError("k must be a nonnegative integer")
     start, p = _carried_pk if _carried_pk[0] <= k else (0, (1,))
     for i in range(start + 1, k + 1):
         p = (2**i + 2 * p[0], *(2 * p[j] - p[j - 1] for j in range(1, len(p))), -p[-1])
@@ -78,8 +78,8 @@ def pk_identity_check(k: int) -> bool:
     The right side is 2^(k+1) minus (2-t)^(k+1) expanded by the binomial
     theorem, coefficient j being C(k+1, j) 2^(k+1-j) (-1)^j.
     """
-    if k < 0:
-        raise DomainError("k must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise DomainError("k must be a nonnegative integer")
     n = k + 1
     lhs = (0,) + pk_poly(k)
     rhs = [-comb(n, j) * 2 ** (n - j) * (-1) ** j for j in range(n + 1)]
@@ -141,8 +141,8 @@ def coeff_table(d: int) -> CoeffTable:
     >>> coeff_table(1).entries
     (7, -4, 1)
     """
-    if d < 1:
-        raise DomainError("d must be >= 1 (d = 0 collapses the table)")
+    if type(d) is not int or d < 1:
+        raise DomainError("d must be an integer >= 1 (d = 0 collapses the table)")
     if d > MAX_COEFF_DIM:
         raise DomainError(f"d = {d} exceeds the ceiling MAX_COEFF_DIM = {MAX_COEFF_DIM}")
     entries = [
@@ -159,8 +159,8 @@ def binomial_expansion_check(d: int) -> bool:
     double-sum table entry by entry; this exercises the binomial expansion
     of the virtual block instead of the direct double sum.
     """
-    if d < 1:
-        raise DomainError("d must be >= 1")
+    if type(d) is not int or d < 1:
+        raise DomainError("d must be an integer >= 1")
     n = 2 * d
     acc = [0] * (n + 1)
     p = [1]  # (1-u)^i, coefficient list

@@ -96,11 +96,10 @@ class DomainError(ValueError):
 
 
 def _as_rational(value) -> Rational:
-    if isinstance(value, int):
-        return Rational(value)
+    """An int, a Rational or a string such as "3/2"; not a bool or a float."""
     if isinstance(value, Rational):
         return value
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) and type(value) is not bool:
         return Rational(value)
     raise StructureError(f"not an exact rational: {value!r}")
 
@@ -125,7 +124,7 @@ class VarTable:
                 name, weight = item
             if not isinstance(name, str) or not name:
                 raise StructureError(f"bad variable name: {name!r}")
-            if not isinstance(weight, int) or weight < 1:
+            if type(weight) is not int or weight < 1:
                 raise StructureError(f"weight of {name} must be a positive int")
             names.append(name)
             weights.append(weight)
@@ -260,9 +259,9 @@ class TruncatedSeries:
         clean: list[tuple[int, int | Rational]] = []
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != len(vars) or any(e < 0 or not isinstance(e, int) for e in exps):
+            if len(exps) != len(vars) or any(type(e) is not int or e < 0 for e in exps):
                 raise StructureError(f"bad exponent vector {exps!r}")
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 coeff = _as_rational(coeff)
             if coeff:
                 key = lay.key(exps)  # None above the bound

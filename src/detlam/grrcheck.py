@@ -124,7 +124,7 @@ def _universal_ring(d: int) -> VarTable:
 
 
 def _check_dim(d: int, allow_degenerate: bool):
-    if not isinstance(d, int) or d < 0:
+    if type(d) is not int or d < 0:
         raise DomainError("d must be a nonnegative integer")
     if d == 0 and not allow_degenerate:
         raise DomainError("d = 0 is degenerate; pass allow_degenerate=True to inspect it")
@@ -234,14 +234,14 @@ def ducrot_defect(
     degree >= d+2, hence vanishes on the window; with fewer factors the
     lowest term survives and witnesses non-vanishing.
     """
-    if d < 0:
-        raise DomainError("d must be >= 0")
+    if type(d) is not int or d < 0:
+        raise DomainError("d must be a nonnegative integer")
     if d > MAX_DUCROT_DIM:
         raise DomainError(f"d = {d} exceeds the ceiling MAX_DUCROT_DIM = {MAX_DUCROT_DIM}")
     if factors is None:
         factors = d + 2
-    if factors < 0:
-        raise DomainError("the factor count must be >= 0")
+    if type(factors) is not int or factors < 0:
+        raise DomainError("the factor count must be a nonnegative integer")
     if factors > MAX_DUCROT_FACTORS:
         raise DomainError(
             f"{factors} factors exceed the ceiling MAX_DUCROT_FACTORS = {MAX_DUCROT_FACTORS}"
@@ -442,7 +442,11 @@ def picard_deduce(symbols, relations, goal) -> DeduceReport:
         raise DomainError("duplicate symbols")
 
     def vector(v):
-        return parse_linear_expr(v, symbols) if isinstance(v, str) else [int(x) for x in v]
+        if isinstance(v, str):
+            return parse_linear_expr(v, symbols)
+        if any(type(x) is not int for x in v):
+            raise DomainError(f"{v!r} is not a vector of integers")
+        return list(v)
 
     echelon = _integer_echelon([vector(r) for r in relations], len(symbols))
     goal_vec = vector(goal)

@@ -8,7 +8,7 @@ module was written.
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from detlam import chowmodel
 from detlam.chowmodel import (
@@ -254,6 +254,60 @@ def test_validation_rejects_point_class_off_the_fiber_point():
         )
 
 
+def test_validation_rejects_two_normal_fiber_points():
+    # h and k are both normal fiber monomials of degree rel_dim = 1; h s = k s
+    # leaves k s as the one normal monomial of degree 2, so the point class holds
+    with pytest.raises(UnsupportedModelError, match="need exactly one normal fiber monomial"):
+        ChowModel(
+            name="bad",
+            generators=[("h", 1), ("k", 1), ("s", 1)],
+            relations=[
+                ((2, 0, 0), []),
+                ((1, 1, 0), []),
+                ((0, 2, 0), []),
+                ((0, 0, 2), []),
+                ((1, 0, 1), [((0, 1, 1), 1)]),
+            ],
+            rel_dim=1,
+            total_dim=2,
+            base_generators=["s"],
+            tangent_chern=None,
+            point_class=(0, 1, 1),
+        )
+
+
+def test_validation_rejects_a_fiber_monomial_above_the_fiber_point():
+    # s h = h^2 makes h^2 the point class; it is a normal fiber monomial of
+    # degree 2, above the fiber point h of degree rel_dim = 1
+    with pytest.raises(UnsupportedModelError, match="fiber degree exceeds the fiber point"):
+        ChowModel(
+            name="bad",
+            generators=[("s", 1), ("h", 1)],
+            relations=[((2, 0), []), ((1, 1), [((0, 2), 1)]), ((0, 3), [])],
+            rel_dim=1,
+            total_dim=2,
+            base_generators=["s"],
+            tangent_chern=None,
+            point_class=(0, 2),
+        )
+
+
+def test_closure_reads_every_degree_up_to_the_largest_weight():
+    # c has weight 2 and h^2 = c: nothing of degree 3 is normal, but c^2 of
+    # degree 4 = total_dim + 2 is, so the ring does not vanish above total_dim
+    with pytest.raises(ModelError, match=r"normal monomial \(0, 2\) of degree 4"):
+        ChowModel(
+            name="bad",
+            generators=[("h", 1), ("c", 2)],
+            relations=[((2, 0), [((0, 1), 1)]), ((1, 1), [])],
+            rel_dim=2,
+            total_dim=2,
+            base_generators=[],
+            tangent_chern=None,
+            point_class=(0, 1),
+        )
+
+
 def test_bundle_class_validation():
     m = model_pn_x_pm(1, 1)
     line = BundleClass.line(m, {"h": 1, "s": 1})
@@ -396,3 +450,123 @@ def test_integrate_is_exact_off_normal_form(pairing_models):
             assert m.normal_form(a) != a
         assert m.integrate(a) == integral_by_normal_form(m, a)
         assert m.integrate(a, a) == integral_by_normal_form(m, a, a)
+
+
+# ----------------------------------------------------------------------
+# the normal-monomial checks against the reducing checks they replaced
+
+
+class ReducingModel(ChowModel):
+    """ChowModel with the closure and fibration checks that reduce every
+    monomial above the window and walk the whole window: the oracle for the
+    normal-monomial checks."""
+
+    def _check_dimension_closure(self):
+        top = self.total_dim
+        for deg in range(top + 1, top + max(self.vars.weights) + 1):
+            for exps in chowmodel._exponents_of_degree(self.vars.weights, deg):
+                if self._reduce_monomial(exps):
+                    raise ModelError(f"monomial {exps} of degree {deg} does not normalize to zero")
+
+    def _find_relative_point(self):
+        if self.rel_dim == 0:
+            return (0,) * len(self.vars)
+        if all(i in self._base_idx for i in range(len(self.vars))):
+            raise ModelError("no fiber generators for a positive relative dimension")
+        candidates = [
+            exps
+            for exps in chowmodel._exponents_of_degree(self.vars.weights, self.rel_dim)
+            if all(exps[i] == 0 for i in self._base_idx) and self._is_normal(exps)
+        ]
+        if len(candidates) != 1:
+            raise UnsupportedModelError("need exactly one normal fiber monomial")
+        rel_pt = candidates[0]
+        for deg in range(self.total_dim + 1):
+            for exps in chowmodel._exponents_of_degree(self.vars.weights, deg):
+                if not self._is_normal(exps):
+                    continue
+                fiber_part = tuple(0 if i in self._base_idx else e for i, e in enumerate(exps))
+                if not self._is_normal(fiber_part):
+                    raise UnsupportedModelError("normal monomials do not split over the base")
+                if self.vars.degree(fiber_part) >= self.rel_dim and fiber_part != rel_pt:
+                    raise UnsupportedModelError("fiber degree exceeds the fiber point")
+        return rel_pt
+
+
+@st.composite
+def presentations(draw):
+    """Small homogeneous, decreasing presentations. Most carry a power rule
+    g^a = 0 per generator with total_dim at the top degree of those powers,
+    so a good share passes closure and reaches the fibration check."""
+    n = draw(st.integers(1, 3))
+    weights = tuple(draw(st.integers(1, 2)) for _ in range(n))
+    powers = [draw(st.integers(1, 3)) for _ in range(n)]
+    top = sum((a - 1) * w for a, w in zip(powers, weights))
+    total = top if 1 <= top <= 4 and draw(st.integers(0, 3)) else draw(st.integers(1, 4))
+    vt = VarTable([(f"g{i}", w) for i, w in enumerate(weights)])
+    rules = {}
+    for i, a in enumerate(powers):
+        if draw(st.integers(0, 4)):
+            rules[tuple(a * (j == i) for j in range(n))] = []
+    for _ in range(draw(st.integers(0, 2))):
+        lead = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        deg = vt.degree(lead)
+        if deg == 0 or lead in rules:
+            continue
+        below = [
+            e for e in chowmodel._exponents_of_degree(weights, deg) if e < lead
+        ]
+        picked = draw(st.lists(st.sampled_from(below), unique=True, max_size=2)) if below else []
+        coeffs = st.sampled_from([1, -1, 2, "1/2", "-3/2"])
+        rules[lead] = [(e, draw(coeffs)) for e in picked]
+    rel_dim = draw(st.integers(0, total))
+    names = [f"g{i}" for i in range(n)]
+    family = int(rel_dim < total)
+    base = draw(st.lists(st.sampled_from(names), min_size=family, max_size=max(n - 1, family), unique=True))
+    tops = list(chowmodel._exponents_of_degree(weights, total)) or [(total,) + (0,) * (n - 1)]
+    normal = [e for e in tops if not any(all(a <= b for a, b in zip(r, e)) for r in rules)]
+    point = draw(st.sampled_from(normal if normal and draw(st.integers(0, 5)) else tops))
+    return dict(
+        name="drawn",
+        generators=list(zip(names, weights)),
+        relations=list(rules.items()),
+        rel_dim=rel_dim,
+        total_dim=total,
+        base_generators=base,
+        tangent_chern=None,
+        point_class=point,
+    )
+
+
+def build(cls, kwargs):
+    try:
+        return cls(**kwargs)
+    except ModelError as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentations())
+def test_normal_monomial_checks_match_the_reducing_checks(kwargs):
+    got, want = build(ChowModel, kwargs), build(ReducingModel, kwargs)
+    if isinstance(want, ModelError):
+        assert type(got) is type(want)
+    else:
+        assert isinstance(got, ChowModel), got
+        assert got.to_obj() == want.to_obj()
+        assert (got._top, got._top_den) == (want._top, want._top_den)
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        lambda m: isinstance(m, ChowModel) and m.rel_dim == m.total_dim,
+        lambda m: isinstance(m, ChowModel) and m.rel_dim < m.total_dim,
+        lambda m: type(m) is UnsupportedModelError,
+    ],
+    ids=["point-model", "family", "unsupported"],
+)
+def test_drawn_presentations_reach_each_outcome(outcome):
+    # the oracle comparison is only as good as the outcomes its draws reach
+    quick = settings(max_examples=2000, phases=[Phase.generate], database=None)
+    find(presentations(), lambda kw: outcome(build(ChowModel, kw)), settings=quick)

@@ -23,6 +23,18 @@ from detlam.kexpr import MAX_NESTING
 from detlam.quotientlab import MAX_BOUND, MAX_VARIABLES
 
 
+# The environment of a child ``python -m detlam...``: this checkout's src
+# directory first on its path, so the child imports the code under test
+# whether or not detlam is installed.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -46,6 +58,32 @@ def run_json(capsys, *argv):
 
 class _Reached(Exception):
     """Raised by a stub that stands in for the expensive part of a command."""
+
+
+# P1xP1 model files with one field malformed: integer fields that are not JSON
+# integers, list fields given as strings, and generator records of the wrong
+# shape. Each must be refused, never coerced into a model.
+def _p1xp1_with(edit):
+    obj = model_pn_x_pm(1, 1).to_obj()
+    edit(obj)
+    return obj
+
+
+MALFORMED_MODELS = {
+    "generator-names": _p1xp1_with(lambda o: o.update(generators=["h", "s"])),
+    "generator-strings": _p1xp1_with(lambda o: o.update(generators=["h1", "s1"])),
+    "generator-triple": _p1xp1_with(lambda o: o.update(generators=[["h", 1, 1], ["s", 1]])),
+    "weight-true": _p1xp1_with(lambda o: o["generators"][0].update(weight=True)),
+    "weight-float": _p1xp1_with(lambda o: o["generators"][0].update(weight=1.0)),
+    "lead-float": _p1xp1_with(lambda o: o["relations"][0].update(lead=[2.7, 0])),
+    "rel-dim-float": _p1xp1_with(lambda o: o.update(rel_dim=1.9)),
+    "total-dim-string": _p1xp1_with(lambda o: o.update(total_dim="2")),
+    "point-class-float": _p1xp1_with(lambda o: o.update(point_class=[1.5, 1])),
+    "point-class-string": _p1xp1_with(lambda o: o.update(point_class="11")),
+    "base-string": _p1xp1_with(lambda o: o.update(base_generators="s")),
+    "tangent-exponent-float": _p1xp1_with(lambda o: o["tangent_chern"][1].update(exponents=[1.2, 0])),
+    "tangent-coeff-float": _p1xp1_with(lambda o: o["tangent_chern"][1].update(coeff=0.5)),
+}
 
 
 class TestCoeffs:
@@ -247,6 +285,32 @@ class TestModelCommands:
             capsys, "verify-main", "--model-file", str(path), "--line", "1,1"
         )
         assert code == 0 and obj["ok"]
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+    def test_malformed_model_file_is_usage_error(self, capsys, tmp_path, case):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(MALFORMED_MODELS[case]), encoding="utf-8")
+        err = run_usage_error(capsys, "verify-main", "--model-file", str(path), "--line", "1,1")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "model, flags, line",
+        [(f"P{n}xP1", [], "2,-1") for n in (1, 2, 3)]
+        + [("Hirzebruch", ["--e", str(e)], "2,-1") for e in range(4)]
+        + [("P2", [], "3")],
+    )
+    @pytest.mark.parametrize("command", ["verify-main", "c1lambda", "euler"])
+    def test_model_file_reports_match_the_builtin_model(
+        self, capsys, tmp_path, command, model, flags, line
+    ):
+        built = chowmodel.builtin_model(model, e=int(flags[1]) if flags else None)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(built.to_obj()), encoding="utf-8")
+        builtin = run_cli(capsys, command, "--model", model, *flags, "--line", line)
+        from_file = run_cli(capsys, command, "--model-file", str(path), "--line", line)
+        assert from_file == builtin
+        # euler needs a point base, the other two a one-dimensional one
+        assert (builtin[0] == 0) == ((command == "euler") == (model == "P2"))
 
     def test_model_file_with_rational_tangent_class(self, capsys, tmp_path):
         # c(T) = 1 + h/3 on P1xP1 gives a non-integral determinant degree
@@ -782,7 +846,9 @@ class TestVerifyAll:
             "import sys, detlam.cli; "
             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -884,6 +950,7 @@ class TestClosedStdout:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            env=CHILD_ENV,
         )
         for _ in range(lines):
             proc.stdout.readline()
@@ -927,6 +994,7 @@ class TestUsage:
             [sys.executable, "-m", "detlam.cli", "coeffs", "--dim", "2"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert "31" in proc.stdout
@@ -936,6 +1004,7 @@ class TestUsage:
             [sys.executable, "-m", "detlam", "coeffs", "--dim", "1"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         code, out = run_cli(capsys, "coeffs", "--dim", "1")
         assert proc.returncode == code == 0
@@ -958,8 +1027,8 @@ _JUNK = st.text(alphabet="xyl012-9:,;=*.+_ oddevn()", max_size=12)
 @pytest.fixture(scope="module")
 def bad_files(tmp_path_factory):
     """Paths a user might pass as ``--model-file`` or ``--script``: missing,
-    a directory, not JSON, JSON of the wrong shape, too deep, too large, and
-    one valid model file."""
+    a directory, not JSON, JSON of the wrong shape, too deep, too large, the
+    malformed model files, and one valid model file."""
     root = tmp_path_factory.mktemp("fuzz")
     contents = {
         "not-json.json": "{not json",
@@ -969,6 +1038,7 @@ def bad_files(tmp_path_factory):
         "huge-dim.json": json.dumps({"total_dim": 10**9, "generators": [["h", 1]]}),
         "steps.json": json.dumps({"name": "s", "steps": [{"rule": "nope"}]}),
         "p1xp1.json": json.dumps(model_pn_x_pm(1, 1).to_obj()),
+        **{f"{case}.json": json.dumps(obj) for case, obj in MALFORMED_MODELS.items()},
     }
     for name, text in contents.items():
         (root / name).write_text(text, encoding="utf-8")

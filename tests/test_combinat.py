@@ -153,3 +153,20 @@ def test_coeff_table_validation_guards():
         CoeffTable(1, (7, 4, 1))  # signs must alternate
     with pytest.raises(DomainError):
         CoeffTable(1, (8, -4, 1))  # sum must be 2^(2d)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coeff_table(True),
+        lambda: coeff_table(2.0),
+        lambda: binomial_expansion_check(2.0),
+        lambda: pk_poly(1.5),
+        lambda: pk_identity_check(1.5),
+        lambda: pk_identity_check(True),
+    ],
+    ids=["coeffs-bool", "coeffs-float", "binomial-float", "pk-poly-float", "pk-float", "pk-bool"],
+)
+def test_integer_arguments_refuse_bools_and_floats(call):
+    with pytest.raises(DomainError, match="integer"):
+        call()

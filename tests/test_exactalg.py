@@ -37,6 +37,27 @@ def test_vartable_validation():
         VarTable([("x", 0)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: VarTable([("x", True)]),
+        lambda: VarTable([("x", 1.0)]),
+        lambda: TruncatedSeries(X, 2, {(True,): 1}),
+        lambda: TruncatedSeries(X, 2, {(1.0,): 1}),
+        lambda: TruncatedSeries(X, 2, {(1,): True}),
+        lambda: S(X, 2, [((1,), True)]),
+        lambda: S(X, 2, [((1,), 0.5)]),
+    ],
+    ids=[
+        "weight-bool", "weight-float", "exponent-bool", "exponent-float",
+        "coeff-bool", "terms-coeff-bool", "coeff-float",
+    ],
+)
+def test_bools_and_floats_are_not_integers(build):
+    with pytest.raises(StructureError):
+        build()
+
+
 def test_zero_coefficients_are_dropped_and_bound_enforced():
     s = S(X, 2, [((0,), 1), ((1,), 0), ((3,), 5)])
     assert s.terms == {(0,): Rational(1)}

@@ -484,6 +484,29 @@ def test_picard_integer_vs_rational_span():
     assert not picard_deduce(["x", "y"], relations, [0, 1]).derivable
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: picard_deduce(["a", "b"], [[1.5, 2]], "2*a"),
+        lambda: picard_deduce(["a", "b"], [[True, 0]], "2*a"),
+        lambda: picard_deduce(["a", "b"], ["2*a = 0"], [2, 0.0]),
+        lambda: universal_report(True),
+        lambda: universal_report(2.0),
+        lambda: ducrot_defect(2.0),
+        lambda: ducrot_defect(True),
+        lambda: ducrot_defect(2, 3.0, True),
+        lambda: ducrot_defect(2, True, True),
+    ],
+    ids=[
+        "relation-float", "relation-bool", "goal-float", "universal-bool", "universal-float",
+        "ducrot-float", "ducrot-bool", "factors-float", "factors-bool",
+    ],
+)
+def test_integer_arguments_refuse_bools_and_floats(call):
+    with pytest.raises(DomainError, match="integer"):
+        call()
+
+
 def test_picard_deduce_reports():
     rep = picard_deduce(
         ["l0", "l1", "l2"],
