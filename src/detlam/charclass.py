@@ -7,13 +7,19 @@ exponential expressions in those power sums, Adams operations rescale
 graded components, and symmetric-power characters come out of the
 generating identity
 
-    sum_j ch(Sym^j E) t^j = exp( sum_{m>=1} (t^m / m) psi^m(ch E) ),
+    sum_j ch(Sym^j E) t^j = exp( sum_{m>=1} (t^m / m) psi^m(ch E) )
+                          = prod_k 1 / (1 - t e^(x_k)).
 
-read off through the equivalent recurrence j*s_j = sum_m psi^m(ch E) s_{j-m}.
-That recurrence produces s_0..s_top in a single pass, so ``sym_ch_table``
-returns the whole list and ``sym_ch`` is its last entry: a caller that
-needs several symmetric powers builds the table once per call instead of
-re-running the recurrence for each degree.
+It is read through the rank-zero part of ch E: with z_k = e^(x_k) - 1, the
+Sym^j character is a binomial combination of the complete symmetric
+functions G_i = h_i(z), and G_i vanishes above the truncation degree. So
+``sym_ch_table`` builds G_0..G_n once, n = min(top, bound), by Newton's
+identity on the power sums of the z_k (each a Stirling rescale of ch), and
+every s_j is one weighted sum of them, with no product of its own. The
+Adams recurrence j*s_j = sum_m psi^m(ch E) s_{j-m} would need a series
+product per (j, m) pair; the tests keep it as an independent oracle.
+``sym_ch`` is the table's last entry, and ``grrcheck.universal_report``
+folds each twist's Sym characters straight into weighted sums of the G_i.
 
 Newton's recurrence runs once over the packed graded components of the
 class on integer numerators (``TruncatedSeries._newton``). The Chern
@@ -24,8 +30,8 @@ is homogeneous of degree k, so the integer components of the power sums
 feed the exp recurrence directly as the degree-k components g_k p_k of the
 logarithm, and no power-sum series is built. Neither calls a series
 inverse. The only caches here are the Todd logarithm's coefficients and
-their integer form, per bound. The classes of a model's cotangent sheaf (c, ch and the Sym
-characters, all in normal form) are cached on the model, by
+their integer form, per bound. The Sym characters of a model's cotangent
+sheaf, in normal form, are cached on the model, by
 ``ChowModel.cotangent_sym_table``.
 """
 
@@ -135,18 +141,73 @@ def dual_ch(ch: TruncatedSeries) -> TruncatedSeries:
     return adams_rescale(ch, -1)
 
 
+def _rank_zero_sym(ch: TruncatedSeries, n: int, normal_form=None) -> list[TruncatedSeries]:
+    """G_0..G_n, where G_i = h_i(z) is the i-th complete symmetric function
+    of z_k = e^(x_k) - 1 over the roots x_k of the class whose Chern
+    character is ``ch``; only the components of degree >= 1 are read.
+
+    z_k has no constant term, so G_i has degree >= i and vanishes for
+    i > bound. Newton's identity for complete symmetric functions gives
+    G_0 = 1 and i G_i = sum_{m=1..i} p_m G_{i-m}, with p_m = sum_k z_k^m.
+    Since (e^x - 1)^m = sum_k m! S(k, m) x^k / k!, with S the Stirling
+    numbers of the second kind, p_m is ch with its degree-k component
+    scaled by the number m! S(k, m) of surjections from k onto m; it is 0
+    below degree m and on the constant term, so no Adams operation is
+    needed. ``normal_form``, when given, is applied to each G_i as it is
+    built (see ``sym_ch_table``).
+    """
+    # surj[k] = m! S(k, m) for the current m, from m! S(k, m) =
+    # m (m-1)! S(k-1, m-1) + m m! S(k-1, m)
+    surj = [1] + [0] * ch.bound
+    p: list = [None]
+    for m in range(1, n + 1):
+        prev = surj
+        surj = [0] * (ch.bound + 1)
+        for k in range(m, ch.bound + 1):
+            surj[k] = m * (prev[k - 1] + surj[k - 1])
+        p.append(ch._graded_weigh(surj))
+    g = [TruncatedSeries.one(ch.vars, ch.bound)]
+    for i in range(1, n + 1):
+        inv = Rational(1, i)
+        gi = _combine(ch, [(inv, p[i])] + [(inv, p[m] * g[i - m]) for m in range(1, i)])
+        g.append(gi if normal_form is None else normal_form(gi))
+    return g
+
+
+def _sym_weights(r, j: int, n: int) -> list:
+    """C(r + j - 1, j - i) for i = 0..min(j, n): s_j = sum_i of these times
+    G_i (``_rank_zero_sym``). The binomial is a polynomial in the rank r,
+    evaluated by C(x, k + 1) = C(x, k) (x - k) / (k + 1), an exact integer
+    division when r is an integer."""
+    x = r + j - 1
+    out = [1]
+    for k in range(j):
+        c = out[-1] * (x - k)
+        out.append(c // (k + 1) if type(c) is int else c / (k + 1))
+    return out[::-1][: n + 1]
+
+
 def sym_ch_table(ch: TruncatedSeries, top: int, normal_form=None) -> list[TruncatedSeries]:
     """Chern characters [s_0, ..., s_top] of the symmetric powers Sym^0..Sym^top.
 
-    s_0 = 1 and j*s_j = sum_{m=1}^{j} psi^m(ch) * s_{j-m}, the coefficient
-    recurrence of the generating identity in the module docstring; every
-    entry comes out of the same pass.
+    Write ch = r + sum_k (e^(x_k) - 1) with z_k = e^(x_k) - 1. Each factor
+    1/(1 - t e^x) of the generating identity in the module docstring is
+    (1 - t)^(-1) / (1 - u z) with u = t/(1 - t), so
+    sum_j s_j t^j = sum_i t^i (1 - t)^(-r-i) G_i with G_i = h_i(z), and
 
-    ``normal_form``, when given, is applied to each entry as it is built,
-    so every later product multiplies reduced entries. It must be a linear
-    map that keeps degree and respects products, as a model's normal form
-    does (its relations are homogeneous): it then commutes with every psi^m,
-    and the table equals the normal forms of the entries built without it.
+        s_j = sum_{i=0..min(j, n)} C(r + j - 1, j - i) G_i,  n = min(top, bound):
+
+    the sigma-analogue of the gamma operations gamma_t = lambda_(t/(1-t))
+    (Atiyah, K-Theory, 1967; Fulton & Lang, Riemann-Roch Algebra, 1985,
+    ch. I and III). The G_i come from ``_rank_zero_sym``, and each entry
+    is one weighted sum of them, with no further product.
+
+    ``normal_form``, when given, is applied to each G_i as it is built,
+    so every product multiplies reduced classes and every entry, a linear
+    combination of them, is reduced. It must be a linear map that keeps
+    degree and respects products, as a model's normal form does (its
+    relations are homogeneous): the table then equals the normal forms of
+    the entries built without it.
 
     For a line bundle with ch = e^a, s_j = e^(j*a):
 
@@ -158,15 +219,12 @@ def sym_ch_table(ch: TruncatedSeries, top: int, normal_form=None) -> list[Trunca
     """
     if top < 0:
         raise DomainError("symmetric power degree must be >= 0")
-    psi = [None] + [adams_rescale(ch, m) for m in range(1, top + 1)]
-    s = [TruncatedSeries.one(ch.vars, ch.bound)]
-    for n in range(1, top + 1):
-        acc = TruncatedSeries.zero(ch.vars, ch.bound)
-        for m in range(1, n + 1):
-            acc = acc + psi[m] * s[n - m]
-        acc = acc / n
-        s.append(acc if normal_form is None else normal_form(acc))
-    return s
+    n = min(top, ch.bound)
+    g = _rank_zero_sym(ch, n, normal_form)
+    r = ch.constant_term
+    if r.denominator == 1:
+        r = int(r)  # integer binomials
+    return [_combine(ch, zip(_sym_weights(r, j, n), g)) for j in range(top + 1)]
 
 
 def sym_ch(ch: TruncatedSeries, j: int) -> TruncatedSeries:

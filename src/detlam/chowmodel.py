@@ -74,16 +74,37 @@ class UnsupportedModelError(ModelError):
 
 
 def _exponents_of_degree(weights: tuple[int, ...], degree: int):
-    """All exponent vectors with the given weighted total degree; a weight
-    of 0 holds its exponent at 0."""
+    """All exponent vectors with the given weighted total degree, in
+    lexicographic order; a weight of 0 holds its exponent at 0.
+
+    An odometer over every exponent but the last, which the degree left
+    over fixes, so no call nests per generator: ``left`` is the degree not
+    yet spent, and each step raises the last exponent that still fits after
+    zeroing those behind it.
+    """
     if not weights:
         if degree == 0:
             yield ()
         return
-    w = weights[0]
-    for e in range(degree // w + 1) if w else (0,):
-        for rest in _exponents_of_degree(weights[1:], degree - e * w):
-            yield (e,) + rest
+    *head, last = weights
+    exps = [0] * len(weights)
+    left = degree
+    while True:
+        if last and left % last == 0:
+            exps[-1] = left // last
+            yield tuple(exps)
+        elif not last and not left:
+            exps[-1] = 0
+            yield tuple(exps)
+        i = len(head) - 1
+        while i >= 0 and not 0 < head[i] <= left:
+            left += exps[i] * head[i]
+            exps[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        exps[i] += 1
+        left -= head[i]
 
 
 # Largest validation window of a model: the monomials of weighted degree <=
@@ -161,6 +182,7 @@ class ChowModel:
         self.base_generators = base
 
         self.rules = self._parse_rules(relations)
+        self._leads_at = self._lead_index()
         self._nf_cache: dict[tuple[int, ...], dict] = {}
         self._packed_nf: dict[int, tuple[dict, int]] = {}
         self._cotangent_sym: tuple[TruncatedSeries, ...] | None = None
@@ -244,8 +266,26 @@ class ChowModel:
         self._nf_cache[exps] = out
         return out
 
+    def _lead_index(self) -> dict[int, list]:
+        """The rule leads as their nonzero (index, exponent) pairs, filed
+        under their first nonzero index. A lead divides a monomial only if
+        that index is in the monomial's support, so ``_is_normal`` reads
+        only the leads filed there: one lead per monomial, not every lead,
+        when each generator has its own rule."""
+        index: dict[int, list] = {}
+        for lead, _ in self.rules:
+            support = tuple((i, a) for i, a in enumerate(lead) if a)
+            index.setdefault(support[0][0], []).append(support)
+        return index
+
     def _is_normal(self, exps: tuple[int, ...]) -> bool:
-        return not any(_divides(lead, exps) for lead, _ in self.rules)
+        leads = self._leads_at
+        for i, e in enumerate(exps):
+            if e:
+                for support in leads.get(i, ()):
+                    if all(exps[j] >= a for j, a in support):
+                        return False
+        return True
 
     def _normal_monomials(self, weights: tuple[int, ...], degrees):
         """Normal monomials over ``weights`` of the given degrees, lazily."""
@@ -375,11 +415,13 @@ class ChowModel:
 
         c(Omega) = psi^(-1) c(T) and ch(Omega) are taken in normal form, and
         the entries are ``sym_ch_table(ch(Omega), 2d, self.normal_form)``:
-        each entry is reduced as the table is built, so every product of the
-        recurrence multiplies normal forms. The relations are homogeneous, so
-        that equals reducing the unreduced table at the end. None of it
-        depends on a line bundle, so the table is built on first use and
-        cached on the model, like the normal forms of monomials.
+        the rank-zero classes G_1..G_n it combines, n = min(2d, total_dim),
+        are each reduced as they are built, so every product multiplies
+        normal forms and every entry, a weighted sum of them, is reduced.
+        The relations are homogeneous, so that equals reducing the
+        unreduced table at the end. None of it depends on a line bundle, so
+        the table is built on first use and cached on the model, like the
+        normal forms of monomials.
         """
         if self._cotangent_sym is None:
             chern = self.normal_form(adams_rescale(self.tangent_chern, -1))

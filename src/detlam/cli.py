@@ -310,13 +310,13 @@ def _chk_family_p1xp1():
 
 
 def _chk_family_hirzebruch():
-    for e in range(4):
-        model = model_hirzebruch(e)
+    models = [model_hirzebruch(e) for e in range(4)]
+    for e, model in enumerate(models):
         report = grrcheck.verify_main_on_model(model, {"z": 0, "f": 0})
         if not report.ok:
             return {"e": e, "line": [0, 0]}
     for e in (1, 2):
-        model = model_hirzebruch(e)
+        model = models[e]
         line = BundleClass.line(model, {"z": 1, "f": 0})
         if grrcheck.c1_lambda(model, line) != -e:
             return {"e": e, "degree": grrcheck.c1_lambda(model, line)}
@@ -376,8 +376,7 @@ def _chk_rewrite():
             bad = kexpr.chain_verify(kexpr.corrupt_script(script, i))
             if bad.ok or bad.failed_step != i:
                 return {"chain": name, "corrupted": i, "failed_step": bad.failed_step}
-        shipped = kexpr.shipped_chain(name)
-        if kexpr.script_to_obj(shipped) != kexpr.script_to_obj(script):
+        if kexpr.shipped_chain(name) != kexpr.script_to_obj(script):
             return {"chain": name, "error": "shipped script drifted"}
     return None
 

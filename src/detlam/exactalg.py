@@ -34,7 +34,9 @@ The public surface reads the packed form back: ``terms`` is an exponents ->
 ``Fraction`` view whose length is the stored term count, and ``to_obj``
 and ``repr`` unpack on demand. These callers in the package work on the
 packed form directly: ``charclass.adams_rescale`` (through
-``_graded_scale``), ``charclass.power_sums`` and ``ch_from_chern`` (through
+``_graded_scale``), ``charclass.sym_ch_table`` (through ``_graded_weigh``,
+which scales each degree by its own integer, and ``_combine``),
+``charclass.power_sums`` and ``ch_from_chern`` (through
 ``_power_sums``, the series of the integer components of ``_newton``,
 Newton's recurrence on integer numerators, and ``_combine``, a weighted sum
 over one common denominator), ``todd_from_chern`` (through
@@ -647,13 +649,17 @@ class TruncatedSeries:
 
     def _graded_scale(self, m: int) -> "TruncatedSeries":
         """Multiply the weighted-degree-k component by m**k."""
+        return self._graded_weigh([m**k for k in range(self.bound + 1)])
+
+    def _graded_weigh(self, weight) -> "TruncatedSeries":
+        """Multiply the weighted-degree-k component by the int weight[k]."""
         shift = self._lay.dshift
-        mpow = [m**k for k in range(self.bound + 1)]
-        return _reduced(
-            self,
-            {e: v * mpow[e >> shift] for e, v in self._num.items() if m or not e},
-            self._den,
-        )
+        num = {}
+        for e, v in self._num.items():
+            w = weight[e >> shift]
+            if w:
+                num[e] = v * w
+        return _reduced(self, num, self._den)
 
     # ------------------------------------------------------------------
     # comparison and serialization

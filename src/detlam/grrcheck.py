@@ -2,14 +2,15 @@
 
 The identity is checked in two settings. Both read the terms
 (coeff, twist, Sym degree) of ``main_combo(d)`` and take the Sym^j
-characters of the cotangent sheaf from one ``sym_ch_table``:
+characters of the cotangent sheaf from its rank-zero part, the classes
+G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
 
 * universal: the base-free check over the ring Q[l, a_1..a_d] truncated in
   degree d+1, where l is the first Chern class of the line bundle and a_i,
   of weight i, is the i-th Chern class of the relative cotangent sheaf.
   The weighted alternating combination of Chern characters, multiplied by
   the Todd class of the relative tangent sheaf, must vanish identically in
-  degree d+1.
+  degree d+1. Each twist's summands fold into one weighted sum of the G_i.
 * on a model: for a family with one-dimensional base, the degree of the
   determinant of cohomology of F is the integral of ch(F) Td(T_f) over the
   total space, and the exponent identity is checked as exact integers.
@@ -21,7 +22,8 @@ characters of the cotangent sheaf from one ``sym_ch_table``:
   nothing is reduced, so a row's product ch(L^t) ch(Sym^j Omega) of two
   normal forms is paired as it is. ch(L^t) is psi^t of the one reduced
   e^(c_1) of the call, and the Sym^j characters come from the model's
-  cached table of normal forms (``ChowModel.cotangent_sym_table``).
+  cached table of normal forms (``ChowModel.cotangent_sym_table``, built by
+  ``sym_ch_table`` from the G_i).
 
 Integer lattice deductions about determinant classes (divisibility and
 torsion consequences) are handled by Hermite-style integer row reduction,
@@ -33,10 +35,11 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch_table, todd_from_chern
+from .charclass import _rank_zero_sym, _sym_weights
+from .charclass import adams_rescale, ch_from_chern, dual_ch, todd_from_chern
 from .chowmodel import BundleClass, ChowModel
 from .combinat import coeff_table
-from .exactalg import DomainError, TruncatedSeries, VarTable
+from .exactalg import DomainError, TruncatedSeries, VarTable, _combine
 
 __all__ = [
     "ComboTerm",
@@ -113,10 +116,11 @@ def deligne_combo_d1() -> tuple[ComboTerm, ...]:
 # ----------------------------------------------------------------------
 # universal defect
 
-# Largest d for universal_report: the work grows about 2x per dimension.
-# On a 2-core host the CLI run `universal --dim 13`, JSON output included,
-# takes about 1.8 s; d = 14 takes about 3.3 s.
-MAX_UNIVERSAL_DIM = 13
+# Largest d for universal_report: the work grows about 1.5x per dimension,
+# nearly all of it the products that build G_1..G_(d+1). On a 2-core host
+# the CLI run `universal --dim 17`, JSON output included, takes 1.4-1.6 s;
+# d = 18 takes 2.0-2.3 s.
+MAX_UNIVERSAL_DIM = 17
 
 
 def _universal_ring(d: int) -> VarTable:
@@ -149,12 +153,17 @@ def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport"
     the root-ring defect, and a component vanishes in one ring exactly
     when it vanishes in the other.
 
-    The Sym^j characters of the cotangent sheaf are built once, as one
-    ``sym_ch_table`` up to the largest Sym degree in the combination. Terms
-    are then grouped by twist: each twist's summands coeff * s_j (dualized
-    where the term says so) are added into one class, which is multiplied
-    by exp(twist * l) once. Every coefficient is exact, so the grouping
-    changes no output.
+    The Sym^j characters are never formed. ``sym_ch_table`` writes
+    s_j = sum_i C(d + j - 1, j - i) G_i with G_i = h_i(e^(x_k) - 1), which
+    vanishes for i > d + 1, so the G_i are built once, up to
+    n = min(largest Sym degree, d + 1) (``charclass._rank_zero_sym``).
+    Terms are grouped by twist: each twist's summands coeff * s_j fold into
+    the weights w_i = sum coeff * C(d + j - 1, j - i) of one weighted sum of
+    G_0..G_n, the dual summands into a second one that goes through
+    psi^(-1), and the class is multiplied by exp(twist * l) once. At d = 4
+    that is 10 series products; s_0..s_8 by the Adams recurrence
+    j s_j = sum_m psi^m(ch) s_(j-m) would take 36. Every coefficient is
+    exact, so the grouping changes no output.
     """
     _check_dim(d, allow_degenerate)
     combo = tuple(combo) if combo is not None else main_combo(d, allow_degenerate)
@@ -167,14 +176,19 @@ def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport"
     )
     ch_omega = ch_from_chern(d, omega_chern)
     todd = todd_from_chern(adams_rescale(omega_chern, -1))
-    sym = sym_ch_table(ch_omega, max((term.sym for term in combo), default=0))
-    by_twist: dict[int, TruncatedSeries] = {}
+    n = min(max((term.sym for term in combo), default=0), bound)
+    g = _rank_zero_sym(ch_omega, n)
+    # per twist, the weights of G_0..G_n in its plain and its dual summands
+    by_twist: dict[int, tuple[list, list]] = {}
     for term in combo:
-        s = dual_ch(sym[term.sym]) if term.dual else sym[term.sym]
-        acc = by_twist.get(term.twist, TruncatedSeries.zero(vt, bound))
-        by_twist[term.twist] = acc + s * term.coeff
+        acc = by_twist.setdefault(term.twist, ([0] * (n + 1), [0] * (n + 1)))[term.dual]
+        for i, c in enumerate(_sym_weights(d, term.sym, n)):
+            acc[i] += term.coeff * c
     D = TruncatedSeries.zero(vt, bound)
-    for twist, cls in by_twist.items():
+    for twist, (plain, dual) in by_twist.items():
+        cls = _combine(ch_omega, zip(plain, g))
+        if any(dual):
+            cls = cls + dual_ch(_combine(ch_omega, zip(dual, g)))
         D = D + (l * twist).exp() * cls
     defect = D * todd
     return UniversalReport(

@@ -899,8 +899,10 @@ def script_from_file(path: str) -> ChainScript:
     return script_from_obj(obj)
 
 
-def shipped_chain(name: str) -> ChainScript:
-    """Load one of the chain scripts shipped with the package."""
+def shipped_chain(name: str) -> dict:
+    """The JSON object of one of the chain scripts shipped with the
+    package, unparsed: it is ``script_to_obj`` of the built-in chain, and
+    ``script_from_obj`` turns it into a script."""
     from importlib import resources
 
     fn = "chain_" + name.replace("-", "_") + ".json"
@@ -909,7 +911,7 @@ def shipped_chain(name: str) -> ChainScript:
         text = ref.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ScriptError(f"no shipped chain {name!r}") from exc
-    return script_from_obj(json.loads(text))
+    return json.loads(text)
 
 
 # ----------------------------------------------------------------------

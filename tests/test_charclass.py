@@ -5,13 +5,16 @@ derived by hand from the defining series x/(1 - e^(-x)) and the Newton
 power-sum recurrence, and are asserted literally; definitional identities
 are checked against series built from factorials alone.
 
-Three reference routes stay here as oracles: Newton's recurrence run as
+Four reference routes stay here as oracles: Newton's recurrence run as
 whole-series products and sums (``reference_power_sums`` and the Chern
 character and Todd class built from it), the Todd logarithm's
 coefficients read off a series inverse (``reference_todd_log_coeffs``),
-and the two-pass Todd route that the one-pass multiplicative-class kernel
+the two-pass Todd route that the one-pass multiplicative-class kernel
 replaced: the power-sum series weighted by the log coefficients over one
-common denominator, then ``exp`` (``two_pass_todd``).
+common denominator, then ``exp`` (``two_pass_todd``), and the Adams
+recurrence j s_j = sum_m psi^m(ch) s_{j-m} for the Sym characters, one
+whole-series product per (j, m) pair (``adams_sym_table``), which
+``tests/test_grrcheck.py`` also uses for its root-ring cross-check.
 """
 
 from math import comb
@@ -376,3 +379,75 @@ def test_one_pass_todd_on_builtin_models(name, params):
     tangent = builtin_model(name, **params).tangent_chern
     for chern in (tangent, adams_rescale(tangent, -1)):
         assert todd_from_chern(chern) == two_pass_todd(chern)
+
+
+# ----------------------------------------------------------------------
+# Sym characters from the rank-zero part against the Adams recurrence
+
+
+def adams_sym_table(ch, top, normal_form=None):
+    """s_0..s_top by j s_j = sum_{m=1..j} psi^m(ch) s_{j-m}, one
+    whole-series product per (j, m) pair, each entry reduced by
+    ``normal_form`` as it is built when one is given."""
+    psi = [None] + [adams_rescale(ch, m) for m in range(1, top + 1)]
+    s = [TruncatedSeries.one(ch.vars, ch.bound)]
+    for n in range(1, top + 1):
+        acc = TruncatedSeries.zero(ch.vars, ch.bound)
+        for m in range(1, n + 1):
+            acc = acc + psi[m] * s[n - m]
+        acc = acc / n
+        s.append(acc if normal_form is None else normal_form(acc))
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_unit_classes(), st.integers(1, 4), st.integers(0, 7))
+def test_sym_table_matches_adams_recurrence(chern, rank, top):
+    ch = ch_from_chern(rank, chern)
+    assert sym_ch_table(ch, top) == adams_sym_table(ch, top)
+
+
+@pytest.mark.parametrize("rank", [0, -1, -3, Rational(1, 2), Rational(-5, 3)])
+def test_sym_table_keeps_any_rank(rank):
+    # C(r + j - 1, j - i) is a polynomial in r, so any constant term works
+    a = TruncatedSeries.gen(AB, 3, "a")
+    b = TruncatedSeries.gen(AB, 3, "b")
+    ch = a.exp() - (a * b * 3 - b).exp() + rank
+    assert sym_ch_table(ch, 6) == adams_sym_table(ch, 6)
+
+
+@st.composite
+def model_classes(draw):
+    """A built-in model, a unit class in its ring with its degree-1 and
+    degree-2 parts drawn, and a rank 1-4."""
+    name, params = draw(st.sampled_from(BUILTIN_MODELS[3:]))
+    model = builtin_model(name, **params)
+    vt, bound = model.vars, model.total_dim
+    ones = [tuple(int(i == j) for j in range(len(vt))) for i in range(len(vt))]
+    twos = [tuple(a + b for a, b in zip(x, y)) for x in ones for y in ones]
+    coeff = st.builds(Rational, st.integers(-4, 4), st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(st.sampled_from(ones + twos), coeff), max_size=5))
+    chern = TruncatedSeries.one(vt, bound) + TruncatedSeries.from_terms(vt, bound, terms)
+    return model, chern, draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_classes(), st.integers(0, 6))
+def test_sym_table_with_normal_form_matches_adams_recurrence(drawn, top):
+    model, chern, rank = drawn
+    nf = model.normal_form
+    ch = nf(ch_from_chern(rank, nf(chern)))
+    table = sym_ch_table(ch, top, nf)
+    assert table == adams_sym_table(ch, top, nf)
+    assert table == [nf(s) for s in sym_ch_table(ch, top)]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sym_table_on_the_universal_ring(d):
+    vt, bound = _universal_ring(d), d + 1
+    omega = sum(
+        (TruncatedSeries.gen(vt, bound, f"a{i}") for i in range(1, d + 1)),
+        TruncatedSeries.one(vt, bound),
+    )
+    ch = ch_from_chern(d, omega)
+    assert sym_ch_table(ch, 2 * d) == adams_sym_table(ch, 2 * d)

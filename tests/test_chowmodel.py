@@ -452,6 +452,26 @@ def test_integrate_is_exact_off_normal_form(pairing_models):
         assert m.integrate(a, a) == integral_by_normal_form(m, a, a)
 
 
+def recursive_exponents_of_degree(weights, degree):
+    """The exponent vectors of one weighted degree, one recursion level per
+    weight: the lexicographic enumeration the odometer must reproduce."""
+    if not weights:
+        if degree == 0:
+            yield ()
+        return
+    w = weights[0]
+    for e in range(degree // w + 1) if w else (0,):
+        for rest in recursive_exponents_of_degree(weights[1:], degree - e * w):
+            yield (e,) + rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=5), st.integers(0, 9))
+def test_exponents_of_degree_in_lexicographic_order(weights, degree):
+    got = list(chowmodel._exponents_of_degree(tuple(weights), degree))
+    assert got == list(recursive_exponents_of_degree(tuple(weights), degree))
+
+
 # ----------------------------------------------------------------------
 # the normal-monomial checks against the reducing checks they replaced
 

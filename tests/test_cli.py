@@ -446,6 +446,32 @@ class TestModelCommands:
         path.write_text(json.dumps(self._cube_model(6)), encoding="utf-8")
         assert chowmodel.load_model_file(str(path)).total_dim == 12
 
+    def test_many_generators_load_without_recursion(self, tmp_path):
+        # 1,500 weight-one generators g_i = 0 over a point: 1,501 monomials
+        # in the window, under both ceilings
+        k = 1500
+        obj = {
+            "name": "many",
+            "generators": [[f"g{i}", 1] for i in range(k)],
+            "relations": [{"lead": [int(i == j) for j in range(k)], "replace": []} for i in range(k)],
+            "rel_dim": 0,
+            "total_dim": 0,
+            "point_class": [0] * k,
+        }
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(obj, separators=(",", ":")), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "detlam", "euler", "--model-file", str(path), "--line", ",".join("0" * k)],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            timeout=60,
+        )
+        assert proc.returncode in (0, 2)
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            assert json.loads(proc.stdout)["chi"] == "1"
+
 
 class TestPicard:
     def test_preset_mumford_goal_holds(self, capsys):
@@ -921,6 +947,26 @@ class TestVerifyAll:
             "dim": 3,
             "error": "binomial expansion disagrees with the table",
         }
+
+    def test_rewrite_check_compares_the_shipped_objects(self, monkeypatch):
+        assert cli._chk_rewrite() is None
+        real = kexpr.shipped_chain
+
+        def drifted(name):
+            obj = real(name)
+            if name == "invfunc-l-p":
+                obj["steps"][0]["note"] += " (edited)"
+            return obj
+
+        monkeypatch.setattr(kexpr, "shipped_chain", drifted)
+        assert cli._chk_rewrite() == {"chain": "invfunc-l-p", "error": "shipped script drifted"}
+
+    def test_hirzebruch_check_builds_each_surface_once(self, monkeypatch):
+        built = []
+        real = cli.model_hirzebruch
+        monkeypatch.setattr(cli, "model_hirzebruch", lambda e: built.append(e) or real(e))
+        assert cli._chk_family_hirzebruch() is None
+        assert built == [0, 1, 2, 3]
 
     def test_text_mode(self, capsys):
         code, out = run_cli(capsys, "verify-all", "--max-dim", "1", "--text")

@@ -450,9 +450,10 @@ class TestScriptSerialization:
 
     @pytest.mark.parametrize("name", ["invfunc-a-k", "invfunc-l-p", "multadd-d1"])
     def test_shipped_files_match_builders(self, name):
-        shipped = shipped_chain(name)
+        obj = shipped_chain(name)
+        shipped = script_from_obj(obj)
         assert chain_verify(shipped).ok
-        assert script_to_obj(shipped) == script_to_obj(get_chain(name, 1))
+        assert script_to_obj(shipped) == obj == script_to_obj(get_chain(name, 1))
 
     def test_shipped_missing(self):
         with pytest.raises(ScriptError):
