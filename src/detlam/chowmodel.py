@@ -41,7 +41,6 @@ Built-in presentations:
 """
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from math import lcm
 
@@ -53,7 +52,6 @@ __all__ = [
     "ModelError",
     "UnsupportedModelError",
     "ChowModel",
-    "BundleClass",
     "load_model",
     "load_model_file",
     "builtin_model",
@@ -139,10 +137,6 @@ def _check_window(name: str, weights: tuple[int, ...], top: int):
                 f"model {name!r} has more than MAX_MODEL_WINDOW = {MAX_MODEL_WINDOW} "
                 f"monomials of degree <= {last} to validate"
             )
-
-
-def _divides(lead: tuple[int, ...], exps: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(lead, exps))
 
 
 class ChowModel:
@@ -250,42 +244,47 @@ class ChowModel:
         if cached is not None:
             return cached
         out: dict[tuple[int, ...], Rational] = {exps: Rational(1)}
-        for lead, replace in self.rules:
-            if _divides(lead, exps):
-                rest = tuple(b - a for a, b in zip(lead, exps))
-                out = {}
-                for rexps, rc in replace:
-                    prod = tuple(a + b for a, b in zip(rexps, rest))
-                    for nexps, nc in self._reduce_monomial(prod).items():
-                        v = out.get(nexps, Rational(0)) + rc * nc
-                        if v:
-                            out[nexps] = v
-                        else:
-                            del out[nexps]
-                break
+        first = min(self._dividing_rules(exps), default=None)
+        if first is not None:
+            lead, replace = self.rules[first]
+            rest = tuple(b - a for a, b in zip(lead, exps))
+            out = {}
+            for rexps, rc in replace:
+                prod = tuple(a + b for a, b in zip(rexps, rest))
+                for nexps, nc in self._reduce_monomial(prod).items():
+                    v = out.get(nexps, Rational(0)) + rc * nc
+                    if v:
+                        out[nexps] = v
+                    else:
+                        del out[nexps]
         self._nf_cache[exps] = out
         return out
 
     def _lead_index(self) -> dict[int, list]:
-        """The rule leads as their nonzero (index, exponent) pairs, filed
-        under their first nonzero index. A lead divides a monomial only if
-        that index is in the monomial's support, so ``_is_normal`` reads
-        only the leads filed there: one lead per monomial, not every lead,
-        when each generator has its own rule."""
+        """The rule leads as (position in ``self.rules``, nonzero (index,
+        exponent) pairs), filed under their first nonzero index. A lead
+        divides a monomial only if that index is in the monomial's support,
+        so ``_dividing_rules`` reads only the leads filed there: one lead
+        per monomial, not every lead, when each generator has its own rule."""
         index: dict[int, list] = {}
-        for lead, _ in self.rules:
+        for pos, (lead, _) in enumerate(self.rules):
             support = tuple((i, a) for i, a in enumerate(lead) if a)
-            index.setdefault(support[0][0], []).append(support)
+            index.setdefault(support[0][0], []).append((pos, support))
         return index
 
-    def _is_normal(self, exps: tuple[int, ...]) -> bool:
+    def _dividing_rules(self, exps: tuple[int, ...]):
+        """Positions of the rules whose lead divides the monomial, lazily:
+        the one divisibility test. ``_reduce_monomial`` applies the first
+        such rule in ``self.rules`` order."""
         leads = self._leads_at
         for i, e in enumerate(exps):
             if e:
-                for support in leads.get(i, ()):
+                for pos, support in leads.get(i, ()):
                     if all(exps[j] >= a for j, a in support):
-                        return False
-        return True
+                        yield pos
+
+    def _is_normal(self, exps: tuple[int, ...]) -> bool:
+        return next(self._dividing_rules(exps), None) is None
 
     def _normal_monomials(self, weights: tuple[int, ...], degrees):
         """Normal monomials over ``weights`` of the given degrees, lazily."""
@@ -325,7 +324,7 @@ class ChowModel:
 
     def _check_tangent(self, tangent):
         if tangent is None:
-            return self.one()
+            return TruncatedSeries.one(self.vars, self.total_dim)
         if not isinstance(tangent, TruncatedSeries):
             raise ModelError("tangent_chern must be a TruncatedSeries")
         if tangent.vars != self.vars or tangent.bound != self.total_dim:
@@ -357,18 +356,24 @@ class ChowModel:
     # ------------------------------------------------------------------
     # ring API
 
-    def one(self) -> TruncatedSeries:
-        return TruncatedSeries.one(self.vars, self.total_dim)
-
     def first_chern(self, coeffs: dict) -> TruncatedSeries:
-        """Degree-one class sum(a_g * g) for weight-one generators g, built
-        as one series."""
+        """c_1(L) = sum(a_g * g) of the line bundle L described by ``coeffs``,
+        a map from weight-one generators g to int coefficients a_g (no bools),
+        built as one series: the one entry for every line bundle.
+
+        A zero coefficient is checked but adds no term. Each other term
+        builds an exponent vector as long as the generator list, so a line
+        dense over many generators takes time quadratic in their count.
+        """
         terms = {}
         for gname, a in coeffs.items():
+            if type(a) is not int:
+                raise ModelError(f"coefficient of {gname} must be an integer, not {a!r}")
             i = self.vars.index(gname)
             if self.vars.weights[i] != 1:
                 raise ModelError(f"generator {gname} has weight > 1; not a divisor class")
-            terms[tuple(int(j == i) for j in range(len(self.vars)))] = a
+            if a:
+                terms[tuple(int(j == i) for j in range(len(self.vars)))] = a
         return TruncatedSeries(self.vars, self.total_dim, terms)
 
     def _check_ring(self, series: TruncatedSeries):
@@ -447,7 +452,7 @@ class ChowModel:
         Fraction(0, 1)
         """
         if b is None:
-            b = self.one()
+            b = TruncatedSeries.one(self.vars, self.total_dim)
         self._check_ring(a)
         self._check_ring(b)
         top, shift, n = self._top, a._lay.dshift, self.total_dim
@@ -485,23 +490,6 @@ class ChowModel:
 
     def __repr__(self) -> str:
         return f"<ChowModel {self.name}: rel_dim={self.rel_dim} total_dim={self.total_dim}>"
-
-
-@dataclass(frozen=True)
-class BundleClass:
-    """A sheaf class on a model: a rank with a total Chern class."""
-
-    rank: int
-    chern: TruncatedSeries
-
-    def __post_init__(self):
-        if self.chern.constant_term != 1:
-            raise ModelError("total Chern class must start with 1")
-
-    @classmethod
-    def line(cls, model: ChowModel, coeffs: dict) -> "BundleClass":
-        c1 = model.first_chern(coeffs)
-        return cls(rank=1, chern=model.normal_form(model.one() + c1))
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ import time
 from functools import cache, partial
 
 from .chowmodel import (
-    BundleClass,
     ModelError,
     UnsupportedModelError,
     builtin_model,
@@ -125,8 +124,10 @@ def _parse_line(model, text):
         raise DomainError(f"bad --line value {text!r}") from None
     names = model.vars.names
     if len(values) != len(names):
+        # a file may have thousands of generators: name the ends of the list
+        shown = names if len(names) <= 8 else [*names[:3], "...", names[-1]]
         raise DomainError(
-            f"--line needs {len(names)} integers for generators {', '.join(names)}"
+            f"--line needs {len(names)} integers for generators {', '.join(shown)}"
         )
     return dict(zip(names, values))
 
@@ -181,8 +182,7 @@ def _cmd_ducrot(args):
 
 def _cmd_c1lambda(args):
     model = _load_model(args)
-    line = BundleClass.line(model, _parse_line(model, args.line))
-    deg = grrcheck.c1_lambda(model, line)
+    deg = grrcheck.c1_lambda(model, _parse_line(model, args.line))
     obj = {
         "model": model.name,
         "line": args.line,
@@ -199,8 +199,7 @@ def _cmd_verify_main(args):
 
 def _cmd_euler(args):
     model = _load_model(args)
-    line = BundleClass.line(model, _parse_line(model, args.line))
-    chi = grrcheck.euler_char(model, line)
+    chi = grrcheck.euler_char(model, _parse_line(model, args.line))
     obj = {
         "model": model.name,
         "line": args.line,
@@ -317,9 +316,9 @@ def _chk_family_hirzebruch():
             return {"e": e, "line": [0, 0]}
     for e in (1, 2):
         model = models[e]
-        line = BundleClass.line(model, {"z": 1, "f": 0})
-        if grrcheck.c1_lambda(model, line) != -e:
-            return {"e": e, "degree": grrcheck.c1_lambda(model, line)}
+        degree = grrcheck.c1_lambda(model, {"z": 1, "f": 0})
+        if degree != -e:
+            return {"e": e, "degree": degree}
         report = grrcheck.verify_main_on_model(model, {"z": 1, "f": 1})
         if not report.ok:
             return {"e": e, "line": [1, 1]}
@@ -337,10 +336,8 @@ def _chk_family_p2xp1():
 def _chk_mumford():
     for e in (1, 2, 3):
         model = model_hirzebruch(e)
-        omega = BundleClass.line(model, {"z": -2, "f": -e})
-        omega2 = BundleClass.line(model, {"z": -4, "f": -2 * e})
-        one = grrcheck.c1_lambda(model, omega)
-        two = grrcheck.c1_lambda(model, omega2)
+        one = grrcheck.c1_lambda(model, {"z": -2, "f": -e})
+        two = grrcheck.c1_lambda(model, {"z": -4, "f": -2 * e})
         if two != 13 * one:
             return {"e": e, "lambda1": one, "lambda2": two}
     symbols, relations = grrcheck.preset_relations("mumford")
@@ -355,12 +352,12 @@ def _chk_mumford():
 def _chk_euler_anchors():
     p1 = model_pn(1)
     for a in range(-3, 4):
-        chi = grrcheck.euler_char(p1, BundleClass.line(p1, {"h": a}))
+        chi = grrcheck.euler_char(p1, {"h": a})
         if chi != a + 1:
             return {"space": "P1", "a": a, "chi": chi}
     p2 = model_pn(2)
     for a in range(4):
-        chi = grrcheck.euler_char(p2, BundleClass.line(p2, {"h": a}))
+        chi = grrcheck.euler_char(p2, {"h": a})
         if chi != (a + 1) * (a + 2) // 2:
             return {"space": "P2", "a": a, "chi": chi}
     return None

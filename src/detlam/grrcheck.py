@@ -14,16 +14,18 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
 * on a model: for a family with one-dimensional base, the degree of the
   determinant of cohomology of F is the integral of ch(F) Td(T_f) over the
   total space, and the exponent identity is checked as exact integers.
-  Every model degree (each term of the identity, ``c1_lambda`` and
-  ``euler_char``) is that one integral, computed by ``_degree``, which also
-  checks that it is an integer. ``_degree`` pairs ch with Td(T_f) by
-  ``ChowModel.integrate``, the top-degree intersection pairing: only the
-  term pairs whose degrees add to the total dimension are multiplied, and
-  nothing is reduced, so a row's product ch(L^t) ch(Sym^j Omega) of two
-  normal forms is paired as it is. ch(L^t) is psi^t of the one reduced
-  e^(c_1) of the call, and the Sym^j characters come from the model's
-  cached table of normal forms (``ChowModel.cotangent_sym_table``, built by
-  ``sym_ch_table`` from the G_i).
+  A line bundle L is a map from weight-one generators to int coefficients,
+  and ch(L) = e^(c_1(L)) (Fulton, *Intersection Theory*, section 3.2) has
+  one route, ``_line_ch``, shared by the three entry points: ``c1_lambda``
+  and ``euler_char`` integrate ch(L), and ``verify_main_on_model`` twists
+  it to ch(L^t) = psi^t(ch(L)). Every model degree is the one integral
+  computed by ``_degree``, which also checks that it is an integer. ``_degree`` pairs ch with Td(T_f) by ``ChowModel.integrate``,
+  the top-degree intersection pairing: only the term pairs whose degrees
+  add to the total dimension are multiplied, and nothing is reduced, so a
+  row's product ch(L^t) ch(Sym^j Omega) of two normal forms is paired as
+  it is. The Sym^j characters come from the model's cached table of normal
+  forms (``ChowModel.cotangent_sym_table``, built by ``sym_ch_table`` from
+  the G_i).
 
 Integer lattice deductions about determinant classes (divisibility and
 torsion consequences) are handled by Hermite-style integer row reduction,
@@ -37,7 +39,7 @@ from functools import lru_cache
 
 from .charclass import _rank_zero_sym, _sym_weights
 from .charclass import adams_rescale, ch_from_chern, dual_ch, todd_from_chern
-from .chowmodel import BundleClass, ChowModel
+from .chowmodel import ChowModel
 from .combinat import coeff_table
 from .exactalg import DomainError, TruncatedSeries, VarTable, _combine
 
@@ -51,7 +53,6 @@ __all__ = [
     "ducrot_defect",
     "MAX_DUCROT_DIM",
     "MAX_DUCROT_FACTORS",
-    "bundle_ch",
     "c1_lambda",
     "verify_main_on_model",
     "MainReport",
@@ -277,9 +278,11 @@ def ducrot_defect(
 # model-side degrees
 
 
-def bundle_ch(model: ChowModel, bundle: BundleClass) -> TruncatedSeries:
-    """Chern character of a bundle class in the model ring, normal form."""
-    return model.normal_form(ch_from_chern(bundle.rank, model.normal_form(bundle.chern)))
+def _line_ch(model: ChowModel, line: dict) -> TruncatedSeries:
+    """ch(L) = e^(c_1(L)) in normal form, for the line bundle L whose first
+    Chern class has the coefficients ``line`` (``ChowModel.first_chern``):
+    the one route from a line bundle to its Chern character."""
+    return model.normal_form(model.normal_form(model.first_chern(line)).exp())
 
 
 def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
@@ -295,15 +298,15 @@ def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
     return int(value)
 
 
-def c1_lambda(model: ChowModel, bundle: BundleClass) -> int:
-    """Degree of the determinant of cohomology along a one-dimensional base.
-
-    Computed as the integral over the total space of ch(F) Td(T_f), whose
-    top component is exactly the degree-one pushforward term.
+def c1_lambda(model: ChowModel, line: dict) -> int:
+    """Degree of the determinant of cohomology of the line bundle ``line``
+    (as for ``verify_main_on_model``) along a one-dimensional base: the
+    integral over the total space of ch(L) Td(T_f), whose top component is
+    exactly the degree-one pushforward term.
     """
     if model.total_dim - model.rel_dim != 1:
         raise DomainError("determinant degree needs a one-dimensional base")
-    return _degree(model, bundle_ch(model, bundle), "determinant degree")
+    return _degree(model, _line_ch(model, line), "determinant degree")
 
 
 @dataclass(frozen=True)
@@ -341,19 +344,20 @@ class MainReport:
 def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     """Exact integer check of the exponent identity on a family model.
 
-    ``line`` maps weight-one generator names to divisor coefficients. Each
+    ``line`` maps weight-one generator names to int coefficients. Each
     term (coeff, twist t, Sym^j) of ``main_combo(d)`` contributes the degree
     of L^t (x) Sym^j Omega: the first term, coeff 2^(2d+2) at twist 1 and
     Sym^0, is the left side, and the terms (-c_j, twist 2, Sym^j) are the
     rows of the right side.
 
-    A call does only the work that depends on L: it builds c_1(L), takes
-    one exp and reduces e^(c_1) once. c_1 is homogeneous of degree 1, so
-    e^(t c_1) = psi^t(e^(c_1)), and the normal form commutes with psi^t
-    because the relations are homogeneous: ch(L^t) = psi^t(nf(e^(c_1))),
-    with no further exp or normal form. The Sym^j characters come, already
-    reduced, from the model's cache (``ChowModel.cotangent_sym_table``), and
-    each term's product ch(L^t) ch(Sym^j Omega) goes to ``_degree``.
+    A call does only the work that depends on L: it builds ch(L) once by
+    ``_line_ch``, one exp and two normal forms. c_1 is homogeneous of
+    degree 1, so e^(t c_1) = psi^t(e^(c_1)), and the normal form commutes
+    with psi^t because the relations are homogeneous: ch(L^t) =
+    psi^t(ch(L)), with no further exp or normal form. The Sym^j characters
+    come, already reduced, from the model's cache
+    (``ChowModel.cotangent_sym_table``), and each term's product ch(L^t)
+    ch(Sym^j Omega) goes to ``_degree``.
     """
     d = model.rel_dim
     if d < 1:
@@ -361,10 +365,9 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     if model.total_dim - d != 1:
         raise DomainError("the verification needs a one-dimensional base")
     line_coeffs = dict(line)
-    c1 = model.normal_form(model.first_chern(line_coeffs))
+    ch_line = _line_ch(model, line_coeffs)
     combo = main_combo(d)
     head, *terms = combo
-    ch_line = model.normal_form(c1.exp())
     ch_twist = {t: adams_rescale(ch_line, t) for t in {term.twist for term in combo}}
     sym = model.cotangent_sym_table()
     lhs_degree, *degrees = (
@@ -384,11 +387,12 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     )
 
 
-def euler_char(model: ChowModel, bundle: BundleClass) -> int:
-    """chi(F) over a point base: the integral of ch(F) Td(T)."""
+def euler_char(model: ChowModel, line: dict) -> int:
+    """chi(L) over a point base for the line bundle ``line`` (as for
+    ``verify_main_on_model``): the integral of ch(L) Td(T)."""
     if model.rel_dim != model.total_dim:
         raise DomainError("Euler characteristic needs a point base")
-    return _degree(model, bundle_ch(model, bundle), "chi")
+    return _degree(model, _line_ch(model, line), "chi")
 
 
 # ----------------------------------------------------------------------

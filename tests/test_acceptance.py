@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from detlam import grrcheck, kexpr, quotientlab
-from detlam.chowmodel import BundleClass, model_hirzebruch, model_pn, model_pn_x_pm
+from detlam.chowmodel import model_hirzebruch, model_pn, model_pn_x_pm
 from detlam.combinat import coeff_table, pk_identity_check
 from detlam.exactalg import TruncatedSeries
 
@@ -135,10 +135,8 @@ def test_criterion_07_mumford_ratio(criterion):
     def check():
         for e in (1, 2, 3):
             model = model_hirzebruch(e)
-            one = grrcheck.c1_lambda(model, BundleClass.line(model, {"z": -2, "f": -e}))
-            two = grrcheck.c1_lambda(
-                model, BundleClass.line(model, {"z": -4, "f": -2 * e})
-            )
+            one = grrcheck.c1_lambda(model, {"z": -2, "f": -e})
+            two = grrcheck.c1_lambda(model, {"z": -4, "f": -2 * e})
             if two != 13 * one:
                 return False
         symbols, relations = grrcheck.preset_relations("mumford")
@@ -255,11 +253,11 @@ def test_criterion_10_euler_anchors(criterion):
     def check():
         p1 = model_pn(1)
         for a in range(-3, 4):
-            if grrcheck.euler_char(p1, BundleClass.line(p1, {"h": a})) != a + 1:
+            if grrcheck.euler_char(p1, {"h": a}) != a + 1:
                 return False
         p2 = model_pn(2)
         for a in range(4):
-            chi = grrcheck.euler_char(p2, BundleClass.line(p2, {"h": a}))
+            chi = grrcheck.euler_char(p2, {"h": a})
             if chi != (a + 1) * (a + 2) // 2:
                 return False
         return True

@@ -12,7 +12,6 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from detlam import chowmodel
 from detlam.chowmodel import (
-    BundleClass,
     ChowModel,
     ModelError,
     UnsupportedModelError,
@@ -22,7 +21,7 @@ from detlam.chowmodel import (
     model_pn,
     model_pn_x_pm,
 )
-from detlam.exactalg import Rational, TruncatedSeries, VarTable
+from detlam.exactalg import Rational, StructureError, TruncatedSeries, VarTable
 
 
 def mono(model, exps, coeff=1):
@@ -88,6 +87,16 @@ def test_product_family_basics():
     assert m.normal_form(mono(m, (0, 2))).is_zero()
 
 
+def test_first_chern_checks_a_zero_coefficient_but_adds_no_term():
+    m = model_pn_x_pm(1, 1)
+    assert m.first_chern({"h": 0, "s": 3}) == mono(m, (0, 1), 3)
+    assert m.first_chern({"h": 0, "s": 0}).is_zero()
+    with pytest.raises(StructureError, match="unknown variable 'x'"):
+        m.first_chern({"x": 0})
+    with pytest.raises(ModelError, match="coefficient of h"):
+        m.first_chern({"h": False})
+
+
 # ----------------------------------------------------------------------
 # Hirzebruch surfaces
 
@@ -120,7 +129,7 @@ def test_hirzebruch_euler_characteristic_anchor():
 
     for e in range(4):
         m = model_hirzebruch(e)
-        base_t = m.one() + mono(m, (0, 1), 2)
+        base_t = mono(m, (0, 0)) + mono(m, (0, 1), 2)
         total = m.normal_form(m.tangent_chern * base_t)
         assert m.integrate(todd_from_chern(total)) == 1
 
@@ -143,7 +152,7 @@ def test_wrong_sign_pairing_breaks_euler_anchor():
         tangent_chern=good.tangent_chern,
         point_class=(1, 1),
     )
-    base_t = bad.one() + TruncatedSeries(bad.vars, 2, {(0, 1): 2})
+    base_t = TruncatedSeries(bad.vars, 2, {(0, 0): 1, (0, 1): 2})
     total = bad.normal_form(bad.tangent_chern * base_t)
     chi = bad.integrate(todd_from_chern(total))
     assert chi != 1 and chi.denominator != 1
@@ -306,16 +315,6 @@ def test_closure_reads_every_degree_up_to_the_largest_weight():
             tangent_chern=None,
             point_class=(0, 1),
         )
-
-
-def test_bundle_class_validation():
-    m = model_pn_x_pm(1, 1)
-    line = BundleClass.line(m, {"h": 1, "s": 1})
-    assert line.rank == 1
-    assert line.chern.terms[(1, 0)] == 1
-    bad_chern = TruncatedSeries(m.vars, m.total_dim, {(1, 0): 1})
-    with pytest.raises(ModelError):
-        BundleClass(rank=1, chern=bad_chern)  # constant term != 1
 
 
 # ----------------------------------------------------------------------
@@ -575,6 +574,46 @@ def test_normal_monomial_checks_match_the_reducing_checks(kwargs):
         assert isinstance(got, ChowModel), got
         assert got.to_obj() == want.to_obj()
         assert (got._top, got._top_den) == (want._top, want._top_den)
+
+
+def dense_reduce(m, exps, cache):
+    """Reduce by the first rule in ``m.rules`` order whose lead divides the
+    monomial, found by testing every lead: the oracle for the lead index."""
+    if exps not in cache:
+        out = {exps: Rational(1)}
+        for lead, replace in m.rules:
+            if all(a <= b for a, b in zip(lead, exps)):
+                out = {}
+                for rexps, rc in replace:
+                    prod = tuple(r + b - a for r, a, b in zip(rexps, lead, exps))
+                    for nexps, nc in dense_reduce(m, prod, cache).items():
+                        out[nexps] = out.get(nexps, Rational(0)) + rc * nc
+                out = {e: c for e, c in out.items() if c}
+                break
+        cache[exps] = out
+    return cache[exps]
+
+
+class RulesOnly(ChowModel):
+    """The rewrite rules of a presentation and nothing else checked, so
+    every drawn rule set reduces, valid model or not."""
+
+    def __init__(self, generators, relations, **_):
+        self.vars = VarTable(generators)
+        self.rules = self._parse_rules(relations)
+        self._leads_at = self._lead_index()
+        self._nf_cache = {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations())
+def test_reduction_applies_the_first_dividing_rule(kwargs):
+    # drawn rule sets need not be confluent, so the rule chosen shows
+    m = RulesOnly(**kwargs)
+    cache = {}
+    for deg in range(kwargs["total_dim"] + max(m.vars.weights) + 1):
+        for exps in chowmodel._exponents_of_degree(m.vars.weights, deg):
+            assert m._reduce_monomial(exps) == dense_reduce(m, exps, cache)
 
 
 @pytest.mark.parametrize(

@@ -446,10 +446,10 @@ class TestModelCommands:
         path.write_text(json.dumps(self._cube_model(6)), encoding="utf-8")
         assert chowmodel.load_model_file(str(path)).total_dim == 12
 
-    def test_many_generators_load_without_recursion(self, tmp_path):
-        # 1,500 weight-one generators g_i = 0 over a point: 1,501 monomials
-        # in the window, under both ceilings
-        k = 1500
+    @staticmethod
+    def _many_model_file(tmp_path, k):
+        # k weight-one generators g_i = 0 over a point: k + 1 monomials in
+        # the window
         obj = {
             "name": "many",
             "generators": [[f"g{i}", 1] for i in range(k)],
@@ -460,6 +460,12 @@ class TestModelCommands:
         }
         path = tmp_path / "many.json"
         path.write_text(json.dumps(obj, separators=(",", ":")), encoding="utf-8")
+        return path
+
+    def test_many_generators_load_without_recursion(self, tmp_path):
+        # 1,500 generators: under both ceilings
+        k = 1500
+        path = self._many_model_file(tmp_path, k)
         proc = subprocess.run(
             [sys.executable, "-m", "detlam", "euler", "--model-file", str(path), "--line", ",".join("0" * k)],
             capture_output=True,
@@ -471,6 +477,22 @@ class TestModelCommands:
         assert "Traceback" not in proc.stderr
         if proc.returncode == 0:
             assert json.loads(proc.stdout)["chi"] == "1"
+
+    @pytest.mark.parametrize(
+        "k, names",
+        [
+            (8, "g0, g1, g2, g3, g4, g5, g6, g7"),
+            (9, "g0, g1, g2, ..., g8"),
+            (300, "g0, g1, g2, ..., g299"),
+        ],
+    )
+    def test_line_count_error_names_the_ends_of_a_long_generator_list(
+        self, capsys, tmp_path, k, names
+    ):
+        path = self._many_model_file(tmp_path, k)
+        err = run_usage_error(capsys, "euler", "--model-file", str(path), "--line", "0")
+        assert err == f"error: --line needs {k} integers for generators {names}\n"
+        assert len(err.encode("utf-8")) < 200
 
 
 class TestPicard:

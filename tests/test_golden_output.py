@@ -33,6 +33,10 @@ def _cases():
         ["verify-main", "--model", "Hirzebruch", "--e", "3", "--line", "2,3"],
         ["c1lambda", "--model", "Hirzebruch", "--e", "2", "--line", "1,0"],
         ["euler", "--model", "P2", "--line", "3"],
+        ["c1lambda", "--model", "P1xP1", "--line", "-2,3"],
+        ["c1lambda", "--model", "Hirzebruch", "--e", "3", "--line", "-2,-3"],
+        ["euler", "--model", "P1", "--line", "-3"],
+        ["euler", "--model", "Pn", "--n", "3", "--line", "2"],
         ["picard", "--preset", "mumford", "--goal", "l2 = 13*l1"],
         ["quotient", "--vars", "x:1:odd,y:1:even"],
         ["quotient", "--vars", "a:1:odd,b:2:odd,c:3:even,d:1:even", "--bound", "200"],
@@ -56,7 +60,8 @@ def _digest(argv):
 # vectors over l, c_1..c_d. The cases from ``universal --dim 5`` on were
 # recorded on the Fraction-dict series kernel, before the packed-key kernel:
 # the largest denominators, a deep inverse with power-of-two denominators,
-# and two more models
+# and two more models. The negative-line ``c1lambda`` and ``euler`` cases were
+# recorded before ``c1_lambda`` and ``euler_char`` moved to the exp route
 GOLDEN = {
     "verify-all": ("32f0de441691424ea7a2b3bc5d07b3df3afca4ad0122ff69ce25d2ffd5d33fec", 0),
     "verify-all --text": ("095e58fa896d9c44a664cab0c6b53959a98a49482b2d807d76dada810dae5df5", 0),
@@ -85,6 +90,10 @@ GOLDEN = {
     "verify-main --model P2xP1 --line 1,1": ("50872ceda69bf3609934904728ee4696a7e025df2fc0961c8ff9b062bc0f207e", 0),
     "c1lambda --model Hirzebruch --e 2 --line 1,0": ("02126083a44b2913ab90398f4eec1b6c5072c294dea452f8a1e53dc42f3fa624", 0),
     "euler --model P2 --line 3": ("c610e0129cafd4f2240f6e5bf7ae12b495287b663bc683bde75dddc981f1c07b", 0),
+    "c1lambda --model P1xP1 --line -2,3": ("7aeeec3399e202ba063dc40e7726d7674f3af66c45cd868b7785e226e4d9f26e", 0),
+    "c1lambda --model Hirzebruch --e 3 --line -2,-3": ("e3a50c484ea11d14b11e9e5a4fb06b9d7e50b1f852d8833c657b9a8c79b918e1", 0),
+    "euler --model P1 --line -3": ("4a189db6420a10a6983f361a4f28878baff94dbaab011ddddb41769d581ac18e", 0),
+    "euler --model Pn --n 3 --line 2": ("d4a792a6b2b3af074060fd0c613d91ee0505edfcef751523530198bbe697518e", 0),
     "picard --preset mumford --goal l2 = 13*l1": ("87e05a2ab10bb64f2055bd8f63993c4196791faba168df913b8dd614db31752d", 0),
     "quotient --vars x:1:odd,y:1:even": ("4128310c454eff3e7c8d774a4ef0eac573957de428fbb651a0749bc7507d9202", 0),
     "rewrite --chain invfunc-a-k": ("a63815c0a7c61434ea7ac795ae4b733e9cee39998a6dfe8123e110cd12bd88c5", 0),

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from detlam import chowmodel, combinat, grrcheck
 from detlam.charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch_table
 from detlam.chowmodel import (
-    BundleClass,
+    ModelError,
     builtin_model,
     model_hirzebruch,
     model_pn,
@@ -221,24 +221,23 @@ def test_c1_lambda_trivial_family_matches_cohomology_counts():
     m = model_pn_x_pm(1, 1)
     for a in range(-3, 4):
         for b in range(-3, 4):
-            line = BundleClass.line(m, {"h": a, "s": b})
-            assert c1_lambda(m, line) == cohomology_oracle_degree(a, b)
+            assert c1_lambda(m, {"h": a, "s": b}) == cohomology_oracle_degree(a, b)
 
 
 def test_c1_lambda_requires_one_dimensional_base():
     p2 = model_pn(2)
     with pytest.raises(DomainError):
-        c1_lambda(p2, BundleClass.line(p2, {"h": 1}))
+        c1_lambda(p2, {"h": 1})
     m = model_pn_x_pm(1, 2)
     with pytest.raises(DomainError):
-        c1_lambda(m, BundleClass.line(m, {"h": 1, "s": 0}))
+        c1_lambda(m, {"h": 1, "s": 0})
 
 
 def test_c1_lambda_hirzebruch_frozen():
     # deg lambda(O(z)) = -e; pinned by the e = 0 product comparison
     for e in range(4):
         m = model_hirzebruch(e)
-        assert c1_lambda(m, BundleClass.line(m, {"z": 1, "f": 0})) == -e
+        assert c1_lambda(m, {"z": 1, "f": 0}) == -e
 
 
 def test_verify_main_p1xp1_headline_numbers():
@@ -402,6 +401,49 @@ def test_adams_of_reduced_exp_equals_reduced_twisted_exp(name, params, data):
         assert adams_rescale(e, t) == m.normal_form((c1 * t).exp())
 
 
+def newton_line_ch(m, line):
+    """ch(L) by Newton's power sums of c(L) = 1 + c_1 through
+    ``ch_from_chern``: the route c1_lambda and euler_char took before
+    ``_line_ch``, kept as an oracle."""
+    one = TruncatedSeries.one(m.vars, m.total_dim)
+    return m.normal_form(ch_from_chern(1, m.normal_form(one + m.first_chern(line))))
+
+
+@pytest.mark.parametrize("name, params", BUILTIN_MODELS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_line_ch_equals_the_newton_route(name, params, data):
+    m = builtin_model(name, **params)
+    line = {g: data.draw(st.integers(-4, 4), label=g) for g in m.vars.names}
+    ch = grrcheck._line_ch(m, line)
+    assert ch == newton_line_ch(m, line)
+    if m.rel_dim == m.total_dim:
+        assert euler_char(m, line) == grrcheck._degree(m, newton_line_ch(m, line), "chi")
+    elif m.total_dim - m.rel_dim == 1:
+        # the determinant degree is the left side's degree of the identity
+        assert c1_lambda(m, line) == verify_main_on_model(m, line).lhs_degree
+
+
+@pytest.mark.parametrize(
+    "entry, model",
+    [
+        (verify_main_on_model, model_pn_x_pm(1, 1)),
+        (c1_lambda, model_pn_x_pm(1, 1)),
+        (euler_char, model_pn(2)),
+    ],
+    ids=["verify_main_on_model", "c1_lambda", "euler_char"],
+)
+@pytest.mark.parametrize(
+    "bad", [True, False, Rational(2, 1), Rational(1, 2), "1/2", "2", 2.0], ids=repr
+)
+def test_line_coefficients_must_be_ints(entry, model, bad):
+    # a half-integer line once passed verify_main_on_model with ok=True
+    *rest, last = model.vars.names
+    line = {**{g: 2 for g in rest}, last: bad}
+    with pytest.raises(ModelError, match=f"coefficient of {last} must be an integer"):
+        entry(model, line)
+
+
 def test_hirzebruch_models_do_not_share_cached_classes():
     one, two = model_hirzebruch(1), model_hirzebruch(2)
     t1, t2 = one.cotangent_sym_table(), two.cotangent_sym_table()
@@ -417,12 +459,13 @@ def test_mumford_ratio_on_hirzebruch():
     # x = c1(T_f) squares to zero on these surfaces
     for e in (1, 2, 3):
         m = model_hirzebruch(e)
-        omega = BundleClass(rank=1, chern=m.normal_form(m.one() - m.tangent_chern.component(1)))
-        omega2 = BundleClass(
-            rank=1, chern=m.normal_form(m.one() - 2 * m.tangent_chern.component(1))
-        )
+        # Omega = T_f^dual: its line is read off -c1(T_f), never typed in
+        omega = {g: 0 for g in m.vars.names}
+        for exps, c in m.tangent_chern.component(1).sorted_items():
+            assert c.denominator == 1
+            omega[m.vars.names[exps.index(1)]] = -int(c)
         d1 = c1_lambda(m, omega)
-        d2 = c1_lambda(m, omega2)
+        d2 = c1_lambda(m, {g: 2 * a for g, a in omega.items()})
         assert d2 == 13 * d1
         assert d1 == 0 and d2 == 0
 
@@ -441,7 +484,7 @@ def monomial_count(n: int, a: int) -> int:
 def test_euler_char_p1_line_bundles():
     p1 = model_pn(1)
     for a in range(-3, 4):
-        got = euler_char(p1, BundleClass.line(p1, {"h": a}))
+        got = euler_char(p1, {"h": a})
         want = monomial_count(1, a) - monomial_count(1, -a - 2)
         assert got == want == a + 1
 
@@ -449,22 +492,14 @@ def test_euler_char_p1_line_bundles():
 def test_euler_char_p2_line_bundles():
     p2 = model_pn(2)
     for a in range(0, 4):
-        got = euler_char(p2, BundleClass.line(p2, {"h": a}))
+        got = euler_char(p2, {"h": a})
         assert got == monomial_count(2, a) == (a + 1) * (a + 2) // 2
 
 
 def test_euler_char_rejects_families():
     m = model_pn_x_pm(1, 1)
     with pytest.raises(DomainError):
-        euler_char(m, BundleClass.line(m, {"h": 1, "s": 1}))
-
-
-def test_euler_char_line_combo():
-    p1 = model_pn(1)
-    # rank 0 with c_1 = 2h is the class O(2) - O: chi(O(2)) - chi(O) = 3 - 1
-    h = TruncatedSeries.gen(p1.vars, p1.total_dim, "h")
-    combo = BundleClass(rank=0, chern=p1.one() + h * 2)
-    assert euler_char(p1, combo) == 2
+        euler_char(m, {"h": 1, "s": 1})
 
 
 # ----------------------------------------------------------------------
