@@ -11,15 +11,17 @@ generating identity
                           = prod_k 1 / (1 - t e^(x_k)).
 
 It is read through the rank-zero part of ch E: with z_k = e^(x_k) - 1, the
-Sym^j character is a binomial combination of the complete symmetric
-functions G_i = h_i(z), and G_i vanishes above the truncation degree. So
-``sym_ch_table`` builds G_0..G_n once, n = min(top, bound), by Newton's
-identity on the power sums of the z_k (each a Stirling rescale of ch), and
-every s_j is one weighted sum of them, with no product of its own. The
-Adams recurrence j*s_j = sum_m psi^m(ch E) s_{j-m} would need a series
-product per (j, m) pair; the tests keep it as an independent oracle.
-``sym_ch`` is the table's last entry, and ``grrcheck.universal_report``
-folds each twist's Sym characters straight into weighted sums of the G_i.
+Sym^j character is a binomial combination s_j = sum_i C(r + j - 1, j - i)
+G_i of the complete symmetric functions G_i = h_i(z) (``_sym_weights``),
+and G_i vanishes above the truncation degree. ``_rank_zero_sym`` builds
+G_0..G_n by Newton's identity on the power sums of the z_k (each a Stirling
+rescale of ch). Every consumer weighs the G_i instead of forming the s_j:
+``sym_ch`` sums them, ``grrcheck.universal_report`` folds each twist's
+terms into one weighted sum, and ``grrcheck.verify_main_on_model`` pairs
+each G_i of a model's cotangent sheaf (``ChowModel.cotangent_rank_zero``)
+with the twisted line class and weighs the integer pairings. The Adams
+recurrence j*s_j = sum_m psi^m(ch E) s_{j-m} would need a series product
+per (j, m) pair; the tests keep it as an independent oracle.
 
 Newton's recurrence runs once over the packed graded components of the
 class on integer numerators (``TruncatedSeries._newton``). The Chern
@@ -30,9 +32,8 @@ is homogeneous of degree k, so the integer components of the power sums
 feed the exp recurrence directly as the degree-k components g_k p_k of the
 logarithm, and no power-sum series is built. Neither calls a series
 inverse. The only caches here are the Todd logarithm's coefficients and
-their integer form, per bound. The Sym characters of a model's cotangent
-sheaf, in normal form, are cached on the model, by
-``ChowModel.cotangent_sym_table``.
+their integer form, per bound. The G_i of a model's cotangent sheaf, in
+normal form, are cached on the model.
 """
 
 from functools import lru_cache
@@ -47,7 +48,6 @@ __all__ = [
     "adams_rescale",
     "dual_ch",
     "sym_ch",
-    "sym_ch_table",
 ]
 
 
@@ -153,8 +153,13 @@ def _rank_zero_sym(ch: TruncatedSeries, n: int, normal_form=None) -> list[Trunca
     numbers of the second kind, p_m is ch with its degree-k component
     scaled by the number m! S(k, m) of surjections from k onto m; it is 0
     below degree m and on the constant term, so no Adams operation is
-    needed. ``normal_form``, when given, is applied to each G_i as it is
-    built (see ``sym_ch_table``).
+    needed.
+
+    ``normal_form``, when given, is applied to each G_i as it is built, so
+    every product multiplies reduced classes. It must be a linear map that
+    keeps degree and respects products, as a model's normal form does (its
+    relations are homogeneous): the G_i then equal the normal forms of
+    those built without it.
     """
     # surj[k] = m! S(k, m) for the current m, from m! S(k, m) =
     # m (m-1)! S(k-1, m-1) + m m! S(k-1, m)
@@ -187,46 +192,34 @@ def _sym_weights(r, j: int, n: int) -> list:
     return out[::-1][: n + 1]
 
 
-def sym_ch_table(ch: TruncatedSeries, top: int, normal_form=None) -> list[TruncatedSeries]:
-    """Chern characters [s_0, ..., s_top] of the symmetric powers Sym^0..Sym^top.
+def sym_ch(ch: TruncatedSeries, j: int) -> TruncatedSeries:
+    """Chern character of the j-th symmetric power Sym^j.
 
     Write ch = r + sum_k (e^(x_k) - 1) with z_k = e^(x_k) - 1. Each factor
     1/(1 - t e^x) of the generating identity in the module docstring is
     (1 - t)^(-1) / (1 - u z) with u = t/(1 - t), so
     sum_j s_j t^j = sum_i t^i (1 - t)^(-r-i) G_i with G_i = h_i(z), and
 
-        s_j = sum_{i=0..min(j, n)} C(r + j - 1, j - i) G_i,  n = min(top, bound):
+        s_j = sum_{i=0..min(j, bound)} C(r + j - 1, j - i) G_i:
 
     the sigma-analogue of the gamma operations gamma_t = lambda_(t/(1-t))
     (Atiyah, K-Theory, 1967; Fulton & Lang, Riemann-Roch Algebra, 1985,
-    ch. I and III). The G_i come from ``_rank_zero_sym``, and each entry
-    is one weighted sum of them, with no further product.
-
-    ``normal_form``, when given, is applied to each G_i as it is built,
-    so every product multiplies reduced classes and every entry, a linear
-    combination of them, is reduced. It must be a linear map that keeps
-    degree and respects products, as a model's normal form does (its
-    relations are homogeneous): the table then equals the normal forms of
-    the entries built without it.
+    ch. I and III). The G_i come from ``_rank_zero_sym`` and the weights
+    from ``_sym_weights``; the sum is one ``_combine``, with no further
+    product.
 
     For a line bundle with ch = e^a, s_j = e^(j*a):
 
     >>> vt = VarTable([("a", 1)])
     >>> a = TruncatedSeries.gen(vt, 3, "a")
-    >>> table = sym_ch_table(a.exp(), 3)
-    >>> all(s == (a * j).exp() for j, s in enumerate(table))
+    >>> ch = a.exp()
+    >>> all(sym_ch(ch, j) == (a * j).exp() for j in range(5))
     True
     """
-    if top < 0:
+    if j < 0:
         raise DomainError("symmetric power degree must be >= 0")
-    n = min(top, ch.bound)
-    g = _rank_zero_sym(ch, n, normal_form)
+    n = min(j, ch.bound)
     r = ch.constant_term
     if r.denominator == 1:
         r = int(r)  # integer binomials
-    return [_combine(ch, zip(_sym_weights(r, j, n), g)) for j in range(top + 1)]
-
-
-def sym_ch(ch: TruncatedSeries, j: int) -> TruncatedSeries:
-    """Chern character of the j-th symmetric power: ``sym_ch_table(ch, j)[j]``."""
-    return sym_ch_table(ch, j)[j]
+    return _combine(ch, zip(_sym_weights(r, j, n), _rank_zero_sym(ch, n)))

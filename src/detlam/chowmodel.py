@@ -5,7 +5,10 @@ leading monomial, each rule strictly decreasing in graded-lex order, so
 normal forms exist and are reached by exhaustive reduction. The model also
 carries the data a verification needs: relative and total dimension, marked
 base generators for family models, the total Chern class of the relative
-tangent sheaf, and the point class that normalizes integration.
+tangent sheaf, and the point class that normalizes integration. What does
+not depend on a line bundle is cached on first use: the normal forms of
+monomials and the rank-zero classes of the relative cotangent sheaf
+(``cotangent_rank_zero``), whose weighted sums are its Sym characters.
 
 Integration is the intersection pairing A^k x A^(n-k) -> A^n = Q, n =
 total_dim (Fulton, *Intersection Theory*, 1984, section 19.1): the integral
@@ -42,9 +45,10 @@ Built-in presentations:
 
 import json
 from functools import reduce
+from itertools import compress
 from math import lcm
 
-from .charclass import adams_rescale, ch_from_chern, sym_ch_table
+from .charclass import _rank_zero_sym, adams_rescale, ch_from_chern
 from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable
 from .exactalg import _as_rational, _reduced
 
@@ -175,11 +179,10 @@ class ChowModel:
             raise ModelError("base generators must be marked exactly for family models")
         self.base_generators = base
 
-        self.rules = self._parse_rules(relations)
-        self._leads_at = self._lead_index()
+        self.rules, self._leads_at = self._parse_rules(relations)
         self._nf_cache: dict[tuple[int, ...], dict] = {}
         self._packed_nf: dict[int, tuple[dict, int]] = {}
-        self._cotangent_sym: tuple[TruncatedSeries, ...] | None = None
+        self._cotangent_g: tuple[TruncatedSeries, ...] | None = None
         self._check_dimension_closure()
         self.point_class = self._check_point_class(point_class)
         self.tangent_chern = self._check_tangent(tangent_chern)
@@ -189,9 +192,6 @@ class ChowModel:
 
     # ------------------------------------------------------------------
     # validation helpers
-
-    def _mono_key(self, exps: tuple[int, ...]):
-        return (self.vars.degree(exps), exps)
 
     def _exponents(self, exps, what: str) -> tuple[int, ...]:
         """An exponent vector over the generators: a list or tuple of
@@ -203,32 +203,44 @@ class ChowModel:
         return tuple(exps)
 
     def _parse_rules(self, relations):
-        rules = []
-        leads = set()
+        """The rules, biggest lead first, and the lead index: each lead's
+        support (its nonzero (index, exponent) pairs, read once and also
+        giving its degree) and position, filed under its first nonzero
+        index. A lead divides a monomial only if that index is in the
+        monomial's support, so ``_dividing_rules`` reads only the leads filed
+        there: one lead per monomial when each generator has its own rule."""
+        weights = self.vars.weights
+        parsed = []
+        seen = set()
         for lead, replace in relations:
             lead = self._exponents(lead, "rule lead")
-            if not any(lead):
+            support = tuple((i, lead[i]) for i in compress(range(len(lead)), lead))
+            if not support:
                 raise ModelError(f"bad rule lead {lead!r}")
-            if lead in leads:
+            if lead in seen:
                 raise ModelError(f"duplicate rule lead {lead!r}")
-            leads.add(lead)
+            seen.add(lead)
+            degree = sum(weights[i] * a for i, a in support)
             terms = []
             for exps, coeff in replace:
                 exps = self._exponents(exps, "replacement exponents")
                 coeff = _as_rational(coeff)
                 if not coeff:
                     raise ModelError("zero replacement coefficient")
-                if self.vars.degree(exps) != self.vars.degree(lead):
+                if self.vars.degree(exps) != degree:
                     raise ModelError(f"rule {lead!r} is not homogeneous")
-                if self._mono_key(exps) >= self._mono_key(lead):
+                # of equal degree, so graded-lex order is lexicographic
+                if exps >= lead:
                     raise ModelError(
                         f"rule {lead!r} is not strictly decreasing; would not terminate"
                     )
                 terms.append((exps, coeff))
-            rules.append((lead, tuple(terms)))
-        # deterministic application order: biggest lead first
-        rules.sort(key=lambda r: self._mono_key(r[0]), reverse=True)
-        return tuple(rules)
+            parsed.append((degree, lead, tuple(terms), support))
+        parsed.sort(key=lambda rule: rule[:2], reverse=True)
+        index: dict[int, list] = {}
+        for pos, (*_, support) in enumerate(parsed):
+            index.setdefault(support[0][0], []).append((pos, support))
+        return tuple((lead, terms) for _, lead, terms, _ in parsed), index
 
     def _reduce_monomial(self, exps: tuple[int, ...]) -> dict:
         """Normal form of one monomial as {exponents: Rational}, cached.
@@ -259,18 +271,6 @@ class ChowModel:
                         del out[nexps]
         self._nf_cache[exps] = out
         return out
-
-    def _lead_index(self) -> dict[int, list]:
-        """The rule leads as (position in ``self.rules``, nonzero (index,
-        exponent) pairs), filed under their first nonzero index. A lead
-        divides a monomial only if that index is in the monomial's support,
-        so ``_dividing_rules`` reads only the leads filed there: one lead
-        per monomial, not every lead, when each generator has its own rule."""
-        index: dict[int, list] = {}
-        for pos, (lead, _) in enumerate(self.rules):
-            support = tuple((i, a) for i, a in enumerate(lead) if a)
-            index.setdefault(support[0][0], []).append((pos, support))
-        return index
 
     def _dividing_rules(self, exps: tuple[int, ...]):
         """Positions of the rules whose lead divides the monomial, lazily:
@@ -413,30 +413,26 @@ class ChowModel:
             acc = {k: v for k, v in acc.items() if v}
         return _reduced(series, acc, series._den * den)
 
-    def cotangent_sym_table(self) -> tuple[TruncatedSeries, ...]:
-        """Chern characters of Sym^0..Sym^(2d) of the relative cotangent
-        sheaf Omega, d = rel_dim, in normal form: the symmetric powers the
-        right side of the exponent identity twists.
-
-        c(Omega) = psi^(-1) c(T) and ch(Omega) are taken in normal form, and
-        the entries are ``sym_ch_table(ch(Omega), 2d, self.normal_form)``:
-        the rank-zero classes G_1..G_n it combines, n = min(2d, total_dim),
-        are each reduced as they are built, so every product multiplies
-        normal forms and every entry, a weighted sum of them, is reduced.
-        The relations are homogeneous, so that equals reducing the
-        unreduced table at the end. None of it depends on a line bundle, so
-        the table is built on first use and cached on the model, like the
-        normal forms of monomials.
-        """
-        if self._cotangent_sym is None:
+    def cotangent_rank_zero(self) -> tuple[TruncatedSeries, ...]:
+        """The rank-zero classes G_0..G_n of the relative cotangent sheaf
+        Omega, n = min(2d, total_dim) with d = rel_dim, in normal form
+        (``charclass._rank_zero_sym``): weighted sums of them are the
+        characters of the Sym^0..Sym^(2d) Omega that the exponent identity
+        twists. c(Omega) = psi^(-1) c(T) and ch(Omega) are taken in normal
+        form, and each G_i is reduced as it is built, so every product
+        multiplies normal forms; the relations are homogeneous, so that
+        equals reducing the unreduced classes at the end. Cached on first
+        use."""
+        if self._cotangent_g is None:
             chern = self.normal_form(adams_rescale(self.tangent_chern, -1))
             ch = self.normal_form(ch_from_chern(self.rel_dim, chern))
-            self._cotangent_sym = tuple(sym_ch_table(ch, 2 * self.rel_dim, self.normal_form))
-        return self._cotangent_sym
+            n = min(2 * self.rel_dim, self.total_dim)
+            self._cotangent_g = tuple(_rank_zero_sym(ch, n, self.normal_form))
+        return self._cotangent_g
 
-    def integrate(self, a: TruncatedSeries, b: TruncatedSeries | None = None) -> Rational:
-        """The integral of a b over the model (b = 1 when omitted), by the
-        top-degree pairing of the module docstring.
+    def integrate(self, a: TruncatedSeries, b: TruncatedSeries) -> Rational:
+        """The integral of a b over the model, by the top-degree pairing of
+        the module docstring.
 
         On packed keys the product of two monomials is the sum of their
         keys, and its degree is total_dim exactly when their degrees add to
@@ -448,11 +444,9 @@ class ChowModel:
         >>> h, s = (TruncatedSeries.gen(m.vars, m.total_dim, g) for g in "hs")
         >>> m.integrate(h, s)
         Fraction(1, 1)
-        >>> m.integrate(h)
+        >>> m.integrate(h, h)
         Fraction(0, 1)
         """
-        if b is None:
-            b = TruncatedSeries.one(self.vars, self.total_dim)
         self._check_ring(a)
         self._check_ring(b)
         top, shift, n = self._top, a._lay.dshift, self.total_dim
@@ -498,7 +492,7 @@ class ChowModel:
 
 # Largest total dimension of a built-in projective model (n for P^n, n + m
 # for P^n x P^m). The slowest command at the ceiling, verify-main on
-# P31xP1, takes about 0.8 s on a 2-core host.
+# P31xP1, takes about 0.2 s at the CLI on a 2-core host.
 MAX_MODEL_DIM = 32
 
 

@@ -121,7 +121,10 @@ def _parse_line(model, text):
     try:
         values = [int(p) for p in parts]
     except ValueError:
-        raise DomainError(f"bad --line value {text!r}") from None
+        shown = repr(text)  # a big file's line: echo only the ends
+        if len(shown) > 80:
+            shown = f"{shown[:40]}...{shown[-20:]} ({len(text)} characters)"
+        raise DomainError(f"bad --line value {shown}") from None
     names = model.vars.names
     if len(values) != len(names):
         # a file may have thousands of generators: name the ends of the list

@@ -34,7 +34,7 @@ The public surface reads the packed form back: ``terms`` is an exponents ->
 ``Fraction`` view whose length is the stored term count, and ``to_obj``
 and ``repr`` unpack on demand. These callers in the package work on the
 packed form directly: ``charclass.adams_rescale`` (through
-``_graded_scale``), ``charclass.sym_ch_table`` (through ``_graded_weigh``,
+``_graded_scale``), ``charclass._rank_zero_sym`` (through ``_graded_weigh``,
 which scales each degree by its own integer, and ``_combine``),
 ``charclass.power_sums`` and ``ch_from_chern`` (through
 ``_power_sums``, the series of the integer components of ``_newton``,

@@ -19,13 +19,13 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
   one route, ``_line_ch``, shared by the three entry points: ``c1_lambda``
   and ``euler_char`` integrate ch(L), and ``verify_main_on_model`` twists
   it to ch(L^t) = psi^t(ch(L)). Every model degree is the one integral
-  computed by ``_degree``, which also checks that it is an integer. ``_degree`` pairs ch with Td(T_f) by ``ChowModel.integrate``,
-  the top-degree intersection pairing: only the term pairs whose degrees
-  add to the total dimension are multiplied, and nothing is reduced, so a
-  row's product ch(L^t) ch(Sym^j Omega) of two normal forms is paired as
-  it is. The Sym^j characters come from the model's cached table of normal
-  forms (``ChowModel.cotangent_sym_table``, built by ``sym_ch_table`` from
-  the G_i).
+  computed by ``_degree``, which also checks that it is an integer.
+  ``_degree`` pairs ch with Td(T_f) by ``ChowModel.integrate``, the
+  top-degree intersection pairing: only the term pairs whose degrees add
+  to the total dimension are multiplied, and nothing is reduced. The
+  degree is linear, so ``verify_main_on_model`` pairs ch(L^t) with each
+  G_i of the cotangent sheaf once (``ChowModel.cotangent_rank_zero``) and
+  weighs the integer pairings into each term's degree.
 
 Integer lattice deductions about determinant classes (divisibility and
 torsion consequences) are handled by Hermite-style integer row reduction,
@@ -154,7 +154,7 @@ def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport"
     the root-ring defect, and a component vanishes in one ring exactly
     when it vanishes in the other.
 
-    The Sym^j characters are never formed. ``sym_ch_table`` writes
+    The Sym^j characters are never formed. ``charclass.sym_ch`` writes
     s_j = sum_i C(d + j - 1, j - i) G_i with G_i = h_i(e^(x_k) - 1), which
     vanishes for i > d + 1, so the G_i are built once, up to
     n = min(largest Sym degree, d + 1) (``charclass._rank_zero_sym``).
@@ -354,10 +354,16 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     ``_line_ch``, one exp and two normal forms. c_1 is homogeneous of
     degree 1, so e^(t c_1) = psi^t(e^(c_1)), and the normal form commutes
     with psi^t because the relations are homogeneous: ch(L^t) =
-    psi^t(ch(L)), with no further exp or normal form. The Sym^j characters
-    come, already reduced, from the model's cache
-    (``ChowModel.cotangent_sym_table``), and each term's product ch(L^t)
-    ch(Sym^j Omega) goes to ``_degree``.
+    psi^t(ch(L)), with no further exp or normal form.
+
+    No Sym^j character is formed: s_j = sum_i C(d + j - 1, j - i) G_i
+    (``charclass._sym_weights``) over the G_i of Omega cached on the model
+    (``ChowModel.cotangent_rank_zero``, i <= n), and the degree is linear,
+    so a term's degree weighs the pairings D(t, i) = ``_degree``(ch(L^t)
+    G_i). Each pair the terms read is paired once, the head pair (1, 0)
+    first: n + 2 integrals, 4 at d = 1. The weights form a unitriangular
+    integer matrix, so checking each D(t, i) for integrality checks every
+    term's degree.
     """
     d = model.rel_dim
     if d < 1:
@@ -368,10 +374,13 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     ch_line = _line_ch(model, line_coeffs)
     combo = main_combo(d)
     head, *terms = combo
+    g = model.cotangent_rank_zero()
+    n = len(g) - 1
     ch_twist = {t: adams_rescale(ch_line, t) for t in {term.twist for term in combo}}
-    sym = model.cotangent_sym_table()
+    pairs = dict.fromkeys((t.twist, i) for t in combo for i in range(min(t.sym, n) + 1))
+    pairing = {(t, i): _degree(model, ch_twist[t] * g[i], "determinant degree") for t, i in pairs}
     lhs_degree, *degrees = (
-        _degree(model, ch_twist[t.twist] * sym[t.sym], "determinant degree")
+        sum(w * pairing[t.twist, i] for i, w in enumerate(_sym_weights(d, t.sym, n)))
         for t in combo
     )
     rows = tuple((term.sym, -term.coeff, deg) for term, deg in zip(terms, degrees))

@@ -5,7 +5,7 @@ derived by hand from the defining series x/(1 - e^(-x)) and the Newton
 power-sum recurrence, and are asserted literally; definitional identities
 are checked against series built from factorials alone.
 
-Four reference routes stay here as oracles: Newton's recurrence run as
+Five reference routes stay here as oracles: Newton's recurrence run as
 whole-series products and sums (``reference_power_sums`` and the Chern
 character and Todd class built from it), the Todd logarithm's
 coefficients read off a series inverse (``reference_todd_log_coeffs``),
@@ -14,7 +14,10 @@ replaced: the power-sum series weighted by the log coefficients over one
 common denominator, then ``exp`` (``two_pass_todd``), and the Adams
 recurrence j s_j = sum_m psi^m(ch) s_{j-m} for the Sym characters, one
 whole-series product per (j, m) pair (``adams_sym_table``), which
-``tests/test_grrcheck.py`` also uses for its root-ring cross-check.
+``tests/test_grrcheck.py`` also uses for its root-ring cross-check, and the
+whole table s_0..s_top as weighted sums of the rank-zero classes G_i
+(``sym_ch_table``), which ``tests/test_grrcheck.py`` uses for the row
+degrees that ``verify_main_on_model`` now weighs from pairings with the G_i.
 """
 
 from math import comb
@@ -23,13 +26,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlam.charclass import (
+    _rank_zero_sym,
+    _sym_weights,
     _todd_log_coeffs,
     adams_rescale,
     ch_from_chern,
     dual_ch,
     power_sums,
     sym_ch,
-    sym_ch_table,
     todd_from_chern,
 )
 from detlam.chowmodel import builtin_model
@@ -124,8 +128,6 @@ def test_domain_guards():
         todd_from_chern(x + 2)
     with pytest.raises(DomainError):
         sym_ch(x.exp(), -1)
-    with pytest.raises(DomainError):
-        sym_ch_table(x.exp(), -1)
 
 
 def test_adams_on_line_and_composition():
@@ -400,11 +402,25 @@ def adams_sym_table(ch, top, normal_form=None):
     return s
 
 
+def sym_ch_table(ch, top, normal_form=None):
+    """s_0..s_top, each one weighted sum of G_0..G_n, n = min(top, bound),
+    the G_i reduced by ``normal_form`` as they are built when one is given:
+    the whole table at once, where ``sym_ch`` builds one entry."""
+    n = min(top, ch.bound)
+    g = _rank_zero_sym(ch, n, normal_form)
+    r = ch.constant_term
+    if r.denominator == 1:
+        r = int(r)
+    return [_combine(ch, zip(_sym_weights(r, j, n), g)) for j in range(top + 1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(weighted_unit_classes(), st.integers(1, 4), st.integers(0, 7))
 def test_sym_table_matches_adams_recurrence(chern, rank, top):
     ch = ch_from_chern(rank, chern)
-    assert sym_ch_table(ch, top) == adams_sym_table(ch, top)
+    want = adams_sym_table(ch, top)
+    assert sym_ch_table(ch, top) == want
+    assert sym_ch(ch, top) == want[top]
 
 
 @pytest.mark.parametrize("rank", [0, -1, -3, Rational(1, 2), Rational(-5, 3)])
@@ -413,7 +429,9 @@ def test_sym_table_keeps_any_rank(rank):
     a = TruncatedSeries.gen(AB, 3, "a")
     b = TruncatedSeries.gen(AB, 3, "b")
     ch = a.exp() - (a * b * 3 - b).exp() + rank
-    assert sym_ch_table(ch, 6) == adams_sym_table(ch, 6)
+    want = adams_sym_table(ch, 6)
+    assert sym_ch_table(ch, 6) == want
+    assert [sym_ch(ch, j) for j in range(7)] == want
 
 
 @st.composite

@@ -494,6 +494,26 @@ class TestModelCommands:
         assert err == f"error: --line needs {k} integers for generators {names}\n"
         assert len(err.encode("utf-8")) < 200
 
+    @pytest.mark.parametrize(
+        "k, line, want",
+        [
+            (2, "1,x", "'1,x'"),
+            (
+                1500,
+                ",".join(["0"] * 1499 + ["x"]),
+                "'0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0...0,0,0,0,0,0,0,0,0,x' (2999 characters)",
+            ),
+        ],
+        ids=["short", "1500-generators"],
+    )
+    def test_bad_line_error_echoes_the_ends_of_a_long_value(
+        self, capsys, tmp_path, k, line, want
+    ):
+        path = self._many_model_file(tmp_path, k)
+        err = run_usage_error(capsys, "euler", "--model-file", str(path), "--line", line)
+        assert err == f"error: bad --line value {want}\n"
+        assert len(err.encode("utf-8")) < 200
+
 
 class TestPicard:
     def test_preset_mumford_goal_holds(self, capsys):

@@ -13,15 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlam import chowmodel, combinat, grrcheck
-from detlam.charclass import adams_rescale, ch_from_chern, dual_ch, sym_ch_table
+from detlam.charclass import _rank_zero_sym, _sym_weights, adams_rescale, ch_from_chern, dual_ch
 from detlam.chowmodel import (
+    ChowModel,
     ModelError,
     builtin_model,
+    load_model,
     model_hirzebruch,
     model_pn,
     model_pn_x_pm,
 )
-from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable
+from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine
 from detlam.grrcheck import (
     ComboTerm,
     c1_lambda,
@@ -35,7 +37,7 @@ from detlam.grrcheck import (
     universal_report,
     verify_main_on_model,
 )
-from test_charclass import adams_sym_table
+from test_charclass import adams_sym_table, sym_ch_table
 
 # ----------------------------------------------------------------------
 # universal (model-free) defect
@@ -314,29 +316,138 @@ def test_warm_model_reports_equal_fresh_model_reports(name, params):
 
 @pytest.mark.parametrize("name, params", CACHE_MODELS)
 def test_cotangent_sym_table_matches_direct_route(name, params):
+    # the model caches the G_i of Omega, from which the Sym table is weighed
     m = builtin_model(name, **params)
     d = m.rel_dim
     omega_chern = m.normal_form(adams_rescale(m.tangent_chern, -1))
     ch_omega = m.normal_form(ch_from_chern(d, omega_chern))
-    # the cache reduces each entry as it is built; that equals reducing the
-    # unreduced table at the end
-    assert m.cotangent_sym_table() == tuple(map(m.normal_form, sym_ch_table(ch_omega, 2 * d)))
+    n = min(2 * d, m.total_dim)
+    g = m.cotangent_rank_zero()
+    # the cache reduces each G_i as it is built; that equals reducing the
+    # unreduced classes at the end
+    assert g == tuple(map(m.normal_form, _rank_zero_sym(ch_omega, n)))
+    weighed = [_combine(ch_omega, zip(_sym_weights(d, j, n), g)) for j in range(2 * d + 1)]
+    assert weighed == list(map(m.normal_form, sym_ch_table(ch_omega, 2 * d)))
 
 
 def test_cotangent_sym_table_is_built_once_per_model(monkeypatch):
+    # the G_i the Sym table is weighed from
     built = []
 
-    def counted(ch, top, *rest):
-        built.append(top)
-        return sym_ch_table(ch, top, *rest)
+    def counted(ch, n, *rest):
+        built.append(n)
+        return _rank_zero_sym(ch, n, *rest)
 
-    monkeypatch.setattr(chowmodel, "sym_ch_table", counted)
+    monkeypatch.setattr(chowmodel, "_rank_zero_sym", counted)
     m = model_pn_x_pm(2, 1)
     for a in range(-1, 2):
         assert verify_main_on_model(m, {"h": a, "s": 1}).ok
-    assert built == [4]
+    # n = min(2d, total_dim) = 3
+    assert built == [3]
     verify_main_on_model(model_pn_x_pm(2, 1), {"h": 1, "s": 1})
-    assert built == [4, 4]
+    assert built == [3, 3]
+
+
+def power_family(a, k):
+    """(P^a)^k x P^1 -> P^1, loaded from its JSON description: fiber
+    classes h0..h(k-1) with h_i^(a+1) = 0, base class s with s^2 = 0."""
+    names = [(f"h{i}", 1) for i in range(k)] + [("s", 1)]
+    vt, total = VarTable(names), a * k + 1
+    one = TruncatedSeries.one(vt, total)
+    tangent = one
+    for i in range(k):
+        tangent = tangent * (one + TruncatedSeries.gen(vt, total, f"h{i}")) ** (a + 1)
+    leads = [tuple((a + 1) * (j == i) for j in range(k + 1)) for i in range(k)]
+    model = ChowModel(
+        name=f"P{a}^{k}xP1",
+        generators=names,
+        relations=[(lead, []) for lead in leads + [(0,) * k + (2,)]],
+        rel_dim=a * k,
+        total_dim=total,
+        base_generators=["s"],
+        tangent_chern=tangent,
+        point_class=(a,) * k + (1,),
+    )
+    return load_model(model.to_obj())
+
+
+def degrees_by_the_sym_table(m, line):
+    """Each term's degree as the pairing of the product ch(L^t) nf(s_j),
+    with the s_j from the test-local ``sym_ch_table``: the route
+    ``verify_main_on_model`` took before it weighed pairings with the G_i."""
+    d = m.rel_dim
+    omega_chern = m.normal_form(adams_rescale(m.tangent_chern, -1))
+    ch_omega = m.normal_form(ch_from_chern(d, omega_chern))
+    sym = [m.normal_form(s) for s in sym_ch_table(ch_omega, 2 * d)]
+    ch_line = grrcheck._line_ch(m, line)
+    return [
+        grrcheck._degree(m, adams_rescale(ch_line, t.twist) * sym[t.sym], "determinant degree")
+        for t in main_combo(d)
+    ]
+
+
+def report_degrees(rep):
+    return [rep.lhs_degree] + [deg for _j, _c, deg in rep.rhs_rows]
+
+
+@pytest.mark.parametrize("name, params", CACHE_MODELS + [("P4xP1", {})])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_row_degrees_equal_the_sym_table_route(name, params, data):
+    m = builtin_model(name, **params)
+    line = {g: data.draw(st.integers(-5, 5), label=g) for g in m.vars.names}
+    assert report_degrees(verify_main_on_model(m, line)) == degrees_by_the_sym_table(m, line)
+
+
+def twisted_p1xp1():
+    """P1xP1 loaded with c(T_f) = 1 + 2h + 12s, so x = c_1(Omega) has
+    x^2 = 48 hs and G_2 = x^2 is not zero. On every built-in family and on
+    ``power_family``, Omega comes from the fiber and G_n vanishes at
+    n = total_dim, so only a model like this one sees the top G_n."""
+    obj = model_pn_x_pm(1, 1).to_obj()
+    obj["tangent_chern"] = [
+        {"exponents": e, "coeff": c} for e, c in [([0, 0], "1"), ([1, 0], "2"), ([0, 1], "12")]
+    ]
+    return load_model(obj)
+
+
+@pytest.mark.parametrize(
+    "build, top_g_vanishes",
+    [(lambda: power_family(2, 3), True), (twisted_p1xp1, False)],
+    ids=["P2^3xP1", "twisted-P1xP1"],
+)
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_row_degrees_equal_the_sym_table_route_on_a_model_file(build, top_g_vanishes, coeffs):
+    m = build()
+    assert m.cotangent_rank_zero()[-1].is_zero() == top_g_vanishes
+    line = dict(zip(m.vars.names, coeffs))
+    rep = verify_main_on_model(m, line)
+    assert rep.ok
+    assert report_degrees(rep) == degrees_by_the_sym_table(m, line)
+
+
+@pytest.mark.parametrize(
+    "name, params, pairings",
+    [(name, params, 4) for name, params in CACHE_MODELS if name not in ("P2xP1", "P3xP1")]
+    + [("P2xP1", {}, 5), ("P3xP1", {}, 6)],
+)
+def test_warm_verify_main_takes_n_plus_2_degree_integrals(monkeypatch, name, params, pairings):
+    # n = min(2d, total_dim) = d + 1 on P^d x P^1 and 2 on F_e: one pairing
+    # for the head term at twist 1, and n + 1 at twist 2, one per G_i
+    m = builtin_model(name, **params)
+    line = {g: 1 for g in m.vars.names}
+    want = verify_main_on_model(m, line)
+    calls = []
+    original = grrcheck._degree
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grrcheck, "_degree", counted)
+    assert verify_main_on_model(m, line) == want
+    assert len(calls) == pairings == len(m.cotangent_rank_zero()) + 1
 
 
 def test_warm_verify_main_normal_forms_only_the_line_classes(monkeypatch):
@@ -446,10 +557,10 @@ def test_line_coefficients_must_be_ints(entry, model, bad):
 
 def test_hirzebruch_models_do_not_share_cached_classes():
     one, two = model_hirzebruch(1), model_hirzebruch(2)
-    t1, t2 = one.cotangent_sym_table(), two.cotangent_sym_table()
+    t1, t2 = one.cotangent_rank_zero(), two.cotangent_rank_zero()
     assert t1[1] != t2[1]
-    assert t2 == model_hirzebruch(2).cotangent_sym_table()
-    assert one.cotangent_sym_table() is t1
+    assert t2 == model_hirzebruch(2).cotangent_rank_zero()
+    assert one.cotangent_rank_zero() is t1
     line = {"z": 1, "f": 1}
     assert verify_main_on_model(two, line) == verify_main_on_model(model_hirzebruch(2), line)
 
