@@ -195,9 +195,13 @@ class ChowModel:
 
     def _exponents(self, exps, what: str) -> tuple[int, ...]:
         """An exponent vector over the generators: a list or tuple of
-        nonnegative ints (no bools), one per generator."""
-        if not isinstance(exps, (list, tuple)) or len(exps) != len(self.vars) or any(
-            type(e) is not int or e < 0 for e in exps
+        nonnegative ints (no bools), one per generator. The element checks
+        run in C: the set of element types, then the least element."""
+        if (
+            not isinstance(exps, (list, tuple))
+            or len(exps) != len(self.vars)
+            or not set(map(type, exps)) <= {int}
+            or min(exps, default=0) < 0
         ):
             raise ModelError(f"bad {what} {exps!r}: need {len(self.vars)} nonnegative integers")
         return tuple(exps)

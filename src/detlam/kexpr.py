@@ -18,7 +18,10 @@ A chain script is a sequence of directed axiom applications; every step
 carries the expected display, built independently from the step's printed
 formula. The engine applies the axiom, demands canonical equality with the
 expected display, and only then adopts the display's factor structure, so a
-corrupted script fails at exactly the corrupted step.
+corrupted script fails at exactly the corrupted step. The built-in chains
+are built in Python below; a script file is the JSON form that
+``script_from_file`` reads, and the package's ``data/chain_*.json`` are
+examples of it, equal to the built-ins at dim 1.
 
 Every tree node normalizes at most once: its formal sum, and for a lambda
 expression its canonical form, are computed on first use and held by the
@@ -55,7 +58,6 @@ __all__ = [
     "normalize",
     "normalize_expr",
     "canonical_state",
-    "render_expr",
     "parse_expr",
     "render_monomial",
     "RewriteAxiom",
@@ -65,10 +67,8 @@ __all__ = [
     "ChainReport",
     "chain_verify",
     "corrupt_script",
-    "script_to_obj",
     "script_from_obj",
     "script_from_file",
-    "shipped_chain",
     "script_invfunc_a_k",
     "script_invfunc_l_p",
     "script_multadd_d1",
@@ -396,31 +396,6 @@ def render_canonical(canon) -> list[str]:
 
 # ----------------------------------------------------------------------
 # expression strings (script files)
-
-
-def render_expr(e) -> str:
-    if isinstance(e, One):
-        return "O"
-    if isinstance(e, Twist):
-        return "T"
-    if isinstance(e, Atom):
-        return e.name
-    if isinstance(e, Dual):
-        return f"(dual {render_expr(e.inner)})"
-    if isinstance(e, Sym):
-        return f"(sym {e.power} {render_expr(e.inner)})"
-    if isinstance(e, Ten):
-        return "(* " + " ".join(render_expr(f) for f in e.factors) + ")"
-    if isinstance(e, Lin):
-        body = " ".join(f"{n} {render_expr(sub)}" for n, sub in e.terms)
-        return f"(lin {body})"
-    if isinstance(e, Push):
-        return f"(push {e.binder} {render_expr(e.inner)})"
-    if isinstance(e, Lam):
-        return f"(lam {render_expr(e.arg)} {e.exp})"
-    if isinstance(e, LamProd):
-        return "(prod " + " ".join(render_expr(f) for f in e.factors) + ")"
-    raise UnsupportedExpression(f"cannot render {type(e).__name__}")
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
@@ -756,7 +731,6 @@ class ChainScript:
     start: object
     end: object
     steps: tuple
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.end, (Lam, LamProd)):
@@ -819,21 +793,11 @@ def corrupt_script(script: ChainScript, step_no: int) -> ChainScript:
         Lam(O, 1),
     )
     steps[step_no - 1] = ChainStep(s.axiom, s.position, s.args, s.note, tampered)
-    return ChainScript(script.name + f"#corrupt{step_no}", script.start, script.end, tuple(steps), script.params)
+    return ChainScript(script.name + f"#corrupt{step_no}", script.start, script.end, tuple(steps))
 
 
 # ----------------------------------------------------------------------
-# script serialization
-
-
-def _args_to_obj(args: dict) -> dict:
-    out = {}
-    for k, v in args.items():
-        if isinstance(v, (Atom, One, Twist, Dual, Sym, Ten, Lin, Push)):
-            out[k] = {"expr": render_expr(v)}
-        else:
-            out[k] = v
-    return out
+# script files
 
 
 def _args_from_obj(obj: dict) -> dict:
@@ -844,25 +808,6 @@ def _args_from_obj(obj: dict) -> dict:
         else:
             out[k] = v
     return out
-
-
-def script_to_obj(script: ChainScript) -> dict:
-    return {
-        "name": script.name,
-        "params": script.params,
-        "start": render_expr(script.start),
-        "end": render_expr(script.end),
-        "steps": [
-            {
-                "axiom": s.axiom,
-                "position": s.position,
-                "args": _args_to_obj(s.args),
-                "note": s.note,
-                "expected": render_expr(s.expected),
-            }
-            for s in script.steps
-        ],
-    }
 
 
 def script_from_obj(obj: dict) -> ChainScript:
@@ -882,7 +827,6 @@ def script_from_obj(obj: dict) -> ChainScript:
             start=parse_expr(obj["start"]),
             end=parse_expr(obj["end"]),
             steps=steps,
-            params=dict(obj.get("params", {})),
         )
     except ScriptError:
         raise
@@ -897,21 +841,6 @@ def script_from_file(path: str) -> ChainScript:
     except (OSError, ValueError, RecursionError) as exc:
         raise ScriptError(f"cannot read script file {path!r}: {exc}") from exc
     return script_from_obj(obj)
-
-
-def shipped_chain(name: str) -> dict:
-    """The JSON object of one of the chain scripts shipped with the
-    package, unparsed: it is ``script_to_obj`` of the built-in chain, and
-    ``script_from_obj`` turns it into a script."""
-    from importlib import resources
-
-    fn = "chain_" + name.replace("-", "_") + ".json"
-    ref = resources.files("detlam").joinpath("data").joinpath(fn)
-    try:
-        text = ref.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise ScriptError(f"no shipped chain {name!r}") from exc
-    return json.loads(text)
 
 
 # ----------------------------------------------------------------------
@@ -1017,7 +946,7 @@ def script_invfunc_a_k(k: int = 1) -> ChainScript:
         ChainStep("cancel", 1, {}, "j", disp_j),
         ChainStep("cancel", 1, {}, "k", disp_k),
     )
-    return ChainScript("invfunc-a-k", start, disp_k, steps, {"k": k})
+    return ChainScript("invfunc-a-k", start, disp_k, steps)
 
 
 def script_invfunc_l_p(d: int = 1) -> ChainScript:
@@ -1078,7 +1007,7 @@ def script_invfunc_l_p(d: int = 1) -> ChainScript:
         ),
         ChainStep("iso-subst", 0, {"src": "bM", "dst": "M"}, "p", disp_p),
     )
-    return ChainScript("invfunc-l-p", start, disp_p, steps, {"d": d})
+    return ChainScript("invfunc-l-p", start, disp_p, steps)
 
 
 def script_multadd_d1() -> ChainScript:
@@ -1128,7 +1057,7 @@ def script_multadd_d1() -> ChainScript:
         ),
         ChainStep("cancel", 0, {}, "cancel dual pairs", end),
     )
-    return ChainScript("multadd-d1", start, end, steps, {"d": 1})
+    return ChainScript("multadd-d1", start, end, steps)
 
 
 def builtin_chain_names() -> list[str]:

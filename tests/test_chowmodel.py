@@ -475,6 +475,51 @@ def test_exponents_of_degree_in_lexicographic_order(weights, degree):
     assert got == list(recursive_exponents_of_degree(tuple(weights), degree))
 
 
+def elementwise_exponents_ok(exps, n):
+    """The per-element Python predicate: the oracle for the vectors
+    ChowModel._exponents accepts."""
+    return isinstance(exps, (list, tuple)) and len(exps) == n and not any(
+        type(e) is not int or e < 0 for e in exps
+    )
+
+
+EXPONENT_ELEMENTS = st.one_of(
+    st.integers(-3, 5),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.fractions(),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 5), max_size=4).map(tuple),
+        st.lists(EXPONENT_ELEMENTS, max_size=4),
+        st.lists(EXPONENT_ELEMENTS, max_size=4).map(tuple),
+        st.frozensets(st.integers(0, 5), max_size=3),
+        st.dictionaries(st.integers(0, 5), st.integers(0, 5), max_size=3),
+        st.text(max_size=3),
+        st.integers(),
+        st.none(),
+    )
+)
+def test_exponent_check_equals_the_elementwise_predicate(exps):
+    model = model_hirzebruch(1)
+    n = len(model.vars)
+    try:
+        got = model._exponents(exps, "point class")
+    except ModelError as exc:
+        got = str(exc)
+    if elementwise_exponents_ok(exps, n):
+        assert got == tuple(exps)
+    else:
+        assert got == f"bad point class {exps!r}: need {n} nonnegative integers"
+
+
 # ----------------------------------------------------------------------
 # the normal-monomial checks against the reducing checks they replaced
 
