@@ -295,10 +295,14 @@ class ChowModel:
         return (e for d in degrees for e in _exponents_of_degree(weights, d) if self._is_normal(e))
 
     def _check_dimension_closure(self):
-        # the closure argument of the module docstring
+        # the closure argument of the module docstring; a generator that is
+        # itself a rule lead divides no normal monomial, so weight 0 holds
+        # its exponent at 0 and the enumeration skips it
         top = self.total_dim
         weights = self.vars.weights
-        for exps in self._normal_monomials(weights, range(top + 1, top + max(weights) + 1)):
+        alone = {i for i, leads in self._leads_at.items() if any(s == ((i, 1),) for _, s in leads)}
+        sparse = tuple(0 if i in alone else w for i, w in enumerate(weights))
+        for exps in self._normal_monomials(sparse, range(top + 1, top + max(weights) + 1)):
             raise ModelError(
                 f"normal monomial {exps} of degree {self.vars.degree(exps)} lies above "
                 f"total_dim = {top}, so it does not normalize to zero"

@@ -1,6 +1,6 @@
 """First-Chern-class verification of the determinant-bundle identities.
 
-The identity is checked in two settings. Both read the terms
+The identity is checked in three settings. All read the terms
 (coeff, twist, Sym degree) of ``main_combo(d)`` and take the Sym^j
 characters of the cotangent sheaf from its rank-zero part, the classes
 G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
@@ -11,9 +11,10 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
   The weighted alternating combination of Chern characters, multiplied by
   the Todd class of the relative tangent sheaf, must vanish identically in
   degree d+1. Each twist's summands fold into one weighted sum of the G_i.
-* on a model: for a family with one-dimensional base, the degree of the
-  determinant of cohomology of F is the integral of ch(F) Td(T_f) over the
-  total space, and the exponent identity is checked as exact integers.
+* on a model, one line at a time: for a family with one-dimensional base,
+  the degree of the determinant of cohomology of F is the integral of
+  ch(F) Td(T_f) over the total space, and the exponent identity is checked
+  as exact integers.
   A line bundle L is a map from weight-one generators to int coefficients,
   and ch(L) = e^(c_1(L)) (Fulton, *Intersection Theory*, section 3.2) has
   one route, ``_line_ch``, shared by the three entry points: ``c1_lambda``
@@ -26,6 +27,13 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
   degree is linear, so ``verify_main_on_model`` pairs ch(L^t) with each
   G_i of the cotangent sheaf once (``ChowModel.cotangent_rank_zero``) and
   weighs the integer pairings into each term's degree.
+* on a model, for every line at once: ``verify_main_all_lines`` pulls the
+  universal statement back to the model. Each twist's terms fold into
+  weights of the G_i, as in the universal check, and the defect of the line
+  with coefficients a is a polynomial sum_alpha a^alpha / alpha! c_alpha
+  over the monomials g^alpha in the weight-one generators, each c_alpha one
+  top-degree pairing. The identity holds for every line bundle in the span
+  of those generators exactly when every c_alpha is 0.
 
 Integer lattice deductions about determinant classes (divisibility and
 torsion consequences) are handled by Hermite-style integer row reduction,
@@ -36,6 +44,7 @@ relation off ``main_combo(1)``.
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .charclass import _rank_zero_sym, _sym_weights
 from .charclass import adams_rescale, ch_from_chern, dual_ch, todd_from_chern
@@ -56,6 +65,8 @@ __all__ = [
     "c1_lambda",
     "verify_main_on_model",
     "MainReport",
+    "verify_main_all_lines",
+    "AllLinesReport",
     "euler_char",
     "picard_deduce",
     "DeduceReport",
@@ -137,6 +148,18 @@ def _check_dim(d: int, allow_degenerate: bool):
         raise DomainError(f"d = {d} exceeds the ceiling MAX_UNIVERSAL_DIM = {MAX_UNIVERSAL_DIM}")
 
 
+def _twist_weights(combo, r: int, n: int) -> dict[int, tuple[list, list]]:
+    """Per twist, the weights of G_0..G_n in its plain and in its dual
+    summands: each term coeff * s_j of the twist adds coeff * C(r + j - 1,
+    j - i) to weight i (``charclass._sym_weights``), r the rank of Omega."""
+    by_twist: dict[int, tuple[list, list]] = {}
+    for term in combo:
+        acc = by_twist.setdefault(term.twist, ([0] * (n + 1), [0] * (n + 1)))[term.dual]
+        for i, c in enumerate(_sym_weights(r, term.sym, n)):
+            acc[i] += term.coeff * c
+    return by_twist
+
+
 def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport":
     """Assemble the universal defect and its degree breakdown.
 
@@ -179,14 +202,8 @@ def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport"
     todd = todd_from_chern(adams_rescale(omega_chern, -1))
     n = min(max((term.sym for term in combo), default=0), bound)
     g = _rank_zero_sym(ch_omega, n)
-    # per twist, the weights of G_0..G_n in its plain and its dual summands
-    by_twist: dict[int, tuple[list, list]] = {}
-    for term in combo:
-        acc = by_twist.setdefault(term.twist, ([0] * (n + 1), [0] * (n + 1)))[term.dual]
-        for i, c in enumerate(_sym_weights(d, term.sym, n)):
-            acc[i] += term.coeff * c
     D = TruncatedSeries.zero(vt, bound)
-    for twist, (plain, dual) in by_twist.items():
+    for twist, (plain, dual) in _twist_weights(combo, d, n).items():
         cls = _combine(ch_omega, zip(plain, g))
         if any(dual):
             cls = cls + dual_ch(_combine(ch_omega, zip(dual, g)))
@@ -393,6 +410,83 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
         lhs=head.coeff * lhs_degree,
         rhs_rows=rows,
         rhs=sum(c * deg for _j, c, deg in rows),
+    )
+
+
+@dataclass(frozen=True)
+class AllLinesReport:
+    """The verdict of ``verify_main_all_lines``. ``failing`` holds each
+    monomial g^alpha whose coefficient c_alpha is not zero, as its exponent
+    vector alpha over ``generators`` (the weight-one generators) with
+    c_alpha, in graded-lex order, largest first within a degree. The
+    verdict covers the line bundles in the span of ``generators``; it says
+    nothing about the classes ``higher_weight`` generators add."""
+
+    generators: tuple[str, ...]
+    higher_weight: tuple[str, ...]
+    failing: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.failing
+
+
+def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
+    """The exponent identity for every line bundle at once, as exact
+    rationals: ``verify_main_on_model``'s check, with its preconditions,
+    for all lines L in the span of the weight-one generators g_k.
+
+    With U_i = G_i Td(T_f) (Todd built once) and the weights w_(t, i) of
+    each twist's terms (``_twist_weights``, shared with
+    ``universal_report``), the defect lhs - rhs of the line L with
+    coefficients a is the integral of sum_t e^(t c_1(L)) W_t, W_t =
+    sum_i w_(t, i) U_i. Expanding e^(t c_1) = sum_alpha t^|alpha| a^alpha
+    g^alpha / alpha! gives
+
+        lhs - rhs = sum_alpha a^alpha / alpha! * c_alpha,
+        c_alpha = sum_t t^|alpha| integral(g^alpha W_t),
+
+    over the exponent vectors alpha with |alpha| <= total_dim: the
+    universal statement of ``universal_report`` pulled back to the model
+    (Fulton, *Intersection Theory*, ch. 15). A polynomial that vanishes on
+    every integer vector is zero, so the identity holds for every L exactly
+    when every c_alpha is 0. The sum over t is taken first, V_m = sum_t t^m
+    W_t for each degree m, so each c_alpha is one top-degree pairing
+    ``ChowModel.integrate(g^alpha, V_|alpha|)``. The terms are those of
+    ``main_combo(d)``, as for ``verify_main_on_model``.
+
+    Unlike the per-line route, the verdict does no integrality check: each
+    c_alpha is an exact rational that is only tested for zero. On a model
+    whose degrees are not integers, where ``verify_main_on_model`` raises,
+    the verdict can pass or list fractional coefficients.
+    """
+    d = model.rel_dim
+    if d < 1:
+        raise DomainError("need a family of positive relative dimension")
+    if model.total_dim - d != 1:
+        raise DomainError("the verification needs a one-dimensional base")
+    g = model.cotangent_rank_zero()
+    by_twist = _twist_weights(main_combo(d), d, len(g) - 1)
+    todd = todd_from_chern(model.tangent_chern)
+    u = [gi * todd for gi in g]
+    vt, top = model.vars, model.total_dim
+    ones = [k for k, w in enumerate(vt.weights) if w == 1]
+    failing = []
+    for m in range(top + 1):
+        # V_m = sum_t t^m W_t, which every g^alpha with |alpha| = m pairs with
+        weights = [sum(t**m * plain[i] for t, (plain, _) in by_twist.items()) for i in range(len(u))]
+        v = _combine(todd, zip(weights, u))
+        for picks in combinations_with_replacement(ones, m):
+            exps = [0] * len(vt)
+            for k in picks:
+                exps[k] += 1
+            c = model.integrate(TruncatedSeries(vt, top, {tuple(exps): 1}), v)
+            if c:
+                failing.append((tuple(exps[k] for k in ones), c))
+    return AllLinesReport(
+        generators=tuple(vt.names[k] for k in ones),
+        higher_weight=tuple(name for name, w in zip(vt.names, vt.weights) if w != 1),
+        failing=tuple(failing),
     )
 
 

@@ -986,6 +986,31 @@ class TestVerifyAll:
             "error": "binomial expansion disagrees with the table",
         }
 
+    def test_p1xp1_row_fails_with_the_first_failing_monomial(self, capsys, monkeypatch):
+        # +1 on the twist-2 Sym^1 coefficient breaks the identity on P1 x P1.
+        # Only the verdict reads the moved main_combo: the row's headline
+        # O(1,1) and the other rows read the true one and pass
+        real = grrcheck.verify_main_all_lines
+        combo = list(grrcheck.main_combo(1))
+        combo[2] = grrcheck.ComboTerm(combo[2].coeff + 1, combo[2].twist, combo[2].sym)
+
+        def moved(model):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(grrcheck, "main_combo", lambda d, allow_degenerate=False: combo)
+                return real(model)
+
+        monkeypatch.setattr(grrcheck, "verify_main_all_lines", moved)
+        code, out = run_cli(capsys, "verify-all", "--max-dim", "1")
+        assert code == 1
+        rows = {row["name"]: row for row in map(json.loads, out.splitlines()[:-1])}
+        assert rows["family-p1xp1"]["ok"] is False
+        assert rows["family-p1xp1"]["witness"] == {
+            "monomial": {"s": 1},
+            "coefficient": "-2",
+            "failing_monomials": 2,
+        }
+        assert json.loads(out.splitlines()[-1])["failed"] == ["family-p1xp1"]
+
     def test_hirzebruch_check_builds_each_surface_once(self, monkeypatch):
         built = []
         real = cli.model_hirzebruch

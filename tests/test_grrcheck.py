@@ -491,6 +491,132 @@ def test_warm_verify_main_takes_one_exp_and_reads_a_cached_combo(monkeypatch):
     assert len(exps) == 1 and tables == []
 
 
+# ----------------------------------------------------------------------
+# the all-lines verdict
+
+
+def combo_with_one_coefficient_moved(d, index, delta):
+    combo = list(main_combo(d))
+    t = combo[index]
+    combo[index] = ComboTerm(t.coeff + delta, t.twist, t.sym)
+    return tuple(combo)
+
+
+def verdict_with_one_coefficient_moved(m, index, delta):
+    """The all-lines verdict on ``m`` with ``main_combo`` reading one
+    coefficient moved by ``delta``."""
+    combo = combo_with_one_coefficient_moved(m.rel_dim, index, delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grrcheck, "main_combo", lambda d, allow_degenerate=False: combo)
+        return grrcheck.verify_main_all_lines(m)
+
+
+def defect_by_the_line_route(m, line, combo):
+    """lhs - rhs of one line L under ``combo``: each term's degree is the
+    pairing of ch(L^t) = psi^t(ch(L)) with s_j = sum_i C(d + j - 1, j - i)
+    G_i, the route ``verify_main_on_model`` takes one line at a time."""
+    d = m.rel_dim
+    g = m.cotangent_rank_zero()
+    ch_line = grrcheck._line_ch(m, line)
+    total = 0
+    for t in combo:
+        s_j = _combine(ch_line, zip(_sym_weights(d, t.sym, len(g) - 1), g))
+        total += t.coeff * grrcheck._degree(m, adams_rescale(ch_line, t.twist) * s_j, "degree")
+    return total
+
+
+def defect_by_the_verdict(report, line):
+    """sum_alpha a^alpha / alpha! c_alpha over the verdict's nonzero c_alpha."""
+    a = [line[g] for g in report.generators]
+    total = Rational(0)
+    for alpha, c in report.failing:
+        term = c
+        for ak, ek in zip(a, alpha):
+            term *= Rational(ak**ek, factorial(ek))
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("name, params", CACHE_MODELS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_all_lines_coefficients_give_each_line_defect(name, params, data):
+    m = builtin_model(name, **params)
+    d = m.rel_dim
+    index = data.draw(st.integers(0, 2 * d + 1), label="term")
+    delta = data.draw(st.sampled_from([0, 1, -1]), label="delta")
+    combo = combo_with_one_coefficient_moved(d, index, delta)
+    report = verdict_with_one_coefficient_moved(m, index, delta)
+    for _ in range(3):
+        line = {g: data.draw(st.integers(-4, 4), label=g) for g in m.vars.names}
+        assert defect_by_the_verdict(report, line) == defect_by_the_line_route(m, line, combo)
+        if not delta:
+            assert report.ok
+            rep = verify_main_on_model(m, line)
+            assert rep.ok and rep.lhs - rep.rhs == 0
+
+
+@pytest.mark.parametrize(
+    "name, params, failing",
+    [(name, params, n) for (name, params), n in zip(CACHE_MODELS[1:], [2, 4, 2, 4, 4, 4])],
+)
+def test_all_lines_verdict_fails_when_a_coefficient_moves(name, params, failing):
+    # +1 on the coefficient of the twist-2 Sym^1 term; P1 x P1 has its
+    # failing coefficients frozen below
+    m = builtin_model(name, **params)
+    assert grrcheck.verify_main_all_lines(m).ok
+    report = verdict_with_one_coefficient_moved(m, 2, 1)
+    assert not report.ok
+    assert len(report.failing) == failing
+    assert all(c for _alpha, c in report.failing)
+
+
+def test_all_lines_verdict_p1xp1_frozen():
+    # the +1 term adds the degree of L^2 (x) Omega, whose c_alpha are -2 at
+    # s and 2^2 at h s, the one monomial of degree 2 that does not vanish
+    m = model_pn_x_pm(1, 1)
+    report = verdict_with_one_coefficient_moved(m, 2, 1)
+    assert report.generators == ("h", "s") and report.higher_weight == ()
+    assert report.failing == (((0, 1), -2), ((1, 1), 4))
+
+
+def test_all_lines_verdict_names_generators_it_does_not_reach():
+    # P1 x P1 with a weight-two generator q = h s: the verdict covers the
+    # span of h and s, and reports q as outside it
+    one = TruncatedSeries.one(VarTable([("q", 2), ("h", 1), ("s", 1)]), 2)
+    m = ChowModel(
+        name="P1xP1+q",
+        generators=[("q", 2), ("h", 1), ("s", 1)],
+        relations=[((1, 0, 0), [((0, 1, 1), 1)]), ((0, 2, 0), []), ((0, 0, 2), [])],
+        rel_dim=1,
+        total_dim=2,
+        base_generators=["s"],
+        tangent_chern=one + 2 * TruncatedSeries.gen(one.vars, 2, "h"),
+        point_class=(0, 1, 1),
+    )
+    report = grrcheck.verify_main_all_lines(m)
+    assert report.ok
+    assert report.generators == ("h", "s") and report.higher_weight == ("q",)
+
+
+@pytest.mark.parametrize(
+    "model", [model_pn(1), model_pn_x_pm(1, 2)], ids=["point-base", "two-dimensional-base"]
+)
+def test_all_lines_verdict_preconditions(model):
+    with pytest.raises(DomainError, match="one-dimensional base"):
+        grrcheck.verify_main_all_lines(model)
+
+
+def test_all_lines_verdict_builds_todd_once(monkeypatch):
+    m = model_hirzebruch(2)
+    want = grrcheck.verify_main_all_lines(m)
+    calls = []
+    original = grrcheck.todd_from_chern
+    monkeypatch.setattr(grrcheck, "todd_from_chern", lambda c: calls.append(c) or original(c))
+    assert grrcheck.verify_main_all_lines(m) == want
+    assert len(calls) == 1
+
+
 BUILTIN_MODELS = [
     ("P1", {}),
     ("P3", {}),
