@@ -986,30 +986,63 @@ class TestVerifyAll:
             "error": "binomial expansion disagrees with the table",
         }
 
-    def test_p1xp1_row_fails_with_the_first_failing_monomial(self, capsys, monkeypatch):
-        # +1 on the twist-2 Sym^1 coefficient breaks the identity on P1 x P1.
-        # Only the verdict reads the moved main_combo: the row's headline
-        # O(1,1) and the other rows read the true one and pass
+    def test_family_rows_fail_with_the_first_failing_monomial(self, capsys, monkeypatch):
+        # +1 on the twist-2 Sym^1 coefficient of each model's own d breaks the
+        # identity on every family model. Only the all-lines verdict reads the
+        # moved main_combo, so exactly the three rows that run it fail
         real = grrcheck.verify_main_all_lines
-        combo = list(grrcheck.main_combo(1))
-        combo[2] = grrcheck.ComboTerm(combo[2].coeff + 1, combo[2].twist, combo[2].sym)
+        real_combo = grrcheck.main_combo
+
+        def moved_combo(d, allow_degenerate=False):
+            combo = list(real_combo(d, allow_degenerate))
+            combo[2] = grrcheck.ComboTerm(combo[2].coeff + 1, combo[2].twist, combo[2].sym)
+            return combo
 
         def moved(model):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(grrcheck, "main_combo", lambda d, allow_degenerate=False: combo)
+                mp.setattr(grrcheck, "main_combo", moved_combo)
                 return real(model)
 
         monkeypatch.setattr(grrcheck, "verify_main_all_lines", moved)
         code, out = run_cli(capsys, "verify-all", "--max-dim", "1")
         assert code == 1
         rows = {row["name"]: row for row in map(json.loads, out.splitlines()[:-1])}
-        assert rows["family-p1xp1"]["ok"] is False
-        assert rows["family-p1xp1"]["witness"] == {
-            "monomial": {"s": 1},
+        first = {"monomial": {"s": 1}, "coefficient": "-2", "failing_monomials": 2}
+        assert rows["family-p1xp1"]["witness"] == first
+        assert rows["family-hirzebruch"]["witness"] == {
+            "e": 0,
+            "monomial": {"f": 1},
             "coefficient": "-2",
             "failing_monomials": 2,
         }
-        assert json.loads(out.splitlines()[-1])["failed"] == ["family-p1xp1"]
+        assert rows["family-p2xp1"]["witness"] == first
+        assert json.loads(out.splitlines()[-1])["failed"] == [
+            "family-p1xp1",
+            "family-hirzebruch",
+            "family-p2xp1",
+        ]
+
+    def test_pass_does_counted_work(self, capsys, monkeypatch):
+        # one model check, six all-lines verdicts, 34 Todd classes per pass:
+        # a change that multiplies the work fails here, with no wall clock
+        counts = dict.fromkeys(
+            ("verify_main_on_model", "verify_main_all_lines", "todd_from_chern"), 0
+        )
+        for name in counts:
+            real = getattr(grrcheck, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(grrcheck, name, counted)
+        code, _ = run_cli(capsys, "verify-all", "--max-dim", "4")
+        assert code == 0
+        assert counts == {
+            "verify_main_on_model": 1,
+            "verify_main_all_lines": 6,
+            "todd_from_chern": 34,
+        }
 
     def test_hirzebruch_check_builds_each_surface_once(self, monkeypatch):
         built = []
