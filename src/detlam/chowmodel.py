@@ -10,6 +10,15 @@ not depend on a line bundle is cached on first use: the normal forms of
 monomials and the rank-zero classes of the relative cotangent sheaf
 (``cotangent_rank_zero``), whose weighted sums are its Sym characters.
 
+Reduction works on the packed keys of the model's ring (see ``exactalg``),
+whose window is the monomials of degree at most total_dim; each rule with
+a lead in it is packed once. When a lead divides a monomial, subtracting
+its key leaves every field nonnegative, and keys add without carry in the
+window, so ``key - lead + key(replacement)`` is the rewritten monomial.
+One table maps each key to its normal form as integer numerators over
+keys and one denominator. A key cannot hold a monomial above total_dim,
+so the table holds window monomials only.
+
 Integration is the intersection pairing A^k x A^(n-k) -> A^n = Q, n =
 total_dim (Fulton, *Intersection Theory*, 1984, section 19.1): the integral
 of a product a b is the sum, over the term pairs of a and b whose weighted
@@ -17,9 +26,9 @@ degrees add to n, of the coefficient product times the integral of the
 product monomial. Rules are homogeneous, so only the degree-n part of a b
 reaches the point class, and the lower degrees are never multiplied or
 reduced. The integral of every degree-n monomial is read once, while
-validation reduces it, into a table from packed key to point-class
-coefficient. Schubert2 (Macaulay2) and Katz & Stromme's "Schubert"
-integrate by the same top-degree reading.
+validation reduces it, from the normal-form table into a table from packed
+key to point-class coefficient. Schubert2 (Macaulay2) and Katz & Stromme's
+"Schubert" integrate by the same top-degree reading.
 
 Two checks read normal monomials, those no rule lead divides (the standard
 monomials of Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -46,7 +55,7 @@ Built-in presentations:
 import json
 from functools import reduce
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 
 from .charclass import _rank_zero_sym, adams_rescale, ch_from_chern
 from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable
@@ -143,6 +152,21 @@ def _check_window(name: str, weights: tuple[int, ...], top: int):
             )
 
 
+def _accumulate(parts) -> tuple[dict, int]:
+    """sum m * image / den over the (m, (image, den)) pairs of normal-form
+    entries, as integer numerators over one denominator, zeros dropped."""
+    den = reduce(lcm, (d for _, (_, d) in parts), 1)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for m, (image, d) in parts:
+        m *= den // d
+        for k, v in image.items():
+            acc[k] = get(k, 0) + m * v
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    return acc, den
+
+
 class ChowModel:
     """A graded ring with a terminating, dimension-closed rewrite system."""
 
@@ -179,9 +203,9 @@ class ChowModel:
             raise ModelError("base generators must be marked exactly for family models")
         self.base_generators = base
 
-        self.rules, self._leads_at = self._parse_rules(relations)
-        self._nf_cache: dict[tuple[int, ...], dict] = {}
-        self._packed_nf: dict[int, tuple[dict, int]] = {}
+        self._lay = self.vars._layout(total_dim)
+        self.rules, self._leads_at, self._packed = self._parse_rules(relations)
+        self._nf: dict[int, tuple[dict, int]] = {}
         self._cotangent_g: tuple[TruncatedSeries, ...] | None = None
         self._check_dimension_closure()
         self.point_class = self._check_point_class(point_class)
@@ -207,12 +231,14 @@ class ChowModel:
         return tuple(exps)
 
     def _parse_rules(self, relations):
-        """The rules, biggest lead first, and the lead index: each lead's
-        support (its nonzero (index, exponent) pairs, read once and also
-        giving its degree) and position, filed under its first nonzero
-        index. A lead divides a monomial only if that index is in the
-        monomial's support, so ``_dividing_rules`` reads only the leads filed
-        there: one lead per monomial when each generator has its own rule."""
+        """The rules, biggest lead first, the lead index and the packed
+        rules. The index files each lead's support (its nonzero (index,
+        exponent) pairs, read once and also giving its degree) and position
+        under its first nonzero index. A lead divides a monomial only if
+        that index is in the monomial's support, so ``_dividing_rules``
+        reads only the leads filed there: one lead per monomial when each
+        generator has its own rule. A lead above the window divides no
+        window monomial, so its packed rule is None."""
         weights = self.vars.weights
         parsed = []
         seen = set()
@@ -244,42 +270,42 @@ class ChowModel:
         index: dict[int, list] = {}
         for pos, (*_, support) in enumerate(parsed):
             index.setdefault(support[0][0], []).append((pos, support))
-        return tuple((lead, terms) for _, lead, terms, _ in parsed), index
+        packed = tuple(
+            self._pack(lead, terms) if degree <= self.total_dim else None
+            for degree, lead, terms, _ in parsed
+        )
+        return tuple((lead, terms) for _, lead, terms, _ in parsed), index, packed
 
-    def _reduce_monomial(self, exps: tuple[int, ...]) -> dict:
-        """Normal form of one monomial as {exponents: Rational}, cached.
+    def _pack(self, lead, terms):
+        """A rule as the lead's key and the replacement's normal-form entry."""
+        key, den = self._lay.key, reduce(lcm, (c.denominator for _, c in terms), 1)
+        return key(lead), ({key(e): c.numerator * (den // c.denominator) for e, c in terms}, den)
 
-        Every rule is homogeneous (``_parse_rules`` rejects any other), so
-        each rewrite step keeps the degree of the monomial: a monomial inside
-        the window [0, total_dim] only ever reaches monomials of its own
-        degree. ``normal_form`` therefore takes only series truncated at
-        total_dim. The dimension-closure check reduces nothing above the
-        window (it reads ``_is_normal``), so the cache holds window monomials.
-        """
-        cached = self._nf_cache.get(exps)
-        if cached is not None:
-            return cached
-        out: dict[tuple[int, ...], Rational] = {exps: Rational(1)}
-        first = min(self._dividing_rules(exps), default=None)
-        if first is not None:
-            lead, replace = self.rules[first]
-            rest = tuple(b - a for a, b in zip(lead, exps))
-            out = {}
-            for rexps, rc in replace:
-                prod = tuple(a + b for a, b in zip(rexps, rest))
-                for nexps, nc in self._reduce_monomial(prod).items():
-                    v = out.get(nexps, Rational(0)) + rc * nc
-                    if v:
-                        out[nexps] = v
-                    else:
-                        del out[nexps]
-        self._nf_cache[exps] = out
-        return out
+    def _reduce(self, key: int, exps: tuple[int, ...] | None = None) -> tuple[dict, int]:
+        """Normal form of the window monomial ``key`` (exponents ``exps``,
+        unpacked when not given) as ({key: numerator}, denominator) in
+        lowest terms, cached in the one normal-form table. The first
+        dividing rule in ``self.rules`` order rewrites it, by the key
+        arithmetic of the module docstring; rules are homogeneous, so every
+        rewrite stays in the window."""
+        image = self._nf.get(key)
+        if image is None:
+            first = min(self._dividing_rules(exps or self._lay.exps(key)), default=None)
+            if first is None:
+                image = {key: 1}, 1
+            else:
+                lead, (terms, rden) = self._packed[first]
+                rest = key - lead
+                acc, den = _accumulate([(c, self._reduce(rest + k)) for k, c in terms.items()])
+                g = reduce(gcd, acc.values(), den * rden)
+                image = {k: v // g for k, v in acc.items()}, den * rden // g
+            self._nf[key] = image
+        return image
 
     def _dividing_rules(self, exps: tuple[int, ...]):
         """Positions of the rules whose lead divides the monomial, lazily:
-        the one divisibility test. ``_reduce_monomial`` applies the first
-        such rule in ``self.rules`` order."""
+        the one divisibility test. ``_reduce`` applies the first such rule
+        in ``self.rules`` order."""
         leads = self._leads_at
         for i, e in enumerate(exps):
             if e:
@@ -314,20 +340,21 @@ class ChowModel:
             raise ModelError("point class must have degree total_dim")
         if not self._is_normal(pt):
             raise ModelError("point class must be in normal form")
-        lay = self.vars._layout(self.total_dim)
+        lay, pkey = self._lay, self._lay.key(pt)
         top = {}
         for exps in _exponents_of_degree(self.vars.weights, self.total_dim):
-            nf = self._reduce_monomial(exps)
-            if any(e != pt for e in nf):
+            key = lay.key(exps)
+            image, den = self._reduce(key, exps)
+            if image.keys() - {pkey}:
                 raise ModelError(
                     f"degree-{self.total_dim} monomial {exps} is not a multiple "
                     "of the point class"
                 )
-            top[lay.key(exps)] = nf.get(pt, Rational(0))
+            top[key] = image.get(pkey, 0), den
         # the integral of each degree-total_dim monomial, by packed key, as
         # an integer numerator over the one denominator _top_den
-        self._top_den = den = reduce(lcm, (c.denominator for c in top.values()), 1)
-        self._top = {k: c.numerator * (den // c.denominator) for k, c in top.items()}
+        self._top_den = tden = reduce(lcm, (den for _, den in top.values()), 1)
+        self._top = {k: c * (tden // den) for k, (c, den) in top.items()}
         return pt
 
     def _check_tangent(self, tangent):
@@ -390,35 +417,11 @@ class ChowModel:
 
     def normal_form(self, series: TruncatedSeries) -> TruncatedSeries:
         """Reduce every term of a series of the model's ring, truncated at
-        total_dim.
-
-        Works on the series' packed form (see ``exactalg``): the reduction
-        of each monomial is cached as integer numerators over packed keys
-        and one denominator.
-        """
+        total_dim: the sum of each term's numerator times its monomial's
+        entry in the normal-form table (``_reduce``)."""
         self._check_ring(series)
-        lay = series._lay
-        cache = self._packed_nf
-        images = []
-        for key, num in series._num.items():
-            image = cache.get(key)
-            if image is None:
-                nf = self._reduce_monomial(lay.exps(key))
-                rden = reduce(lcm, (c.denominator for c in nf.values()), 1)
-                image = cache[key] = (
-                    {lay.key(e): c.numerator * (rden // c.denominator) for e, c in nf.items()},
-                    rden,
-                )
-            images.append((num, image))
-        den = reduce(lcm, (rden for _num, (_img, rden) in images), 1)
-        acc: dict[int, int] = {}
-        get = acc.get
-        for num, (image, rden) in images:
-            m = num * (den // rden)
-            for k, v in image.items():
-                acc[k] = get(k, 0) + m * v
-        if 0 in acc.values():
-            acc = {k: v for k, v in acc.items() if v}
+        nf, reduce_ = self._nf.get, self._reduce
+        acc, den = _accumulate([(num, nf(k) or reduce_(k)) for k, num in series._num.items()])
         return _reduced(series, acc, series._den * den)
 
     def cotangent_rank_zero(self) -> tuple[TruncatedSeries, ...]:

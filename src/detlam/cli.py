@@ -171,9 +171,7 @@ def _cmd_universal(args):
 
 def _cmd_ducrot(args):
     factors = args.factors
-    defect = grrcheck.ducrot_defect(
-        args.dim, factors, allow_short=factors is not None
-    )
+    defect = grrcheck.ducrot_defect(args.dim, factors)
     obj = {
         "dim": args.dim,
         "factors": factors if factors is not None else args.dim + 2,
@@ -286,7 +284,7 @@ def _chk_ducrot(d):
     full = grrcheck.ducrot_defect(d)
     if not full.is_zero():
         return {"dim": d, "factors": d + 2, "error": "full block not trivial"}
-    short = grrcheck.ducrot_defect(d, d + 1, allow_short=True)
+    short = grrcheck.ducrot_defect(d, d + 1)
     if short.is_zero():
         return {"dim": d, "factors": d + 1, "error": "short block unexpectedly trivial"}
     return None

@@ -257,9 +257,7 @@ MAX_DUCROT_DIM = 18
 MAX_DUCROT_FACTORS = 64
 
 
-def ducrot_defect(
-    d: int, factors: int | None = None, allow_short: bool = False
-) -> TruncatedSeries:
+def ducrot_defect(d: int, factors: int | None = None) -> TruncatedSeries:
     """Chern character of the product of (O - line) blocks, truncated at d+1.
 
     With d+2 factors the product of classes (1 - e^(l_i)) has every term of
@@ -278,8 +276,6 @@ def ducrot_defect(
         raise DomainError(
             f"{factors} factors exceed the ceiling MAX_DUCROT_FACTORS = {MAX_DUCROT_FACTORS}"
         )
-    if factors != d + 2 and not allow_short:
-        raise DomainError(f"need exactly d+2 = {d + 2} factors, got {factors}")
     names = [f"l{i}" for i in range(1, factors + 1)]
     vt = VarTable([(n, 1) for n in names])
     bound = d + 1
@@ -452,8 +448,10 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     every integer vector is zero, so the identity holds for every L exactly
     when every c_alpha is 0. The sum over t is taken first, V_m = sum_t t^m
     W_t for each degree m, so each c_alpha is one top-degree pairing
-    ``ChowModel.integrate(g^alpha, V_|alpha|)``. The terms are those of
-    ``main_combo(d)``, as for ``verify_main_on_model``.
+    ``ChowModel.integrate(g^alpha, V_|alpha|)``. A g^alpha of degree m pairs
+    only with V_m's degree-(total_dim - m) part, taken once per m in normal
+    form (rules are homogeneous, so nf(V)_k = nf(V_k)). The terms are those
+    of ``main_combo(d)``, as for ``verify_main_on_model``.
 
     Unlike the per-line route, the verdict does no integrality check: each
     c_alpha is an exact rational that is only tested for zero. On a model
@@ -473,9 +471,9 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     ones = [k for k, w in enumerate(vt.weights) if w == 1]
     failing = []
     for m in range(top + 1):
-        # V_m = sum_t t^m W_t, which every g^alpha with |alpha| = m pairs with
+        # nf(V_m)_(top - m), V_m = sum_t t^m W_t, the part g^alpha pairs with
         weights = [sum(t**m * plain[i] for t, (plain, _) in by_twist.items()) for i in range(len(u))]
-        v = _combine(todd, zip(weights, u))
+        v = model.normal_form(_combine(todd, zip(weights, u)).component(top - m))
         for picks in combinations_with_replacement(ones, m):
             exps = [0] * len(vt)
             for k in picks:

@@ -99,7 +99,7 @@ def test_criterion_05_pairing_block_triviality(criterion):
         for d in range(1, 4):
             if not grrcheck.ducrot_defect(d).is_zero():
                 return False
-            if grrcheck.ducrot_defect(d, d + 1, allow_short=True).is_zero():
+            if grrcheck.ducrot_defect(d, d + 1).is_zero():
                 return False
         return True
 

@@ -531,9 +531,10 @@ class ReducingModel(ChowModel):
 
     def _check_dimension_closure(self):
         top = self.total_dim
+        cache = {}
         for deg in range(top + 1, top + max(self.vars.weights) + 1):
             for exps in chowmodel._exponents_of_degree(self.vars.weights, deg):
-                if self._reduce_monomial(exps):
+                if dense_reduce(self, exps, cache):
                     raise ModelError(f"monomial {exps} of degree {deg} does not normalize to zero")
 
     def _find_relative_point(self):
@@ -647,21 +648,26 @@ class RulesOnly(ChowModel):
     """The rewrite rules of a presentation and nothing else checked, so
     every drawn rule set reduces, valid model or not."""
 
-    def __init__(self, generators, relations, **_):
+    def __init__(self, generators, relations, total_dim, **_):
         self.vars = VarTable(generators)
-        self.rules, self._leads_at = self._parse_rules(relations)
-        self._nf_cache = {}
+        self.total_dim = total_dim
+        self._lay = self.vars._layout(total_dim)
+        self.rules, self._leads_at, self._packed = self._parse_rules(relations)
+        self._nf = {}
 
 
 @settings(max_examples=300, deadline=None)
 @given(presentations())
 def test_reduction_applies_the_first_dividing_rule(kwargs):
-    # drawn rule sets need not be confluent, so the rule chosen shows
+    # drawn rule sets need not be confluent, so the rule chosen shows; the
+    # table holds window monomials only, so the comparison stops at total_dim
     m = RulesOnly(**kwargs)
     cache = {}
-    for deg in range(kwargs["total_dim"] + max(m.vars.weights) + 1):
+    for deg in range(kwargs["total_dim"] + 1):
         for exps in chowmodel._exponents_of_degree(m.vars.weights, deg):
-            assert m._reduce_monomial(exps) == dense_reduce(m, exps, cache)
+            image, den = m._reduce(m._lay.key(exps))
+            got = {m._lay.exps(k): Rational(v, den) for k, v in image.items()}
+            assert got == dense_reduce(m, exps, cache)
 
 
 @pytest.mark.parametrize(

@@ -196,14 +196,12 @@ def test_ducrot_full_factor_count_vanishes(d):
 
 
 def test_ducrot_short_product_is_nonzero():
-    defect = ducrot_defect(1, factors=2, allow_short=True)
+    defect = ducrot_defect(1, factors=2)
     vt = defect.vars
     l1 = TruncatedSeries.gen(vt, 2, "l1")
     l2 = TruncatedSeries.gen(vt, 2, "l2")
     assert defect.component(2) == l1 * l2
     assert not defect.is_zero()
-    with pytest.raises(DomainError):
-        ducrot_defect(1, factors=2)
 
 
 # ----------------------------------------------------------------------
@@ -607,6 +605,28 @@ def test_all_lines_verdict_preconditions(model):
         grrcheck.verify_main_all_lines(model)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: model_pn_x_pm(2, 1), lambda: model_hirzebruch(2), lambda: power_family(2, 3)],
+    ids=["P2xP1", "F2", "P2^3xP1"],
+)
+def test_all_lines_verdict_pairs_each_monomial_with_one_normal_component(monkeypatch, build):
+    # a g^alpha of degree m pairs only with the degree-(total_dim - m) part
+    # of V_m, so the verdict hands integrate that part alone, in normal form
+    m = build()
+    pairs = []
+    integrate = ChowModel.integrate
+    monkeypatch.setattr(
+        ChowModel, "integrate", lambda self, a, b: pairs.append((a, b)) or integrate(self, a, b)
+    )
+    assert grrcheck.verify_main_all_lines(m).ok
+    assert pairs
+    for a, b in pairs:
+        (alpha,) = a.terms
+        assert b == b.component(m.total_dim - m.vars.degree(alpha))
+        assert b == m.normal_form(b)
+
+
 def test_all_lines_verdict_builds_todd_once(monkeypatch):
     m = model_hirzebruch(2)
     want = grrcheck.verify_main_all_lines(m)
@@ -769,8 +789,8 @@ def test_picard_integer_vs_rational_span():
         lambda: universal_report(2.0),
         lambda: ducrot_defect(2.0),
         lambda: ducrot_defect(True),
-        lambda: ducrot_defect(2, 3.0, True),
-        lambda: ducrot_defect(2, True, True),
+        lambda: ducrot_defect(2, 3.0),
+        lambda: ducrot_defect(2, True),
     ],
     ids=[
         "relation-float", "relation-bool", "goal-float", "universal-bool", "universal-float",
