@@ -35,8 +35,8 @@ from .kexpr import ScriptError
 __all__ = ["main"]
 
 # Largest verify-all --max-dim, a time budget: a pass runs universal-defect-d1
-# up to d{max_dim}, and its checks take about 10 ms at 4. The ducrot checks
-# stop at d = 3 whatever the value.
+# up to d{max_dim}, and its checks take about 7 ms at 4 on a 2-core host. The
+# ducrot checks stop at d = 3 whatever the value.
 MAX_VERIFY_DIM = 4
 
 _USAGE_ERRORS = (
@@ -304,34 +304,33 @@ def _all_lines_witness(model):
     }
 
 
-def _chk_family_p1xp1():
-    model = model_pn_x_pm(1, 1)
+def _chk_family_p1xp1(models):
+    model = models(model_pn_x_pm, 1, 1)
     headline = grrcheck.verify_main_on_model(model, {"h": 1, "s": 1})
     if headline.lhs != 32 or headline.rhs != 32 or not headline.ok:
         return {"lhs": str(headline.lhs), "rhs": str(headline.rhs)}
     return _all_lines_witness(model)
 
 
-def _chk_family_hirzebruch():
-    models = [model_hirzebruch(e) for e in range(4)]
+def _chk_family_hirzebruch(models):
     for e in (1, 2):
-        degree = grrcheck.c1_lambda(models[e], {"z": 1, "f": 0})
+        degree = grrcheck.c1_lambda(models(model_hirzebruch, e), {"z": 1, "f": 0})
         if degree != -e:
             return {"e": e, "degree": degree}
-    for e, model in enumerate(models):
-        witness = _all_lines_witness(model)
+    for e in range(4):
+        witness = _all_lines_witness(models(model_hirzebruch, e))
         if witness is not None:
             return {"e": e, **witness}
     return None
 
 
-def _chk_family_p2xp1():
-    return _all_lines_witness(model_pn_x_pm(2, 1))
+def _chk_family_p2xp1(models):
+    return _all_lines_witness(models(model_pn_x_pm, 2, 1))
 
 
-def _chk_mumford():
+def _chk_mumford(models):
     for e in (1, 2, 3):
-        model = model_hirzebruch(e)
+        model = models(model_hirzebruch, e)
         one = grrcheck.c1_lambda(model, {"z": -2, "f": -e})
         two = grrcheck.c1_lambda(model, {"z": -4, "f": -2 * e})
         if two != 13 * one:
@@ -345,13 +344,13 @@ def _chk_mumford():
     return None
 
 
-def _chk_euler_anchors():
-    p1 = model_pn(1)
+def _chk_euler_anchors(models):
+    p1 = models(model_pn, 1)
     for a in range(-3, 4):
         chi = grrcheck.euler_char(p1, {"h": a})
         if chi != a + 1:
             return {"space": "P1", "a": a, "chi": chi}
-    p2 = model_pn(2)
+    p2 = models(model_pn, 2)
     for a in range(4):
         chi = grrcheck.euler_char(p2, {"h": a})
         if chi != (a + 1) * (a + 2) // 2:
@@ -400,8 +399,14 @@ def _build_registry(max_dim: int):
     ``check()`` returns None when the law holds and a witness otherwise. The
     ``_chk_*`` functions are looked up when this runs, so a test can replace
     one of them.
+
+    The model rows share one table of built-in models, ``models(build,
+    *params)``: each model is built on first use and read back by the rows
+    after it. The table belongs to this registry, so each pass builds every
+    model it uses, once.
     """
     registry: list[tuple[str, str, object]] = []
+    models = cache(lambda build, *params: build(*params))
 
     def _register(name, law, check):
         registry.append((name, law, check))
@@ -439,29 +444,29 @@ def _build_registry(max_dim: int):
         "family-p1xp1",
         "16 * deg lambda(O(1,1)) = 32 = 7*6 - 4*2 - 2 on P1 x P1 -> P1, "
         "and the identity holds for every O(a,b)",
-        _chk_family_p1xp1,
+        partial(_chk_family_p1xp1, models),
     )
     _register(
         "family-hirzebruch",
         "deg lambda(O(z)) = -e on the Hirzebruch surface; the main identity "
         "holds for e in 0..3",
-        _chk_family_hirzebruch,
+        partial(_chk_family_hirzebruch, models),
     )
     _register(
         "family-p2xp1",
         "the d = 2 identity holds on the product family P2 x P1 -> P1",
-        _chk_family_p2xp1,
+        partial(_chk_family_p2xp1, models),
     )
     _register(
         "mumford-ratio",
         "deg lambda(Omega^2) = 13 * deg lambda(Omega); 13*l1 = l2 and 12*l1 = 0 "
         "follow in the integer lattice",
-        _chk_mumford,
+        partial(_chk_mumford, models),
     )
     _register(
         "euler-anchors",
         "chi(P1, O(a)) = a + 1 and chi(P2, O(a)) = (a+1)(a+2)/2",
-        _chk_euler_anchors,
+        partial(_chk_euler_anchors, models),
     )
     _register(
         "rewrite-chains",

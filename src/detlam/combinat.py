@@ -8,7 +8,8 @@ Two families of exact integer data drive everything downstream:
   sides on independent routes: the left side is t times ``pk_poly``, the
   sum built by repeated multiplication by 2 - t; the right side comes
   from the binomial theorem, coefficient j of (2-t)^(k+1) being
-  C(k+1, j) 2^(k+1-j) (-1)^j. Neither side is derived from the other and
+  C(k+1, j) 2^(k+1-j) (-1)^j, each formed from the one before by the
+  ratio of consecutive terms. Neither side is derived from the other and
   they share no power table, so a faster expansion of one side cannot
   turn the check into a tautology.
 * ``coeff_table(d)``: the exponent table c_j = sum_{i=j}^{2d} 2^(2d-i)
@@ -36,9 +37,8 @@ __all__ = [
 
 
 # Largest k of the polyid sweep (CLI ``polyid --max-k``). The carried P_k
-# makes the left sides cost about K^2 integer operations in all, but the
-# binomial right sides still cost about K^3; --max-k 256 takes about 0.1 s
-# on a 2-core host.
+# and the term-ratio binomial expansion make both sides cost about K^2
+# integer operations in all; --max-k 256 takes about 0.08 s on a 2-core host.
 MAX_POLYID_K = 256
 
 # The last P_k built, as (k, coefficients), kept only for k <= MAX_POLYID_K:
@@ -76,13 +76,17 @@ def pk_identity_check(k: int) -> bool:
     The two sides are expanded on independent routes. The left side is t
     times ``pk_poly(k)``, the sum built by repeated products by 2 - t.
     The right side is 2^(k+1) minus (2-t)^(k+1) expanded by the binomial
-    theorem, coefficient j being C(k+1, j) 2^(k+1-j) (-1)^j.
+    theorem: its coefficient b_j = -C(k+1, j) 2^(k+1-j) (-1)^j comes from
+    b_0 = -2^(k+1) by the term ratio b_(j+1) = -b_j (k+1-j) / (2 (j+1)),
+    a division that is always exact.
     """
     if type(k) is not int or k < 0:
         raise DomainError("k must be a nonnegative integer")
     n = k + 1
     lhs = (0,) + pk_poly(k)
-    rhs = [-comb(n, j) * 2 ** (n - j) * (-1) ** j for j in range(n + 1)]
+    rhs = [-(2**n)]
+    for j in range(n):
+        rhs.append(-rhs[j] * (n - j) // (2 * (j + 1)))
     rhs[0] += 2**n
     return lhs == tuple(rhs)
 

@@ -130,8 +130,8 @@ def deligne_combo_d1() -> tuple[ComboTerm, ...]:
 
 # Largest d for universal_report: the work grows about 1.5x per dimension,
 # nearly all of it the products that build G_1..G_(d+1). On a 2-core host
-# the CLI run `universal --dim 17`, JSON output included, takes 1.4-1.6 s;
-# d = 18 takes 2.0-2.3 s.
+# the CLI run `universal --dim 17`, JSON output included, takes 0.72-0.77 s;
+# d = 18 takes about 1.0 s.
 MAX_UNIVERSAL_DIM = 17
 
 
@@ -252,7 +252,7 @@ class UniversalReport:
 # Ceilings for ducrot_defect: the product has up to 2^(d+1) terms, and each
 # factor is a series in every factor's variable. The default d + 2 factors
 # are the worst case, since the product is zero from then on. On a 2-core
-# host the CLI run `ducrot --dim 18` takes about 1.3 s; d = 19 takes 2.8 s.
+# host the CLI run `ducrot --dim 18` takes about 0.45 s; d = 19 takes 0.8 s.
 MAX_DUCROT_DIM = 18
 MAX_DUCROT_FACTORS = 64
 

@@ -30,7 +30,10 @@ chain and its corrupted twins share all untouched steps) is not normalized
 again, and the cache goes away with the tree. A tensor product that opens
 with n copies of one factor object, as tpow(f, n) builds, reads f^(x)n from
 the powers held by f, each formed from the one before: f^(x)n =
-f^(x)(n-1) (x) f.
+f^(x)(n-1) (x) f. A display keeps, the same way, each rewrite made from it
+with the step's axiom, position and argument object, so a corrupted twin,
+which shares every display and argument object but one display with its
+chain, repeats no rewrite: it only normalizes its tampered display.
 """
 
 import json
@@ -99,7 +102,8 @@ class _Tree:
     first use and kept in its instance ``__dict__``, which the dataclass
     ``__eq__``, ``__hash__`` and ``repr`` never read: its formal sum (see
     ``normalize_expr``), its tensor powers (``_tensor_power``) and, for a
-    lambda expression, its canonical form."""
+    lambda expression, its canonical form and the rewrites made from it
+    (``_rewrite``)."""
 
     @cached_property
     def _canonical(self) -> tuple:
@@ -757,22 +761,49 @@ class ChainReport:
         }
 
 
+def _display(e) -> tuple:
+    """The canonical form of a display, which must be a lambda expression."""
+    if not isinstance(e, (Lam, LamProd)):
+        raise UnsupportedExpression("expected a lambda expression")
+    return e._canonical
+
+
+def _rewrite(source, axiom: RewriteAxiom, position: int, args: dict) -> tuple:
+    """The canonical form after ``axiom`` rewrites factor ``position`` of the
+    display ``source``, kept on ``source`` with the axiom, position and
+    ``args`` object it came from. A later call with that axiom and position
+    and the same ``args`` object (by identity, never by value) reads it back;
+    the kept entry holds ``args``, so its address is never reused. An
+    ``args`` dict edited in place after its step ran is not read again. A
+    failure raises and is never kept.
+    """
+    held = source.__dict__
+    kept = held.get("_rewrites", ())
+    for ax, pos, key, got in kept:
+        if ax is axiom and pos == position and key is args:
+            return got
+    got = _canon_items(canonical_state(_apply_axiom(_state_of(source), axiom, position, args)))
+    # replaced whole, never appended to, as the tensor powers are
+    held["_rewrites"] = kept + ((axiom, position, args, got),)
+    return got
+
+
 def chain_verify(script: ChainScript) -> ChainReport:
     """Run a script, checking every step against its expected display."""
-    state = _state_of(script.start)
-    want = normalize(script.start)
+    source = script.start
+    want = _display(source)
     rows = []
     for idx, step in enumerate(script.steps, 1):
         ax = AXIOMS[step.axiom]
         row = {"step": idx, "note": step.note, "axiom": ax.name, "law": ax.law, "ok": False}
         rows.append(row)
         try:
-            got = _canon_items(canonical_state(_apply_axiom(state, ax, step.position, step.args)))
+            got = _rewrite(source, ax, step.position, step.args)
         except _StepFailure as fail:
             row["witness"] = {"error": str(fail)}
             return ChainReport(script.name, False, idx, str(fail), tuple(rows), False)
-        state = _state_of(step.expected)
-        want = normalize(step.expected)
+        source = step.expected
+        want = _display(source)
         if got != want:
             row["witness"] = {"expected": render_canonical(want), "got": render_canonical(got)}
             return ChainReport(script.name, False, idx, "display mismatch", tuple(rows), False)
@@ -1067,7 +1098,7 @@ def builtin_chain_names() -> list[str]:
 # Largest --dim for the shipped chains. Their P_k trees grow with dim, and a
 # monomial of a power f^(x)n is a sorted tuple of n factors, so verifying
 # one grows a little faster than dim^2. At dim = 120 a `rewrite --dim` run
-# takes about 1.1 s (invfunc-a-k) and 0.7 s (invfunc-l-p) on a 2-core host.
+# takes about 0.5 s (invfunc-a-k) and 0.3 s (invfunc-l-p) on a 2-core host.
 MAX_CHAIN_DIM = 120
 
 

@@ -1023,33 +1023,46 @@ class TestVerifyAll:
         ]
 
     def test_pass_does_counted_work(self, capsys, monkeypatch):
-        # one model check, six all-lines verdicts, 34 Todd classes per pass:
-        # a change that multiplies the work fails here, with no wall clock
-        counts = dict.fromkeys(
-            ("verify_main_on_model", "verify_main_all_lines", "todd_from_chern"), 0
-        )
-        for name in counts:
-            real = getattr(grrcheck, name)
+        # one model check, six all-lines verdicts, 34 Todd classes, one
+        # rewrite per distinct chain step (21) and 8 built-in models per pass:
+        # a change that multiplies the work fails here, with no wall clock.
+        # The second pass does the same work: nothing is kept between passes.
+        counts = {}
+        for owner, name in (
+            (grrcheck, "verify_main_on_model"),
+            (grrcheck, "verify_main_all_lines"),
+            (grrcheck, "todd_from_chern"),
+            (kexpr, "_apply_axiom"),
+            (chowmodel.ChowModel, "__init__"),
+        ):
+            counts[name] = 0
+            real = getattr(owner, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(grrcheck, name, counted)
-        code, _ = run_cli(capsys, "verify-all", "--max-dim", "4")
-        assert code == 0
-        assert counts == {
-            "verify_main_on_model": 1,
-            "verify_main_all_lines": 6,
-            "todd_from_chern": 34,
-        }
+            monkeypatch.setattr(owner, name, counted)
+        for _ in range(2):
+            counts.update(dict.fromkeys(counts, 0))
+            code, _ = run_cli(capsys, "verify-all", "--max-dim", "4")
+            assert code == 0
+            assert counts == {
+                "verify_main_on_model": 1,
+                "verify_main_all_lines": 6,
+                "todd_from_chern": 34,
+                "_apply_axiom": 21,
+                "__init__": 8,
+            }
 
-    def test_hirzebruch_check_builds_each_surface_once(self, monkeypatch):
+    def test_pass_builds_each_hirzebruch_surface_once(self, capsys, monkeypatch):
+        # family-hirzebruch and mumford-ratio read F1-F3 from one table
         built = []
         real = cli.model_hirzebruch
         monkeypatch.setattr(cli, "model_hirzebruch", lambda e: built.append(e) or real(e))
-        assert cli._chk_family_hirzebruch() is None
-        assert built == [0, 1, 2, 3]
+        code, _ = run_cli(capsys, "verify-all", "--max-dim", "1")
+        assert code == 0
+        assert sorted(built) == [0, 1, 2, 3]
 
     def test_text_mode(self, capsys):
         code, out = run_cli(capsys, "verify-all", "--max-dim", "1", "--text")

@@ -88,6 +88,18 @@ def test_pk_identity_all_k_up_to_64():
     assert all(pk_identity_check(k) for k in range(65))
 
 
+def test_binomial_side_matches_the_comb_formula(monkeypatch):
+    # Hand the check the P_k that the comb formula gives: t * P_k(t) is
+    # 2^(k+1) - (2-t)^(k+1) with coefficient j = -C(k+1, j) 2^(k+1-j) (-1)^j
+    # for j >= 1. The check then passes iff its term-ratio expansion of the
+    # right side equals that formula at every coefficient.
+    for k in range(combinat.MAX_POLYID_K + 1):
+        n = k + 1
+        formula = tuple(-comb(n, j) * 2 ** (n - j) * (-1) ** j for j in range(1, n + 1))
+        monkeypatch.setattr(combinat, "pk_poly", lambda _k, f=formula: f)
+        assert pk_identity_check(k), k
+
+
 def test_pk_poly_does_not_depend_on_call_order():
     # the recurrence resumes from the last P_k built, or restarts from P_0
     for k in (64, 3, 3, 70, 65, 0, 12):

@@ -798,14 +798,81 @@ class TestTreeHeldNormalForms:
 
     @pytest.mark.parametrize("name, dim", CHAINS + [("multadd-d1", 1)])
     def test_twins_fail_at_their_step_before_and_after_the_clean_run(self, name, dim):
+        # each twin's report is the same whether it runs on a fresh script or
+        # before or after the clean run, which leaves rewrites on the displays
+        steps = range(1, len(get_chain(name, dim).steps) + 1)
+
+        def reports(script):
+            return [chain_verify(corrupt_script(script, i)).to_obj() for i in steps]
+
+        fresh = reports(get_chain(name, dim))
+        assert [r["failed_step"] for r in fresh] == list(steps)
         script = get_chain(name, dim)
-        steps = list(range(1, len(script.steps) + 1))
-
-        def failed_steps():
-            return [chain_verify(corrupt_script(script, i)).failed_step for i in steps]
-
-        assert failed_steps() == steps
+        assert reports(script) == fresh
         clean = chain_verify(script)
         assert clean.ok
-        assert failed_steps() == steps
+        assert reports(script) == fresh
         assert chain_verify(script).to_obj() == clean.to_obj()
+
+
+class TestKeptRewrites:
+    """A display keeps each rewrite made from it; reading one back never
+    changes a report."""
+
+    CHAINS = [(n, d) for n in ("invfunc-a-k", "invfunc-l-p") for d in (1, 2)] + [
+        ("multadd-d1", 1)
+    ]
+
+    # cartier-collapse names its block by restrict, binder and k only
+    UNREAD = {("cartier-collapse", "pulled")}
+
+    @pytest.mark.parametrize("name, dim", CHAINS)
+    def test_new_args_object_is_rewritten_again(self, name, dim, monkeypatch):
+        # after the clean run, a step moved to another position, or given an
+        # args object that names another atom, is rewritten afresh (the steps
+        # before it are read back) and fails there
+        script = get_chain(name, dim)
+        assert chain_verify(script).ok
+        calls = []
+        apply = kx._apply_axiom
+        monkeypatch.setattr(kx, "_apply_axiom", lambda *a: calls.append(a[1].name) or apply(*a))
+        changed = 0
+        for i, step in enumerate(script.steps, 1):
+            edits = [{"position": 99}]  # out of range, with the same args object
+            edits += [
+                {"args": {**step.args, key: "zz"}}
+                for key, value in step.args.items()
+                if isinstance(value, str) and (step.axiom, key) not in self.UNREAD
+            ]
+            for edit in edits:
+                steps = list(script.steps)
+                steps[i - 1] = dataclasses.replace(step, **edit)
+                calls.clear()
+                rep = chain_verify(dataclasses.replace(script, steps=tuple(steps)))
+                assert (rep.ok, rep.failed_step) == (False, i), (i, edit)
+                assert calls == [step.axiom]
+                changed += 1
+        assert changed
+        # the clean run reads every step back
+        calls.clear()
+        assert chain_verify(script).ok and calls == []
+
+    def test_failures_are_not_kept(self, monkeypatch):
+        start = parse_expr("(prod (lam A 1) (lam B 1))")
+        step = ChainStep("line-twist-flip", 1, {"atom": "A"}, "s", start)
+        script = ChainScript("s", start, start, (step,))
+        calls = []
+        apply = kx._apply_axiom
+        monkeypatch.setattr(kx, "_apply_axiom", lambda *a: calls.append(1) or apply(*a))
+        for _ in range(2):
+            rep = chain_verify(script)
+            assert rep.failed_step == 1 and "does not occur" in rep.reason
+        assert len(calls) == 2 and "_rewrites" not in start.__dict__
+
+    def test_display_must_be_a_lambda_expression(self):
+        good = get_chain("multadd-d1")
+        step = dataclasses.replace(good.steps[0], expected=Ten(A))
+        with pytest.raises(UnsupportedExpression, match="lambda expression"):
+            chain_verify(dataclasses.replace(good, steps=(step,)))
+        with pytest.raises(UnsupportedExpression, match="lambda expression"):
+            chain_verify(dataclasses.replace(good, start=Ten(A), steps=()))
