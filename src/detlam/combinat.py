@@ -19,9 +19,9 @@ Two families of exact integer data drive everything downstream:
 All arithmetic uses unbounded Python integers; nothing is floated.
 """
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import record
 from .exactalg import DomainError
 
 __all__ = [
@@ -91,7 +91,7 @@ def pk_identity_check(k: int) -> bool:
     return lhs == tuple(rhs)
 
 
-@dataclass(frozen=True)
+@record
 class CoeffTable:
     """Validated exponent table for a relative dimension d >= 1.
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from ._record import record
 from .charclass import _rank_zero_sym, _sym_weights
 from .charclass import adams_rescale, ch_from_chern, dual_ch, todd_from_chern
 from .chowmodel import ChowModel
@@ -79,7 +80,7 @@ __all__ = [
 # virtual combinations of twisted symmetric powers
 
 
-@dataclass(frozen=True)
+@record
 class ComboTerm:
     """coeff * lambda(L^twist (x) Sym^sym(Omega)), dualizing the Sym factor
     when dual is set."""
@@ -220,7 +221,7 @@ def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport"
     )
 
 
-@dataclass(frozen=True)
+@record
 class UniversalReport:
     dim: int
     combo: tuple[ComboTerm, ...]
@@ -322,7 +323,7 @@ def c1_lambda(model: ChowModel, line: dict) -> int:
     return _degree(model, _line_ch(model, line), "determinant degree")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # perfbench tampers via dataclasses.replace until ROADMAP item 1
 class MainReport:
     model: str
     dim: int
@@ -409,7 +410,7 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class AllLinesReport:
     """The verdict of ``verify_main_all_lines``. ``failing`` holds each
     monomial g^alpha whose coefficient c_alpha is not zero, as its exponent
@@ -532,7 +533,7 @@ def _integer_echelon(rows, n: int):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class DeduceReport:
     symbols: list
     goal: list

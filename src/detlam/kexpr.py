@@ -38,8 +38,9 @@ chain, repeats no rewrite: it only normalizes its tampered display.
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+
+from ._record import record
 
 __all__ = [
     "UnsupportedExpression",
@@ -99,11 +100,10 @@ class _StepFailure(Exception):
 
 class _Tree:
     """Base of the frozen tree nodes. A node's normal forms are computed on
-    first use and kept in its instance ``__dict__``, which the dataclass
-    ``__eq__``, ``__hash__`` and ``repr`` never read: its formal sum (see
-    ``normalize_expr``), its tensor powers (``_tensor_power``) and, for a
-    lambda expression, its canonical form and the rewrites made from it
-    (``_rewrite``)."""
+    first use and kept in its instance ``__dict__`` beside its fields, which
+    are all that ``__eq__``, ``__hash__`` and ``repr`` read: its formal sum
+    (``normalize_expr``), its tensor powers (``_tensor_power``) and, for a
+    lambda expression, its canonical form and rewrites (``_rewrite``)."""
 
     @cached_property
     def _canonical(self) -> tuple:
@@ -111,27 +111,27 @@ class _Tree:
         return _canon_items(canonical_state(_state_of(self)))
 
 
-@dataclass(frozen=True)
+@record
 class Atom(_Tree):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class One(_Tree):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Twist(_Tree):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Dual(_Tree):
     inner: object
 
 
-@dataclass(frozen=True)
+@record
 class Sym(_Tree):
     power: int
     inner: object
@@ -140,7 +140,7 @@ class Sym(_Tree):
         _integer(self.power, "symmetric power", UnsupportedExpression)
 
 
-@dataclass(frozen=True)
+@record
 class Ten(_Tree):
     factors: tuple
 
@@ -148,7 +148,7 @@ class Ten(_Tree):
         object.__setattr__(self, "factors", tuple(factors))
 
 
-@dataclass(frozen=True)
+@record
 class Lin(_Tree):
     """Formal integer combination: tuple of (coefficient, expression)."""
 
@@ -159,7 +159,7 @@ class Lin(_Tree):
         object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
+@record
 class Push(_Tree):
     """Derived pushforward along the exceptional fibration, binding one atom."""
 
@@ -167,7 +167,7 @@ class Push(_Tree):
     inner: object
 
 
-@dataclass(frozen=True)
+@record
 class Lam(_Tree):
     arg: object
     exp: int = 1
@@ -176,7 +176,7 @@ class Lam(_Tree):
         _integer(self.exp, "lambda exponent", UnsupportedExpression)
 
 
-@dataclass(frozen=True)
+@record
 class LamProd(_Tree):
     factors: tuple
 
@@ -491,7 +491,7 @@ def parse_expr(text: str):
 # factors that replace it; it raises _StepFailure where its law does not apply.
 
 
-@dataclass(frozen=True)
+@record
 class RewriteAxiom:
     name: str
     law: str
@@ -610,6 +610,8 @@ def _push(fs, exp, args):
 
 
 def _collapse(fs, exp, args):
+    if not args.keys() <= {"restrict", "binder", "base", "k"}:
+        raise ScriptError("cartier-collapse takes only restrict, binder, base and k")
     restrict, binder, base = args["restrict"], args["binder"], args["base"]
     k = _integer(args["k"], "cartier-collapse k")
     if not 0 <= k <= MAX_CHAIN_DIM:
@@ -713,11 +715,11 @@ def _apply_axiom(state: list, axiom: RewriteAxiom, position: int, args: dict) ->
 # chain scripts
 
 
-@dataclass(frozen=True)
+@record
 class ChainStep:
     axiom: str
     position: int
-    args: dict = field(default_factory=dict)
+    args: dict = {}  # record copies it for each step
     note: str = ""
     expected: object = None
 
@@ -729,7 +731,7 @@ class ChainStep:
             raise ScriptError("every step carries its expected display")
 
 
-@dataclass(frozen=True)
+@record
 class ChainScript:
     name: str
     start: object
@@ -741,7 +743,7 @@ class ChainScript:
             raise ScriptError("a script ends at a lambda expression")
 
 
-@dataclass(frozen=True)
+@record
 class ChainReport:
     name: str
     ok: bool
@@ -1032,7 +1034,7 @@ def script_invfunc_l_p(d: int = 1) -> ChainScript:
         ChainStep(
             "cartier-collapse",
             0,
-            {"pulled": "muM", "restrict": "iM", "binder": binder, "base": "bM", "k": d},
+            {"restrict": "iM", "binder": binder, "base": "bM", "k": d},
             "o",
             disp_o,
         ),

@@ -64,10 +64,10 @@ Bull. AMS 1, 1979, sections 3-4).
 """
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
+from ._record import record
 from .exactalg import DomainError, StructureError
 
 __all__ = [
@@ -104,7 +104,7 @@ MAX_VARIABLES = 64
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
 
 
-@dataclass(frozen=True)
+@record
 class GradedAlgebra:
     """Free polynomial algebra on (name, degree, parity) variables."""
 
@@ -219,7 +219,7 @@ def invariants_hs(
     return [c // 2 for c in total]
 
 
-@dataclass(frozen=True)
+@record
 class FixedIdeal:
     generators: tuple
     cartier: bool
@@ -249,7 +249,7 @@ def conormal_degree_zero(algebra: GradedAlgebra) -> bool:
     return parity == 1
 
 
-@dataclass(frozen=True)
+@record
 class FlatnessReport:
     verdict: str
     bound: int

@@ -5,7 +5,6 @@ one test goes through a real subprocess to cover the module entry point.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -749,6 +748,18 @@ class TestRewrite:
         err = run_usage_error(capsys, "rewrite", "--script", collapse(4))
         assert "MAX_CHAIN_DIM = 3" in err
 
+    def test_collapse_refuses_an_argument_it_does_not_read(self, capsys, tmp_path):
+        # the shipped invfunc-l-p script, its collapse step given a "pulled" atom
+        path = os.path.join(os.path.dirname(kexpr.__file__), "data", "chain_invfunc_l_p.json")
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        (step,) = [s for s in obj["steps"] if s["axiom"] == "cartier-collapse"]
+        step["args"]["pulled"] = "zz"
+        edited = tmp_path / "pulled.json"
+        edited.write_text(json.dumps(obj), encoding="utf-8")
+        err = run_usage_error(capsys, "rewrite", "--script", str(edited))
+        assert "restrict, binder, base and k" in err
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -974,7 +985,10 @@ class TestVerifyAll:
             rep = real(algebra, bound)
             if algebra.variables != variables:
                 return rep
-            return dataclasses.replace(rep, ratio_coeffs=(1,) + (0,) * bound)
+            ratio = (1,) + (0,) * bound
+            return quotientlab.FlatnessReport(
+                rep.verdict, rep.bound, ratio, rep.basis, rep.witness, rep.certified, rep.note
+            )
 
         monkeypatch.setattr(quotientlab, "flatness_verdict", wrong_ratio)
         assert cli._chk_quotient() == {"case": case, "ratio": [1] + [0] * 40}
