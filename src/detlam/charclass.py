@@ -52,7 +52,9 @@ __all__ = [
 
 
 def _require_unit(c: TruncatedSeries, what: str):
-    if c.constant_term != 1:
+    # the constant term is 1 exactly when its packed numerator equals the
+    # series' denominator (both are in lowest terms)
+    if c._num.get(0) != c._den:
         raise DomainError(f"{what} must have constant term 1")
 
 
@@ -179,17 +181,20 @@ def _rank_zero_sym(ch: TruncatedSeries, n: int, normal_form=None) -> list[Trunca
     return g
 
 
-def _sym_weights(r, j: int, n: int) -> list:
+@lru_cache(maxsize=None, typed=True)
+def _sym_weights(r, j: int, n: int) -> tuple:
     """C(r + j - 1, j - i) for i = 0..min(j, n): s_j = sum_i of these times
     G_i (``_rank_zero_sym``). The binomial is a polynomial in the rank r,
     evaluated by C(x, k + 1) = C(x, k) (x - k) / (k + 1), an exact integer
-    division when r is an integer."""
+    division when r is an integer. Built once per (r, j, n), as
+    ``grrcheck.main_combo`` is: the weights are immutable. The cache is
+    typed, so an int rank never reads weights built for an equal Rational."""
     x = r + j - 1
     out = [1]
     for k in range(j):
         c = out[-1] * (x - k)
         out.append(c // (k + 1) if type(c) is int else c / (k + 1))
-    return out[::-1][: n + 1]
+    return tuple(out[::-1][: n + 1])
 
 
 def sym_ch(ch: TruncatedSeries, j: int) -> TruncatedSeries:

@@ -27,8 +27,11 @@ product monomial. Rules are homogeneous, so only the degree-n part of a b
 reaches the point class, and the lower degrees are never multiplied or
 reduced. The integral of every degree-n monomial is read once, while
 validation reduces it, from the normal-form table into a table from packed
-key to point-class coefficient. Schubert2 (Macaulay2) and Katz & Stromme's
-"Schubert" integrate by the same top-degree reading.
+key to point-class coefficient. The pairing runs on integers: ``_pair``
+returns the integral as an integer numerator over a denominator, which
+``grrcheck`` divides once to check a degree, and ``integrate`` is its
+Rational view. Schubert2 (Macaulay2) and Katz & Stromme's "Schubert"
+integrate by the same top-degree reading.
 
 Two checks read normal monomials, those no rule lead divides (the standard
 monomials of Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -59,7 +62,7 @@ from math import gcd, lcm
 
 from .charclass import _rank_zero_sym, adams_rescale, ch_from_chern
 from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable
-from .exactalg import _as_rational, _reduced
+from .exactalg import _as_rational, _reduced, _series
 
 __all__ = [
     "ModelError",
@@ -204,6 +207,9 @@ class ChowModel:
         self.base_generators = base
 
         self._lay = self.vars._layout(total_dim)
+        # the zero series of the model's ring: the ring every series the
+        # model builds (normal forms, c_1(L)) is put on
+        self._ring = TruncatedSeries.zero(self.vars, total_dim)
         self.rules, self._leads_at, self._packed = self._parse_rules(relations)
         self._nf: dict[int, tuple[dict, int]] = {}
         self._cotangent_g: tuple[TruncatedSeries, ...] | None = None
@@ -396,33 +402,41 @@ class ChowModel:
         a map from weight-one generators g to int coefficients a_g (no bools),
         built as one series: the one entry for every line bundle.
 
-        A zero coefficient is checked but adds no term. Each other term
-        builds an exponent vector as long as the generator list, so a line
-        dense over many generators takes time quadratic in their count.
+        A zero coefficient is checked but adds no term. Each other term is
+        written as its packed key, degree 1 over a single exponent 1, so a
+        line takes time linear in its generator count. On a model of
+        total_dim 0 a degree-1 term lies above the window and is dropped.
         """
-        terms = {}
+        vars_, lay = self.vars, self._lay
+        n, width = len(vars_), lay.width
+        num = {}
         for gname, a in coeffs.items():
             if type(a) is not int:
                 raise ModelError(f"coefficient of {gname} must be an integer, not {a!r}")
-            i = self.vars.index(gname)
-            if self.vars.weights[i] != 1:
+            i = vars_.index(gname)
+            if vars_.weights[i] != 1:
                 raise ModelError(f"generator {gname} has weight > 1; not a divisor class")
-            if a:
-                terms[tuple(int(j == i) for j in range(len(self.vars)))] = a
-        return TruncatedSeries(self.vars, self.total_dim, terms)
+            if a and self.total_dim:
+                num[(1 << lay.dshift) | (1 << (n - 1 - i) * width)] = a
+        return _series(self._ring, num, 1)
 
     def _check_ring(self, series: TruncatedSeries):
-        if series.vars != self.vars or series.bound != self.total_dim:
+        # a series the model built is on its layout; one on an equal but
+        # distinct VarTable is compared by value
+        if series._lay is not self._lay and (
+            series.vars != self.vars or series.bound != self.total_dim
+        ):
             raise ModelError("series lives in a different ring")
 
     def normal_form(self, series: TruncatedSeries) -> TruncatedSeries:
         """Reduce every term of a series of the model's ring, truncated at
         total_dim: the sum of each term's numerator times its monomial's
-        entry in the normal-form table (``_reduce``)."""
+        entry in the normal-form table (``_reduce``). The result is on the
+        model's own ``VarTable``."""
         self._check_ring(series)
         nf, reduce_ = self._nf.get, self._reduce
         acc, den = _accumulate([(num, nf(k) or reduce_(k)) for k, num in series._num.items()])
-        return _reduced(series, acc, series._den * den)
+        return _reduced(self._ring, acc, series._den * den)
 
     def cotangent_rank_zero(self) -> tuple[TruncatedSeries, ...]:
         """The rank-zero classes G_0..G_n of the relative cotangent sheaf
@@ -443,13 +457,8 @@ class ChowModel:
 
     def integrate(self, a: TruncatedSeries, b: TruncatedSeries) -> Rational:
         """The integral of a b over the model, by the top-degree pairing of
-        the module docstring.
-
-        On packed keys the product of two monomials is the sum of their
-        keys, and its degree is total_dim exactly when their degrees add to
-        it, so each such pair reads its integral from the table filled at
-        validation. Reduction is linear and keeps degree, so the pairing is
-        exact on any two series of the model's ring, in normal form or not.
+        the module docstring: the ``Rational`` view of the integer pairing
+        ``_pair``.
 
         >>> m = model_pn_x_pm(1, 1)
         >>> h, s = (TruncatedSeries.gen(m.vars, m.total_dim, g) for g in "hs")
@@ -458,9 +467,21 @@ class ChowModel:
         >>> m.integrate(h, h)
         Fraction(0, 1)
         """
+        return Rational(*self._pair(a, b))
+
+    def _pair(self, a: TruncatedSeries, b: TruncatedSeries) -> tuple[int, int]:
+        """The integral of a b as (numerator, denominator), denominator > 0
+        and not reduced: the one pairing kernel, on integers only.
+
+        On packed keys the product of two monomials is the sum of their
+        keys, and its degree is total_dim exactly when their degrees add to
+        it, so each such pair reads its integral from the table filled at
+        validation. Reduction is linear and keeps degree, so the pairing is
+        exact on any two series of the model's ring, in normal form or not.
+        """
         self._check_ring(a)
         self._check_ring(b)
-        top, shift, n = self._top, a._lay.dshift, self.total_dim
+        top, shift, n = self._top, self._lay.dshift, self.total_dim
         by_degree: list[list] = [[] for _ in range(n + 1)]
         for kb, vb in b._num.items():
             by_degree[kb >> shift].append((kb, vb))
@@ -468,7 +489,7 @@ class ChowModel:
         for ka, va in a._num.items():
             for kb, vb in by_degree[n - (ka >> shift)]:
                 num += va * vb * top[ka + kb]
-        return Rational(num, a._den * b._den * self._top_den)
+        return num, a._den * b._den * self._top_den
 
     # ------------------------------------------------------------------
     # serialization

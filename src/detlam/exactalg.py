@@ -41,13 +41,16 @@ which scales each degree by its own integer, and ``_combine``),
 Newton's recurrence on integer numerators, and ``_combine``, a weighted sum
 over one common denominator), ``todd_from_chern`` (through
 ``_multiplicative_class``, which feeds the components of ``_newton``
-straight into the exp recurrence), ``ChowModel.normal_form`` (through
-``_num``, ``_den``, ``_lay`` and ``_reduced``) and ``ChowModel.integrate``
-(through ``_num``, ``_den`` and the degree field of ``_lay``). ``inverse``
-has no product caller, since the quotient lab divides its integer series
-itself; it stays because the benchmark's span tracer
-(``perfbench/tracer.py``) wraps it by name and the quotient-lab tests use
-it in their oracle route.
+straight into the exp recurrence), ``charclass._require_unit`` (the
+constant numerator against ``_den``), ``ChowModel.normal_form`` (through
+``_num``, ``_den``, ``_lay`` and ``_reduced``), ``ChowModel.first_chern``
+(which writes c_1(L)'s keys through ``_series``), ``ChowModel._pair``, the
+integer pairing behind ``integrate`` (through ``_num``, ``_den`` and the
+degree field of ``_lay``), and ``grrcheck.verify_main_all_lines`` (one-key
+series through ``_series``). ``inverse`` has no product caller, since the
+quotient lab divides its integer series itself; it stays because the
+benchmark's span tracer (``perfbench/tracer.py``) wraps it by name and the
+quotient-lab tests use it in their oracle route.
 
 ``inverse`` and ``exp`` never multiply whole series. They split the input f
 once into weighted-degree components f_0..f_bound and build the result g one
@@ -752,8 +755,9 @@ def _log_weights(log_coeffs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
 def _combine(ring: TruncatedSeries, terms) -> TruncatedSeries:
     """sum w * s over the (weight, series) pairs ``terms``, every series in
     the ring of ``ring`` and every weight an int or Rational: the numerators
-    are summed over one common denominator and reduced once."""
-    pairs = [(_as_rational(w), s) for w, s in terms]
+    are summed over one common denominator and reduced once. An int weight
+    stays an int (its denominator is 1)."""
+    pairs = [(w if type(w) is int else _as_rational(w), s) for w, s in terms]
     pairs = [(w, s) for w, s in pairs if w and s._num]
     den = reduce(lcm, (s._den * w.denominator for w, s in pairs), 1)
     acc: dict[int, int] = {}

@@ -21,9 +21,10 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
   and ``euler_char`` integrate ch(L), and ``verify_main_on_model`` twists
   it to ch(L^t) = psi^t(ch(L)). Every model degree is the one integral
   computed by ``_degree``, which also checks that it is an integer.
-  ``_degree`` pairs ch with Td(T_f) by ``ChowModel.integrate``, the
-  top-degree intersection pairing: only the term pairs whose degrees add
-  to the total dimension are multiplied, and nothing is reduced. The
+  ``_degree`` pairs ch with Td(T_f) by the top-degree intersection pairing
+  (``ChowModel._pair``, on integer numerators; ``ChowModel.integrate`` is
+  its Rational view): only the term pairs whose degrees add to the total
+  dimension are multiplied, and nothing is reduced. The
   degree is linear, so ``verify_main_on_model`` pairs ch(L^t) with each
   G_i of the cotangent sheaf once (``ChowModel.cotangent_rank_zero``) and
   weighs the integer pairings into each term's degree.
@@ -51,7 +52,7 @@ from .charclass import _rank_zero_sym, _sym_weights
 from .charclass import adams_rescale, ch_from_chern, dual_ch, todd_from_chern
 from .chowmodel import ChowModel
 from .combinat import coeff_table
-from .exactalg import DomainError, TruncatedSeries, VarTable, _combine
+from .exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine, _series
 
 __all__ = [
     "ComboTerm",
@@ -303,13 +304,19 @@ def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
     """The integral of ch Td(T_f) over the total space, checked to be an
     integer: the one route from a Chern character to a model degree.
 
-    It is the top-degree pairing ``ChowModel.integrate(ch, Td)``, exact
+    It is the top-degree pairing of ``ChowModel.integrate(ch, Td)``, exact
     whether or not ch is in normal form; the product ch Td is never formed.
+    The pairing is read as its integer numerator and denominator
+    (``ChowModel._pair``) and divided once; a Rational is built only for
+    the message of a degree that is not an integer.
     """
-    value = model.integrate(ch, todd_from_chern(model.tangent_chern))
-    if value.denominator != 1:
-        raise DomainError(f"{what} came out non-integral ({value}); model data inconsistent")
-    return int(value)
+    num, den = model._pair(ch, todd_from_chern(model.tangent_chern))
+    value, rest = divmod(num, den)
+    if rest:
+        raise DomainError(
+            f"{what} came out non-integral ({Rational(num, den)}); model data inconsistent"
+        )
+    return value
 
 
 def c1_lambda(model: ChowModel, line: dict) -> int:
@@ -451,7 +458,10 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     W_t for each degree m, so each c_alpha is one top-degree pairing
     ``ChowModel.integrate(g^alpha, V_|alpha|)``. A g^alpha of degree m pairs
     only with V_m's degree-(total_dim - m) part, taken once per m in normal
-    form (rules are homogeneous, so nf(V)_k = nf(V_k)). The terms are those
+    form (rules are homogeneous, so nf(V)_k = nf(V_k)). Each g^alpha goes to
+    the pairing as a one-term series on its packed key, the sum of its
+    generators' keys (keys add without carry in the window), so no
+    exponent vector is built or checked per monomial. The terms are those
     of ``main_combo(d)``, as for ``verify_main_on_model``.
 
     Unlike the per-line route, the verdict does no integrality check: each
@@ -470,18 +480,21 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     u = [gi * todd for gi in g]
     vt, top = model.vars, model.total_dim
     ones = [k for k, w in enumerate(vt.weights) if w == 1]
+    # c_1 of the line with every coefficient 1 has one term per weight-one
+    # generator, on its packed key, in generator order
+    c1 = model.first_chern({vt.names[k]: 1 for k in ones})
+    exps = model._lay.exps
     failing = []
     for m in range(top + 1):
         # nf(V_m)_(top - m), V_m = sum_t t^m W_t, the part g^alpha pairs with
         weights = [sum(t**m * plain[i] for t, (plain, _) in by_twist.items()) for i in range(len(u))]
         v = model.normal_form(_combine(todd, zip(weights, u)).component(top - m))
-        for picks in combinations_with_replacement(ones, m):
-            exps = [0] * len(vt)
-            for k in picks:
-                exps[k] += 1
-            c = model.integrate(TruncatedSeries(vt, top, {tuple(exps): 1}), v)
+        for picks in combinations_with_replacement(c1._num, m):
+            key = sum(picks)
+            c = model.integrate(_series(c1, {key: 1}, 1), v)
             if c:
-                failing.append((tuple(exps[k] for k in ones), c))
+                alpha = exps(key)
+                failing.append((tuple(alpha[k] for k in ones), c))
     return AllLinesReport(
         generators=tuple(vt.names[k] for k in ones),
         higher_weight=tuple(name for name, w in zip(vt.names, vt.weights) if w != 1),

@@ -610,8 +610,6 @@ def _push(fs, exp, args):
 
 
 def _collapse(fs, exp, args):
-    if not args.keys() <= {"restrict", "binder", "base", "k"}:
-        raise ScriptError("cartier-collapse takes only restrict, binder, base and k")
     restrict, binder, base = args["restrict"], args["binder"], args["base"]
     k = _integer(args["k"], "cartier-collapse k")
     if not 0 <= k <= MAX_CHAIN_DIM:
@@ -684,6 +682,20 @@ AXIOMS: dict[str, RewriteAxiom] = {
     )
 }
 
+# The argument keys each interpreter reads, in the order it reads them
+# ("multiplier" is optional); a step that passes any other key is a
+# ScriptError.
+_ARG_KEYS = {
+    _regroup: (),
+    _twist_flip: ("atom",),
+    _subst: ("src", "dst"),
+    _descend: ("map", "multiplier"),
+    _split: ("atom", "plus", "minus"),
+    _push: ("pulled", "restrict", "binder"),
+    _collapse: ("restrict", "binder", "base", "k"),
+    _multadd: ("a", "b", "others"),
+}
+
 # What a malformed script argument or field raises in an interpreter or parser.
 _BAD_INPUT = (ArithmeticError, AttributeError, LookupError, TypeError, ValueError)
 
@@ -692,11 +704,21 @@ def _apply_axiom(state: list, axiom: RewriteAxiom, position: int, args: dict) ->
     """The factor list after one axiom rewrites the factor at ``position``.
 
     Arguments an interpreter cannot use, including atom names that are not
-    strings, are a ScriptError naming the axiom.
+    strings and keys it does not read (``_ARG_KEYS``), are a ScriptError
+    naming the axiom.
     """
     if not 0 <= position < len(state):
         raise _StepFailure(f"factor position {position} out of range")
     try:
+        takes = _ARG_KEYS[axiom.apply]
+        extra = args.keys() - set(takes)
+        if extra:
+            if len(takes) > 1:
+                listing = f"only {', '.join(takes[:-1])} and {takes[-1]}"
+            else:
+                listing = f"only {takes[0]}" if takes else "no arguments"
+            got = ", ".join(sorted(map(repr, extra)))
+            raise ScriptError(f"axiom {axiom.name!r} takes {listing}; got {got}")
         parts = axiom.apply(*state[position], args)
         if not all(type(f[1]) is str for fs, _exp in parts for m in fs for f in m[0]):
             raise TypeError("atom names must be strings")

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from detlam.charclass import (
     _rank_zero_sym,
+    _require_unit,
     _sym_weights,
     _todd_log_coeffs,
     adams_rescale,
@@ -47,6 +48,26 @@ C12 = VarTable([("c1", 1), ("c2", 2)])
 
 def line_chern(bound=2):
     return TruncatedSeries.one(X, bound) + TruncatedSeries.gen(X, bound, "x")
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        TruncatedSeries.one(X, 2),
+        (TruncatedSeries.constant(X, 2, 3) + TruncatedSeries.gen(X, 2, "x")) / 3,
+        TruncatedSeries.zero(X, 2),
+        TruncatedSeries.constant(X, 2, -1),
+        TruncatedSeries.constant(X, 2, 2),
+        TruncatedSeries.gen(X, 2, "x"),
+    ],
+    ids=["1", "(3+x)/3", "0", "-1", "2", "no-constant"],
+)
+def test_unit_check_reads_the_constant_term(c):
+    if c.constant_term == 1:
+        _require_unit(c, "class")
+    else:
+        with pytest.raises(DomainError, match="class must have constant term 1"):
+            _require_unit(c, "class")
 
 
 def test_todd_line_frozen():

@@ -49,8 +49,10 @@ def test_pn_normal_form_and_integrate():
 def test_normal_form_rejects_a_series_at_another_bound(bound):
     p2 = model_pn(2)
     other = TruncatedSeries(p2.vars, bound, {(1,): 2})
-    with pytest.raises(ModelError, match="different ring"):
+    with pytest.raises(ModelError, match="^series lives in a different ring$"):
         p2.normal_form(other)
+    with pytest.raises(ModelError, match="^series lives in a different ring$"):
+        p2.integrate(mono(p2, (1,)), other)
 
 
 @pytest.mark.parametrize(
@@ -66,7 +68,7 @@ def test_integrate_rejects_a_series_of_another_ring(other):
     p2 = model_pn(2)
     own = mono(p2, (1,))
     for args in [(other, other), (other, own), (own, other)]:
-        with pytest.raises(ModelError, match="different ring"):
+        with pytest.raises(ModelError, match="^series lives in a different ring$"):
             p2.integrate(*args)
 
 
@@ -99,6 +101,22 @@ def test_first_chern_checks_a_zero_coefficient_but_adds_no_term():
         m.first_chern({"x": 0})
     with pytest.raises(ModelError, match="coefficient of h"):
         m.first_chern({"h": False})
+
+
+def first_chern_by_exponents(m, line):
+    """c_1(L) through the validating constructor, one exponent vector per
+    generator: the route ``first_chern`` took before it wrote packed keys."""
+    n = len(m.vars)
+    terms = {tuple(int(j == m.vars.index(g)) for j in range(n)): a for g, a in line.items()}
+    return TruncatedSeries(m.vars, m.total_dim, terms)
+
+
+def test_first_chern_drops_every_term_above_a_point_window():
+    # one generator h with h = 0: total_dim 0, so a degree-1 term lies
+    # above the window
+    pt = ChowModel("pt", [("h", 1)], [((1,), [])], 0, 0, [], None, (0,))
+    assert pt.first_chern({"h": 3}).is_zero()
+    assert first_chern_by_exponents(pt, {"h": 3}).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -436,6 +454,57 @@ def test_integrate_matches_the_normal_form_route(pairing_models, name, data):
     assert m.integrate(b, a) == want
     assert m.integrate(a, one(m)) == integral_by_normal_form(m, a)
     assert m.integrate(m.normal_form(a), m.normal_form(b)) == want
+
+
+@st.composite
+def unreduced_series(draw, m):
+    """A series on a VarTable equal to the model's but not the same
+    object, with a denominator above 1, holding the base generator's
+    square, a rule lead in every product family and Hirzebruch surface."""
+    vars_ = VarTable(list(zip(m.vars.names, m.vars.weights)))
+    n = len(vars_)
+    terms = dict(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.tuples(*(st.integers(0, m.total_dim) for _ in range(n))),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                ),
+                max_size=6,
+            )
+        )
+    )
+    terms[(0,) * n] = Rational(1, draw(st.integers(2, 6)))
+    terms[(0, 2) + (0,) * (n - 2)] = draw(st.integers(1, 3))
+    return TruncatedSeries(vars_, m.total_dim, terms)
+
+
+@pytest.mark.parametrize("name", ["P1xP1", "P2xP1", "P3xP1", "F0", "F1", "F2", "F3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pairing_kernel_is_integrate_on_integers(pairing_models, name, data):
+    m = pairing_models[name]
+    a = data.draw(unreduced_series(m), label="a")
+    b = data.draw(unreduced_series(m), label="b")
+    assert a.vars == m.vars and a.vars is not m.vars
+    assert a._den > 1 and b._den > 1
+    assert m.normal_form(a) != a and m.normal_form(b) != b
+    num, den = m._pair(a, b)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Rational(num, den) == m.integrate(a, b) == integral_by_normal_form(m, a, b)
+
+
+@pytest.mark.parametrize("name", PAIRING_MODELS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_first_chern_matches_the_exponent_route(pairing_models, name, data):
+    m = pairing_models[name]
+    line = data.draw(
+        st.dictionaries(st.sampled_from(m.vars.names), st.integers(-5, 5)), label="line"
+    )
+    got = m.first_chern(line)
+    assert got == first_chern_by_exponents(m, line)
+    assert got._lay is m._lay
 
 
 def test_integrate_is_exact_off_normal_form(pairing_models):

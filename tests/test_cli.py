@@ -15,7 +15,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detlam import chowmodel, cli, combinat, grrcheck, kexpr, quotientlab
+from detlam import chowmodel, cli, combinat, exactalg, grrcheck, kexpr, quotientlab
 from detlam.chowmodel import model_pn_x_pm
 from detlam.cli import main
 from detlam.kexpr import MAX_NESTING
@@ -760,6 +760,27 @@ class TestRewrite:
         err = run_usage_error(capsys, "rewrite", "--script", str(edited))
         assert "restrict, binder, base and k" in err
 
+    def test_every_axiom_refuses_an_argument_it_does_not_read(self, capsys, tmp_path):
+        # the shipped invfunc-l-p script with an unread key on its cancel
+        # step (which reads none) and on its iso-subst step
+        path = os.path.join(os.path.dirname(kexpr.__file__), "data", "chain_invfunc_l_p.json")
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        for step in obj["steps"]:
+            if step["axiom"] == "cancel":
+                step["args"] = {"zz": 1}
+            elif step["axiom"] == "iso-subst":
+                step["args"]["extra"] = "zz"
+        edited = tmp_path / "extra.json"
+        edited.write_text(json.dumps(obj), encoding="utf-8")
+        err = run_usage_error(capsys, "rewrite", "--script", str(edited))
+        assert err == "error: axiom 'cancel' takes no arguments; got 'zz'\n"
+        (cancel,) = [s for s in obj["steps"] if s["axiom"] == "cancel"]
+        cancel["args"] = {}
+        edited.write_text(json.dumps(obj), encoding="utf-8")
+        err = run_usage_error(capsys, "rewrite", "--script", str(edited))
+        assert err == "error: axiom 'iso-subst' takes only src and dst; got 'extra'\n"
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -1038,9 +1059,12 @@ class TestVerifyAll:
 
     def test_pass_does_counted_work(self, capsys, monkeypatch):
         # one model check, six all-lines verdicts, 34 Todd classes, one
-        # rewrite per distinct chain step (21) and 8 built-in models per pass:
-        # a change that multiplies the work fails here, with no wall clock.
-        # The second pass does the same work: nothing is kept between passes.
+        # rewrite per distinct chain step (21), 8 built-in models and 49
+        # series through the validating constructor per pass: a change that
+        # multiplies the work fails here, with no wall clock. c_1(L) and the
+        # all-lines monomials are written on packed keys, not through that
+        # constructor. The second pass does the same work: nothing is kept
+        # between passes.
         counts = {}
         for owner, name in (
             (grrcheck, "verify_main_on_model"),
@@ -1048,12 +1072,14 @@ class TestVerifyAll:
             (grrcheck, "todd_from_chern"),
             (kexpr, "_apply_axiom"),
             (chowmodel.ChowModel, "__init__"),
+            (exactalg.TruncatedSeries, "__init__"),
         ):
-            counts[name] = 0
+            label = f"{owner.__name__.rpartition('.')[2]}.{name}"
+            counts[label] = 0
             real = getattr(owner, name)
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                counts[_name] += 1
+            def counted(*args, _real=real, _label=label, **kwargs):
+                counts[_label] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
@@ -1062,11 +1088,12 @@ class TestVerifyAll:
             code, _ = run_cli(capsys, "verify-all", "--max-dim", "4")
             assert code == 0
             assert counts == {
-                "verify_main_on_model": 1,
-                "verify_main_all_lines": 6,
-                "todd_from_chern": 34,
-                "_apply_axiom": 21,
-                "__init__": 8,
+                "grrcheck.verify_main_on_model": 1,
+                "grrcheck.verify_main_all_lines": 6,
+                "grrcheck.todd_from_chern": 34,
+                "kexpr._apply_axiom": 21,
+                "ChowModel.__init__": 8,
+                "TruncatedSeries.__init__": 49,
             }
 
     def test_pass_builds_each_hirzebruch_surface_once(self, capsys, monkeypatch):

@@ -595,6 +595,24 @@ class TestAxiomRegistry:
             assert ax.name == name and ax.law and callable(ax.apply)
             assert ax.name in repr(ax)
 
+    @pytest.mark.parametrize("name", ["invfunc-a-k", "invfunc-l-p", "multadd-d1"])
+    def test_each_step_refuses_a_key_its_axiom_does_not_read(self, name):
+        # every shipped step passes only keys its interpreter reads; one
+        # more key is a ScriptError naming the axiom and the key
+        script = get_chain(name, 1)
+        assert chain_verify(script).ok
+        for i, step in enumerate(script.steps):
+            assert step.args.keys() <= set(kx._ARG_KEYS[AXIOMS[step.axiom].apply])
+            steps = list(script.steps)
+            args = {**step.args, "zz": 1}
+            steps[i] = ChainStep(step.axiom, step.position, args, step.note, step.expected)
+            bad = ChainScript(script.name, script.start, script.end, tuple(steps))
+            with pytest.raises(ScriptError, match=f"axiom '{step.axiom}' takes .*; got 'zz'$"):
+                chain_verify(bad)
+
+    def test_every_interpreter_declares_its_keys(self):
+        assert {ax.apply for ax in AXIOMS.values()} == set(kx._ARG_KEYS)
+
     def test_unknown_axiom_in_step(self):
         with pytest.raises(ScriptError):
             ChainStep("nope", 0, {}, "x", Lam(A, 1))
