@@ -29,9 +29,9 @@ reduced. The integral of every degree-n monomial is read once, while
 validation reduces it, from the normal-form table into a table from packed
 key to point-class coefficient. The pairing runs on integers: ``_pair``
 returns the integral as an integer numerator over a denominator, which
-``grrcheck`` divides once to check a degree, and ``integrate`` is its
-Rational view. Schubert2 (Macaulay2) and Katz & Stromme's "Schubert"
-integrate by the same top-degree reading.
+``grrcheck`` divides once to check a degree or tests for zero, building a
+``Rational`` only for a value it reports. Schubert2 (Macaulay2) and Katz &
+Stromme's "Schubert" integrate by the same top-degree reading.
 
 Two checks read normal monomials, those no rule lead divides (the standard
 monomials of Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
@@ -61,7 +61,7 @@ from itertools import compress
 from math import gcd, lcm
 
 from .charclass import _rank_zero_sym, adams_rescale, ch_from_chern
-from .exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable
+from .exactalg import DomainError, StructureError, TruncatedSeries, VarTable
 from .exactalg import _as_rational, _reduced, _series
 
 __all__ = [
@@ -455,22 +455,9 @@ class ChowModel:
             self._cotangent_g = tuple(_rank_zero_sym(ch, n, self.normal_form))
         return self._cotangent_g
 
-    def integrate(self, a: TruncatedSeries, b: TruncatedSeries) -> Rational:
-        """The integral of a b over the model, by the top-degree pairing of
-        the module docstring: the ``Rational`` view of the integer pairing
-        ``_pair``.
-
-        >>> m = model_pn_x_pm(1, 1)
-        >>> h, s = (TruncatedSeries.gen(m.vars, m.total_dim, g) for g in "hs")
-        >>> m.integrate(h, s)
-        Fraction(1, 1)
-        >>> m.integrate(h, h)
-        Fraction(0, 1)
-        """
-        return Rational(*self._pair(a, b))
-
     def _pair(self, a: TruncatedSeries, b: TruncatedSeries) -> tuple[int, int]:
-        """The integral of a b as (numerator, denominator), denominator > 0
+        """The integral of a b over the model, by the top-degree pairing of
+        the module docstring, as (numerator, denominator), denominator > 0
         and not reduced: the one pairing kernel, on integers only.
 
         On packed keys the product of two monomials is the sum of their
@@ -478,6 +465,13 @@ class ChowModel:
         it, so each such pair reads its integral from the table filled at
         validation. Reduction is linear and keeps degree, so the pairing is
         exact on any two series of the model's ring, in normal form or not.
+
+        >>> m = model_pn_x_pm(1, 1)
+        >>> h, s = (TruncatedSeries.gen(m.vars, m.total_dim, g) for g in "hs")
+        >>> m._pair(h, s)
+        (1, 1)
+        >>> m._pair(h, h)
+        (0, 1)
         """
         self._check_ring(a)
         self._check_ring(b)

@@ -45,10 +45,10 @@ straight into the exp recurrence), ``charclass._require_unit`` (the
 constant numerator against ``_den``), ``ChowModel.normal_form`` (through
 ``_num``, ``_den``, ``_lay`` and ``_reduced``), ``ChowModel.first_chern``
 (which writes c_1(L)'s keys through ``_series``), ``ChowModel._pair``, the
-integer pairing behind ``integrate`` (through ``_num``, ``_den`` and the
-degree field of ``_lay``), and ``grrcheck.verify_main_all_lines`` (one-key
-series through ``_series``). ``inverse`` has no product caller, since the
-quotient lab divides its integer series itself; it stays because the
+integer pairing behind every model degree (through ``_num``, ``_den`` and
+the degree field of ``_lay``), and ``grrcheck.verify_main_all_lines``
+(one-key series through ``_series``). ``inverse`` has no product caller,
+since the quotient lab divides its integer series itself; it stays because the
 benchmark's span tracer (``perfbench/tracer.py``) wraps it by name and the
 quotient-lab tests use it in their oracle route.
 
@@ -326,9 +326,16 @@ class TruncatedSeries:
 
     @classmethod
     def gen(cls, vars: VarTable, bound: int, name: str) -> "TruncatedSeries":
+        """The generator ``name``, written as its one packed key (degree its
+        weight over a single exponent 1), as ``ChowModel.first_chern`` writes
+        c_1(L); the zero series when its weight lies above the bound."""
         i = vars.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, bound, {exps: Rational(1)})
+        ring = cls.zero(vars, bound)
+        lay, weight = ring._lay, vars.weights[i]
+        if weight > bound:
+            return ring
+        key = (weight << lay.dshift) | (1 << (len(vars) - 1 - i) * lay.width)
+        return _series(ring, {key: 1}, 1)
 
     # ------------------------------------------------------------------
     # basic queries

@@ -22,12 +22,12 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
   it to ch(L^t) = psi^t(ch(L)). Every model degree is the one integral
   computed by ``_degree``, which also checks that it is an integer.
   ``_degree`` pairs ch with Td(T_f) by the top-degree intersection pairing
-  (``ChowModel._pair``, on integer numerators; ``ChowModel.integrate`` is
-  its Rational view): only the term pairs whose degrees add to the total
-  dimension are multiplied, and nothing is reduced. The
-  degree is linear, so ``verify_main_on_model`` pairs ch(L^t) with each
-  G_i of the cotangent sheaf once (``ChowModel.cotangent_rank_zero``) and
-  weighs the integer pairings into each term's degree.
+  (``ChowModel._pair``, on integer numerators): only the term pairs whose
+  degrees add to the total dimension are multiplied, and nothing is
+  reduced. The degree is linear, so ``verify_main_on_model`` pairs ch(L^t)
+  with each G_i of the cotangent sheaf once
+  (``ChowModel.cotangent_rank_zero``) and weighs the integer pairings into
+  each term's degree.
 * on a model, for every line at once: ``verify_main_all_lines`` pulls the
   universal statement back to the model. Each twist's terms fold into
   weights of the G_i, as in the universal check, and the defect of the line
@@ -45,7 +45,8 @@ relation off ``main_combo(1)``.
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from operator import mul
 
 from ._record import record
 from .charclass import _rank_zero_sym, _sym_weights
@@ -264,8 +265,20 @@ def ducrot_defect(d: int, factors: int | None = None) -> TruncatedSeries:
 
     With d+2 factors the product of classes (1 - e^(l_i)) has every term of
     degree >= d+2, hence vanishes on the window; with fewer factors the
-    lowest term survives and witnesses non-vanishing.
+    lowest term survives and witnesses non-vanishing. The product is the
+    last entry of ``_ducrot_chain``, the one product loop; verify-all's
+    ducrot rows read their (d+1)-factor control from the same chain.
     """
+    for defect in _ducrot_chain(d, factors):
+        pass
+    return defect
+
+
+def _ducrot_chain(d: int, factors: int | None):
+    """The products of the first k blocks (1 - e^(l_i)), k = 0..factors
+    (d + 2 when None), lazily, each in the ring of all ``factors``
+    variables truncated at d+1. The arguments are checked before the first
+    product, and only the running product is kept."""
     if type(d) is not int or d < 0:
         raise DomainError("d must be a nonnegative integer")
     if d > MAX_DUCROT_DIM:
@@ -281,12 +294,9 @@ def ducrot_defect(d: int, factors: int | None = None) -> TruncatedSeries:
     names = [f"l{i}" for i in range(1, factors + 1)]
     vt = VarTable([(n, 1) for n in names])
     bound = d + 1
-    out = TruncatedSeries.one(vt, bound)
-    for n in names:
-        out = out * (
-            TruncatedSeries.one(vt, bound) - TruncatedSeries.gen(vt, bound, n).exp()
-        )
-    return out
+    one = TruncatedSeries.one(vt, bound)
+    blocks = (one - TruncatedSeries.gen(vt, bound, n).exp() for n in names)
+    return accumulate(blocks, mul, initial=one)
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +314,11 @@ def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
     """The integral of ch Td(T_f) over the total space, checked to be an
     integer: the one route from a Chern character to a model degree.
 
-    It is the top-degree pairing of ``ChowModel.integrate(ch, Td)``, exact
-    whether or not ch is in normal form; the product ch Td is never formed.
-    The pairing is read as its integer numerator and denominator
-    (``ChowModel._pair``) and divided once; a Rational is built only for
-    the message of a degree that is not an integer.
+    It is the top-degree pairing of ch with Td, exact whether or not ch is
+    in normal form; the product ch Td is never formed. The pairing is read
+    as its integer numerator and denominator (``ChowModel._pair``) and
+    divided once; a Rational is built only for the message of a degree that
+    is not an integer.
     """
     num, den = model._pair(ch, todd_from_chern(model.tangent_chern))
     value, rest = divmod(num, den)
@@ -440,12 +450,11 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     rationals: ``verify_main_on_model``'s check, with its preconditions,
     for all lines L in the span of the weight-one generators g_k.
 
-    With U_i = G_i Td(T_f) (Todd built once) and the weights w_(t, i) of
-    each twist's terms (``_twist_weights``, shared with
-    ``universal_report``), the defect lhs - rhs of the line L with
-    coefficients a is the integral of sum_t e^(t c_1(L)) W_t, W_t =
-    sum_i w_(t, i) U_i. Expanding e^(t c_1) = sum_alpha t^|alpha| a^alpha
-    g^alpha / alpha! gives
+    With the weights w_(t, i) of each twist's terms (``_twist_weights``,
+    shared with ``universal_report``), the defect lhs - rhs of the line L
+    with coefficients a is the integral of sum_t e^(t c_1(L)) W_t, W_t =
+    (sum_i w_(t, i) G_i) Td(T_f). Expanding e^(t c_1) =
+    sum_alpha t^|alpha| a^alpha g^alpha / alpha! gives
 
         lhs - rhs = sum_alpha a^alpha / alpha! * c_alpha,
         c_alpha = sum_t t^|alpha| integral(g^alpha W_t),
@@ -455,13 +464,23 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     (Fulton, *Intersection Theory*, ch. 15). A polynomial that vanishes on
     every integer vector is zero, so the identity holds for every L exactly
     when every c_alpha is 0. The sum over t is taken first, V_m = sum_t t^m
-    W_t for each degree m, so each c_alpha is one top-degree pairing
-    ``ChowModel.integrate(g^alpha, V_|alpha|)``. A g^alpha of degree m pairs
-    only with V_m's degree-(total_dim - m) part, taken once per m in normal
-    form (rules are homogeneous, so nf(V)_k = nf(V_k)). Each g^alpha goes to
-    the pairing as a one-term series on its packed key, the sum of its
-    generators' keys (keys add without carry in the window), so no
-    exponent vector is built or checked per monomial. The terms are those
+    W_t for each degree m, so each c_alpha is one top-degree pairing of
+    g^alpha with V_|alpha|.
+
+    A g^alpha of degree m pairs only with V_m's degree-(total_dim - m)
+    part, so no V_m is formed whole. Td is built once, in normal form, and
+    each W_t is one product, the weighted sum of the G_i times Td: two
+    products for ``main_combo``, whose terms have twists 1 and 2, whatever
+    the number of G_i. One series X collects every part a pairing reads:
+    its degree-k component is sum_t t^(total_dim - k) (W_t)_k, which is
+    V_(total_dim - k)'s degree-k part. X is taken to normal form once
+    (rules are homogeneous, so nf(X)_k = nf(X_k)), and a g^alpha of degree
+    m pairs with its degree-(total_dim - m) component.
+    Each g^alpha goes to the integer pairing ``ChowModel._pair`` as a
+    one-term series on its packed key, the sum of its generators' keys
+    (keys add without carry in the window), so no exponent vector is built
+    or checked per monomial; c_alpha is tested as an integer numerator, and
+    a ``Rational`` is built only for a failing alpha. The terms are those
     of ``main_combo(d)``, as for ``verify_main_on_model``.
 
     Unlike the per-line route, the verdict does no integrality check: each
@@ -476,9 +495,14 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
         raise DomainError("the verification needs a one-dimensional base")
     g = model.cotangent_rank_zero()
     by_twist = _twist_weights(main_combo(d), d, len(g) - 1)
-    todd = todd_from_chern(model.tangent_chern)
-    u = [gi * todd for gi in g]
+    todd = model.normal_form(todd_from_chern(model.tangent_chern))
     vt, top = model.vars, model.total_dim
+    # x_k = sum_t t^(top - k) (W_t)_k, the part of V_(top - k) that pairs
+    x = TruncatedSeries.zero(vt, top)
+    for t, (plain, _) in by_twist.items():
+        w = _combine(todd, zip(plain, g)) * todd
+        x = x + w._graded_weigh([t ** (top - k) for k in range(top + 1)])
+    x = model.normal_form(x)
     ones = [k for k, w in enumerate(vt.weights) if w == 1]
     # c_1 of the line with every coefficient 1 has one term per weight-one
     # generator, on its packed key, in generator order
@@ -486,15 +510,13 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     exps = model._lay.exps
     failing = []
     for m in range(top + 1):
-        # nf(V_m)_(top - m), V_m = sum_t t^m W_t, the part g^alpha pairs with
-        weights = [sum(t**m * plain[i] for t, (plain, _) in by_twist.items()) for i in range(len(u))]
-        v = model.normal_form(_combine(todd, zip(weights, u)).component(top - m))
+        v = x.component(top - m)
         for picks in combinations_with_replacement(c1._num, m):
             key = sum(picks)
-            c = model.integrate(_series(c1, {key: 1}, 1), v)
-            if c:
+            num, den = model._pair(_series(c1, {key: 1}, 1), v)
+            if num:
                 alpha = exps(key)
-                failing.append((tuple(alpha[k] for k in ones), c))
+                failing.append((tuple(alpha[k] for k in ones), Rational(num, den)))
     return AllLinesReport(
         generators=tuple(vt.names[k] for k in ones),
         higher_weight=tuple(name for name, w in zip(vt.names, vt.weights) if w != 1),

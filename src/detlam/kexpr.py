@@ -780,9 +780,18 @@ class ChainReport:
             "ok": self.ok,
             "failed_step": self.failed_step,
             "reason": self.reason,
-            "steps": list(self.rows),
+            "steps": [_rendered(row) for row in self.rows],
             "endpoint_ok": self.endpoint_ok,
         }
+
+
+def _rendered(row: dict) -> dict:
+    """A step row as it is serialized: a display mismatch's witness holds
+    the expected and got canonical forms, rendered here."""
+    witness = row.get("witness")
+    if witness is None or "expected" not in witness:
+        return row
+    return {**row, "witness": {k: render_canonical(canon) for k, canon in witness.items()}}
 
 
 def _display(e) -> tuple:
@@ -813,7 +822,13 @@ def _rewrite(source, axiom: RewriteAxiom, position: int, args: dict) -> tuple:
 
 
 def chain_verify(script: ChainScript) -> ChainReport:
-    """Run a script, checking every step against its expected display."""
+    """Run a script, checking every step against its expected display.
+
+    A step whose display does not match keeps the expected and got
+    canonical forms as its witness; they are rendered only when the report
+    is serialized (``ChainReport.to_obj``), since a caller that reads only
+    ``ok`` and ``failed_step``, as verify-all's corrupted twins do, never
+    prints them."""
     source = script.start
     want = _display(source)
     rows = []
@@ -829,7 +844,7 @@ def chain_verify(script: ChainScript) -> ChainReport:
         source = step.expected
         want = _display(source)
         if got != want:
-            row["witness"] = {"expected": render_canonical(want), "got": render_canonical(got)}
+            row["witness"] = {"expected": want, "got": got}
             return ChainReport(script.name, False, idx, "display mismatch", tuple(rows), False)
         row["ok"] = True
     if want != normalize(script.end):

@@ -210,6 +210,22 @@ class TestDucrot:
     def test_negative_factor_count_is_usage_error(self, capsys):
         run_usage_error(capsys, "ducrot", "--dim", "1", "--factors", "-3")
 
+    def test_verify_all_row_reads_its_control_from_the_chain(self, monkeypatch):
+        # a chain whose (d+1)-factor prefix is zero fails the row's control
+        chain = grrcheck._ducrot_chain
+
+        def zero_prefix(d, factors):
+            *head, short, full = chain(d, factors)
+            return [*head, short * 0, full]
+
+        assert cli._chk_ducrot(2) is None
+        monkeypatch.setattr(grrcheck, "_ducrot_chain", zero_prefix)
+        assert cli._chk_ducrot(2) == {
+            "dim": 2,
+            "factors": 3,
+            "error": "short block unexpectedly trivial",
+        }
+
     def test_dim_and_factor_ceilings(self, capsys, monkeypatch):
         dim, factors = grrcheck.MAX_DUCROT_DIM, grrcheck.MAX_DUCROT_FACTORS
         assert factors >= dim + 2
@@ -1059,20 +1075,26 @@ class TestVerifyAll:
 
     def test_pass_does_counted_work(self, capsys, monkeypatch):
         # one model check, six all-lines verdicts, 34 Todd classes, one
-        # rewrite per distinct chain step (21), 8 built-in models and 49
-        # series through the validating constructor per pass: a change that
-        # multiplies the work fails here, with no wall clock. c_1(L) and the
-        # all-lines monomials are written on packed keys, not through that
-        # constructor. The second pass does the same work: nothing is kept
-        # between passes.
+        # rewrite per distinct chain step (21), 8 built-in models, 93
+        # series products and 43 exps per pass: a change that multiplies
+        # the work fails here, with no wall clock. Each ducrot row reads its
+        # control from its own product chain, and an all-lines verdict makes
+        # one product per twist. Generators, c_1(L) and the
+        # all-lines monomials are written on packed keys, so no series goes
+        # through the validating constructor, and no corrupted twin's
+        # witness is rendered, since verify-all never prints it. The second
+        # pass does the same work: nothing is kept between passes.
         counts = {}
         for owner, name in (
             (grrcheck, "verify_main_on_model"),
             (grrcheck, "verify_main_all_lines"),
             (grrcheck, "todd_from_chern"),
             (kexpr, "_apply_axiom"),
+            (kexpr, "render_canonical"),
             (chowmodel.ChowModel, "__init__"),
             (exactalg.TruncatedSeries, "__init__"),
+            (exactalg.TruncatedSeries, "__mul__"),
+            (exactalg.TruncatedSeries, "exp"),
         ):
             label = f"{owner.__name__.rpartition('.')[2]}.{name}"
             counts[label] = 0
@@ -1092,8 +1114,11 @@ class TestVerifyAll:
                 "grrcheck.verify_main_all_lines": 6,
                 "grrcheck.todd_from_chern": 34,
                 "kexpr._apply_axiom": 21,
+                "kexpr.render_canonical": 0,
                 "ChowModel.__init__": 8,
-                "TruncatedSeries.__init__": 49,
+                "TruncatedSeries.__init__": 0,
+                "TruncatedSeries.__mul__": 93,
+                "TruncatedSeries.exp": 43,
             }
 
     def test_pass_builds_each_hirzebruch_surface_once(self, capsys, monkeypatch):

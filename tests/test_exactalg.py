@@ -64,6 +64,21 @@ def test_zero_coefficients_are_dropped_and_bound_enforced():
     assert s == TruncatedSeries.one(X, 2)
 
 
+@pytest.mark.parametrize("bound", range(5))
+def test_gen_equals_the_validating_constructor(bound):
+    # gen writes its packed key directly; the one-term dict through the
+    # validating constructor is the oracle, zero above the bound included
+    vt = VarTable([("a", 3), ("x", 1), ("c2", 2)])
+    for i, name in enumerate(vt.names):
+        exps = tuple(int(j == i) for j in range(len(vt)))
+        want = TruncatedSeries(vt, bound, {exps: 1})
+        got = TruncatedSeries.gen(vt, bound, name)
+        assert got == want and repr(got) == repr(want)
+        assert got.is_zero() == (vt.weights[i] > bound)
+    with pytest.raises(StructureError, match="unknown variable 'q'"):
+        TruncatedSeries.gen(vt, bound, "q")
+
+
 def test_mul_exponential_truncations_cancel():
     # (1 + x + x^2/2 + x^3/6)(1 - x + x^2/2 - x^3/6) == 1 through degree 3
     a = S(X, 3, [((0,), 1), ((1,), 1), ((2,), Rational(1, 2)), ((3,), Rational(1, 6))])

@@ -7,6 +7,7 @@ counting), and the integer lattice deductions.
 """
 
 import random
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from detlam import chowmodel, combinat, grrcheck
 from detlam.charclass import _rank_zero_sym, _sym_weights, adams_rescale, ch_from_chern, dual_ch
+from detlam.charclass import todd_from_chern
 from detlam.chowmodel import (
     ChowModel,
     ModelError,
@@ -23,7 +25,7 @@ from detlam.chowmodel import (
     model_pn,
     model_pn_x_pm,
 )
-from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine
+from detlam.exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine, _series
 from detlam.grrcheck import (
     ComboTerm,
     c1_lambda,
@@ -202,6 +204,17 @@ def test_ducrot_short_product_is_nonzero():
     l2 = TruncatedSeries.gen(vt, 2, "l2")
     assert defect.component(2) == l1 * l2
     assert not defect.is_zero()
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_ducrot_chain_prefix_is_the_short_product(d):
+    # verify-all reads its control from the (d+1)-factor prefix of the
+    # (d+2)-factor chain: in the ring with one more variable it is the short
+    # product, each exponent vector with a trailing 0
+    *_, prefix, last = grrcheck._ducrot_chain(d, d + 2)
+    short = ducrot_defect(d, d + 1)
+    assert prefix.sorted_items() == [(exps + (0,), c) for exps, c in short.sorted_items()]
+    assert last == ducrot_defect(d)
 
 
 # ----------------------------------------------------------------------
@@ -612,19 +625,68 @@ def test_all_lines_verdict_preconditions(model):
 )
 def test_all_lines_verdict_pairs_each_monomial_with_one_normal_component(monkeypatch, build):
     # a g^alpha of degree m pairs only with the degree-(total_dim - m) part
-    # of V_m, so the verdict hands integrate that part alone, in normal form
+    # of V_m, so the verdict hands the integer pairing that part alone, in
+    # normal form, and g^alpha as a one-term series with coefficient 1
     m = build()
     pairs = []
-    integrate = ChowModel.integrate
-    monkeypatch.setattr(
-        ChowModel, "integrate", lambda self, a, b: pairs.append((a, b)) or integrate(self, a, b)
-    )
+    pair = ChowModel._pair
+    monkeypatch.setattr(ChowModel, "_pair", lambda self, a, b: pairs.append((a, b)) or pair(self, a, b))
     assert grrcheck.verify_main_all_lines(m).ok
     assert pairs
     for a, b in pairs:
-        (alpha,) = a.terms
+        ((alpha, one),) = a.terms.items()
+        assert one == 1
         assert b == b.component(m.total_dim - m.vars.degree(alpha))
         assert b == m.normal_form(b)
+
+
+def all_lines_by_the_full_window(m):
+    """The all-lines verdict by the route it took before it formed one
+    product per twist: one product U_i = G_i Td per G_i, Td not reduced,
+    each V_m combined from the whole U_i and cut to its degree-(total_dim -
+    m) part, and each c_alpha read as a Rational from the pairing."""
+    d = m.rel_dim
+    g = m.cotangent_rank_zero()
+    by_twist = grrcheck._twist_weights(grrcheck.main_combo(d), d, len(g) - 1)
+    todd = todd_from_chern(m.tangent_chern)
+    u = [gi * todd for gi in g]
+    vt, top = m.vars, m.total_dim
+    ones = [k for k, w in enumerate(vt.weights) if w == 1]
+    c1 = m.first_chern({vt.names[k]: 1 for k in ones})
+    failing = []
+    for deg in range(top + 1):
+        weights = [sum(t**deg * plain[i] for t, (plain, _) in by_twist.items()) for i in range(len(u))]
+        v = m.normal_form(_combine(todd, zip(weights, u)).component(top - deg))
+        for picks in combinations_with_replacement(c1._num, deg):
+            key = sum(picks)
+            c = Rational(*m._pair(_series(c1, {key: 1}, 1), v))
+            if c:
+                alpha = m._lay.exps(key)
+                failing.append((tuple(alpha[k] for k in ones), c))
+    return grrcheck.AllLinesReport(
+        generators=tuple(vt.names[k] for k in ones),
+        higher_weight=tuple(name for name, w in zip(vt.names, vt.weights) if w != 1),
+        failing=tuple(failing),
+    )
+
+
+@pytest.mark.parametrize("delta", [0, 1], ids=["true", "plus-one"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda name=name, params=params: builtin_model(name, **params) for name, params in CACHE_MODELS]
+    + [lambda: power_family(2, 3)],
+    ids=[name + "".join(map(str, params.values())) for name, params in CACHE_MODELS] + ["P2^3xP1"],
+)
+def test_all_lines_verdict_equals_the_full_window_route(build, delta):
+    # under the true combination and under +1 on the twist-2 Sym^1 term
+    m = build()
+    combo = combo_with_one_coefficient_moved(m.rel_dim, 2, delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grrcheck, "main_combo", lambda d, allow_degenerate=False: combo)
+        want = all_lines_by_the_full_window(m)
+        got = grrcheck.verify_main_all_lines(m)
+    assert got == want and repr(got) == repr(want)
+    assert got.ok == (not delta)
 
 
 def test_all_lines_verdict_builds_todd_once(monkeypatch):
