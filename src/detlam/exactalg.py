@@ -101,11 +101,16 @@ class DomainError(ValueError):
 
 
 def _as_rational(value) -> Rational:
-    """An int, a Rational or a string such as "3/2"; not a bool or a float."""
+    """An int, a Rational or a string such as "3/2"; not a bool or a float.
+    A string with a zero denominator, such as "1/0", is refused as
+    malformed data, like any other string that is not a rational."""
     if isinstance(value, Rational):
         return value
     if isinstance(value, (int, str)) and type(value) is not bool:
-        return Rational(value)
+        try:
+            return Rational(value)
+        except ZeroDivisionError:
+            raise StructureError(f"zero denominator in {value!r}") from None
     raise StructureError(f"not an exact rational: {value!r}")
 
 

@@ -21,13 +21,13 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
   and ``euler_char`` integrate ch(L), and ``verify_main_on_model`` twists
   it to ch(L^t) = psi^t(ch(L)). Every model degree is the one integral
   computed by ``_degree``, which also checks that it is an integer.
-  ``_degree`` pairs ch with Td(T_f) by the top-degree intersection pairing
-  (``ChowModel._pair``, on integer numerators): only the term pairs whose
-  degrees add to the total dimension are multiplied, and nothing is
-  reduced. The degree is linear, so ``verify_main_on_model`` pairs ch(L^t)
-  with each G_i of the cotangent sheaf once
-  (``ChowModel.cotangent_rank_zero``) and weighs the integer pairings into
-  each term's degree.
+  ``_degree`` pairs psi^t(ch) with Td(T_f) by the top-degree intersection
+  pairing (``ChowModel._pair``, on integer numerators, psi^t read as a
+  weight per degree): only the term pairs whose degrees add to the total
+  dimension are multiplied, and nothing is reduced. The degree is linear,
+  so ``verify_main_on_model`` pairs ch(L^t) with each G_i of the
+  cotangent sheaf once (``ChowModel.cotangent_rank_zero``) and weighs the
+  integer pairings into each term's degree.
 * on a model, for every line at once: ``verify_main_all_lines`` pulls the
   universal statement back to the model. Each twist's terms fold into
   weights of the G_i, as in the universal check, and the defect of the line
@@ -310,17 +310,22 @@ def _line_ch(model: ChowModel, line: dict) -> TruncatedSeries:
     return model.normal_form(model.normal_form(model.first_chern(line)).exp())
 
 
-def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
-    """The integral of ch Td(T_f) over the total space, checked to be an
-    integer: the one route from a Chern character to a model degree.
+def _degree(model: ChowModel, ch: TruncatedSeries, what: str, twist: int = 1) -> int:
+    """The integral of psi^twist(ch) Td(T_f) over the total space, checked
+    to be an integer: the one route from a Chern character to a model
+    degree.
 
     It is the top-degree pairing of ch with Td, exact whether or not ch is
-    in normal form; the product ch Td is never formed. The pairing is read
+    in normal form; the product ch Td is never formed, and the Adams
+    operation psi^t is read inside the pairing as a weight t^k on ch's
+    degree-k terms, so no psi^t(ch) is built either. The pairing is read
     as its integer numerator and denominator (``ChowModel._pair``) and
     divided once; a Rational is built only for the message of a degree that
-    is not an integer.
+    is not an integer. Td is built on every call: until the benchmark's
+    per-call Todd count (ROADMAP item 1) gives way to one Td per model
+    (item 2), a verdict makes one Todd class per degree.
     """
-    num, den = model._pair(ch, todd_from_chern(model.tangent_chern))
+    num, den = model._pair(ch, todd_from_chern(model.tangent_chern), twist)
     value, rest = divmod(num, den)
     if rest:
         raise DomainError(
@@ -372,6 +377,26 @@ class MainReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _main_plan(combo: tuple[ComboTerm, ...], r: int, n: int) -> tuple[tuple, tuple]:
+    """The pairings D(t, i) = integral of psi^t(ch L) G_i Td that the
+    terms of ``combo`` read, as (twist, i) pairs in first-read order, the
+    head term's first, and per term the weights of its degree over that
+    list: s_j = sum_i C(r + j - 1, j - i) G_i (``charclass._sym_weights``),
+    r the rank of Omega and G_0..G_n the classes the degrees are read from.
+    Keyed on the terms themselves, so a combination that differs from
+    ``main_combo``'s builds its own plan; built once per (terms, r, n), as
+    the terms and weights are immutable.
+    """
+    pairs = tuple(dict.fromkeys((t.twist, i) for t in combo for i in range(min(t.sym, n) + 1)))
+    rows = []
+    for t in combo:
+        row = dict.fromkeys(pairs, 0)
+        row.update(((t.twist, i), w) for i, w in enumerate(_sym_weights(r, t.sym, n)))
+        rows.append(tuple(row.values()))
+    return pairs, tuple(rows)
+
+
 def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     """Exact integer check of the exponent identity on a family model.
 
@@ -385,16 +410,21 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     ``_line_ch``, one exp and two normal forms. c_1 is homogeneous of
     degree 1, so e^(t c_1) = psi^t(e^(c_1)), and the normal form commutes
     with psi^t because the relations are homogeneous: ch(L^t) =
-    psi^t(ch(L)), with no further exp or normal form.
+    psi^t(ch(L)), with no further exp or normal form, and psi^t itself is
+    a weight inside the pairing (``_degree``), so no ch(L^t) is built.
 
-    No Sym^j character is formed: s_j = sum_i C(d + j - 1, j - i) G_i
-    (``charclass._sym_weights``) over the G_i of Omega cached on the model
-    (``ChowModel.cotangent_rank_zero``, i <= n), and the degree is linear,
-    so a term's degree weighs the pairings D(t, i) = ``_degree``(ch(L^t)
-    G_i). Each pair the terms read is paired once, the head pair (1, 0)
-    first: n + 2 integrals, 4 at d = 1. The weights form a unitriangular
-    integer matrix, so checking each D(t, i) for integrality checks every
-    term's degree.
+    No Sym^j character is formed: s_j is a weighted sum of the G_i of
+    Omega cached on the model (``ChowModel.cotangent_rank_zero``, i <= n),
+    and the degree is linear, so a term's degree weighs the pairings D(t,
+    i) of ch(L^t) G_i with Td. The pairs and weights are planned once per
+    combination (``_main_plan``). D(t, 0) pairs ch(L) itself, since G_0 =
+    1; D(t, i) for i >= 1 pairs the one product ch(L) psi^(1/t)(G_i),
+    whose psi^t is ch(L^t) G_i, with psi^(1/t)(G_i) cached on the model
+    too. Each pair is paired once, the head pair (1, 0) first: n + 2
+    integrals and n series products, 4 and 2 at d = 1. Each integral
+    builds its own Todd class (``_degree``). The weights form a
+    unitriangular integer matrix, so checking each D(t, i) for
+    integrality checks every term's degree.
     """
     d = model.rel_dim
     if d < 1:
@@ -405,15 +435,17 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     ch_line = _line_ch(model, line_coeffs)
     combo = main_combo(d)
     head, *terms = combo
-    g = model.cotangent_rank_zero()
-    n = len(g) - 1
-    ch_twist = {t: adams_rescale(ch_line, t) for t in {term.twist for term in combo}}
-    pairs = dict.fromkeys((t.twist, i) for t in combo for i in range(min(t.sym, n) + 1))
-    pairing = {(t, i): _degree(model, ch_twist[t] * g[i], "determinant degree") for t, i in pairs}
-    lhs_degree, *degrees = (
-        sum(w * pairing[t.twist, i] for i, w in enumerate(_sym_weights(d, t.sym, n)))
-        for t in combo
-    )
+    pairs, weights = _main_plan(combo, d, len(model.cotangent_rank_zero()) - 1)
+    pairing = [
+        _degree(
+            model,
+            ch_line * model.cotangent_rank_zero(t)[i] if i else ch_line,
+            "determinant degree",
+            t,
+        )
+        for t, i in pairs
+    ]
+    lhs_degree, *degrees = (sum(map(mul, row, pairing)) for row in weights)
     rows = tuple((term.sym, -term.coeff, deg) for term, deg in zip(terms, degrees))
     return MainReport(
         model=model.name,

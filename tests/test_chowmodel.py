@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from detlam import chowmodel
+from detlam.charclass import adams_rescale
 from detlam.chowmodel import (
     ChowModel,
     ModelError,
@@ -21,7 +22,7 @@ from detlam.chowmodel import (
     model_pn,
     model_pn_x_pm,
 )
-from detlam.exactalg import Rational, StructureError, TruncatedSeries, VarTable
+from detlam.exactalg import DomainError, Rational, StructureError, TruncatedSeries, VarTable
 
 
 def mono(model, exps, coeff=1):
@@ -460,6 +461,36 @@ def test_integrate_matches_the_normal_form_route(pairing_models, name, data):
     assert integrate(m, b, a) == want
     assert integrate(m, a, one(m)) == integral_by_normal_form(m, a)
     assert integrate(m, m.normal_form(a), m.normal_form(b)) == want
+
+
+@pytest.mark.parametrize("name", PAIRING_MODELS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_twisted_pairing_is_the_pairing_of_the_rescaled_series(pairing_models, name, data):
+    # psi^t read inside the kernel as a weight t^k on the first operand's
+    # degree-k terms, whichever operand has fewer terms and is binned
+    m = pairing_models[name]
+    a = data.draw(model_series(m), label="a")
+    b = data.draw(model_series(m), label="b")
+    for t in range(-3, 4):
+        assert Rational(*m._pair(a, b, t)) == integrate(m, adams_rescale(a, t), b)
+        assert Rational(*m._pair(b, a, t)) == integrate(m, adams_rescale(b, t), a)
+    assert m._pair(a, b, 1) == m._pair(a, b)
+
+
+@pytest.mark.parametrize("name", [n for n in PAIRING_MODELS if n not in ("P1", "P2", "P3", "P4")])
+def test_untwisted_cotangent_classes_rescale_to_the_cached_ones(pairing_models, name):
+    # psi^t(psi^(1/t)(G_i)) = G_i, each list built once and kept
+    m = pairing_models[name]
+    g = m.cotangent_rank_zero()
+    for t in (-2, 2, 3):
+        untwisted = m.cotangent_rank_zero(t)
+        assert [adams_rescale(s, t) for s in untwisted] == list(g)
+        assert all(s._lay is m._lay for s in untwisted)
+        assert m.cotangent_rank_zero(t) is untwisted
+    assert m.cotangent_rank_zero(1) is g
+    with pytest.raises(DomainError, match="^the twist must be a nonzero integer$"):
+        m.cotangent_rank_zero(0)
 
 
 @st.composite

@@ -5,9 +5,11 @@ one test goes through a real subprocess to cover the module entry point.
 """
 
 import contextlib
+import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -307,6 +309,31 @@ class TestModelCommands:
         path.write_text(json.dumps(MALFORMED_MODELS[case]), encoding="utf-8")
         err = run_usage_error(capsys, "verify-main", "--model-file", str(path), "--line", "1,1")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, build, line",
+        [
+            ("verify-main", lambda: model_pn_x_pm(1, 1), "1,1"),
+            ("c1lambda", lambda: chowmodel.model_hirzebruch(1), "1,1"),
+            ("euler", lambda: chowmodel.model_pn(2), "1"),
+        ],
+    )
+    def test_zero_denominator_in_a_model_file_is_usage_error(
+        self, capsys, tmp_path, command, build, line
+    ):
+        # in the tangent class and in a rule's replacement alike; the
+        # coefficient is read before the replacement's exponents are checked
+        for place in ("tangent_chern", "replace"):
+            obj = build().to_obj()
+            if place == "tangent_chern":
+                obj["tangent_chern"][0]["coeff"] = "1/0"
+            else:
+                zero = [0] * len(obj["generators"])
+                obj["relations"][0]["replace"] = [{"exponents": zero, "coeff": "1/0"}]
+            path = tmp_path / f"{place}.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            err = run_usage_error(capsys, command, "--model-file", str(path), "--line", line)
+            assert err == "error: malformed model description: zero denominator in '1/0'\n"
 
     @pytest.mark.parametrize(
         "model, flags, line",
@@ -1075,11 +1102,12 @@ class TestVerifyAll:
 
     def test_pass_does_counted_work(self, capsys, monkeypatch):
         # one model check, six all-lines verdicts, 34 Todd classes, one
-        # rewrite per distinct chain step (21), 8 built-in models, 93
+        # rewrite per distinct chain step (21), 8 built-in models, 91
         # series products and 43 exps per pass: a change that multiplies
         # the work fails here, with no wall clock. Each ducrot row reads its
-        # control from its own product chain, and an all-lines verdict makes
-        # one product per twist. Generators, c_1(L) and the
+        # control from its own product chain, an all-lines verdict makes
+        # one product per twist, and the model check pairs ch(L) itself
+        # with G_0 = 1 (n products, not n + 2). Generators, c_1(L) and the
         # all-lines monomials are written on packed keys, so no series goes
         # through the validating constructor, and no corrupted twin's
         # witness is rendered, since verify-all never prints it. The second
@@ -1117,7 +1145,7 @@ class TestVerifyAll:
                 "kexpr.render_canonical": 0,
                 "ChowModel.__init__": 8,
                 "TruncatedSeries.__init__": 0,
-                "TruncatedSeries.__mul__": 93,
+                "TruncatedSeries.__mul__": 91,
                 "TruncatedSeries.exp": 43,
             }
 
@@ -1317,6 +1345,47 @@ def _fuzz_argv(draw, paths):
     return argv
 
 
+# Values a file-content mutation writes: a zero denominator, other strings
+# that are no rational, wrong types, signs, sizes and empty containers.
+_EDGE_VALUES = ("1/0", "-7/0", "0", "1/2", "x", "", 0, -1, 2, 10**9, 1.5, True, None, [], {}, [[]])
+
+
+def _mutated(rng, obj):
+    """A copy of the JSON value ``obj`` with one node changed: a value
+    replaced by an edge value, a list entry or an object key dropped, a list
+    entry duplicated, or an edge value appended to a list or under a new key.
+    Every node, containers included, is equally likely to be picked."""
+    obj = copy.deepcopy(obj)
+    slots = []  # (container, index or key) of every value below the root
+
+    def walk(node):
+        children = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in children:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(obj)
+    if not slots:
+        return rng.choice(_EDGE_VALUES)
+    node, key = rng.choice(slots)
+    edge = copy.deepcopy(rng.choice(_EDGE_VALUES))
+    kind = rng.choice(["replace", "replace", "drop", "duplicate", "append"])
+    if kind == "replace":
+        node[key] = edge
+    elif kind == "drop":
+        del node[key]
+    else:
+        value = copy.deepcopy(node[key]) if kind == "duplicate" else edge
+        if isinstance(node, dict):
+            node[f"{key}_{kind}"] = value
+        elif kind == "duplicate":
+            node.insert(key, value)
+        else:
+            node.append(value)
+    return obj
+
+
 class TestExitCodeContract:
     @settings(max_examples=250, deadline=None)
     @given(data=st.data())
@@ -1327,3 +1396,35 @@ class TestExitCodeContract:
             code = main(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in out.getvalue() + err.getvalue()
+
+    def test_mutated_file_contents_exit_0_1_or_2_without_a_traceback(self, tmp_path):
+        # shipped models' to_obj() and a shipped chain script, each mutated
+        # 1-3 times per example under a fixed seed: every command that reads
+        # the file must answer with an exit code, never with an exception
+        path = str(tmp_path / "mutated.json")
+        family = chowmodel.model_hirzebruch(2).to_obj()
+        plane = chowmodel.model_pn(2).to_obj()
+        data = os.path.join(os.path.dirname(kexpr.__file__), "data", "chain_multadd_d1.json")
+        with open(data, encoding="utf-8") as fh:
+            script = json.load(fh)
+        cases = [
+            (family, ["verify-main", "--model-file", path, "--line", "1,-1"]),
+            (family, ["c1lambda", "--model-file", path, "--line", "2,1"]),
+            (plane, ["euler", "--model-file", path, "--line", "3"]),
+            (script, ["rewrite", "--script", path]),
+        ] * 100
+        rng = random.Random(31)
+        rng.shuffle(cases)
+        for obj, argv in cases:
+            for _ in range(rng.randint(1, 3)):
+                obj = _mutated(rng, obj)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{argv[0]} on {json.dumps(obj)} raised {exc!r}")
+            assert code in (0, 1, 2), (argv[0], obj)
+            assert "Traceback" not in out.getvalue() + err.getvalue()

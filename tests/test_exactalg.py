@@ -10,6 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detlam import exactalg
 from detlam.exactalg import (
     DomainError,
     Rational,
@@ -130,6 +131,23 @@ def test_mixed_tables_and_bounds_are_structural_errors():
         a * b
     with pytest.raises(StructureError):
         a + c
+
+
+@pytest.mark.parametrize("text", ["1/0", "-7/0", "0/0", " 3/0 "])
+def test_zero_denominator_text_is_a_structural_error(text):
+    # raised as malformed data, naming the text, on every route that reads it
+    msg = f"^zero denominator in {text!r}$"
+    with pytest.raises(StructureError, match=msg):
+        exactalg._as_rational(text)
+    with pytest.raises(StructureError, match=msg):
+        TruncatedSeries.from_terms(X, 3, [((1,), text)])
+    with pytest.raises(StructureError, match=msg):
+        TruncatedSeries(X, 3, {(1,): text})
+    with pytest.raises(StructureError, match=msg):
+        TruncatedSeries.one(X, 3).scale(text)
+    assert exactalg._as_rational("3/6") == Rational(1, 2)
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'x/0'$"):
+        exactalg._as_rational("x/0")
 
 
 def test_weighted_truncation():

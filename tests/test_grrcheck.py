@@ -502,6 +502,60 @@ def test_warm_verify_main_takes_one_exp_and_reads_a_cached_combo(monkeypatch):
     assert len(exps) == 1 and tables == []
 
 
+def main_report_by_the_psi_series_route(m, line):
+    """``verify_main_on_model`` by the route it took before it read psi^t
+    inside the pairing: psi^t(ch L) built at every twist, 1 included, and
+    every pairing, i = 0 included, the degree of the product psi^t(ch L)
+    G_i, with the pairs and weights planned on each call."""
+    d = m.rel_dim
+    line = dict(line)
+    ch_line = grrcheck._line_ch(m, line)
+    combo = main_combo(d)
+    head, *terms = combo
+    g = m.cotangent_rank_zero()
+    n = len(g) - 1
+    ch_twist = {t: adams_rescale(ch_line, t) for t in {term.twist for term in combo}}
+    pairs = dict.fromkeys((t.twist, i) for t in combo for i in range(min(t.sym, n) + 1))
+    pairing = {(t, i): grrcheck._degree(m, ch_twist[t] * g[i], "degree") for t, i in pairs}
+    lhs_degree, *degrees = (
+        sum(w * pairing[t.twist, i] for i, w in enumerate(_sym_weights(d, t.sym, n)))
+        for t in combo
+    )
+    rows = tuple((term.sym, -term.coeff, deg) for term, deg in zip(terms, degrees))
+    return grrcheck.MainReport(
+        model=m.name,
+        dim=d,
+        line=line,
+        lhs_exponent=head.coeff,
+        lhs_degree=lhs_degree,
+        lhs=head.coeff * lhs_degree,
+        rhs_rows=rows,
+        rhs=sum(c * deg for _j, c, deg in rows),
+    )
+
+
+ORACLE_MODELS = [name + "".join(map(str, params.values())) for name, params in CACHE_MODELS]
+ORACLE_MODELS += ["twisted-P1xP1", "P2^2xP1"]
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    models = [builtin_model(name, **params) for name, params in CACHE_MODELS]
+    return dict(zip(ORACLE_MODELS, models + [twisted_p1xp1(), power_family(2, 2)]))
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_main_report_equals_the_psi_series_route(oracle_models, name, data):
+    # the twisted P1xP1 reads a nonzero top G_n; its reports need not be ok
+    m = oracle_models[name]
+    line = {g: data.draw(st.integers(-5, 5), label=g) for g in m.vars.names}
+    got = verify_main_on_model(m, line)
+    assert got == main_report_by_the_psi_series_route(m, line)
+    assert got.to_obj() == main_report_by_the_psi_series_route(m, line).to_obj()
+
+
 # ----------------------------------------------------------------------
 # the all-lines verdict
 
