@@ -377,24 +377,32 @@ class MainReport:
         }
 
 
-@lru_cache(maxsize=None)
+_PLANS: dict = {}
+
+
 def _main_plan(combo: tuple[ComboTerm, ...], r: int, n: int) -> tuple[tuple, tuple]:
     """The pairings D(t, i) = integral of psi^t(ch L) G_i Td that the
     terms of ``combo`` read, as (twist, i) pairs in first-read order, the
     head term's first, and per term the weights of its degree over that
     list: s_j = sum_i C(r + j - 1, j - i) G_i (``charclass._sym_weights``),
     r the rank of Omega and G_0..G_n the classes the degrees are read from.
-    Keyed on the terms themselves, so a combination that differs from
-    ``main_combo``'s builds its own plan; built once per (terms, r, n), as
-    the terms and weights are immutable.
+    Built once per (combo, r, n), as the terms and weights are immutable.
+    Keyed on the combination object by identity, never by value, so no
+    term is hashed: the kept entry holds ``combo``, as ``kexpr._rewrite``
+    holds its args, so its id is never reused, and any other combination
+    object, a patched ``main_combo``'s among them, builds its own plan.
     """
-    pairs = tuple(dict.fromkeys((t.twist, i) for t in combo for i in range(min(t.sym, n) + 1)))
-    rows = []
-    for t in combo:
-        row = dict.fromkeys(pairs, 0)
-        row.update(((t.twist, i), w) for i, w in enumerate(_sym_weights(r, t.sym, n)))
-        rows.append(tuple(row.values()))
-    return pairs, tuple(rows)
+    key = (id(combo), r, n)
+    kept = _PLANS.get(key)
+    if kept is None:
+        pairs = tuple(dict.fromkeys((t.twist, i) for t in combo for i in range(min(t.sym, n) + 1)))
+        rows = []
+        for t in combo:
+            row = dict.fromkeys(pairs, 0)
+            row.update(((t.twist, i), w) for i, w in enumerate(_sym_weights(r, t.sym, n)))
+            rows.append(tuple(row.values()))
+        kept = _PLANS[key] = (combo, (pairs, tuple(rows)))
+    return kept[1]
 
 
 def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:

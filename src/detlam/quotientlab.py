@@ -43,14 +43,18 @@ hold inside the window. P and M are folded from 1 in lists of length
 min(bound, D) + 1, D the total odd degree: multiplying a list by 1 + s*t^d
 (s = +1 or -1) is c_n += s*c_{n-d} for n from the top down to d, so c_{n-d}
 still holds the value before this factor. The division
-r_n = num_n - sum_k den_k r_{n-k} runs only over den's nonzero coefficients
-with 1 <= k <= D, and a verdict takes time linear in the window while D is
-small against it (when D reaches the window, about as long as a dense
-division). den_0 = 1, so the division divides by no coefficient and every
-r_n is an integer; it is exact for any integer lists with den_0 = 1 (Knuth,
-The Art of Computer Programming, vol. 2, section 4.7). The sparsity of den
-makes it fast, not correct. HS_R and HS_{R0} serve only the defect test below
-and the report.
+r_n = num_n - sum_k den_k r_{n-k} runs over 1 <= k <= K, K <= D the last k
+with den_k nonzero, each inner sum one ``sum(map(mul, ...))`` in C, so a
+verdict takes time linear in the window while D is small against it (when D
+reaches the window, as long as a dense division). den_0 = 1, so the division
+divides by no coefficient and every r_n is an integer; it is exact for any
+integer lists with den_0 = 1 (Knuth, The Art of Computer Programming, vol.
+2, section 4.7). The short divisor makes it fast, not correct.
+
+The ratio alone decides NOT-FREE, so a NOT-FREE verdict builds no Hilbert
+series. HS_R and HS_{R0} serve only the defect test below, which certifies
+FREE, and ``quotient_report``, which prints them and hands them to the one
+verdict path.
 
 The candidate basis has the Hilbert series prod(1 + t^d_v) over the odd
 variables v. The defect test folds those factors one at a time into a copy
@@ -65,7 +69,7 @@ Bull. AMS 1, 1979, sections 3-4).
 
 import re
 from itertools import combinations
-from operator import add
+from operator import add, mul
 
 from ._record import record
 from .exactalg import DomainError, StructureError
@@ -88,11 +92,11 @@ __all__ = [
 
 DEFAULT_BOUND = 40
 # Ceilings on the series window and the variable count, measured together
-# with `detlam quotient` (JSON output, 2-core host, 3 runs each): the slowest
+# with `detlam quotient` (JSON output, 2-core host, 5 runs each): the slowest
 # algebras found at both ceilings, 64 odd variables of degrees 1-40, whose
-# divisor is as long as the window, take 0.44-0.55 s; 64 variables of degree
-# 1-2, 60 of them odd, take 0.29-0.33 s; 4- and 8-variable algebras at bound
-# 1,500 take 0.13-0.19 s, mostly interpreter start-up. Time would allow a
+# divisor is as long as the window, take 0.38-0.51 s; 64 variables of degree
+# 1-2, 60 of them odd, take 0.24-0.28 s; 4- and 8-variable algebras at bound
+# 1,500 take 0.08-0.12 s, mostly interpreter start-up. Time would allow a
 # larger window, but the ratio's coefficients grow geometrically, faster with
 # more odd variables: at both ceilings the largest (64 odd variables of
 # degree 1) has about 2,400 digits, and doubling the bound would take it to
@@ -282,7 +286,7 @@ def _series_pair(algebra: GradedAlgebra, bound: int) -> tuple[list[int], list[in
 
 def flatness_verdict(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> FlatnessReport:
     """Decide freeness of R over R0 by exact series division."""
-    return _verdict(algebra, bound, *_series_pair(algebra, bound))
+    return _verdict(algebra, bound, None)
 
 
 def _fold(coeffs: list[int], degree: int, sign: int) -> None:
@@ -293,20 +297,30 @@ def _fold(coeffs: list[int], degree: int, sign: int) -> None:
 
 def _divide(num: list[int], den: list[int]) -> tuple:
     """The truncated quotient num / den of integer lists with ``den[0] == 1``:
-    r_n = num_n - sum den_k r_{n-k} over the nonzero den_k with k >= 1."""
-    taps = [(k, c) for k, c in enumerate(den) if k and c]
-    ratio = []
+    r_n = num_n - sum den_k r_{n-k} over 1 <= k <= K, K the last k with
+    den_k nonzero. The taps den_K..den_1 meet the K newest r, behind K
+    leading zeros, in one ``sum(map(mul, ...))``, so the inner sum runs in C.
+    The quotient is the ratio that decides NOT-FREE with no Hilbert series
+    built; those serve only the FREE certification and the report."""
+    k = len(den) - 1
+    while k and not den[k]:
+        k -= 1
+    taps = den[k:0:-1]
+    ratio = [0] * k
     for n, c in enumerate(num):
-        ratio.append(c - sum(d * ratio[n - k] for k, d in taps if k <= n))
-    return tuple(ratio)
+        ratio.append(c - sum(map(mul, taps, ratio[n:])))
+    return tuple(ratio[k:])
 
 
-def _verdict(algebra: GradedAlgebra, bound: int, hs: list[int], inv: list[int]) -> FlatnessReport:
-    """``flatness_verdict`` from the Hilbert series ``hs`` of R and ``inv``
-    of R0, both c_0..c_bound. The ratio reads the odd degrees only, since the
-    even variables cancel: it is 2P / (P + M) with P = prod_odd (1 + t^d) and
-    M = prod_odd (1 - t^d), both truncated to the window. ``hs`` and ``inv``
-    serve only the defect test."""
+def _verdict(algebra: GradedAlgebra, bound: int, series) -> FlatnessReport:
+    """``flatness_verdict`` at ``bound``. The ratio reads the odd degrees
+    only, since the even variables cancel: it is 2P / (P + M) with P =
+    prod_odd (1 + t^d) and M = prod_odd (1 - t^d), both truncated to the
+    window, and a negative coefficient decides NOT-FREE before any Hilbert
+    series is built. ``series`` is the pair (HS_R, HS_{R0}), c_0..c_bound,
+    of a caller that has built it, else None; the defect test, the only
+    reader, builds it then."""
+    _check_bound(bound, 1)
     cap = sum(d for _n, d, _p in algebra.odd_variables)
     plus = [1] + [0] * min(bound, cap)
     minus = plus[:]
@@ -329,6 +343,7 @@ def _verdict(algebra: GradedAlgebra, bound: int, hs: list[int], inv: list[int]) 
                 "non-negative coefficients",
             )
 
+    hs, inv = series or _series_pair(algebra, bound)
     product = inv[:]
     for _name, degree, _parity in algebra.odd_variables:
         _fold(product, degree, 1)
@@ -354,8 +369,8 @@ def _verdict(algebra: GradedAlgebra, bound: int, hs: list[int], inv: list[int]) 
 def quotient_report(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> dict:
     """Full JSON-ready verdict for one algebra."""
     fi = fixed_ideal(algebra)
-    hs, inv = _series_pair(algebra, bound)
-    rep = _verdict(algebra, bound, hs, inv)
+    hs, inv = series = _series_pair(algebra, bound)
+    rep = _verdict(algebra, bound, series)
     return {
         "variables": [list(v) for v in algebra.variables],
         "bound": bound,

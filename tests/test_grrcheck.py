@@ -963,6 +963,20 @@ def test_model_check_and_presets_read_main_combo(monkeypatch):
     assert relations == [[16 - 3 * 7, 3 * 4, -3], [1, -1, 0]]
 
 
+def test_main_plan_is_kept_per_combination_object():
+    # the plan is keyed on the combination object, never on its terms'
+    # hashes: the same object reads its kept plan back, and an equal but
+    # distinct object builds an equal plan of its own
+    combo = main_combo(2)
+    plan = grrcheck._main_plan(combo, 2, 2)
+    assert grrcheck._main_plan(combo, 2, 2) is plan
+    twin = combo[:1] + combo[1:]
+    assert twin == combo and twin is not combo
+    other = grrcheck._main_plan(twin, 2, 2)
+    assert other == plan and other is not plan
+    assert grrcheck._main_plan(combo, 2, 1) != plan
+
+
 def test_parse_linear_expr():
     sym = ["l0", "l1", "l2"]
     assert parse_linear_expr("13*l1 - l2", sym) == [0, 13, -1]

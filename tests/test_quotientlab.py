@@ -9,7 +9,9 @@ library's integer-list division and folds. ``dense_report`` recomputes them on
 integer lists by the dense O(bound^2) division and convolution the library ran
 before it cleared the common denominator. ``folded_num_den`` rebuilds the
 ratio's numerator and divisor by folding Q into both Hilbert series, the
-route the closed form from the odd degrees replaced.
+route the closed form from the odd degrees replaced. ``eager_report`` builds
+both Hilbert series before every verdict and divides by a Python generator,
+the route the lazy series and the C division replaced.
 """
 
 import json
@@ -657,6 +659,160 @@ class TestClosedForm:
         evens = tuple((f"y{i}", d, 0) for i, d in enumerate(even_degrees))
         wider = GradedAlgebra(a.variables + evens)
         assert flatness_verdict(wider, bound) == flatness_verdict(a, bound)
+
+
+class TestReflectionCriterion:
+    """The sign involution is a reflection exactly when one variable is odd,
+    so R is free over R0 exactly when at most one variable is odd
+    (Chevalley-Shephard-Todd, with Serre's converse). At bound 60 the series
+    verdict decides every algebra of 1-5 variables of degree 1-9."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 9), st.integers(0, 1)), min_size=1, max_size=5)
+    )
+    def test_free_exactly_when_at_most_one_odd(self, shapes):
+        a = alg(*((f"x{i}", d, p) for i, (d, p) in enumerate(shapes)))
+        odd = sum(p for _d, p in shapes)
+        assert flatness_verdict(a, 60).verdict == ("FREE" if odd <= 1 else "NOT-FREE")
+
+
+def fold(coeffs, degree, sign):
+    """Multiply c_0..c_top in place by 1 + sign*t^degree, highest n first."""
+    for n in range(len(coeffs) - 1, degree - 1, -1):
+        coeffs[n] += sign * coeffs[n - degree]
+
+
+def generator_divide(num, den):
+    """num / den for den[0] == 1 by a Python generator over den's nonzero
+    taps, the division the library ran before its inner sum moved to C."""
+    taps = [(k, c) for k, c in enumerate(den) if k and c]
+    ratio = []
+    for n, c in enumerate(num):
+        ratio.append(c - sum(d * ratio[n - k] for k, d in taps if k <= n))
+    return tuple(ratio)
+
+
+def eager_report(a, bound):
+    """The verdict as the library reached it before the series went lazy:
+    HS_R and HS_{R0} built first, the ratio 2P / (P + M) divided by
+    ``generator_divide``, and the defect test run on every verdict."""
+    hs = hilbert_series(a, bound)
+    inv = invariants_hs(a, bound, hs)
+    cap = sum(d for _n, d, _p in a.odd_variables)
+    plus = [1] + [0] * min(bound, cap)
+    minus = plus[:]
+    for _name, degree, _parity in a.odd_variables:
+        fold(plus, degree, 1)
+        fold(minus, degree, -1)
+    den = [(p + m) // 2 for p, m in zip(plus, minus)]
+    coeffs = generator_divide(plus + [0] * (bound + 1 - len(plus)), den)
+    product = inv[:]
+    for _name, degree, _parity in a.odd_variables:
+        fold(product, degree, 1)
+    return assemble_report(a, bound, coeffs, product == hs)
+
+
+@st.composite
+def eager_cases(draw):
+    """1-6 variables of degree 1-9 or 10-70, with a bound 1-60 or at most
+    twice the total odd degree, so windows too small to certify are common."""
+    degrees = st.integers(1, 9) | st.integers(10, 70)
+    shapes = draw(st.lists(st.tuples(degrees, st.integers(0, 1)), min_size=1, max_size=6))
+    a = alg(*((f"x{i}", d, p) for i, (d, p) in enumerate(shapes)))
+    cap = sum(d for d, p in shapes if p)
+    bound = draw(st.integers(1, 60) | st.integers(1, max(1, min(2 * cap, 60))))
+    return a, bound
+
+
+# (variables, bound): each verdict and note, 2 * cap equal to the bound and
+# past it, an odd degree past the bound, and an even-only algebra
+EAGER_CASES = [
+    ((("x", 1, 1),), 60),
+    ((("x", 1, 1), ("y", 1, 1)), 8),
+    ((("x", 1, 1), ("y", 1, 1)), 2),
+    ((("x", 25, 1),), 40),
+    ((("x", 25, 1),), 50),
+    ((("x", 25, 1),), 51),
+    ((("x", 14, 1), ("y", 14, 1)), 40),
+    ((("x", 70, 1), ("y", 3, 0)), 60),
+    ((("x", 2, 0), ("y", 9, 0)), 60),
+]
+
+
+class TestEagerRoute:
+    """The lazy series and the C division against the eager series and the
+    generator division they replaced: every report field equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(eager_cases())
+    def test_matches_eager_route(self, case):
+        a, bound = case
+        assert flatness_verdict(a, bound) == eager_report(a, bound)
+
+    @pytest.mark.parametrize("variables,bound", EAGER_CASES)
+    def test_matches_eager_route_at_the_edges(self, variables, bound):
+        a = alg(*variables)
+        assert flatness_verdict(a, bound) == eager_report(a, bound)
+
+    def test_edges_see_every_verdict_and_note(self):
+        reports = [eager_report(alg(*v), b) for v, b in EAGER_CASES]
+        assert {r.verdict for r in reports} == {"FREE", "NOT-FREE", "INCONCLUSIVE"}
+        notes = {r.note for r in reports if r.verdict == "INCONCLUSIVE"}
+        assert notes == {
+            "window too small to certify the candidate basis",
+            "candidate basis does not match inside the window",
+        }
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_division_matches_generator_division(self, data):
+        window = data.draw(st.integers(1, 61))
+        num = data.draw(
+            st.lists(st.integers(-(10**30), 10**30), min_size=window, max_size=window)
+        )
+        taps = data.draw(st.lists(st.just(0) | st.integers(-(10**20), 10**20), max_size=window))
+        den = [1] + taps + [0] * data.draw(st.integers(0, 5))
+        assert quotientlab._divide(num, den) == generator_divide(num, den)
+
+
+class TestCountedSeries:
+    """The Hilbert series are built only where they are read: by the defect
+    test, which a NOT-FREE verdict never reaches, and by the report. Counted
+    as calls of ``_divided_hs``, one per series, without a clock."""
+
+    CASES = [
+        ((("x", 1, 1), ("y", 1, 1)), 8, "NOT-FREE", 0),
+        ((("x", 1, 1), ("y", 2, 0)), 12, "FREE", 2),
+        ((("x", 25, 1),), 40, "INCONCLUSIVE", 2),
+        ((("x", 1, 1), ("y", 1, 1)), 2, "INCONCLUSIVE", 2),
+    ]
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = quotientlab._divided_hs
+
+        def counting(algebra, bound, signed):
+            calls.append((bound, signed))
+            return real(algebra, bound, signed)
+
+        monkeypatch.setattr(quotientlab, "_divided_hs", counting)
+        return calls
+
+    @pytest.mark.parametrize("variables,bound,verdict,built", CASES)
+    def test_verdict_builds_series_only_for_the_defect_test(
+        self, monkeypatch, variables, bound, verdict, built
+    ):
+        calls = self.counted(monkeypatch)
+        assert flatness_verdict(alg(*variables), bound).verdict == verdict
+        assert len(calls) == built
+
+    @pytest.mark.parametrize("variables,bound,verdict,_built", CASES)
+    def test_report_builds_each_series_once(self, monkeypatch, variables, bound, verdict, _built):
+        calls = self.counted(monkeypatch)
+        assert quotient_report(alg(*variables), bound)["verdict"] == verdict
+        assert sorted(calls) == [(bound, False), (bound, True)]
 
 
 class TestConormal:
