@@ -46,7 +46,6 @@ __all__ = [
     "ch_from_chern",
     "todd_from_chern",
     "adams_rescale",
-    "dual_ch",
     "sym_ch",
 ]
 
@@ -132,15 +131,14 @@ def todd_from_chern(chern: TruncatedSeries) -> TruncatedSeries:
 
 
 def adams_rescale(ch: TruncatedSeries, m: int) -> TruncatedSeries:
-    """Adams operation psi^m: multiply the degree-k component by m^k."""
+    """Adams operation psi^m: multiply the degree-k component by m^k.
+    psi^(-1) is the Chern character of the dual. psi^1 is the identity, and
+    series are immutable, so ``ch`` itself is returned."""
     if not isinstance(m, int):
         raise DomainError("Adams index must be an integer")
-    return ch._graded_scale(m)
-
-
-def dual_ch(ch: TruncatedSeries) -> TruncatedSeries:
-    """Chern character of the dual: psi^(-1)."""
-    return adams_rescale(ch, -1)
+    if m == 1:
+        return ch
+    return ch._graded_weigh([m**k for k in range(ch.bound + 1)])
 
 
 def _rank_zero_sym(ch: TruncatedSeries, n: int, normal_form=None) -> list[TruncatedSeries]:

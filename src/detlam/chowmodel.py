@@ -8,8 +8,7 @@ base generators for family models, the total Chern class of the relative
 tangent sheaf, and the point class that normalizes integration. What does
 not depend on a line bundle is cached on first use: the normal forms of
 monomials and the rank-zero classes of the relative cotangent sheaf
-(``cotangent_rank_zero``), whose weighted sums are its Sym characters, with
-their psi^(1/t) at each twist t that a pairing reads.
+(``cotangent_rank_zero``), whose weighted sums are its Sym characters.
 
 Reduction works on the packed keys of the model's ring (see ``exactalg``),
 whose window is the monomials of degree at most total_dim; each rule with
@@ -213,7 +212,7 @@ class ChowModel:
         self._ring = TruncatedSeries.zero(self.vars, total_dim)
         self.rules, self._leads_at, self._packed = self._parse_rules(relations)
         self._nf: dict[int, tuple[dict, int]] = {}
-        self._cotangent_g: dict[int, tuple[TruncatedSeries, ...]] = {}
+        self._cotangent_g: tuple[TruncatedSeries, ...] | None = None
         self._check_dimension_closure()
         self.point_class = self._check_point_class(point_class)
         self.tangent_chern = self._check_tangent(tangent_chern)
@@ -439,7 +438,7 @@ class ChowModel:
         acc, den = _accumulate([(num, nf(k) or reduce_(k)) for k, num in series._num.items()])
         return _reduced(self._ring, acc, series._den * den)
 
-    def cotangent_rank_zero(self, twist: int = 1) -> tuple[TruncatedSeries, ...]:
+    def cotangent_rank_zero(self) -> tuple[TruncatedSeries, ...]:
         """The rank-zero classes G_0..G_n of the relative cotangent sheaf
         Omega, n = min(2d, total_dim) with d = rel_dim, in normal form
         (``charclass._rank_zero_sym``): weighted sums of them are the
@@ -447,43 +446,20 @@ class ChowModel:
         twists. c(Omega) = psi^(-1) c(T) and ch(Omega) are taken in normal
         form, and each G_i is reduced as it is built, so every product
         multiplies normal forms; the relations are homogeneous, so that
-        equals reducing the unreduced classes at the end.
-
-        At a nonzero ``twist`` t other than 1, the classes psi^(1/t)(G_i),
-        each degree-k part divided by t^k: psi^t is a ring map, so
-        psi^t(a psi^(1/t)(G_i)) = psi^t(a) G_i, and a pairing that weighs
-        its first operand's degree-k part by t^k (``_pair``) integrates
-        psi^t(a) G_i from the product a psi^(1/t)(G_i), with no psi^t(a)
-        formed. Rescaling keeps a normal form normal. Each list is cached
-        on first use."""
-        g = self._cotangent_g.get(twist)
+        equals reducing the unreduced classes at the end. Built once, on
+        first use, and kept."""
+        g = self._cotangent_g
         if g is None:
-            if twist == 1:
-                chern = self.normal_form(adams_rescale(self.tangent_chern, -1))
-                ch = self.normal_form(ch_from_chern(self.rel_dim, chern))
-                n = min(2 * self.rel_dim, self.total_dim)
-                g = tuple(_rank_zero_sym(ch, n, self.normal_form))
-            else:
-                if type(twist) is not int or not twist:
-                    raise DomainError("the twist must be a nonzero integer")
-                # over |t^top|, the degree-k numerators times t^(top - k),
-                # all negated when t^top < 0
-                top, shift = self.total_dim, self._lay.dshift
-                sign = -1 if twist**top < 0 else 1
-                up = [sign * twist ** (top - k) for k in range(top + 1)]
-                g = tuple(
-                    _reduced(s, {k: v * up[k >> shift] for k, v in s._num.items()}, s._den * up[0])
-                    for s in self.cotangent_rank_zero()
-                )
-            self._cotangent_g[twist] = g
+            chern = self.normal_form(adams_rescale(self.tangent_chern, -1))
+            ch = self.normal_form(ch_from_chern(self.rel_dim, chern))
+            n = min(2 * self.rel_dim, self.total_dim)
+            g = self._cotangent_g = tuple(_rank_zero_sym(ch, n, self.normal_form))
         return g
 
-    def _pair(self, a: TruncatedSeries, b: TruncatedSeries, twist: int = 1) -> tuple[int, int]:
-        """The integral of psi^twist(a) b over the model, by the top-degree
-        pairing of the module docstring, as (numerator, denominator),
-        denominator > 0 and not reduced: the one pairing kernel, on
-        integers only. psi^t multiplies a's degree-k terms by t^k before
-        they are paired, so no psi^t(a) series is built.
+    def _pair(self, a: TruncatedSeries, b: TruncatedSeries) -> tuple[int, int]:
+        """The integral of a b over the model, by the top-degree pairing of
+        the module docstring, as (numerator, denominator), denominator > 0
+        and not reduced: the one pairing kernel, on integers only.
 
         On packed keys the product of two monomials is the sum of their
         keys, and its degree is total_dim exactly when their degrees add to
@@ -500,15 +476,11 @@ class ChowModel:
         (1, 1)
         >>> m._pair(h, h)
         (0, 1)
-        >>> m._pair(h, s, 3)
-        (3, 1)
         """
         self._check_ring(a)
         self._check_ring(b)
         top, shift, n = self._top, self._lay.dshift, self.total_dim
         small, large = a._num, b._num
-        if twist != 1:
-            small = {k: v * twist ** (k >> shift) for k, v in small.items()}
         if len(small) > len(large):
             small, large = large, small
         bins: dict[int, list] = {}

@@ -20,7 +20,6 @@ from functools import cache, partial
 
 from .chowmodel import (
     ModelError,
-    UnsupportedModelError,
     builtin_model,
     load_model_file,
     model_hirzebruch,
@@ -39,13 +38,7 @@ __all__ = ["main"]
 # ducrot checks stop at d = 3 whatever the value.
 MAX_VERIFY_DIM = 4
 
-_USAGE_ERRORS = (
-    DomainError,
-    StructureError,
-    ModelError,
-    UnsupportedModelError,
-    ScriptError,
-)
+_USAGE_ERRORS = (DomainError, StructureError, ModelError, ScriptError)
 
 
 # ----------------------------------------------------------------------

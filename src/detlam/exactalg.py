@@ -33,9 +33,9 @@ Pearce, "Sparse polynomial division using a heap", JSC 46, 2011).
 The public surface reads the packed form back: ``terms`` is an exponents ->
 ``Fraction`` view whose length is the stored term count, and ``to_obj``
 and ``repr`` unpack on demand. These callers in the package work on the
-packed form directly: ``charclass.adams_rescale`` (through
-``_graded_scale``), ``charclass._rank_zero_sym`` (through ``_graded_weigh``,
-which scales each degree by its own integer, and ``_combine``),
+packed form directly: ``charclass.adams_rescale`` and
+``charclass._rank_zero_sym`` (through ``_graded_weigh``, which scales each
+degree by its own integer, and the latter also through ``_combine``),
 ``charclass.power_sums`` and ``ch_from_chern`` (through
 ``_power_sums``, the series of the integer components of ``_newton``,
 Newton's recurrence on integer numerators, and ``_combine``, a weighted sum
@@ -661,10 +661,6 @@ class TruncatedSeries:
         return _reduced(
             self, {e: v for e, v in self._num.items() if e >> shift == k}, self._den
         )
-
-    def _graded_scale(self, m: int) -> "TruncatedSeries":
-        """Multiply the weighted-degree-k component by m**k."""
-        return self._graded_weigh([m**k for k in range(self.bound + 1)])
 
     def _graded_weigh(self, weight) -> "TruncatedSeries":
         """Multiply the weighted-degree-k component by the int weight[k]."""

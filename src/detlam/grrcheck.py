@@ -19,15 +19,16 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
   and ch(L) = e^(c_1(L)) (Fulton, *Intersection Theory*, section 3.2) has
   one route, ``_line_ch``, shared by the three entry points: ``c1_lambda``
   and ``euler_char`` integrate ch(L), and ``verify_main_on_model`` twists
-  it to ch(L^t) = psi^t(ch(L)). Every model degree is the one integral
+  it to ch(L^t) = psi^t(ch(L)), built once per twist
+  (``charclass.adams_rescale``). Every model degree is the one integral
   computed by ``_degree``, which also checks that it is an integer.
-  ``_degree`` pairs psi^t(ch) with Td(T_f) by the top-degree intersection
-  pairing (``ChowModel._pair``, on integer numerators, psi^t read as a
-  weight per degree): only the term pairs whose degrees add to the total
-  dimension are multiplied, and nothing is reduced. The degree is linear,
-  so ``verify_main_on_model`` pairs ch(L^t) with each G_i of the
-  cotangent sheaf once (``ChowModel.cotangent_rank_zero``) and weighs the
-  integer pairings into each term's degree.
+  ``_degree`` pairs a class with Td(T_f) by the top-degree intersection
+  pairing (``ChowModel._pair``, on integer numerators): only the term
+  pairs whose degrees add to the total dimension are multiplied, and
+  nothing is reduced. The degree is linear, so ``verify_main_on_model``
+  pairs ch(L^t) G_i once for each G_i of the cotangent sheaf
+  (``ChowModel.cotangent_rank_zero``) and weighs the integer pairings
+  into each term's degree.
 * on a model, for every line at once: ``verify_main_all_lines`` pulls the
   universal statement back to the model. Each twist's terms fold into
   weights of the G_i, as in the universal check, and the defect of the line
@@ -50,7 +51,7 @@ from operator import mul
 
 from ._record import record
 from .charclass import _rank_zero_sym, _sym_weights
-from .charclass import adams_rescale, ch_from_chern, dual_ch, todd_from_chern
+from .charclass import adams_rescale, ch_from_chern, todd_from_chern
 from .chowmodel import ChowModel
 from .combinat import coeff_table
 from .exactalg import DomainError, Rational, TruncatedSeries, VarTable, _combine, _series
@@ -209,7 +210,7 @@ def universal_report(d, combo=None, allow_degenerate=False) -> "UniversalReport"
     for twist, (plain, dual) in _twist_weights(combo, d, n).items():
         cls = _combine(ch_omega, zip(plain, g))
         if any(dual):
-            cls = cls + dual_ch(_combine(ch_omega, zip(dual, g)))
+            cls = cls + adams_rescale(_combine(ch_omega, zip(dual, g)), -1)
         D = D + (l * twist).exp() * cls
     defect = D * todd
     return UniversalReport(
@@ -310,22 +311,19 @@ def _line_ch(model: ChowModel, line: dict) -> TruncatedSeries:
     return model.normal_form(model.normal_form(model.first_chern(line)).exp())
 
 
-def _degree(model: ChowModel, ch: TruncatedSeries, what: str, twist: int = 1) -> int:
-    """The integral of psi^twist(ch) Td(T_f) over the total space, checked
-    to be an integer: the one route from a Chern character to a model
-    degree.
+def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
+    """The integral of ch Td(T_f) over the total space, checked to be an
+    integer: the one route from a Chern character to a model degree.
 
     It is the top-degree pairing of ch with Td, exact whether or not ch is
-    in normal form; the product ch Td is never formed, and the Adams
-    operation psi^t is read inside the pairing as a weight t^k on ch's
-    degree-k terms, so no psi^t(ch) is built either. The pairing is read
+    in normal form; the product ch Td is never formed. The pairing is read
     as its integer numerator and denominator (``ChowModel._pair``) and
     divided once; a Rational is built only for the message of a degree that
     is not an integer. Td is built on every call: until the benchmark's
     per-call Todd count (ROADMAP item 1) gives way to one Td per model
     (item 2), a verdict makes one Todd class per degree.
     """
-    num, den = model._pair(ch, todd_from_chern(model.tangent_chern), twist)
+    num, den = model._pair(ch, todd_from_chern(model.tangent_chern))
     value, rest = divmod(num, den)
     if rest:
         raise DomainError(
@@ -418,21 +416,20 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     ``_line_ch``, one exp and two normal forms. c_1 is homogeneous of
     degree 1, so e^(t c_1) = psi^t(e^(c_1)), and the normal form commutes
     with psi^t because the relations are homogeneous: ch(L^t) =
-    psi^t(ch(L)), with no further exp or normal form, and psi^t itself is
-    a weight inside the pairing (``_degree``), so no ch(L^t) is built.
+    psi^t(ch(L)), with no further exp or normal form. It is built once per
+    twist that the plan reads (``charclass.adams_rescale``, which returns
+    ch(L) itself at t = 1): one rescaled series at d = 1.
 
     No Sym^j character is formed: s_j is a weighted sum of the G_i of
     Omega cached on the model (``ChowModel.cotangent_rank_zero``, i <= n),
     and the degree is linear, so a term's degree weighs the pairings D(t,
     i) of ch(L^t) G_i with Td. The pairs and weights are planned once per
-    combination (``_main_plan``). D(t, 0) pairs ch(L) itself, since G_0 =
-    1; D(t, i) for i >= 1 pairs the one product ch(L) psi^(1/t)(G_i),
-    whose psi^t is ch(L^t) G_i, with psi^(1/t)(G_i) cached on the model
-    too. Each pair is paired once, the head pair (1, 0) first: n + 2
-    integrals and n series products, 4 and 2 at d = 1. Each integral
-    builds its own Todd class (``_degree``). The weights form a
-    unitriangular integer matrix, so checking each D(t, i) for
-    integrality checks every term's degree.
+    combination (``_main_plan``). D(t, 0) pairs ch(L^t) itself, since G_0
+    = 1; D(t, i) for i >= 1 pairs the one product ch(L^t) G_i. Each pair
+    is paired once, the head pair (1, 0) first: n + 2 integrals and n
+    series products, 4 and 2 at d = 1. Each integral builds its own Todd
+    class (``_degree``). The weights form a unitriangular integer matrix,
+    so checking each D(t, i) for integrality checks every term's degree.
     """
     d = model.rel_dim
     if d < 1:
@@ -443,14 +440,11 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
     ch_line = _line_ch(model, line_coeffs)
     combo = main_combo(d)
     head, *terms = combo
-    pairs, weights = _main_plan(combo, d, len(model.cotangent_rank_zero()) - 1)
+    g = model.cotangent_rank_zero()
+    pairs, weights = _main_plan(combo, d, len(g) - 1)
+    ch_twist = {t: adams_rescale(ch_line, t) for t, i in pairs if not i}
     pairing = [
-        _degree(
-            model,
-            ch_line * model.cotangent_rank_zero(t)[i] if i else ch_line,
-            "determinant degree",
-            t,
-        )
+        _degree(model, ch_twist[t] * g[i] if i else ch_twist[t], "determinant degree")
         for t, i in pairs
     ]
     lhs_degree, *degrees = (sum(map(mul, row, pairing)) for row in weights)
@@ -700,7 +694,7 @@ def _parse_terms(text: str, symbols, vec, flip: bool):
         if pending != 0:
             raise DomainError(f"constant terms are not allowed: {text!r}")
         # a bare literal 0 is the empty side
-    elif expect_term and tokens:
+    elif expect_term:
         raise DomainError(f"dangling operator in {text!r}")
 
 
@@ -708,15 +702,18 @@ def parse_linear_expr(text: str, symbols) -> list[int]:
     """Parse '13*l1 - l2' or 'a = b - c' into an integer vector over symbols.
 
     An '=' moves the right side over with flipped signs, so the result is
-    always the vector of (left - right).
+    always the vector of (left - right). A side with no terms is written
+    0; an empty side is an error, so a truncated relation is never read
+    as 0.
     """
     parts = text.split("=")
     if len(parts) > 2:
         raise DomainError("at most one '=' allowed")
     vec = [0] * len(symbols)
-    _parse_terms(parts[0], symbols, vec, flip=False)
-    if len(parts) == 2:
-        _parse_terms(parts[1], symbols, vec, flip=True)
+    for side, flip in zip(parts, (False, True)):
+        if not side.strip():
+            raise DomainError(f"empty side in {text!r}; write 0 for a side with no terms")
+        _parse_terms(side, symbols, vec, flip)
     return vec
 
 

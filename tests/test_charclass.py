@@ -32,7 +32,6 @@ from detlam.charclass import (
     _todd_log_coeffs,
     adams_rescale,
     ch_from_chern,
-    dual_ch,
     power_sums,
     sym_ch,
     todd_from_chern,
@@ -156,9 +155,11 @@ def test_adams_on_line_and_composition():
     a = TruncatedSeries.gen(AB, bound, "a")
     ch = a.exp()
     assert adams_rescale(ch, 3) == (a * 3).exp()
-    assert adams_rescale(ch, 1) == ch
+    # psi^1 is the identity, and series are immutable, so no copy is made
+    assert adams_rescale(ch, 1) is ch
     assert adams_rescale(adams_rescale(ch, 2), 3) == adams_rescale(ch, 6)
-    assert dual_ch(ch) == (-a).exp()
+    # psi^(-1) is the character of the dual
+    assert adams_rescale(ch, -1) == (-a).exp()
 
 
 def test_sym_ch_line():

@@ -595,6 +595,19 @@ class TestPicard:
         code, _ = run_cli(capsys, "picard", "--goal", "l1 = 0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--symbols", "a,b", "--relations", "a =", "--goal", "a"],
+            ["--symbols", "a,b", "--relations", "2*a = 0; = b", "--goal", "a"],
+            ["--preset", "mumford", "--goal", ""],
+        ],
+    )
+    def test_empty_side_is_a_usage_error(self, capsys, argv):
+        # read as 0, the empty side of "a =" would derive the goal a
+        err = run_usage_error(capsys, "picard", *argv)
+        assert err.startswith("error: empty side in ")
+
 
 class TestRewrite:
     def test_chain_passes(self, capsys):

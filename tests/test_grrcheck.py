@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from detlam import chowmodel, combinat, grrcheck
-from detlam.charclass import _rank_zero_sym, _sym_weights, adams_rescale, ch_from_chern, dual_ch
+from detlam.charclass import _rank_zero_sym, _sym_weights, adams_rescale, ch_from_chern
 from detlam.charclass import todd_from_chern
 from detlam.chowmodel import (
     ChowModel,
@@ -156,7 +156,7 @@ def _root_ring_universal(d, combo):
     for term in combo:
         s = adams_sym_table(ch_omega, term.sym)[term.sym]
         if term.dual:
-            s = dual_ch(s)
+            s = adams_rescale(s, -1)
         combo_ch = combo_ch + (l * term.twist).exp() * s * term.coeff
     todd = TruncatedSeries.one(vt, bound)
     for r in roots:
@@ -479,6 +479,33 @@ def test_warm_verify_main_normal_forms_only_the_line_classes(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name, params", [("P1xP1", {}), ("Hirzebruch", {"e": 2})])
+def test_warm_verify_main_rescales_once_and_keeps_the_cotangent_classes(monkeypatch, name, params):
+    # d = 1 reads twists 1 and 2; psi^1(ch L) is ch L itself, so one
+    # rescaled series is built, and the G_i are read from the model
+    m = builtin_model(name, **params)
+    line = {g: 3 - 2 * k for k, g in enumerate(m.vars.names)}
+    want = verify_main_on_model(m, line)
+    g = m.cotangent_rank_zero()
+    weighs, builds = [], []
+    weigh = TruncatedSeries._graded_weigh
+    rank_zero = chowmodel._rank_zero_sym
+
+    def counted_weigh(self, weight):
+        weighs.append(list(weight))
+        return weigh(self, weight)
+
+    def counted_rank_zero(*args):
+        builds.append(args)
+        return rank_zero(*args)
+
+    monkeypatch.setattr(TruncatedSeries, "_graded_weigh", counted_weigh)
+    monkeypatch.setattr(chowmodel, "_rank_zero_sym", counted_rank_zero)
+    assert verify_main_on_model(m, line) == want
+    assert weighs == [[2**k for k in range(m.total_dim + 1)]]
+    assert builds == [] and m.cotangent_rank_zero() is g
+
+
 def test_warm_verify_main_takes_one_exp_and_reads_a_cached_combo(monkeypatch):
     m = model_pn_x_pm(2, 1)
     line = {"h": -1, "s": 2}
@@ -503,10 +530,10 @@ def test_warm_verify_main_takes_one_exp_and_reads_a_cached_combo(monkeypatch):
 
 
 def main_report_by_the_psi_series_route(m, line):
-    """``verify_main_on_model`` by the route it took before it read psi^t
-    inside the pairing: psi^t(ch L) built at every twist, 1 included, and
-    every pairing, i = 0 included, the degree of the product psi^t(ch L)
-    G_i, with the pairs and weights planned on each call."""
+    """``verify_main_on_model`` by a route with no shortcut: psi^t(ch L)
+    built at every twist, 1 included, and every pairing, i = 0 included,
+    the degree of the product psi^t(ch L) G_i, with the pairs and weights
+    planned on each call."""
     d = m.rel_dim
     line = dict(line)
     ch_line = grrcheck._line_ch(m, line)
@@ -986,6 +1013,12 @@ def test_parse_linear_expr():
         parse_linear_expr("13*lX", sym)
     with pytest.raises(DomainError):
         parse_linear_expr("l0 = l1 = l2", sym)
+    # 0 is the explicit empty side; an empty expression or side is an error
+    assert parse_linear_expr("0", sym) == [0, 0, 0]
+    assert parse_linear_expr("0 = l2", sym) == [0, 0, -1]
+    for text in ("", "  ", "l0 =", "l0 = ", "= l1", " = ", "="):
+        with pytest.raises(DomainError, match="^empty side in "):
+            parse_linear_expr(text, sym)
 
 
 def test_relation_sets_do_not_merge_formally():
