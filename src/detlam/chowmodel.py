@@ -17,7 +17,11 @@ its key leaves every field nonnegative, and keys add without carry in the
 window, so ``key - lead + key(replacement)`` is the rewritten monomial.
 One table maps each key to its normal form as integer numerators over
 keys and one denominator. A key cannot hold a monomial above total_dim,
-so the table holds window monomials only.
+so the table holds window monomials only. The arithmetic on those entries
+is ``exactalg``'s, the one owner of the format: a rule's replacement is
+converted by ``_over_lcm``, a rewrite and ``normal_form`` sum entries by
+``_accumulate``, and a rewrite's entry is put in lowest terms by
+``_reduced``.
 
 Integration is the intersection pairing A^k x A^(n-k) -> A^n = Q, n =
 total_dim (Fulton, *Intersection Theory*, 1984, section 19.1): the integral
@@ -56,13 +60,14 @@ Built-in presentations:
 """
 
 import json
+import re
 from functools import reduce
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 
 from .charclass import _rank_zero_sym, adams_rescale, ch_from_chern
 from .exactalg import DomainError, StructureError, TruncatedSeries, VarTable
-from .exactalg import _as_rational, _reduced, _series
+from .exactalg import _accumulate, _as_rational, _over_lcm, _reduced, _series
 
 __all__ = [
     "ModelError",
@@ -153,21 +158,6 @@ def _check_window(name: str, weights: tuple[int, ...], top: int):
                 f"model {name!r} has more than MAX_MODEL_WINDOW = {MAX_MODEL_WINDOW} "
                 f"monomials of degree <= {last} to validate"
             )
-
-
-def _accumulate(parts) -> tuple[dict, int]:
-    """sum m * image / den over the (m, (image, den)) pairs of normal-form
-    entries, as integer numerators over one denominator, zeros dropped."""
-    den = reduce(lcm, (d for _, (_, d) in parts), 1)
-    acc: dict[int, int] = {}
-    get = acc.get
-    for m, (image, d) in parts:
-        m *= den // d
-        for k, v in image.items():
-            acc[k] = get(k, 0) + m * v
-    if 0 in acc.values():
-        acc = {k: v for k, v in acc.items() if v}
-    return acc, den
 
 
 class ChowModel:
@@ -284,8 +274,8 @@ class ChowModel:
 
     def _pack(self, lead, terms):
         """A rule as the lead's key and the replacement's normal-form entry."""
-        key, den = self._lay.key, reduce(lcm, (c.denominator for _, c in terms), 1)
-        return key(lead), ({key(e): c.numerator * (den // c.denominator) for e, c in terms}, den)
+        key = self._lay.key
+        return key(lead), _over_lcm([(key(e), c) for e, c in terms])
 
     def _reduce(self, key: int, exps: tuple[int, ...] | None = None) -> tuple[dict, int]:
         """Normal form of the window monomial ``key`` (exponents ``exps``,
@@ -303,8 +293,8 @@ class ChowModel:
                 lead, (terms, rden) = self._packed[first]
                 rest = key - lead
                 acc, den = _accumulate([(c, self._reduce(rest + k)) for k, c in terms.items()])
-                g = reduce(gcd, acc.values(), den * rden)
-                image = {k: v // g for k, v in acc.items()}, den * rden // g
+                nf = _reduced(self._ring, acc, den * rden)
+                image = nf._num, nf._den
             self._nf[key] = image
         return image
 
@@ -403,12 +393,12 @@ class ChowModel:
         built as one series: the one entry for every line bundle.
 
         A zero coefficient is checked but adds no term. Each other term is
-        written as its packed key, degree 1 over a single exponent 1, so a
-        line takes time linear in its generator count. On a model of
-        total_dim 0 a degree-1 term lies above the window and is dropped.
+        written as its generator's packed key (``_Layout.gen``, the key
+        ``TruncatedSeries.gen`` writes), so a line takes time linear in its
+        generator count. On a model of total_dim 0 a degree-1 term lies
+        above the window and is dropped.
         """
-        vars_, lay = self.vars, self._lay
-        n, width = len(vars_), lay.width
+        vars_, gen = self.vars, self._lay.gen
         num = {}
         for gname, a in coeffs.items():
             if type(a) is not int:
@@ -417,7 +407,7 @@ class ChowModel:
             if vars_.weights[i] != 1:
                 raise ModelError(f"generator {gname} has weight > 1; not a divisor class")
             if a and self.total_dim:
-                num[(1 << lay.dshift) | (1 << (n - 1 - i) * width)] = a
+                num[gen(i)] = a
         return _series(self._ring, num, 1)
 
     def _check_ring(self, series: TruncatedSeries):
@@ -605,6 +595,11 @@ def model_hirzebruch(e: int) -> ChowModel:
     )
 
 
+# P<n> and P<n>xP<m>, in ASCII digits only: int() alone would also read
+# "1_0", "+2", " 2" and non-ASCII digits
+_PROJECTIVE_NAME = re.compile(r"p([0-9]+)(?:xp([0-9]+))?")
+
+
 def builtin_model(name: str, n: int | None = None, m: int | None = None, e: int | None = None) -> ChowModel:
     """Dispatch a built-in model by CLI-style name and parameters."""
     key = name.strip().lower()
@@ -616,21 +611,18 @@ def builtin_model(name: str, n: int | None = None, m: int | None = None, e: int 
         if n is None or m is None:
             raise ModelError("PnxPm needs --n and --m")
         return model_pn_x_pm(n, m)
-    if key.startswith("p") and "x" in key and key.count("p") == 2:
-        # forms like P1xP1 / P2xP1
-        try:
-            left, right = key[1:].split("xp")
-            n, m = int(left), int(right)
-        except ValueError as exc:
-            raise ModelError(f"cannot parse product model {name!r}") from exc
-        return model_pn_x_pm(n, m)
     if key == "hirzebruch":
         if e is None:
             raise ModelError("Hirzebruch needs --e")
         return model_hirzebruch(e)
-    if key.startswith("p") and key[1:].isdigit():
-        return model_pn(int(key[1:]))
-    raise ModelError(f"unknown model {name!r}")
+    match = _PROJECTIVE_NAME.fullmatch(key)
+    if match is None:
+        raise ModelError(f"unknown model {name!r}")
+    try:
+        dims = [int(g) for g in match.groups() if g is not None]
+    except ValueError:  # past Python's int-from-text digit limit
+        raise ModelError(f"unknown model {name!r}") from None
+    return model_pn(*dims) if len(dims) == 1 else model_pn_x_pm(*dims)
 
 
 # ----------------------------------------------------------------------

@@ -32,25 +32,37 @@ Pearce, "Sparse polynomial division using a heap", JSC 46, 2011).
 
 The public surface reads the packed form back: ``terms`` is an exponents ->
 ``Fraction`` view whose length is the stored term count, and ``to_obj``
-and ``repr`` unpack on demand. These callers in the package work on the
-packed form directly: ``charclass.adams_rescale`` and
-``charclass._rank_zero_sym`` (through ``_graded_weigh``, which scales each
-degree by its own integer, and the latter also through ``_combine``),
-``charclass.power_sums`` and ``ch_from_chern`` (through
-``_power_sums``, the series of the integer components of ``_newton``,
-Newton's recurrence on integer numerators, and ``_combine``, a weighted sum
-over one common denominator), ``todd_from_chern`` (through
-``_multiplicative_class``, which feeds the components of ``_newton``
-straight into the exp recurrence), ``charclass._require_unit`` (the
-constant numerator against ``_den``), ``ChowModel.normal_form`` (through
-``_num``, ``_den``, ``_lay`` and ``_reduced``), ``ChowModel.first_chern``
-(which writes c_1(L)'s keys through ``_series``), ``ChowModel._pair``, the
-integer pairing behind every model degree (through ``_num``, ``_den`` and
-the degree field of ``_lay``), and ``grrcheck.verify_main_all_lines``
-(one-key series through ``_series``). ``inverse`` has no product caller,
-since the quotient lab divides its integer series itself; it stays because the
-benchmark's span tracer (``perfbench/tracer.py``) wraps it by name and the
-quotient-lab tests use it in their oracle route.
+and ``repr`` unpack on demand.
+
+This module is the one owner of arithmetic on the packed form. Each
+operation on it has one helper, which every caller in the package uses:
+
+* ``_over_lcm``, coefficients to integer numerators over their lcm: the
+  validating constructor and ``ChowModel._pack`` (a rule's replacement);
+* ``_accumulate``, the weighted sum over a common denominator: ``+``,
+  ``_combine`` (and so ``scale``, the sum of one pair),
+  ``ChowModel.normal_form`` and ``ChowModel._reduce``;
+* ``_reduced``, the lowest-terms pass: every ring operation, and
+  ``ChowModel`` reads its normal-form entries off its result;
+* ``_Layout.gen``, a generator's key: ``TruncatedSeries.gen``,
+  ``ChowModel.first_chern`` and ``grrcheck.verify_main_all_lines``.
+
+Other callers read the packed form without doing that arithmetic:
+``charclass.adams_rescale`` and ``charclass._rank_zero_sym`` (through
+``_graded_weigh``, which scales each degree by its own integer, and the
+latter also through ``_combine``), ``charclass.power_sums`` and
+``ch_from_chern`` (through ``_power_sums``, the series of the integer
+components of ``_newton``, Newton's recurrence on integer numerators, and
+``_combine``), ``todd_from_chern`` (through ``_multiplicative_class``,
+which feeds the components of ``_newton`` straight into the exp
+recurrence), ``charclass._require_unit`` (the constant numerator against
+``_den``), ``ChowModel._pair``, the integer pairing behind every model
+degree (through ``_num``, ``_den`` and the degree field of ``_lay``), and
+``grrcheck.verify_main_all_lines`` (one-key series through ``_series``).
+``inverse`` has no product caller, since the quotient lab divides its
+integer series itself; it stays because the benchmark's span tracer
+(``perfbench/tracer.py``) wraps it by name and the quotient-lab tests use
+it in their oracle route.
 
 ``inverse`` and ``exp`` never multiply whole series. They split the input f
 once into weighted-degree components f_0..f_bound and build the result g one
@@ -223,6 +235,14 @@ class _Layout:
             key >>= width
         return tuple(reversed(out))
 
+    def gen(self, i: int) -> int | None:
+        """The key of generator i's first power, its weight over a single
+        exponent 1; None when the weight lies above the bound."""
+        weight = self.weights[i]
+        if weight > self.bound:
+            return None
+        return (weight << self.dshift) | (1 << (len(self.weights) - 1 - i) * self.width)
+
 
 def _ring_layout(vars: VarTable, bound: int) -> _Layout:
     """The layout of the ring of series in ``vars`` up to ``bound``, after
@@ -277,12 +297,10 @@ class TruncatedSeries:
                 key = lay.key(exps)  # None above the bound
                 if key is not None:
                     clean.append((key, coeff))
-        # over the lcm of reduced denominators (an int's is 1), the
-        # numerators share no factor with it: already in lowest terms
-        den = reduce(lcm, (c.denominator for _k, c in clean), 1)
+        num, den = _over_lcm(clean)
         _set_vars(self, vars)
         _set_lay(self, lay)
-        _set_num(self, {k: c.numerator * (den // c.denominator) for k, c in clean})
+        _set_num(self, num)
         _set_den(self, den)
 
     def __setattr__(self, *a):
@@ -331,16 +349,13 @@ class TruncatedSeries:
 
     @classmethod
     def gen(cls, vars: VarTable, bound: int, name: str) -> "TruncatedSeries":
-        """The generator ``name``, written as its one packed key (degree its
-        weight over a single exponent 1), as ``ChowModel.first_chern`` writes
-        c_1(L); the zero series when its weight lies above the bound."""
+        """The generator ``name``, written as its one packed key
+        (``_Layout.gen``); the zero series when its weight lies above the
+        bound."""
         i = vars.index(name)
         ring = cls.zero(vars, bound)
-        lay, weight = ring._lay, vars.weights[i]
-        if weight > bound:
-            return ring
-        key = (weight << lay.dshift) | (1 << (len(vars) - 1 - i) * lay.width)
-        return _series(ring, {key: 1}, 1)
+        key = ring._lay.gen(i)
+        return ring if key is None else _series(ring, {key: 1}, 1)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -383,23 +398,8 @@ class TruncatedSeries:
             return NotImplemented
         if not other._num:
             return self
-        da, db = self._den, other._den
-        if da == db:
-            acc = dict(self._num)
-            get = acc.get
-            for k, v in other._num.items():
-                acc[k] = get(k, 0) + v
-        else:
-            g = gcd(da, db)
-            ma, mb = db // g, da // g
-            acc = {k: v * ma for k, v in self._num.items()}
-            get = acc.get
-            for k, v in other._num.items():
-                acc[k] = get(k, 0) + v * mb
-            da *= ma
-        if 0 in acc.values():
-            acc = {k: v for k, v in acc.items() if v}
-        return _reduced(self, acc, da)
+        parts = (1, (self._num, self._den)), (1, (other._num, other._den))
+        return _reduced(self, *_accumulate(parts))
 
     __radd__ = __add__
 
@@ -417,19 +417,7 @@ class TruncatedSeries:
         return (-self) + other
 
     def scale(self, value) -> "TruncatedSeries":
-        if isinstance(value, int):
-            # the numerators are coprime to the denominator, so only the
-            # factor gcd(value, denominator) cancels
-            if not value:
-                return _series(self, {}, 1)
-            g = gcd(value, self._den)
-            value //= g
-            return _series(self, {k: v * value for k, v in self._num.items()}, self._den // g)
-        value = _as_rational(value)
-        if not value:
-            return _series(self, {}, 1)
-        n, d = value.numerator, value.denominator
-        return _reduced(self, {k: v * n for k, v in self._num.items()}, self._den * d)
+        return _combine(self, ((value, self),))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -737,7 +725,9 @@ def _series(ring: TruncatedSeries, num: dict, den: int) -> TruncatedSeries:
 
 
 def _reduced(ring: TruncatedSeries, num: dict, den: int) -> TruncatedSeries:
-    """As ``_series``, after taking out the gcd of den and the numerators."""
+    """As ``_series``, after taking out the gcd of den and the numerators:
+    the one lowest-terms pass of the package (``ChowModel._reduce`` reads
+    its normal-form entries off the series it returns)."""
     if den != 1:
         # reduce, not gcd(den, *values): a fresh argument tuple of every
         # size would be parked in the interpreter's tuple free lists
@@ -760,20 +750,47 @@ def _log_weights(log_coeffs: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
     return b, tuple(k * g.numerator * (b**k // g.denominator) for k, g in enumerate(log_coeffs, 1))
 
 
-def _combine(ring: TruncatedSeries, terms) -> TruncatedSeries:
-    """sum w * s over the (weight, series) pairs ``terms``, every series in
-    the ring of ``ring`` and every weight an int or Rational: the numerators
-    are summed over one common denominator and reduced once. An int weight
-    stays an int (its denominator is 1)."""
-    pairs = [(w if type(w) is int else _as_rational(w), s) for w, s in terms]
-    pairs = [(w, s) for w, s in pairs if w and s._num]
-    den = reduce(lcm, (s._den * w.denominator for w, s in pairs), 1)
+def _over_lcm(pairs: list) -> tuple[dict, int]:
+    """The (key, coefficient) pairs, each coefficient a nonzero int or
+    reduced Rational, as integer numerators over the lcm of the
+    denominators (an int's is 1): the one conversion from coefficients to
+    the packed form, shared by ``TruncatedSeries`` and ``ChowModel._pack``.
+    Over that lcm the numerators share no factor with it, so the result is
+    already in lowest terms."""
+    den = reduce(lcm, (c.denominator for _, c in pairs), 1)
+    return {k: c.numerator * (den // c.denominator) for k, c in pairs}, den
+
+
+def _accumulate(parts) -> tuple[dict, int]:
+    """sum m * num / den over the sequence ``parts`` of (m, (num, den)), with
+    an int multiplier m, numerators num on packed keys and a denominator
+    den > 0, as integer numerators over the lcm of the denominators, zeros
+    dropped and not reduced: the one weighted sum of the package, behind
+    ``+``, ``_combine`` and ``ChowModel``'s reduction. (num, den) is the
+    shape of a ``ChowModel`` normal-form entry, so ``normal_form`` passes
+    its table's entries as they are."""
+    den = reduce(lcm, (d for _, (_, d) in parts), 1)
     acc: dict[int, int] = {}
     get = acc.get
-    for w, s in pairs:
-        m = w.numerator * (den // (s._den * w.denominator))
-        for k, v in s._num.items():
-            acc[k] = get(k, 0) + v * m
+    for m, (num, d) in parts:
+        m *= den // d
+        for k, v in num.items():
+            acc[k] = get(k, 0) + m * v
     if 0 in acc.values():
         acc = {k: v for k, v in acc.items() if v}
-    return _reduced(ring, acc, den)
+    return acc, den
+
+
+def _combine(ring: TruncatedSeries, terms) -> TruncatedSeries:
+    """sum w * s over the (weight, series) pairs ``terms``, every series in
+    the ring of ``ring`` and every weight an int or Rational (no bool): one
+    ``_accumulate`` over a common denominator, reduced once by
+    ``_reduced``. ``scale`` is the sum of one pair. An int weight stays an
+    int (its denominator is 1)."""
+    parts = []
+    for w, s in terms:
+        if type(w) is not int:
+            w = _as_rational(w)
+        if w:
+            parts.append((w.numerator, (s._num, s._den * w.denominator)))
+    return _reduced(ring, *_accumulate(parts))

@@ -512,10 +512,11 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     m pairs with its degree-(total_dim - m) component.
     Each g^alpha goes to the integer pairing ``ChowModel._pair`` as a
     one-term series on its packed key, the sum of its generators' keys
-    (keys add without carry in the window), so no exponent vector is built
-    or checked per monomial; c_alpha is tested as an integer numerator, and
-    a ``Rational`` is built only for a failing alpha. The terms are those
-    of ``main_combo(d)``, as for ``verify_main_on_model``.
+    (``_Layout.gen``, in generator order; keys add without carry in the
+    window), so no exponent vector is built or checked per monomial;
+    c_alpha is tested as an integer numerator, and a ``Rational`` is built
+    only for a failing alpha. The terms are those of ``main_combo(d)``, as
+    for ``verify_main_on_model``.
 
     Unlike the per-line route, the verdict does no integrality check: each
     c_alpha is an exact rational that is only tested for zero. On a model
@@ -538,18 +539,16 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
         x = x + w._graded_weigh([t ** (top - k) for k in range(top + 1)])
     x = model.normal_form(x)
     ones = [k for k, w in enumerate(vt.weights) if w == 1]
-    # c_1 of the line with every coefficient 1 has one term per weight-one
-    # generator, on its packed key, in generator order
-    c1 = model.first_chern({vt.names[k]: 1 for k in ones})
-    exps = model._lay.exps
+    lay = model._lay
+    keys = [lay.gen(k) for k in ones]
     failing = []
     for m in range(top + 1):
         v = x.component(top - m)
-        for picks in combinations_with_replacement(c1._num, m):
+        for picks in combinations_with_replacement(keys, m):
             key = sum(picks)
-            num, den = model._pair(_series(c1, {key: 1}, 1), v)
+            num, den = model._pair(_series(x, {key: 1}, 1), v)
             if num:
-                alpha = exps(key)
+                alpha = lay.exps(key)
                 failing.append((tuple(alpha[k] for k in ones), Rational(num, den)))
     return AllLinesReport(
         generators=tuple(vt.names[k] for k in ones),
@@ -649,7 +648,8 @@ def picard_deduce(symbols, relations, goal) -> DeduceReport:
     return DeduceReport(symbols=symbols, goal=goal_vec, derivable=not any(rem), remainder=rem)
 
 
-_TOKEN = re.compile(r"[A-Za-z_]\w*|\d+|\S")
+_TOKEN = re.compile(r"[A-Za-z_]\w*|[0-9]+|\S")
+_SYMBOL = re.compile(r"[A-Za-z_]\w*\Z")
 
 
 def _parse_terms(text: str, symbols, vec, flip: bool):
@@ -671,25 +671,30 @@ def _parse_terms(text: str, symbols, vec, flip: bool):
                 raise DomainError(f"misplaced sign in {text!r}")
             i += 1
             continue
-        if t.isdigit():
+        # _TOKEN reads ASCII digits only as one whole token
+        number = t[0] in "0123456789"
+        if not number and not _SYMBOL.match(t):
+            raise DomainError(f"unexpected token {t!r} in {text!r}")
+        if not expect_term:
+            raise DomainError(f"missing operator before {t!r} in {text!r}")
+        i += 1
+        if number:
             if pending is not None:
                 raise DomainError(f"two coefficients in a row in {text!r}")
-            pending = int(t)
-            i += 1
+            try:
+                pending = int(t)
+            except ValueError:  # past Python's int-from-text digit limit
+                raise DomainError(f"a coefficient of {len(t)} digits is too long") from None
             if i < len(tokens) and tokens[i] == "*":
                 i += 1
             continue
-        if re.fullmatch(r"[A-Za-z_]\w*", t):
-            if t not in index:
-                raise DomainError(f"unknown symbol {t!r}")
-            coeff = (pending if pending is not None else 1) * sign
-            vec[index[t]] += -coeff if flip else coeff
-            pending = None
-            sign = 1
-            expect_term = False
-            i += 1
-            continue
-        raise DomainError(f"unexpected token {t!r} in {text!r}")
+        if t not in index:
+            raise DomainError(f"unknown symbol {t!r}")
+        coeff = (pending if pending is not None else 1) * sign
+        vec[index[t]] += -coeff if flip else coeff
+        pending = None
+        sign = 1
+        expect_term = False
     if pending is not None:
         if pending != 0:
             raise DomainError(f"constant terms are not allowed: {text!r}")

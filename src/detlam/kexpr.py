@@ -403,7 +403,7 @@ def render_canonical(canon) -> list[str]:
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
-_INT = re.compile(r"-?\d+\Z")
+_INT = re.compile(r"-?[0-9]+\Z")
 _NAME = re.compile(r"[A-Za-z_]\w*\Z")
 
 # Deepest form nesting parse_expr accepts. The shipped chains nest at most 8

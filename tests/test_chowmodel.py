@@ -126,6 +126,21 @@ def test_first_chern_drops_every_term_above_a_point_window():
     assert first_chern_by_exponents(pt, {"h": 3}).is_zero()
 
 
+def test_builtin_model_names():
+    assert chowmodel.builtin_model(" P2xP1 ").name == "P2xP1"
+    assert chowmodel.builtin_model("p3").name == "P3"
+
+
+@pytest.mark.parametrize(
+    "name", ["P1_0xP1", "P+2xP1", "P 2xP1", "P\u0663", "P\u0661xP\u0661", "P2xP", "Px1", "P2xP1x"]
+)
+def test_builtin_model_names_read_ascii_digits_only(name):
+    # int() alone reads "1_0" as 10, "+2" and " 2" as 2 and Arabic-Indic
+    # digits as their values
+    with pytest.raises(ModelError, match="^unknown model "):
+        chowmodel.builtin_model(name)
+
+
 # ----------------------------------------------------------------------
 # Hirzebruch surfaces
 
@@ -745,6 +760,7 @@ class RulesOnly(ChowModel):
         self.vars = VarTable(generators)
         self.total_dim = total_dim
         self._lay = self.vars._layout(total_dim)
+        self._ring = TruncatedSeries.zero(self.vars, total_dim)
         self.rules, self._leads_at, self._packed = self._parse_rules(relations)
         self._nf = {}
 

@@ -377,6 +377,20 @@ class TestModelCommands:
         code, _ = run_cli(capsys, "euler", "--model", "P1xP1", "--line", "1,1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-main", "--model", "P1_0xP1", "--line", "1,1"],
+            ["verify-main", "--model", "P+2xP1", "--line", "1,1"],
+            ["c1lambda", "--model", "P 2xP1", "--line", "1,1"],
+            ["verify-main", "--model", "P\u0661xP\u0661", "--line", "1,1"],
+            ["euler", "--model", "P\u0663", "--line", "1"],
+        ],
+    )
+    def test_model_name_outside_ascii_digits_is_usage_error(self, capsys, argv):
+        err = run_usage_error(capsys, *argv)
+        assert err.startswith("error: unknown model ")
+
     def test_missing_model_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "c1lambda", "--line", "1,1")
         assert code == 2
@@ -607,6 +621,21 @@ class TestPicard:
         # read as 0, the empty side of "a =" would derive the goal a
         err = run_usage_error(capsys, "picard", *argv)
         assert err.startswith("error: empty side in ")
+
+    @pytest.mark.parametrize(
+        "relations, message",
+        [
+            ("a b = 0", "missing operator before 'b'"),
+            ("a 2 b = 0", "missing operator before '2'"),
+            ("\u0663 a = 0", "unexpected token '\u0663'"),
+        ],
+    )
+    def test_term_where_an_operator_belongs_is_a_usage_error(self, capsys, relations, message):
+        # read as a + b = 0, "a b = 0" would derive the goal a = -b
+        err = run_usage_error(
+            capsys, "picard", "--symbols", "a,b", "--relations", relations, "--goal", "a = -b"
+        )
+        assert err.startswith(f"error: {message} in ")
 
 
 class TestRewrite:

@@ -150,6 +150,17 @@ def test_zero_denominator_text_is_a_structural_error(text):
         exactalg._as_rational("x/0")
 
 
+def test_a_bool_is_not_a_scalar():
+    # True == 1, but a bool is refused as a weight on every route, as in
+    # the constructor and in series + True
+    x = TruncatedSeries.gen(X, 3, "x")
+    for op in (lambda: x.scale(True), lambda: x * True, lambda: False * x, lambda: x + True):
+        with pytest.raises(StructureError, match="^not an exact rational: "):
+            op()
+    with pytest.raises(StructureError, match="^not an exact rational: "):
+        exactalg._combine(x, [(1, x), (True, x)])
+
+
 def test_weighted_truncation():
     vt = VarTable([("c1", 1), ("c2", 2)])
     c1 = TruncatedSeries.gen(vt, 2, "c1")
@@ -492,6 +503,10 @@ def test_kernel_ring_operations_match_reference(case, value):
     assert_matches(sa * sb, ref_mul(w, bound, a, b))
     assert_matches(sa.scale(value), ref_scale(w, bound, a, value))
     assert_matches(sa * 6, ref_scale(w, bound, a, Rational(6)))
+    assert_matches(
+        exactalg._combine(sa, [(3, sa), (value, sb), (0, sb)]),
+        ref_add(w, bound, ref_scale(w, bound, a, 3), ref_scale(w, bound, b, value)),
+    )
     for k in range(bound + 2):
         assert_matches(sa.component(k), ref_component(w, a, k))
 

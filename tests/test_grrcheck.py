@@ -7,6 +7,7 @@ counting), and the integer lattice deductions.
 """
 
 import random
+import sys
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -420,6 +421,23 @@ def twisted_p1xp1():
         {"exponents": e, "coeff": c} for e, c in [([0, 0], "1"), ([1, 0], "2"), ([0, 1], "12")]
     ]
     return load_model(obj)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: model_pn_x_pm(2, 1), lambda: model_hirzebruch(2), lambda: power_family(2, 3)],
+    ids=["P2xP1", "F2", "P2^3xP1"],
+)
+def test_first_chern_of_one_generator_is_the_generator_series(build):
+    # first_chern, TruncatedSeries.gen and verify_main_all_lines all write a
+    # generator's key through _Layout.gen; the exponent route checks it
+    m = build()
+    n = len(m.vars)
+    for i, (g, w) in enumerate(zip(m.vars.names, m.vars.weights)):
+        assert w == 1
+        c1 = m.first_chern({g: 1})
+        assert c1 == TruncatedSeries.gen(m.vars, m.total_dim, g)
+        assert c1 == TruncatedSeries(m.vars, m.total_dim, {tuple(int(j == i) for j in range(n)): 1})
 
 
 @pytest.mark.parametrize(
@@ -1019,6 +1037,22 @@ def test_parse_linear_expr():
     for text in ("", "  ", "l0 =", "l0 = ", "= l1", " = ", "="):
         with pytest.raises(DomainError, match="^empty side in "):
             parse_linear_expr(text, sym)
+    # a term where an operator belongs is an error, never read as a sum
+    for text in ("l0 l1", "l0 2 l1", "l0 = l1 l2", "l0 0", "2*l0 3"):
+        with pytest.raises(DomainError, match="^missing operator before "):
+            parse_linear_expr(text, sym)
+    # ASCII digits only: int() would read the Arabic-Indic three as 3
+    for text in ("\u0663 l0", "l0 = \u0663*l1"):
+        with pytest.raises(DomainError, match="^unexpected token "):
+            parse_linear_expr(text, sym)
+
+
+def test_parse_linear_expr_refuses_a_coefficient_past_the_int_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts text of any length to int")
+    with pytest.raises(DomainError, match=f"^a coefficient of {limit + 1} digits is too long$"):
+        parse_linear_expr("1" * (limit + 1) + " l0", ["l0"])
 
 
 def test_relation_sets_do_not_merge_formally():

@@ -494,6 +494,8 @@ class TestExpressionStrings:
             "3",
             "(lam A)",
             "",
+            # ASCII digits only: int() would read the Arabic-Indic three as 3
+            "(lam A \u0663)",
         ],
     )
     def test_parse_rejects(self, text):
