@@ -247,7 +247,9 @@ class ChowModel:
                 raise ModelError(f"duplicate rule lead {lead!r}")
             seen.add(lead)
             degree = sum(weights[i] * a for i, a in support)
-            terms = []
+            # a monomial written twice is one term, at its first place, with
+            # the coefficients summed, so the rule printed is the rule applied
+            terms = {}
             for exps, coeff in replace:
                 exps = self._exponents(exps, "replacement exponents")
                 coeff = _as_rational(coeff)
@@ -260,8 +262,10 @@ class ChowModel:
                     raise ModelError(
                         f"rule {lead!r} is not strictly decreasing; would not terminate"
                     )
-                terms.append((exps, coeff))
-            parsed.append((degree, lead, tuple(terms), support))
+                terms[exps] = terms.get(exps, 0) + coeff
+            if not all(terms.values()):
+                raise ModelError(f"replacement coefficients in rule {lead!r} sum to zero")
+            parsed.append((degree, lead, tuple(terms.items()), support))
         parsed.sort(key=lambda rule: rule[:2], reverse=True)
         index: dict[int, list] = {}
         for pos, (*_, support) in enumerate(parsed):

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import time
 from functools import cache, partial
@@ -93,12 +94,26 @@ def _emit(args, obj) -> None:
 # shared option plumbing
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer typed at the command line: ASCII digits with an optional
+    leading "-", as model names and variable degrees are read. int() alone
+    would also read "1_0", "+3", spaces and non-ASCII digits. The one reader
+    of every integer flag and of each ``--line`` value."""
+    if _INTEGER.fullmatch(text):
+        with contextlib.suppress(ValueError):  # past Python's int-from-text digit limit
+            return int(text)
+    raise argparse.ArgumentTypeError(f"not an integer: {text[:40]!r}")
+
+
 def _add_model_flags(sub) -> None:
     sub.add_argument("--model", help="built-in model name (Pn, PnxPm, Hirzebruch, P2, P1xP1, ...)")
     sub.add_argument("--model-file", help="JSON model description")
-    sub.add_argument("--n", type=int, default=None, help="first projective dimension")
-    sub.add_argument("--m", type=int, default=None, help="second projective dimension")
-    sub.add_argument("--e", type=int, default=None, help="Hirzebruch twisting parameter")
+    sub.add_argument("--n", type=_integer, default=None, help="first projective dimension")
+    sub.add_argument("--m", type=_integer, default=None, help="second projective dimension")
+    sub.add_argument("--e", type=_integer, default=None, help="Hirzebruch twisting parameter")
 
 
 def _load_model(args):
@@ -112,8 +127,8 @@ def _load_model(args):
 def _parse_line(model, text):
     parts = [p.strip() for p in str(text).split(",")]
     try:
-        values = [int(p) for p in parts]
-    except ValueError:
+        values = [_integer(p) for p in parts]
+    except argparse.ArgumentTypeError:
         shown = repr(text)  # a big file's line: echo only the ends
         if len(shown) > 80:
             shown = f"{shown[:40]}...{shown[-20:]} ({len(text)} characters)"
@@ -538,22 +553,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", parents=[common], help="exponent table for one dimension")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_integer, required=True)
     p.set_defaults(fn=_cmd_coeffs)
 
     p = sub.add_parser("polyid", parents=[common], help="telescoping polynomial identity")
-    p.add_argument("--max-k", type=int, default=64)
+    p.add_argument("--max-k", type=_integer, default=64)
     p.set_defaults(fn=_cmd_polyid)
 
     p = sub.add_parser("universal", parents=[common], help="universal defect vanishing")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_integer, required=True)
     p.add_argument("--combo", choices=["main", "deligne"], default="main")
     p.add_argument("--allow-degenerate", action="store_true")
     p.set_defaults(fn=_cmd_universal)
 
     p = sub.add_parser("ducrot", parents=[common], help="pairing-block triviality")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--factors", type=int, default=None)
+    p.add_argument("--dim", type=_integer, required=True)
+    p.add_argument("--factors", type=_integer, default=None)
     p.set_defaults(fn=_cmd_ducrot)
 
     p = sub.add_parser("c1lambda", parents=[common], help="degree of the determinant line")
@@ -580,18 +595,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rewrite", parents=[common], help="verify a proof chain")
     p.add_argument("--chain", choices=kexpr.builtin_chain_names(), default=None)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=_integer, default=1)
     p.add_argument("--script", default=None, help="chain script JSON file")
-    p.add_argument("--corrupt", type=int, default=None, help="corrupt step N first")
+    p.add_argument("--corrupt", type=_integer, default=None, help="corrupt step N first")
     p.set_defaults(fn=_cmd_rewrite)
 
     p = sub.add_parser("quotient", parents=[common], help="sign-quotient flatness verdict")
     p.add_argument("--vars", required=True, help='e.g. "x:1:odd,y:1:even"')
-    p.add_argument("--bound", type=int, default=quotientlab.DEFAULT_BOUND)
+    p.add_argument("--bound", type=_integer, default=quotientlab.DEFAULT_BOUND)
     p.set_defaults(fn=_cmd_quotient)
 
     p = sub.add_parser("verify-all", parents=[common], help="run every check suite")
-    p.add_argument("--max-dim", type=int, default=4)
+    p.add_argument("--max-dim", type=_integer, default=4)
     p.set_defaults(fn=_cmd_verify_all)
 
     return parser

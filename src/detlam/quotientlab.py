@@ -49,7 +49,11 @@ verdict takes time linear in the window while D is small against it (when D
 reaches the window, as long as a dense division). den_0 = 1, so the division
 divides by no coefficient and every r_n is an integer; it is exact for any
 integer lists with den_0 = 1 (Knuth, The Art of Computer Programming, vol.
-2, section 4.7). The short divisor makes it fast, not correct.
+2, section 4.7). The short divisor makes it fast, not correct. (P + M) / 2
+sums t^(degree sum) over the even-size subsets of the odd variables, so with
+at most one odd variable it is 1 (K = 0; also when every two odd degrees sum
+past the window), and the division returns the numerator with no pass over
+the window: the reflection case, where R is free over R0.
 
 The ratio alone decides NOT-FREE, so a NOT-FREE verdict builds no Hilbert
 series. HS_R and HS_{R0} serve only the defect test below, which certifies
@@ -76,13 +80,10 @@ from .exactalg import DomainError, StructureError
 
 __all__ = [
     "GradedAlgebra",
-    "FixedIdeal",
     "FlatnessReport",
     "hilbert_series",
     "signed_hilbert_series",
     "invariants_hs",
-    "fixed_ideal",
-    "conormal_degree_zero",
     "flatness_verdict",
     "quotient_report",
     "DEFAULT_BOUND",
@@ -224,36 +225,6 @@ def invariants_hs(
 
 
 @record
-class FixedIdeal:
-    generators: tuple
-    cartier: bool
-    fixed_locus_is_everything: bool
-
-
-def fixed_ideal(algebra: GradedAlgebra) -> FixedIdeal:
-    """Generators of the ideal cut out by the non-invariant part."""
-    gens = tuple(name for name, _d, p in algebra.variables if p == 1)
-    return FixedIdeal(gens, len(gens) == 1, len(gens) == 0)
-
-
-def conormal_degree_zero(algebra: GradedAlgebra) -> bool:
-    """True when the parity-0 part of the conormal module vanishes.
-
-    Requires a Cartier fixed ideal; its single generator x spans (x)/(x^2),
-    and the parity of that generator decides the claim. ``fixed_ideal`` takes
-    exactly the odd variables as generators, so that generator is odd and the
-    answer is True for every Cartier fixed ideal by construction: the report
-    states the fact, it is not a test that can fail.
-    """
-    fi = fixed_ideal(algebra)
-    if not fi.cartier:
-        raise DomainError("conormal grading needs a Cartier fixed ideal")
-    (name,) = fi.generators
-    parity = next(p for n, _d, p in algebra.variables if n == name)
-    return parity == 1
-
-
-@record
 class FlatnessReport:
     verdict: str
     bound: int
@@ -301,10 +272,14 @@ def _divide(num: list[int], den: list[int]) -> tuple:
     den_k nonzero. The taps den_K..den_1 meet the K newest r, behind K
     leading zeros, in one ``sum(map(mul, ...))``, so the inner sum runs in C.
     The quotient is the ratio that decides NOT-FREE with no Hilbert series
-    built; those serve only the FREE certification and the report."""
+    built; those serve only the FREE certification and the report. With no
+    tap left (K = 0) the divisor is 1 and the numerator is returned as it is.
+    """
     k = len(den) - 1
     while k and not den[k]:
         k -= 1
+    if not k:
+        return tuple(num)
     taps = den[k:0:-1]
     ratio = [0] * k
     for n, c in enumerate(num):
@@ -368,7 +343,6 @@ def _verdict(algebra: GradedAlgebra, bound: int, series) -> FlatnessReport:
 
 def quotient_report(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> dict:
     """Full JSON-ready verdict for one algebra."""
-    fi = fixed_ideal(algebra)
     hs, inv = series = _series_pair(algebra, bound)
     rep = _verdict(algebra, bound, series)
     return {
@@ -379,8 +353,8 @@ def quotient_report(algebra: GradedAlgebra, bound: int = DEFAULT_BOUND) -> dict:
         "ratio": list(rep.ratio_coeffs),
         "verdict": rep.verdict,
         "basis": list(rep.basis) if rep.basis is not None else None,
-        "cartier": fi.cartier,
-        "conormal_degree_zero": conormal_degree_zero(algebra) if fi.cartier else None,
+        # the fixed ideal, generated by the odd variables, is principal
+        "cartier": len(algebra.odd_variables) == 1,
         "witness": rep.witness,
         "note": rep.note,
     }

@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from detlam import chowmodel
+from detlam import chowmodel, grrcheck
 from detlam.charclass import adams_rescale
 from detlam.chowmodel import (
     ChowModel,
@@ -212,6 +212,34 @@ def test_model_json_round_trip():
     m2 = load_model(obj)
     assert integrate(m2, mono(m2, (2, 0)), one(m2)) == -3
     assert m2.to_obj() == obj
+
+
+def _f1_with_z_squared(replace):
+    """F1's model description with the rule z^2 = -z f replaced."""
+    obj = model_hirzebruch(1).to_obj()
+    (rule,) = (r for r in obj["relations"] if r["lead"] == [2, 0])
+    rule["replace"] = replace
+    return obj
+
+
+def test_repeated_replacement_monomial_is_one_summed_term(tmp_path):
+    # z^2 = -z f written as two -1/2 z f terms reduces, and prints, as F1
+    half = {"exponents": [1, 1], "coeff": "-1/2"}
+    path = tmp_path / "f1.json"
+    path.write_text(json.dumps(_f1_with_z_squared([half, half])), encoding="utf-8")
+    m = load_model_file(str(path))
+    assert grrcheck.c1_lambda(m, {"z": 1, "f": 1}) == 1
+    assert m.to_obj()["relations"][0] == {
+        "lead": [2, 0],
+        "replace": [{"exponents": [1, 1], "coeff": "-1"}],
+    }
+    assert m.to_obj() == model_hirzebruch(1).to_obj()
+
+
+def test_replacement_terms_summing_to_zero_are_refused():
+    half = {"exponents": [1, 1], "coeff": "1/2"}
+    with pytest.raises(ModelError, match=r"rule \(2, 0\) sum to zero"):
+        load_model(_f1_with_z_squared([half, {**half, "coeff": "-1/2"}]))
 
 
 def test_load_model_from_schema_dict():

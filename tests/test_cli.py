@@ -559,8 +559,12 @@ class TestModelCommands:
                 ",".join(["0"] * 1499 + ["x"]),
                 "'0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0...0,0,0,0,0,0,0,0,0,x' (2999 characters)",
             ),
+            # int() alone reads these as (3, 10), (10, 1) and (1, 2)
+            (2, "\u0663,1_0", "'\u0663,1_0'"),
+            (2, "1_0,1", "'1_0,1'"),
+            (2, "+1,2", "'+1,2'"),
         ],
-        ids=["short", "1500-generators"],
+        ids=["short", "1500-generators", "arabic-indic-digit", "underscore", "plus"],
     )
     def test_bad_line_error_echoes_the_ends_of_a_long_value(
         self, capsys, tmp_path, k, line, want
@@ -569,6 +573,11 @@ class TestModelCommands:
         err = run_usage_error(capsys, "euler", "--model-file", str(path), "--line", line)
         assert err == f"error: bad --line value {want}\n"
         assert len(err.encode("utf-8")) < 200
+
+    def test_spaces_around_line_values_are_read(self, capsys):
+        spaced = run_cli(capsys, "verify-main", "--model", "P1xP1", "--line", " -3 , 2 ")
+        assert spaced == run_cli(capsys, "verify-main", "--model", "P1xP1", "--line=-3,2")
+        assert spaced[0] == 0
 
 
 class TestPicard:
@@ -941,13 +950,13 @@ class TestQuotient:
         assert obj["verdict"] == "FREE"
         assert obj["basis"] == ["1", "x"]
         assert obj["cartier"] is True
-        assert obj["conormal_degree_zero"] is True
+        assert "conormal_degree_zero" not in obj
 
     def test_not_free_is_conclusive(self, capsys):
         code, obj = run_json(capsys, "quotient", "--vars", "x:1:odd,y:1:odd")
         assert code == 0
         assert obj["verdict"] == "NOT-FREE"
-        assert obj["conormal_degree_zero"] is None
+        assert obj["cartier"] is False
 
     def test_inconclusive_exits_one(self, capsys):
         code, obj = run_json(
@@ -1260,6 +1269,34 @@ class TestClosedStdout:
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2
+
+    # every integer flag, each with a value int() alone would read: a
+    # non-ASCII digit (3 or 1), an underscore (10), a plus sign and a space
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["coeffs"], "--dim", "\u0661"),
+            (["polyid"], "--max-k", "1_0"),
+            (["universal"], "--dim", "+1"),
+            (["ducrot", "--dim", "2"], "--factors", " 3"),
+            (["euler", "--model", "Pn", "--line", "1"], "--n", "\u0663"),
+            (["c1lambda", "--model", "PnxPm", "--n", "1", "--line", "1,1"], "--m", "1_0"),
+            (["c1lambda", "--model", "Hirzebruch", "--line", "1,1"], "--e", "+1"),
+            (["rewrite", "--chain", "multadd-d1"], "--dim", "\u0661"),
+            (["rewrite", "--chain", "multadd-d1"], "--corrupt", "1_0"),
+            (["quotient", "--vars", "x:1:odd"], "--bound", "6_0"),
+            (["verify-all"], "--max-dim", "+1"),
+        ],
+        ids=[
+            "coeffs-dim", "polyid-max-k", "universal-dim", "ducrot-factors", "n", "m", "e",
+            "rewrite-dim", "rewrite-corrupt", "quotient-bound", "verify-all-max-dim",
+        ],
+    )
+    def test_integer_flag_outside_ascii_digits_is_usage_error(self, capsys, argv, flag, value):
+        code = main([*argv, flag, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: argument {flag}: not an integer: {value!r}" in captured.err
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

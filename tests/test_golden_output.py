@@ -77,7 +77,7 @@ GOLDEN = {
     "universal --dim 8": ("4a886a11f11aad7ab24fde4f08dd0a8c3749f0d6ccd212ba080ecdfa7816b6f0", 0),
     "verify-main --model PnxPm --n 3 --m 1 --line 1,1": ("c24634ef5cf9ce1542c1857f8cfd3e5affcf1d488db777bc1ed832bce64a5a28", 0),
     "verify-main --model Hirzebruch --e 3 --line 2,3": ("b68c07c0a87f4fb2f0137199294271158e13b6b101bfeeb52f538259e3c40f44", 0),
-    "quotient --vars a:1:odd,b:2:odd,c:3:even,d:1:even --bound 200": ("6befa563e2081d1dd71b390c485e21beb2eac7e7a9a784c1928e49949c838da2", 0),
+    "quotient --vars a:1:odd,b:2:odd,c:3:even,d:1:even --bound 200": ("d64951a02aa1123c43c47066b0a6bb71259e58493a2dbd93e1af199028f8cbd3", 0),
     "ducrot --dim 9": ("9283e97a167243a64920a0e5435fc9fd0619b2c1c4a6e8951f71e66492971f2b", 0),
     "universal --dim 1 --combo deligne": ("217682e9d55094874280542d43570d22a55b24c2f3324ae7442f1f60424d3589", 0),
     "coeffs --dim 1": ("3df3a5aa681563b66950a070da0ad419736afd4844b0e4fb93d2fe1639c9bdc6", 0),
@@ -97,7 +97,7 @@ GOLDEN = {
     "euler --model P1 --line -3": ("4a189db6420a10a6983f361a4f28878baff94dbaab011ddddb41769d581ac18e", 0),
     "euler --model Pn --n 3 --line 2": ("d4a792a6b2b3af074060fd0c613d91ee0505edfcef751523530198bbe697518e", 0),
     "picard --preset mumford --goal l2 = 13*l1": ("87e05a2ab10bb64f2055bd8f63993c4196791faba168df913b8dd614db31752d", 0),
-    "quotient --vars x:1:odd,y:1:even": ("4128310c454eff3e7c8d774a4ef0eac573957de428fbb651a0749bc7507d9202", 0),
+    "quotient --vars x:1:odd,y:1:even": ("bd2a4c0fcfa1d05c9dd5f5689ae60bca3020097978c4a11908840ce52307bd41", 0),
     "rewrite --chain invfunc-a-k": ("a63815c0a7c61434ea7ac795ae4b733e9cee39998a6dfe8123e110cd12bd88c5", 0),
     "rewrite --chain invfunc-a-k --corrupt 1": ("f56829e6548d585465308881f1fb4fe8df1beb661cf6752f6a2ae5bc82f1af91", 1),
     "rewrite --chain invfunc-a-k --corrupt 2": ("f5893e7b30dd0e119a2d25834ca3a9352146f943bb6445f9ff36cacf0dbad043", 1),

@@ -27,13 +27,10 @@ from hypothesis import given, settings, strategies as st
 from detlam import quotientlab
 from detlam.exactalg import DomainError, StructureError, TruncatedSeries, VarTable
 from detlam.quotientlab import (
-    FixedIdeal,
     FlatnessReport,
     MAX_BOUND,
     MAX_VARIABLES,
     GradedAlgebra,
-    conormal_degree_zero,
-    fixed_ideal,
     flatness_verdict,
     hilbert_series,
     invariants_hs,
@@ -229,26 +226,26 @@ class TestHilbertSeries:
 
 
 class TestFixedIdeal:
+    """The fixed ideal is generated by the odd variables; the report's
+    ``cartier`` states that it is principal, exactly one variable odd."""
+
     def test_one_odd_is_cartier(self):
-        fi = fixed_ideal(alg(("x", 1, 1), ("y", 1, 0)))
-        assert fi == FixedIdeal(("x",), True, False)
+        assert quotient_report(alg(("x", 1, 1), ("y", 1, 0)), 6)["cartier"] is True
 
     def test_two_odd_not_cartier(self):
-        fi = fixed_ideal(alg(("x", 1, 1), ("y", 1, 1)))
-        assert fi.generators == ("x", "y")
-        assert not fi.cartier
+        assert quotient_report(alg(("x", 1, 1), ("y", 1, 1)), 6)["cartier"] is False
 
     def test_no_odd_flags_everything(self):
-        fi = fixed_ideal(alg(("x", 1, 0), ("y", 2, 0)))
-        assert fi.generators == ()
-        assert not fi.cartier
-        assert fi.fixed_locus_is_everything
+        # the fixed ideal is zero: the involution fixes all of R, so R0 = R
+        obj = quotient_report(alg(("x", 1, 0), ("y", 2, 0)), 6)
+        assert obj["cartier"] is False
+        assert obj["hs_R0"] == obj["hs_R"]
+        assert obj["ratio"] == [1] + [0] * 6
 
     @settings(max_examples=60, deadline=None)
     @given(small_algebras())
     def test_cartier_iff_exactly_one_odd(self, a):
-        fi = fixed_ideal(a)
-        assert fi.cartier == (len(a.odd_variables) == 1)
+        assert quotient_report(a, 8)["cartier"] == (len(a.odd_variables) == 1)
 
 
 class TestFlatness:
@@ -674,7 +671,14 @@ class TestReflectionCriterion:
     def test_free_exactly_when_at_most_one_odd(self, shapes):
         a = alg(*((f"x{i}", d, p) for i, (d, p) in enumerate(shapes)))
         odd = sum(p for _d, p in shapes)
-        assert flatness_verdict(a, 60).verdict == ("FREE" if odd <= 1 else "NOT-FREE")
+        rep = flatness_verdict(a, 60)
+        assert rep.verdict == ("FREE" if odd <= 1 else "NOT-FREE")
+        if odd <= 1:
+            # the divisor is 1, so the ratio is the basis series 1 + t^d
+            ratio = [1] + [0] * 60
+            for d, p in shapes:
+                ratio[d] += p
+            assert rep.ratio_coeffs == tuple(ratio)
 
 
 def fold(coeffs, degree, sign):
@@ -815,18 +819,34 @@ class TestCountedSeries:
         assert sorted(calls) == [(bound, False), (bound, True)]
 
 
-class TestConormal:
-    def test_single_odd_true(self):
-        assert conormal_degree_zero(alg(("x", 1, 1))) is True
+class TestCountedDivision:
+    """A divisor of 1 returns the numerator with no pass over the window.
+    Counted as calls of ``sum``, one per quotient coefficient when a tap
+    is left, without a clock."""
 
-    def test_odd_with_even_companion_true(self):
-        assert conormal_degree_zero(alg(("x", 1, 1), ("y", 1, 0))) is True
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
 
-    def test_non_cartier_errors(self):
-        with pytest.raises(DomainError):
-            conormal_degree_zero(alg(("x", 1, 1), ("y", 1, 1)))
-        with pytest.raises(DomainError):
-            conormal_degree_zero(alg(("x", 1, 0)))
+        def counting(*args):
+            calls.append(args)
+            return sum(*args)
+
+        monkeypatch.setattr(quotientlab, "sum", counting, raising=False)
+        return calls
+
+    def test_divisor_one_makes_no_inner_sum(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        num = [1, 1, 0, 5, -2, 0, 7]
+        assert quotientlab._divide(num, [1, 0, 0]) == tuple(num)
+        assert quotientlab._divide(num, [1]) == tuple(num)
+        assert calls == []
+
+    def test_one_inner_sum_per_coefficient_with_a_tap(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        num = [1, 1, 0, 5, -2, 0, 7]
+        assert quotientlab._divide(num, [1, 0, 1]) == dense_divide(num, [1, 0, 1] + [0] * 4)
+        assert len(calls) == len(num)
 
 
 class TestQuotientReport:
@@ -841,19 +861,16 @@ class TestQuotientReport:
             "verdict",
             "basis",
             "cartier",
-            "conormal_degree_zero",
             "witness",
             "note",
         }
         assert obj["verdict"] == "FREE"
         assert obj["cartier"] is True
-        assert obj["conormal_degree_zero"] is True
         assert obj["hs_R"][:3] == [1, 2, 3]
 
-    def test_non_cartier_reports_null_conormal(self):
+    def test_non_cartier_report_is_not_free(self):
         obj = quotient_report(alg(("x", 1, 1), ("y", 1, 1)), bound=6)
         assert obj["cartier"] is False
-        assert obj["conormal_degree_zero"] is None
         assert obj["verdict"] == "NOT-FREE"
 
     def test_byte_stable(self):
