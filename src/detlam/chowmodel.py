@@ -5,10 +5,14 @@ leading monomial, each rule strictly decreasing in graded-lex order, so
 normal forms exist and are reached by exhaustive reduction. The model also
 carries the data a verification needs: relative and total dimension, marked
 base generators for family models, the total Chern class of the relative
-tangent sheaf, and the point class that normalizes integration. What does
-not depend on a line bundle is cached on first use: the normal forms of
-monomials and the rank-zero classes of the relative cotangent sheaf
-(``cotangent_rank_zero``), whose weighted sums are its Sym characters.
+tangent sheaf, and the point class that normalizes integration. Built-in
+and file models alike give the tangent class as (exponents, coefficient)
+terms, which the model reads once on its own ring and keeps in normal
+form; a class with a component above rel_dim in normal form is refused at
+load, since c_i(T_f) = 0 for i > rel_dim. What does not depend on a line
+bundle is cached on first use: the normal forms of monomials and the
+rank-zero classes of the relative cotangent sheaf (``cotangent_rank_zero``),
+whose weighted sums are its Sym characters.
 
 Reduction works on the packed keys of the model's ring (see ``exactalg``),
 whose window is the monomials of degree at most total_dim; each rule with
@@ -17,8 +21,13 @@ its key leaves every field nonnegative, and keys add without carry in the
 window, so ``key - lead + key(replacement)`` is the rewritten monomial.
 One table maps each key to its normal form as integer numerators over
 keys and one denominator. A key cannot hold a monomial above total_dim,
-so the table holds window monomials only. The arithmetic on those entries
-is ``exactalg``'s, the one owner of the format: a rule's replacement is
+so the table holds window monomials only. Reduction is a loop over a stack
+of pending rewrites, so a chain of rewrites of any length reduces without
+deep recursion. Finding a monomial's first dividing rule reads the leads
+filed under each generator in its support, so loading refuses, before
+validation, a rule set whose lead tests over the window could exceed
+``MAX_MODEL_LEAD_TESTS``. The arithmetic on those entries is
+``exactalg``'s, the one owner of the format: a rule's replacement is
 converted by ``_over_lcm``, a rewrite and ``normal_form`` sum entries by
 ``_accumulate``, and a rewrite's entry is put in lowest terms by
 ``_reduced``.
@@ -62,8 +71,8 @@ Built-in presentations:
 import json
 import re
 from functools import reduce
-from itertools import compress
-from math import lcm
+from itertools import accumulate, compress
+from math import comb, lcm
 
 from .charclass import _rank_zero_sym, adams_rescale, ch_from_chern
 from .exactalg import DomainError, StructureError, TruncatedSeries, VarTable
@@ -81,6 +90,7 @@ __all__ = [
     "model_hirzebruch",
     "MAX_MODEL_DIM",
     "MAX_MODEL_WINDOW",
+    "MAX_MODEL_LEAD_TESTS",
 ]
 
 
@@ -134,8 +144,10 @@ def _exponents_of_degree(weights: tuple[int, ...], degree: int):
 MAX_MODEL_WINDOW = 50_000
 
 
-def _check_window(name: str, weights: tuple[int, ...], top: int):
-    """Count the monomials in the validation window without listing them.
+def _check_window(name: str, weights: tuple[int, ...], top: int) -> list[int]:
+    """Count the monomials in the validation window without listing them,
+    and return the running counts: entry d is the number of monomials of
+    weighted degree <= d.
 
     ways[k] is the number of exponent vectors of weighted degree k over the
     generators seen so far (the coin-change recurrence), one generator at a
@@ -158,10 +170,41 @@ def _check_window(name: str, weights: tuple[int, ...], top: int):
                 f"model {name!r} has more than MAX_MODEL_WINDOW = {MAX_MODEL_WINDOW} "
                 f"monomials of degree <= {last} to validate"
             )
+    return list(accumulate(ways))
+
+
+# Largest number of lead tests one pass of the lead scan over the validation
+# window may make (``ChowModel._check_lead_scan``). On a 2-core host a file
+# with three generators, 1,088 rules and 7.1 million loads in 0.7-1.3 s, and
+# the slowest files measured near the ceiling (six to eight generators,
+# 6.2-7.5 million) in 1.9-2.7 s; four generators with 3,310 rules (35
+# million) took 6 s.
+MAX_MODEL_LEAD_TESTS = 8_000_000
 
 
 class ChowModel:
-    """A graded ring with a terminating, dimension-closed rewrite system."""
+    """A graded ring with a terminating, dimension-closed rewrite system.
+
+    ``generators`` are (name, weight) pairs, ``relations`` (lead,
+    replacement) pairs with the replacement a list of (exponents,
+    coefficient) terms, and ``tangent_chern`` the total Chern class
+    c(T_f) of the relative tangent sheaf as (exponents, coefficient) terms,
+    or None for the class 1. A coefficient is an int, a Rational or a
+    string such as "3/2". The tangent terms are read once, by
+    ``TruncatedSeries.from_terms`` on the model's own ring: a monomial
+    named twice is one term with the coefficients summed, and a term above
+    total_dim is dropped. ``tangent_chern`` keeps the class in normal form.
+
+    Construction validates, in order: the generators, the tangent terms,
+    the dimensions and their ceilings (``MAX_MODEL_DIM``,
+    ``MAX_MODEL_WINDOW``), the base generators, the rules and the lead-scan
+    ceiling (``MAX_MODEL_LEAD_TESTS``), dimension closure, the point class,
+    the tangent class (constant term 1 and, in normal form, no component
+    above rel_dim, since c_i(T_f) = 0 for i > rel_dim) and the fibration.
+    A failed check raises ``ModelError``, ``DomainError`` (the dimension
+    ceiling) or ``StructureError`` (a malformed value the ring reads: a
+    coefficient, a tangent term, an unknown generator name).
+    """
 
     def __init__(
         self,
@@ -171,7 +214,7 @@ class ChowModel:
         rel_dim: int,
         total_dim: int,
         base_generators,
-        tangent_chern: TruncatedSeries | None,
+        tangent_chern,
         point_class,
     ):
         self.name = str(name)
@@ -179,6 +222,13 @@ class ChowModel:
             self.vars = VarTable(generators)
         except StructureError as exc:
             raise ModelError(str(exc)) from exc
+        # read first, so that with a tangent class a bad total_dim is
+        # reported by the ring's own check, as for any series
+        tangent = (
+            None
+            if tangent_chern is None
+            else TruncatedSeries.from_terms(self.vars, total_dim, tangent_chern)
+        )
         if type(rel_dim) is not int or type(total_dim) is not int:
             raise ModelError("dimensions must be integers")
         if not 0 <= rel_dim <= total_dim:
@@ -186,7 +236,7 @@ class ChowModel:
         _check_model_dim(self.name, total_dim)
         self.rel_dim = rel_dim
         self.total_dim = total_dim
-        _check_window(self.name, self.vars.weights, total_dim)
+        within = _check_window(self.name, self.vars.weights, total_dim)
 
         base = tuple(base_generators)
         self._base_idx = frozenset(self.vars.index(b) for b in base)
@@ -201,11 +251,12 @@ class ChowModel:
         # model builds (normal forms, c_1(L)) is put on
         self._ring = TruncatedSeries.zero(self.vars, total_dim)
         self.rules, self._leads_at, self._packed = self._parse_rules(relations)
+        self._check_lead_scan(within)
         self._nf: dict[int, tuple[dict, int]] = {}
         self._cotangent_g: tuple[TruncatedSeries, ...] | None = None
         self._check_dimension_closure()
         self.point_class = self._check_point_class(point_class)
-        self.tangent_chern = self._check_tangent(tangent_chern)
+        self.tangent_chern = self._check_tangent(tangent)
         rel_point = self._find_relative_point()
         if any(p < r for p, r in zip(self.point_class, rel_point)):
             raise UnsupportedModelError("point class does not factor through the fiber point")
@@ -276,6 +327,25 @@ class ChowModel:
         )
         return tuple((lead, terms) for _, lead, terms, _ in parsed), index, packed
 
+    def _check_lead_scan(self, within: list[int]):
+        """Refuse, before any lead is tested, a rule set whose lead scan
+        could be slow. A window monomial reads the leads filed under each
+        generator in its support (``_dividing_rules``), and within[last - w]
+        window monomials contain a generator of weight w, so the sum below
+        bounds the lead tests of one pass over the window."""
+        last, weights = len(within) - 1, self.vars.weights
+        tests = sum(
+            len(leads) * within[last - weights[i]]
+            for i, leads in self._leads_at.items()
+            if weights[i] <= last
+        )
+        if tests > MAX_MODEL_LEAD_TESTS:
+            raise ModelError(
+                f"model {self.name!r} may make {tests} lead tests in one pass over its "
+                f"validation window, above the ceiling MAX_MODEL_LEAD_TESTS = "
+                f"{MAX_MODEL_LEAD_TESTS}"
+            )
+
     def _pack(self, lead, terms):
         """A rule as the lead's key and the replacement's normal-form entry."""
         key = self._lay.key
@@ -287,20 +357,44 @@ class ChowModel:
         lowest terms, cached in the one normal-form table. The first
         dividing rule in ``self.rules`` order rewrites it, by the key
         arithmetic of the module docstring; rules are homogeneous, so every
-        rewrite stays in the window."""
-        image = self._nf.get(key)
-        if image is None:
-            first = min(self._dividing_rules(exps or self._lay.exps(key)), default=None)
-            if first is None:
-                image = {key: 1}, 1
-            else:
-                lead, (terms, rden) = self._packed[first]
-                rest = key - lead
-                acc, den = _accumulate([(c, self._reduce(rest + k)) for k, c in terms.items()])
-                nf = _reduced(self._ring, acc, den * rden)
-                image = nf._num, nf._den
-            self._nf[key] = image
-        return image
+        rewrite stays in the window.
+
+        A loop over a stack of pending rewrites, not a recursion, so a long
+        chain of rewrites cannot exhaust the interpreter's stack. Each
+        pending rewrite keeps its rule and its place in the replacement, so
+        a monomial's rule is looked up once, when it is first reached."""
+        nf = self._nf
+        if key not in nf:
+            root = self._rewrite(key, exps)
+            pending = [] if root is None else [root]
+            while pending:
+                at, rest, terms, rden, todo = pending[-1]
+                for k in todo:
+                    child = rest + k
+                    if child not in nf:
+                        step = self._rewrite(child)
+                        if step is not None:
+                            pending.append(step)
+                            break
+                else:
+                    pending.pop()
+                    acc, den = _accumulate([(c, nf[rest + k]) for k, c in terms.items()])
+                    image = _reduced(self._ring, acc, den * rden)
+                    nf[at] = image._num, image._den
+        return nf[key]
+
+    def _rewrite(self, key: int, exps: tuple[int, ...] | None = None):
+        """The pending rewrite of ``_reduce`` for a monomial not yet in the
+        table: its key, the key left after dividing out the first dividing
+        rule's lead, the rule's replacement and denominator, and an iterator
+        over the replacement's keys. A normal monomial is its own normal
+        form: it is filed in the table, and None is returned."""
+        first = min(self._dividing_rules(exps or self._lay.exps(key)), default=None)
+        if first is None:
+            self._nf[key] = {key: 1}, 1
+            return None
+        lead, (terms, rden) = self._packed[first]
+        return key, key - lead, terms, rden, iter(terms)
 
     def _dividing_rules(self, exps: tuple[int, ...]):
         """Positions of the rules whose lead divides the monomial, lazily:
@@ -358,15 +452,20 @@ class ChowModel:
         return pt
 
     def _check_tangent(self, tangent):
+        """The tangent class in normal form: constant term 1 and, since
+        c_i(T_f) = 0 for i > rel_dim, no component above rel_dim."""
         if tangent is None:
             return TruncatedSeries.one(self.vars, self.total_dim)
-        if not isinstance(tangent, TruncatedSeries):
-            raise ModelError("tangent_chern must be a TruncatedSeries")
-        if tangent.vars != self.vars or tangent.bound != self.total_dim:
-            raise ModelError("tangent_chern lives in the wrong ring")
         if tangent.constant_term != 1:
             raise ModelError("tangent total Chern class must have constant term 1")
-        return self.normal_form(tangent)
+        nf = self.normal_form(tangent)
+        top = max(k >> self._lay.dshift for k in nf._num)
+        if top > self.rel_dim:
+            raise ModelError(
+                f"tangent_chern has a nonzero degree-{top} component in normal form, "
+                f"above rel_dim = {self.rel_dim}; c_i(T_f) = 0 for i > rel_dim"
+            )
+        return nf
 
     def _find_relative_point(self):
         if self.rel_dim == 0:
@@ -531,43 +630,38 @@ def _check_model_dim(name: str, dim: int):
 
 
 def model_pn(n: int) -> ChowModel:
-    """P^n over a point: one generator h, relation h^(n+1) = 0."""
+    """P^n over a point: one generator h, relation h^(n+1) = 0, tangent
+    class (1 + h)^(n+1) written as its terms C(n+1, k) h^k."""
     if n < 1:
         raise ModelError("need n >= 1")
     _check_model_dim(f"P{n}", n)
-    vt = [("h", 1)]
-    vars_ = VarTable(vt)
-    tangent = (TruncatedSeries.one(vars_, n) + TruncatedSeries.gen(vars_, n, "h")) ** (n + 1)
     return ChowModel(
         name=f"P{n}",
-        generators=vt,
+        generators=[("h", 1)],
         relations=[((n + 1,), [])],
         rel_dim=n,
         total_dim=n,
         base_generators=[],
-        tangent_chern=tangent,
+        tangent_chern=[((k,), comb(n + 1, k)) for k in range(n + 1)],
         point_class=(n,),
     )
 
 
 def model_pn_x_pm(n: int, m: int) -> ChowModel:
-    """The product family P^n x P^m -> P^m; h is the fiber class, s the base."""
+    """The product family P^n x P^m -> P^m; h is the fiber class, s the
+    base, and the relative tangent class is (1 + h)^(n+1), written as its
+    terms C(n+1, k) h^k."""
     if n < 1 or m < 1:
         raise ModelError("need n, m >= 1")
     _check_model_dim(f"P{n}xP{m}", n + m)
-    vt = [("h", 1), ("s", 1)]
-    vars_ = VarTable(vt)
-    total = n + m
-    one = TruncatedSeries.one(vars_, total)
-    h = TruncatedSeries.gen(vars_, total, "h")
     return ChowModel(
         name=f"P{n}xP{m}",
-        generators=vt,
+        generators=[("h", 1), ("s", 1)],
         relations=[((n + 1, 0), []), ((0, m + 1), [])],
         rel_dim=n,
-        total_dim=total,
+        total_dim=n + m,
         base_generators=["s"],
-        tangent_chern=(one + h) ** (n + 1),
+        tangent_chern=[((k, 0), comb(n + 1, k)) for k in range(n + 1)],
         point_class=(n, m),
     )
 
@@ -582,19 +676,14 @@ def model_hirzebruch(e: int) -> ChowModel:
     """
     if e < 0:
         raise ModelError("need e >= 0")
-    vt = [("z", 1), ("f", 1)]
-    vars_ = VarTable(vt)
-    one = TruncatedSeries.one(vars_, 2)
-    z = TruncatedSeries.gen(vars_, 2, "z")
-    f = TruncatedSeries.gen(vars_, 2, "f")
     return ChowModel(
         name=f"F{e}",
-        generators=vt,
+        generators=[("z", 1), ("f", 1)],
         relations=[((0, 2), []), ((2, 0), [((1, 1), -e)] if e else [])],
         rel_dim=1,
         total_dim=2,
         base_generators=["f"],
-        tangent_chern=one + z.scale(2) + f.scale(e),
+        tangent_chern=[((0, 0), 1), ((1, 0), 2), ((0, 1), e)],
         point_class=(1, 1),
     )
 
@@ -651,8 +740,9 @@ def _generator(record):
 def load_model(obj: dict) -> ChowModel:
     """Build and validate a model from its JSON schema dict.
 
-    Records are reshaped, never converted: ``VarTable``, ``TruncatedSeries``
-    and ``ChowModel`` check each value once.
+    Records are reshaped, never converted, and ``ChowModel`` checks each
+    value once: the tangent_chern records go to it as (exponents,
+    coefficient) terms, and a missing or empty list is the class 1.
     """
     if not isinstance(obj, dict):
         raise ModelError("model description must be an object")
@@ -670,9 +760,7 @@ def load_model(obj: dict) -> ChowModel:
             rel_dim=obj["rel_dim"],
             total_dim=total,
             base_generators=_json_list(obj, "base_generators", []),
-            tangent_chern=TruncatedSeries.from_terms(VarTable(generators), total, tangent)
-            if tangent
-            else None,
+            tangent_chern=tangent or None,
             point_class=_json_list(obj, "point_class"),
         )
     except (KeyError, TypeError, ValueError) as exc:

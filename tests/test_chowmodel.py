@@ -5,7 +5,9 @@ Expected integrals were derived by hand from the standard presentations
 module was written.
 """
 
+import inspect
 import json
+import sys
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -90,6 +92,51 @@ def test_pn_structure():
 
 # ----------------------------------------------------------------------
 # product family P1 x P1 -> P1
+
+
+def _with_tangent(m, terms):
+    """The presentation of ``m`` rebuilt with the tangent class ``terms``."""
+    return ChowModel(
+        name=m.name,
+        generators=list(zip(m.vars.names, m.vars.weights)),
+        relations=m.rules,
+        rel_dim=m.rel_dim,
+        total_dim=m.total_dim,
+        base_generators=m.base_generators,
+        tangent_chern=terms,
+        point_class=m.point_class,
+    )
+
+
+def test_builtin_tangent_terms_equal_the_series_route():
+    # the built-ins write c(T_f) as term lists; the series products they
+    # once built, (1 + h)^(n+1) and 1 + 2z + e f, rebuilt here on each
+    # model's ring, give the same class in normal form, and so does the
+    # unreduced term list of that product
+    def check(m, old):
+        assert m.tangent_chern == m.normal_form(old)
+        assert _with_tangent(m, old.sorted_items()).tangent_chern == m.tangent_chern
+
+    for n in range(1, 33):
+        models = [model_pn(n)] + [model_pn_x_pm(n, k) for k in range(1, 33 - n)]
+        for m in models:
+            h = TruncatedSeries.gen(m.vars, m.total_dim, "h")
+            check(m, (one(m) + h) ** (n + 1))
+    for e in range(6):
+        m = model_hirzebruch(e)
+        z, f = (TruncatedSeries.gen(m.vars, 2, g) for g in "zf")
+        check(m, one(m) + z.scale(2) + f.scale(e))
+
+
+def test_tangent_class_above_rel_dim_is_refused():
+    # c_i(T_f) = 0 for i > rel_dim: 1 + 2h + 5hs on P1 x P1 -> P1 has a
+    # degree-2 component in normal form
+    m = model_pn_x_pm(1, 1)
+    terms = m.tangent_chern.sorted_items() + [((1, 1), 5)]
+    with pytest.raises(ModelError, match="degree-2 component.*above rel_dim = 1"):
+        _with_tangent(m, terms)
+    # a component that normalizes to zero is no component: h^2 = 0
+    assert _with_tangent(m, terms[:-1] + [((2, 0), 5)]).tangent_chern == m.tangent_chern
 
 
 def test_product_family_basics():
@@ -193,7 +240,7 @@ def test_wrong_sign_pairing_breaks_euler_anchor():
         rel_dim=1,
         total_dim=2,
         base_generators=["f"],
-        tangent_chern=good.tangent_chern,
+        tangent_chern=good.tangent_chern.sorted_items(),
         point_class=(1, 1),
     )
     base_t = TruncatedSeries(bad.vars, 2, {(0, 0): 1, (0, 1): 2})
@@ -805,6 +852,26 @@ def test_reduction_applies_the_first_dividing_rule(kwargs):
             image, den = m._reduce(m._lay.key(exps))
             got = {m._lay.exps(k): Rational(v, den) for k, v in image.items()}
             assert got == dense_reduce(m, exps, cache)
+
+
+def test_a_long_rewrite_chain_reduces_without_recursion():
+    # 400 rewrites g0^(400-i) g1^i -> g0^(399-i) g1^(i+1), reduced under a
+    # recursion limit 100 frames above this test's own depth: a rewrite
+    # must not take a frame of its own
+    top = 400
+    m = RulesOnly(
+        generators=[("g0", 1), ("g1", 1)],
+        relations=[((top - i, i), [((top - i - 1, i + 1), 1)]) for i in range(top)],
+        total_dim=top,
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        image = m._reduce(m._lay.key((top, 0)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert image == ({m._lay.key((0, top)): 1}, 1)
+    assert len(m._nf) == top + 1
 
 
 @pytest.mark.parametrize(

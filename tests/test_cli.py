@@ -368,6 +368,37 @@ class TestModelCommands:
         )
         assert "determinant degree came out non-integral (7/6)" in err
 
+    @pytest.mark.parametrize(
+        "command, line", [("verify-main", "1,1"), ("c1lambda", "1,1"), ("euler", "0,0")]
+    )
+    def test_model_file_with_a_tangent_class_above_rel_dim(self, capsys, tmp_path, command, line):
+        # c(T_f) = 1 + 2h + 5hs on P1 x P1 -> P1: c_2 of a rank-one sheaf
+        # is zero, so the file is refused at load, before any verdict
+        obj = model_pn_x_pm(1, 1).to_obj()
+        obj["tangent_chern"].append({"exponents": [1, 1], "coeff": "5"})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        err = run_usage_error(capsys, command, "--model-file", str(path), "--line", line)
+        assert err == (
+            "error: tangent_chern has a nonzero degree-2 component in normal form, "
+            "above rel_dim = 1; c_i(T_f) = 0 for i > rel_dim\n"
+        )
+
+    def test_duplicate_generator_error_does_not_depend_on_the_tangent_class(
+        self, capsys, tmp_path
+    ):
+        errs = []
+        for keep_tangent in (True, False):
+            obj = model_pn_x_pm(1, 1).to_obj()
+            obj["generators"][1]["name"] = "h"
+            if not keep_tangent:
+                del obj["tangent_chern"]
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            argv = ["verify-main", "--model-file", str(path), "--line", "1,1"]
+            errs.append(run_usage_error(capsys, *argv))
+        assert errs == ["error: duplicate variable names\n"] * 2
+
     def test_euler_p2(self, capsys):
         code, obj = run_json(capsys, "euler", "--model", "Pn", "--n", "2", "--line", "2")
         assert code == 0
@@ -463,12 +494,51 @@ class TestModelCommands:
             "point_class": [2] * k,
         }
 
+    @staticmethod
+    def _deep_chain_model(k, top):
+        # k weight-one generators over a point, total_dim top: every monomial
+        # of degree top - 1 and top but the last in lex order rewrites to the
+        # next one, g_(k-1)^(top+1) = 0, and c(T) = 1 + g0^(top-1), whose
+        # normal form walks the whole degree-(top - 1) chain
+        def chain(degree):
+            monomials = sorted(chowmodel._exponents_of_degree((1,) * k, degree), reverse=True)
+            return [
+                {"lead": list(a), "replace": [{"exponents": list(b), "coeff": "1"}]}
+                for a, b in zip(monomials, monomials[1:])
+            ]
+
+        def power(i, a):
+            return [a * (j == i) for j in range(k)]
+
+        return {
+            "name": f"chain{k}",
+            "generators": [{"name": f"g{i}", "weight": 1} for i in range(k)],
+            "relations": chain(top - 1)
+            + chain(top)
+            + [{"lead": power(k - 1, top + 1), "replace": []}],
+            "rel_dim": top,
+            "total_dim": top,
+            "base_generators": [],
+            "tangent_chern": [
+                {"exponents": power(0, 0), "coeff": "1"},
+                {"exponents": power(0, top - 1), "coeff": "1"},
+            ],
+            "point_class": power(k - 1, top),
+        }
+
     @pytest.mark.parametrize(
         "case, fragment",
-        [("P256", "MAX_MODEL_DIM = 32"), ("cube10", "MAX_MODEL_WINDOW"), ("heavy", "degree")],
+        [
+            ("P256", "MAX_MODEL_DIM = 32"),
+            ("cube10", "MAX_MODEL_WINDOW"),
+            ("heavy", "degree"),
+            ("chain4", "MAX_MODEL_LEAD_TESTS = "),
+        ],
     )
     def test_model_file_ceilings(self, capsys, tmp_path, case, fragment):
-        if case == "P256":
+        if case == "chain4":
+            obj = self._deep_chain_model(4, 20)  # 3,310 rules, 35 million lead tests
+        elif case == "P256":
             obj = chowmodel.model_pn(1).to_obj()
             obj.update(name="P256", total_dim=256, rel_dim=256, point_class=[256])
             obj["relations"][0]["lead"] = [257]
@@ -517,6 +587,16 @@ class TestModelCommands:
         path = tmp_path / "many.json"
         path.write_text(json.dumps(obj, separators=(",", ":")), encoding="utf-8")
         return path
+
+    def test_deep_rewrite_chain_loads_without_recursion(self, capsys, tmp_path):
+        # 1,088 rules, under every ceiling: the tangent's normal form is a
+        # chain of 527 rewrites, and the point-class check reduces each
+        # degree-32 monomial along a chain of up to 560
+        obj = self._deep_chain_model(3, 32)
+        path = tmp_path / "chain3.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out = run_json(capsys, "euler", "--model-file", str(path), "--line", "0,0,0")
+        assert code == 0 and out["chi"] == "0"
 
     def test_many_generators_load_without_recursion(self, tmp_path):
         # 1,500 generators: under both ceilings
@@ -1153,14 +1233,16 @@ class TestVerifyAll:
 
     def test_pass_does_counted_work(self, capsys, monkeypatch):
         # one model check, six all-lines verdicts, 34 Todd classes, one
-        # rewrite per distinct chain step (21), 8 built-in models, 91
+        # rewrite per distinct chain step (21), 8 built-in models, 81
         # series products and 43 exps per pass: a change that multiplies
         # the work fails here, with no wall clock. Each ducrot row reads its
         # control from its own product chain, an all-lines verdict makes
         # one product per twist, and the model check pairs ch(L) itself
-        # with G_0 = 1 (n products, not n + 2). Generators, c_1(L) and the
-        # all-lines monomials are written on packed keys, so no series goes
-        # through the validating constructor, and no corrupted twin's
+        # with G_0 = 1 (n products, not n + 2). A built-in model's tangent
+        # class is read from its term list by the validating constructor,
+        # once per model, with no series product; generators, c_1(L) and
+        # the all-lines monomials are written on packed keys, so no other
+        # series goes through that constructor, and no corrupted twin's
         # witness is rendered, since verify-all never prints it. The second
         # pass does the same work: nothing is kept between passes.
         counts = {}
@@ -1195,8 +1277,8 @@ class TestVerifyAll:
                 "kexpr._apply_axiom": 21,
                 "kexpr.render_canonical": 0,
                 "ChowModel.__init__": 8,
-                "TruncatedSeries.__init__": 0,
-                "TruncatedSeries.__mul__": 91,
+                "TruncatedSeries.__init__": 8,
+                "TruncatedSeries.__mul__": 81,
                 "TruncatedSeries.exp": 43,
             }
 

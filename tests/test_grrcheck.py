@@ -377,7 +377,7 @@ def power_family(a, k):
         rel_dim=a * k,
         total_dim=total,
         base_generators=["s"],
-        tangent_chern=tangent,
+        tangent_chern=tangent.sorted_items(),
         point_class=(a,) * k + (1,),
     )
     return load_model(model.to_obj())
@@ -701,7 +701,7 @@ def test_all_lines_verdict_names_generators_it_does_not_reach():
         rel_dim=1,
         total_dim=2,
         base_generators=["s"],
-        tangent_chern=one + 2 * TruncatedSeries.gen(one.vars, 2, "h"),
+        tangent_chern=(one + 2 * TruncatedSeries.gen(one.vars, 2, "h")).sorted_items(),
         point_class=(0, 1, 1),
     )
     report = grrcheck.verify_main_all_lines(m)
