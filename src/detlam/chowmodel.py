@@ -2,7 +2,11 @@
 
 A model is a graded ring Q[g_1..g_r] / (rules) with one rewrite rule per
 leading monomial, each rule strictly decreasing in graded-lex order, so
-normal forms exist and are reached by exhaustive reduction. The model also
+every reduction terminates. detlam reduces a monomial by the first rule in
+rule order whose lead divides it, and does not yet check that the rules
+are confluent (ROADMAP item 12): for rules that are not, the normal form
+and the degrees read from it depend on that order, and need not be those
+of the presented ring. The model also
 carries the data a verification needs: relative and total dimension, marked
 base generators for family models, the total Chern class of the relative
 tangent sheaf, and the point class that normalizes integration. Built-in
@@ -21,12 +25,15 @@ its key leaves every field nonnegative, and keys add without carry in the
 window, so ``key - lead + key(replacement)`` is the rewritten monomial.
 One table maps each key to its normal form as integer numerators over
 keys and one denominator. A key cannot hold a monomial above total_dim,
-so the table holds window monomials only. Reduction is a loop over a stack
-of pending rewrites, so a chain of rewrites of any length reduces without
-deep recursion. Finding a monomial's first dividing rule reads the leads
-filed under each generator in its support, so loading refuses, before
-validation, a rule set whose lead tests over the window could exceed
-``MAX_MODEL_LEAD_TESTS``. The arithmetic on those entries is
+so the table holds window monomials only. A rewrite keeps the degree and
+lowers the monomial in lex order, so it reaches only smaller keys: a
+reduction collects the keys it reaches and fills the table smallest key
+first, and a chain of rewrites of any length reduces without recursion.
+Finding a monomial's first dividing rule (``_first_rule``) reads the leads
+filed under each generator in its support, up to the first divisor, so
+loading refuses, before validation, a rule set whose lead tests over the
+window could exceed ``MAX_MODEL_LEAD_TESTS``. The arithmetic on those
+entries is
 ``exactalg``'s, the one owner of the format: a rule's replacement is
 converted by ``_over_lcm``, a rewrite and ``normal_form`` sum entries by
 ``_accumulate``, and a rewrite's entry is put in lowest terms by
@@ -175,10 +182,11 @@ def _check_window(name: str, weights: tuple[int, ...], top: int) -> list[int]:
 
 # Largest number of lead tests one pass of the lead scan over the validation
 # window may make (``ChowModel._check_lead_scan``). On a 2-core host a file
-# with three generators, 1,088 rules and 7.1 million loads in 0.7-1.3 s, and
-# the slowest files measured near the ceiling (six to eight generators,
-# 6.2-7.5 million) in 1.9-2.7 s; four generators with 3,310 rules (35
-# million) took 6 s.
+# with three generators, 1,088 rules and 7.1 million loads in 0.12-0.17 s,
+# and the slowest files measured near the ceiling (chains over five to eight
+# generators, 5.2-7.5 million) in 0.27-0.52 s. The cap was set when a scan
+# read every lead of a bucket: then those files took 0.7-1.3 and 1.9-2.7 s,
+# and four generators with 3,310 rules (35 million) took 6 s.
 MAX_MODEL_LEAD_TESTS = 8_000_000
 
 
@@ -281,11 +289,12 @@ class ChowModel:
         """The rules, biggest lead first, the lead index and the packed
         rules. The index files each lead's support (its nonzero (index,
         exponent) pairs, read once and also giving its degree) and position
-        under its first nonzero index. A lead divides a monomial only if
-        that index is in the monomial's support, so ``_dividing_rules``
-        reads only the leads filed there: one lead per monomial when each
-        generator has its own rule. A lead above the window divides no
-        window monomial, so its packed rule is None."""
+        under its first nonzero index, each bucket in rule order. A lead
+        divides a monomial only if that index is in the monomial's support,
+        so ``_first_rule`` reads only the leads filed there, each bucket up
+        to its first divisor: one lead per monomial when each generator has
+        its own rule. A lead above the window divides no window monomial,
+        so its packed rule is None."""
         weights = self.vars.weights
         parsed = []
         seen = set()
@@ -329,8 +338,8 @@ class ChowModel:
 
     def _check_lead_scan(self, within: list[int]):
         """Refuse, before any lead is tested, a rule set whose lead scan
-        could be slow. A window monomial reads the leads filed under each
-        generator in its support (``_dividing_rules``), and within[last - w]
+        could be slow. A window monomial reads at most the leads filed under
+        each generator in its support (``_first_rule``), and within[last - w]
         window monomials contain a generator of weight w, so the sum below
         bounds the lead tests of one pass over the window."""
         last, weights = len(within) - 1, self.vars.weights
@@ -351,64 +360,59 @@ class ChowModel:
         key = self._lay.key
         return key(lead), _over_lcm([(key(e), c) for e, c in terms])
 
-    def _reduce(self, key: int, exps: tuple[int, ...] | None = None) -> tuple[dict, int]:
-        """Normal form of the window monomial ``key`` (exponents ``exps``,
-        unpacked when not given) as ({key: numerator}, denominator) in
-        lowest terms, cached in the one normal-form table. The first
-        dividing rule in ``self.rules`` order rewrites it, by the key
-        arithmetic of the module docstring; rules are homogeneous, so every
-        rewrite stays in the window.
+    def _reduce(self, key: int) -> tuple[dict, int]:
+        """Normal form of the window monomial ``key`` as ({key: numerator},
+        denominator) in lowest terms, cached in the one normal-form table.
+        The first dividing rule in ``self.rules`` order (``_first_rule``)
+        rewrites it, by the key arithmetic of the module docstring; rules
+        are homogeneous, so every rewrite stays in the window.
 
-        A loop over a stack of pending rewrites, not a recursion, so a long
-        chain of rewrites cannot exhaust the interpreter's stack. Each
-        pending rewrite keeps its rule and its place in the replacement, so
-        a monomial's rule is looked up once, when it is first reached."""
+        A miss first collects the keys it reaches, each with its rule, and
+        then fills the table smallest key first. A rewrite keeps the degree
+        and lowers the monomial in lex order, so it reaches only smaller
+        keys, whose entries are then in the table: no rewrite takes a frame
+        of its own, and a monomial's rule is looked up once."""
         nf = self._nf
         if key not in nf:
-            root = self._rewrite(key, exps)
-            pending = [] if root is None else [root]
-            while pending:
-                at, rest, terms, rden, todo = pending[-1]
-                for k in todo:
-                    child = rest + k
-                    if child not in nf:
-                        step = self._rewrite(child)
-                        if step is not None:
-                            pending.append(step)
-                            break
-                else:
-                    pending.pop()
-                    acc, den = _accumulate([(c, nf[rest + k]) for k, c in terms.items()])
-                    image = _reduced(self._ring, acc, den * rden)
-                    nf[at] = image._num, image._den
+            steps, todo = {}, [key]
+            while todo:
+                k = todo.pop()
+                if k in nf or k in steps:
+                    continue
+                pos = self._first_rule(self._lay.exps(k))
+                if pos is None:
+                    nf[k] = {k: 1}, 1
+                    continue
+                lead, rule = self._packed[pos]
+                steps[k] = k - lead, rule
+                todo.extend(k - lead + t for t in rule[0])
+            for k in sorted(steps):
+                rest, (terms, rden) = steps[k]
+                acc, den = _accumulate([(c, nf[rest + t]) for t, c in terms.items()])
+                image = _reduced(self._ring, acc, den * rden)
+                nf[k] = image._num, image._den
         return nf[key]
 
-    def _rewrite(self, key: int, exps: tuple[int, ...] | None = None):
-        """The pending rewrite of ``_reduce`` for a monomial not yet in the
-        table: its key, the key left after dividing out the first dividing
-        rule's lead, the rule's replacement and denominator, and an iterator
-        over the replacement's keys. A normal monomial is its own normal
-        form: it is filed in the table, and None is returned."""
-        first = min(self._dividing_rules(exps or self._lay.exps(key)), default=None)
-        if first is None:
-            self._nf[key] = {key: 1}, 1
-            return None
-        lead, (terms, rden) = self._packed[first]
-        return key, key - lead, terms, rden, iter(terms)
-
-    def _dividing_rules(self, exps: tuple[int, ...]):
-        """Positions of the rules whose lead divides the monomial, lazily:
-        the one divisibility test. ``_reduce`` applies the first such rule
-        in ``self.rules`` order."""
-        leads = self._leads_at
-        for i, e in enumerate(exps):
-            if e:
-                for pos, support in leads.get(i, ()):
-                    if all(exps[j] >= a for j, a in support):
-                        yield pos
+    def _first_rule(self, exps: tuple[int, ...]) -> int | None:
+        """Position of the first rule in ``self.rules`` order whose lead
+        divides the monomial, or None for a normal monomial: the one lead
+        scan. Each generator's bucket is in rule order, so its scan stops at
+        its first divisor or at a position past the best found."""
+        leads, best = self._leads_at, None
+        for i in compress(range(len(exps)), exps):
+            for pos, support in leads.get(i, ()):
+                if best is not None and pos > best:
+                    break
+                for j, a in support:
+                    if exps[j] < a:
+                        break
+                else:
+                    best = pos
+                    break
+        return best
 
     def _is_normal(self, exps: tuple[int, ...]) -> bool:
-        return next(self._dividing_rules(exps), None) is None
+        return self._first_rule(exps) is None
 
     def _normal_monomials(self, weights: tuple[int, ...], degrees):
         """Normal monomials over ``weights`` of the given degrees, lazily."""
@@ -438,7 +442,7 @@ class ChowModel:
         top = {}
         for exps in _exponents_of_degree(self.vars.weights, self.total_dim):
             key = lay.key(exps)
-            image, den = self._reduce(key, exps)
+            image, den = self._reduce(key)
             if image.keys() - {pkey}:
                 raise ModelError(
                     f"degree-{self.total_dim} monomial {exps} is not a multiple "
@@ -557,8 +561,11 @@ class ChowModel:
         On packed keys the product of two monomials is the sum of their
         keys, and its degree is total_dim exactly when their degrees add to
         it, so each such pair reads its integral from the table filled at
-        validation. Reduction is linear and keeps degree, so the pairing is
-        exact on any two series of the model's ring, in normal form or not.
+        validation. Reduction is linear and keeps degree, so for confluent
+        rules the pairing is exact on any two series of the model's ring,
+        in normal form or not. detlam does not yet check confluence
+        (ROADMAP item 12), and on rules that are not confluent a series and
+        its normal form can pair differently.
         The operand with fewer terms is binned by the degree of its
         partners, and each term of the other reads its bin: one pass over
         each operand, whichever order they come in.

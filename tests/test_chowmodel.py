@@ -854,6 +854,22 @@ def test_reduction_applies_the_first_dividing_rule(kwargs):
             assert got == dense_reduce(m, exps, cache)
 
 
+@settings(max_examples=300, deadline=None)
+@given(presentations(), st.data())
+def test_first_rule_is_the_least_dividing_position(kwargs, data):
+    # every lead is tested, so neither the lead index nor a bucket's early
+    # stop can hide a divisor; the closure check reads monomials above
+    # total_dim, so those are drawn too
+    m = RulesOnly(**kwargs)
+    top = kwargs["total_dim"] + 2
+    monomials = st.tuples(*[st.integers(0, top)] * len(m.vars))
+    for exps in data.draw(st.lists(monomials, min_size=1, max_size=8)):
+        dividing = [
+            pos for pos, (lead, _) in enumerate(m.rules) if all(a <= b for a, b in zip(lead, exps))
+        ]
+        assert m._first_rule(exps) == min(dividing, default=None)
+
+
 def test_a_long_rewrite_chain_reduces_without_recursion():
     # 400 rewrites g0^(400-i) g1^i -> g0^(399-i) g1^(i+1), reduced under a
     # recursion limit 100 frames above this test's own depth: a rewrite

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -43,13 +44,19 @@ def run_cli(capsys, *argv):
 
 
 def run_usage_error(capsys, *argv):
-    """Run argv, expect exit 2 with an ``error:`` line on stderr and no report."""
+    """Run argv, expect exit 2, no report and stderr in one of the two
+    usage-error shapes: one ``error:`` line from a command's handler, or
+    argparse's ``usage:`` block whose last line is ``detlam <cmd>: error:
+    ...`` (``detlam: error: ...`` from the top-level parser)."""
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: ")
     assert captured.out == ""
-    return captured.err
+    err = captured.err
+    if not err.startswith("error: "):
+        assert err.startswith("usage: detlam")
+        assert re.match(r"detlam( [a-z0-9-]+)?: error: ", err.splitlines()[-1])
+    return err
 
 
 def run_json(capsys, *argv):
@@ -105,8 +112,7 @@ class TestCoeffs:
         assert "entries" in out and "7" in out
 
     def test_bad_dim_is_usage_error(self, capsys):
-        code, _out = run_cli(capsys, "coeffs", "--dim", "0")
-        assert code == 2
+        run_usage_error(capsys, "coeffs", "--dim", "0")
 
     def test_dim_ceiling(self, capsys, monkeypatch):
         assert combinat.MAX_COEFF_DIM >= grrcheck.MAX_UNIVERSAL_DIM
@@ -167,12 +173,10 @@ class TestUniversal:
         assert obj["top_degree_zero"] is True
 
     def test_deligne_needs_dim1(self, capsys):
-        code, _ = run_cli(capsys, "universal", "--dim", "2", "--combo", "deligne")
-        assert code == 2
+        run_usage_error(capsys, "universal", "--dim", "2", "--combo", "deligne")
 
     def test_degenerate_dim_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, "universal", "--dim", "0")
-        assert code == 2
+        run_usage_error(capsys, "universal", "--dim", "0")
 
     def test_dim_ceiling(self, capsys, monkeypatch):
         cap = grrcheck.MAX_UNIVERSAL_DIM
@@ -405,8 +409,7 @@ class TestModelCommands:
         assert obj["chi"] == "6"
 
     def test_euler_rejects_family_model(self, capsys):
-        code, _ = run_cli(capsys, "euler", "--model", "P1xP1", "--line", "1,1")
-        assert code == 2
+        run_usage_error(capsys, "euler", "--model", "P1xP1", "--line", "1,1")
 
     @pytest.mark.parametrize(
         "argv",
@@ -423,8 +426,7 @@ class TestModelCommands:
         assert err.startswith("error: unknown model ")
 
     def test_missing_model_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, "c1lambda", "--line", "1,1")
-        assert code == 2
+        run_usage_error(capsys, "c1lambda", "--line", "1,1")
 
     def test_non_json_model_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "notjson.json"
@@ -435,8 +437,7 @@ class TestModelCommands:
         assert "notjson.json" in err
 
     def test_wrong_line_arity(self, capsys):
-        code, _ = run_cli(capsys, "c1lambda", "--model", "P1xP1", "--line", "1")
-        assert code == 2
+        run_usage_error(capsys, "c1lambda", "--model", "P1xP1", "--line", "1")
 
     @pytest.mark.parametrize(
         "at_cap, above",
@@ -598,6 +599,31 @@ class TestModelCommands:
         code, out = run_json(capsys, "euler", "--model-file", str(path), "--line", "0,0,0")
         assert code == 0 and out["chi"] == "0"
 
+    def test_deep_rewrite_chain_lead_tests(self, monkeypatch, tmp_path):
+        # the lead entries that loading the chain file reads, each bucket of
+        # the lead index wrapped in a counting list: a bucket's scan stops at
+        # its first divisor or past the first rule found so far
+        reads = 0
+
+        class Counting(list):
+            def __iter__(self):
+                nonlocal reads
+                for entry in super().__iter__():
+                    reads += 1
+                    yield entry
+
+        parse = chowmodel.ChowModel._parse_rules
+
+        def counted(self, relations):
+            rules, index, packed = parse(self, relations)
+            return rules, {i: Counting(leads) for i, leads in index.items()}, packed
+
+        monkeypatch.setattr(chowmodel.ChowModel, "_parse_rules", counted)
+        path = tmp_path / "chain3.json"
+        path.write_text(json.dumps(self._deep_chain_model(3, 32)), encoding="utf-8")
+        chowmodel.load_model_file(str(path))
+        assert reads == 832_741
+
     def test_many_generators_load_without_recursion(self, tmp_path):
         # 1,500 generators: under both ceilings
         k = 1500
@@ -695,8 +721,7 @@ class TestPicard:
         assert code == 0 and obj["derivable"]
 
     def test_needs_preset_or_symbols(self, capsys):
-        code, _ = run_cli(capsys, "picard", "--goal", "l1 = 0")
-        assert code == 2
+        run_usage_error(capsys, "picard", "--goal", "l1 = 0")
 
     @pytest.mark.parametrize(
         "argv",
@@ -768,8 +793,7 @@ class TestRewrite:
         assert dims == []
 
     def test_corrupt_out_of_range(self, capsys):
-        code, _ = run_cli(capsys, "rewrite", "--chain", "multadd-d1", "--corrupt", "99")
-        assert code == 2
+        run_usage_error(capsys, "rewrite", "--chain", "multadd-d1", "--corrupt", "99")
 
     def test_script_file(self, capsys):
         path = os.path.join(os.path.dirname(kexpr.__file__), "data", "chain_multadd_d1.json")
@@ -1015,12 +1039,10 @@ class TestRewrite:
         assert f"{field} must be an integer" in err
 
     def test_needs_chain_or_script(self, capsys):
-        code, _ = run_cli(capsys, "rewrite")
-        assert code == 2
+        run_usage_error(capsys, "rewrite")
 
     def test_unknown_chain_rejected_by_parser(self, capsys):
-        code, _ = run_cli(capsys, "rewrite", "--chain", "bogus")
-        assert code == 2
+        run_usage_error(capsys, "rewrite", "--chain", "bogus")
 
 
 class TestQuotient:
@@ -1046,8 +1068,7 @@ class TestQuotient:
         assert obj["verdict"] == "INCONCLUSIVE"
 
     def test_bad_vars(self, capsys):
-        code, _ = run_cli(capsys, "quotient", "--vars", "x:one:odd")
-        assert code == 2
+        run_usage_error(capsys, "quotient", "--vars", "x:one:odd")
 
     def test_degree_must_be_ascii_digits(self, capsys):
         # int() alone reads "1_0" as 10
@@ -1106,10 +1127,8 @@ class TestVerifyAll:
     @pytest.mark.parametrize("jobs", ["2", "0", "-3"])
     def test_jobs_flag_is_usage_error(self, capsys, jobs):
         # verify-all has one sequential path and no --jobs option
-        code = main(["verify-all", "--max-dim", "1", "--jobs", jobs])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"unrecognized arguments: --jobs {jobs}" in captured.err
+        err = run_usage_error(capsys, "verify-all", "--max-dim", "1", "--jobs", jobs)
+        assert f"unrecognized arguments: --jobs {jobs}" in err
 
     def test_import_starts_no_process_pool_machinery(self):
         probe = (
@@ -1350,7 +1369,7 @@ class TestClosedStdout:
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
-        assert main(["bogus"]) == 2
+        run_usage_error(capsys, "bogus")
 
     # every integer flag, each with a value int() alone would read: a
     # non-ASCII digit (3 or 1), an underscore (10), a plus sign and a space
@@ -1375,13 +1394,11 @@ class TestUsage:
         ],
     )
     def test_integer_flag_outside_ascii_digits_is_usage_error(self, capsys, argv, flag, value):
-        code = main([*argv, flag, value])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"error: argument {flag}: not an integer: {value!r}" in captured.err
+        err = run_usage_error(capsys, *argv, flag, value)
+        assert f"error: argument {flag}: not an integer: {value!r}" in err
 
     def test_no_arguments(self, capsys):
-        assert main([]) == 2
+        run_usage_error(capsys)
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
