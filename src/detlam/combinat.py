@@ -98,14 +98,19 @@ class CoeffTable:
     entries[j] = c_j for j = 0..2d. Construction enforces the three
     structural facts every table must satisfy: the leading entry is 1,
     the signs alternate starting positive, and the entries sum to 2^(2d).
+    The dimension and every entry must be ints, never bools; any sequence
+    of entries is kept as a tuple.
     """
 
     dim: int
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+        entries = tuple(self.entries)
         d = self.dim
+        if type(d) is not int or any(type(c) is not int for c in entries):
+            raise DomainError("dim and entries must be integers")
+        object.__setattr__(self, "entries", entries)
         if d < 1:
             raise DomainError("dim must be >= 1")
         if len(self.entries) != 2 * d + 1:

@@ -18,17 +18,18 @@ G_i = h_i(e^(x_k) - 1) of ``charclass._rank_zero_sym``:
   A line bundle L is a map from weight-one generators to int coefficients,
   and ch(L) = e^(c_1(L)) (Fulton, *Intersection Theory*, section 3.2) has
   one route, ``_line_ch``, shared by the three entry points: ``c1_lambda``
-  and ``euler_char`` integrate ch(L), and ``verify_main_on_model`` twists
-  it to ch(L^t) = psi^t(ch(L)), built once per twist
-  (``charclass.adams_rescale``). Every model degree is the one integral
-  computed by ``_degree``, which also checks that it is an integer.
+  and ``euler_char`` integrate ch(L), and ``verify_main_on_model`` also
+  twists it to ch(L^2) = psi^2(ch(L)) (``charclass.adams_rescale``), the
+  twist of every row of the right side. Every model degree is the one
+  integral computed by ``_degree``, which also checks that it is an
+  integer.
   ``_degree`` pairs a class with Td(T_f) by the top-degree intersection
   pairing (``ChowModel._pair``, on integer numerators): only the term
   pairs whose degrees add to the total dimension are multiplied, and
   nothing is reduced. The degree is linear, so ``verify_main_on_model``
-  pairs ch(L^t) G_i once for each G_i of the cotangent sheaf
+  pairs ch(L^2) G_i once for each G_i of the cotangent sheaf
   (``ChowModel.cotangent_rank_zero``) and weighs the integer pairings
-  into each term's degree.
+  into each row's degree.
 * on a model, for every line at once: ``verify_main_all_lines`` pulls the
   universal statement back to the model. Each twist's terms fold into
   weights of the G_i, as in the universal check, and the defect of the line
@@ -134,8 +135,9 @@ def deligne_combo_d1() -> tuple[ComboTerm, ...]:
 
 # Largest d for universal_report: the work grows about 1.5x per dimension,
 # nearly all of it the products that build G_1..G_(d+1). On a 2-core host
-# the CLI run `universal --dim 17`, JSON output included, takes 0.72-0.77 s;
-# d = 18 takes about 1.0 s.
+# where a bare `python3 -c pass` takes 44-65 ms, the CLI run
+# `universal --dim 17`, JSON output included, takes 1.4-1.9 s; d = 18, with
+# the ceiling raised in process, takes 2.1-2.9 s.
 MAX_UNIVERSAL_DIM = 17
 
 
@@ -256,7 +258,9 @@ class UniversalReport:
 # Ceilings for ducrot_defect: the product has up to 2^(d+1) terms, and each
 # factor is a series in every factor's variable. The default d + 2 factors
 # are the worst case, since the product is zero from then on. On a 2-core
-# host the CLI run `ducrot --dim 18` takes about 0.45 s; d = 19 takes 0.8 s.
+# host where a bare `python3 -c pass` takes 44-65 ms, the CLI run
+# `ducrot --dim 18` takes 0.96-1.16 s; d = 19, with the ceiling raised in
+# process, takes 1.6-2.4 s.
 MAX_DUCROT_DIM = 18
 MAX_DUCROT_FACTORS = 64
 
@@ -315,8 +319,11 @@ def _degree(model: ChowModel, ch: TruncatedSeries, what: str) -> int:
     """The integral of ch Td(T_f) over the total space, checked to be an
     integer: the one route from a Chern character to a model degree.
 
-    It is the top-degree pairing of ch with Td, exact whether or not ch is
-    in normal form; the product ch Td is never formed. The pairing is read
+    It is the top-degree pairing of ch with Td; the product ch Td is never
+    formed. For confluent rules it is exact whether or not ch is in normal
+    form; detlam does not yet check confluence (ROADMAP item 12), and on
+    rules that are not confluent ch and its normal form can pair
+    differently (``ChowModel._pair``). The pairing is read
     as its integer numerator and denominator (``ChowModel._pair``) and
     divided once; a Rational is built only for the message of a degree that
     is not an integer. Td is built on every call: until the benchmark's
@@ -375,32 +382,15 @@ class MainReport:
         }
 
 
-_PLANS: dict = {}
-
-
-def _main_plan(combo: tuple[ComboTerm, ...], r: int, n: int) -> tuple[tuple, tuple]:
-    """The pairings D(t, i) = integral of psi^t(ch L) G_i Td that the
-    terms of ``combo`` read, as (twist, i) pairs in first-read order, the
-    head term's first, and per term the weights of its degree over that
-    list: s_j = sum_i C(r + j - 1, j - i) G_i (``charclass._sym_weights``),
-    r the rank of Omega and G_0..G_n the classes the degrees are read from.
-    Built once per (combo, r, n), as the terms and weights are immutable.
-    Keyed on the combination object by identity, never by value, so no
-    term is hashed: the kept entry holds ``combo``, as ``kexpr._rewrite``
-    holds its args, so its id is never reused, and any other combination
-    object, a patched ``main_combo``'s among them, builds its own plan.
-    """
-    key = (id(combo), r, n)
-    kept = _PLANS.get(key)
-    if kept is None:
-        pairs = tuple(dict.fromkeys((t.twist, i) for t in combo for i in range(min(t.sym, n) + 1)))
-        rows = []
-        for t in combo:
-            row = dict.fromkeys(pairs, 0)
-            row.update(((t.twist, i), w) for i, w in enumerate(_sym_weights(r, t.sym, n)))
-            rows.append(tuple(row.values()))
-        kept = _PLANS[key] = (combo, (pairs, tuple(rows)))
-    return kept[1]
+def _family_dim(model: ChowModel) -> int:
+    """The relative dimension d of ``model``, checked to be positive over a
+    one-dimensional base: the precondition of both family verdicts."""
+    d = model.rel_dim
+    if d < 1:
+        raise DomainError("need a family of positive relative dimension")
+    if model.total_dim - d != 1:
+        raise DomainError("the verification needs a one-dimensional base")
+    return d
 
 
 def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
@@ -414,41 +404,36 @@ def verify_main_on_model(model: ChowModel, line: dict) -> MainReport:
 
     A call does only the work that depends on L: it builds ch(L) once by
     ``_line_ch``, one exp and two normal forms. c_1 is homogeneous of
-    degree 1, so e^(t c_1) = psi^t(e^(c_1)), and the normal form commutes
-    with psi^t because the relations are homogeneous: ch(L^t) =
-    psi^t(ch(L)), with no further exp or normal form. It is built once per
-    twist that the plan reads (``charclass.adams_rescale``, which returns
-    ch(L) itself at t = 1): one rescaled series at d = 1.
+    degree 1, so e^(2 c_1) = psi^2(e^(c_1)), and the normal form commutes
+    with psi^2 because the relations are homogeneous: ch(L^2) =
+    psi^2(ch(L)) (``charclass.adams_rescale``), one rescaled series with
+    no further exp or normal form.
 
     No Sym^j character is formed: s_j is a weighted sum of the G_i of
     Omega cached on the model (``ChowModel.cotangent_rank_zero``, i <= n),
-    and the degree is linear, so a term's degree weighs the pairings D(t,
-    i) of ch(L^t) G_i with Td. The pairs and weights are planned once per
-    combination (``_main_plan``). D(t, 0) pairs ch(L^t) itself, since G_0
-    = 1; D(t, i) for i >= 1 pairs the one product ch(L^t) G_i. Each pair
-    is paired once, the head pair (1, 0) first: n + 2 integrals and n
+    and the degree is linear. The head's degree is the pairing of ch(L)
+    itself with Td, as G_0 = 1. The rows share the n + 1 pairings D(2, i)
+    of psi^2(ch L) G_i with Td, D(2, 0) of psi^2(ch L) itself, and row j's
+    degree is sum_i C(d + j - 1, j - i) D(2, i) (``charclass._sym_weights``).
+    The head is paired first, then i ascending, so a non-integral message
+    names the first failing pairing in that order: n + 2 integrals and n
     series products, 4 and 2 at d = 1. Each integral builds its own Todd
     class (``_degree``). The weights form a unitriangular integer matrix,
-    so checking each D(t, i) for integrality checks every term's degree.
+    so checking each pairing for integrality checks every row's degree.
     """
-    d = model.rel_dim
-    if d < 1:
-        raise DomainError("need a family of positive relative dimension")
-    if model.total_dim - d != 1:
-        raise DomainError("the verification needs a one-dimensional base")
+    d = _family_dim(model)
     line_coeffs = dict(line)
     ch_line = _line_ch(model, line_coeffs)
-    combo = main_combo(d)
-    head, *terms = combo
+    head, *terms = main_combo(d)
     g = model.cotangent_rank_zero()
-    pairs, weights = _main_plan(combo, d, len(g) - 1)
-    ch_twist = {t: adams_rescale(ch_line, t) for t, i in pairs if not i}
-    pairing = [
-        _degree(model, ch_twist[t] * g[i] if i else ch_twist[t], "determinant degree")
-        for t, i in pairs
-    ]
-    lhs_degree, *degrees = (sum(map(mul, row, pairing)) for row in weights)
-    rows = tuple((term.sym, -term.coeff, deg) for term, deg in zip(terms, degrees))
+    ch2 = adams_rescale(ch_line, 2)
+    lhs_degree = _degree(model, ch_line, "determinant degree")
+    pairing = [_degree(model, ch2, "determinant degree")]
+    pairing += [_degree(model, ch2 * gi, "determinant degree") for gi in g[1:]]
+    n = len(g) - 1
+    rows = tuple(
+        (t.sym, -t.coeff, sum(map(mul, _sym_weights(d, t.sym, n), pairing))) for t in terms
+    )
     return MainReport(
         model=model.name,
         dim=d,
@@ -523,11 +508,7 @@ def verify_main_all_lines(model: ChowModel) -> AllLinesReport:
     whose degrees are not integers, where ``verify_main_on_model`` raises,
     the verdict can pass or list fractional coefficients.
     """
-    d = model.rel_dim
-    if d < 1:
-        raise DomainError("need a family of positive relative dimension")
-    if model.total_dim - d != 1:
-        raise DomainError("the verification needs a one-dimensional base")
+    d = _family_dim(model)
     g = model.cotangent_rank_zero()
     by_twist = _twist_weights(main_combo(d), d, len(g) - 1)
     todd = model.normal_form(todd_from_chern(model.tangent_chern))

@@ -444,7 +444,11 @@ def parse_expr(text: str):
             if tokens[pos] == "(" or not _INT.match(tokens[pos]):
                 args.append(parse(depth + 1))
             else:
-                args.append(int(tokens[pos]))
+                try:
+                    args.append(int(tokens[pos]))
+                except ValueError:  # past Python's int-from-text digit limit
+                    digits = len(tokens[pos].lstrip("-"))
+                    raise ScriptError(f"a numeral of {digits} digits is too long") from None
                 pos += 1
         if pos >= len(tokens):
             raise ScriptError("missing ')'")
@@ -1137,7 +1141,8 @@ def builtin_chain_names() -> list[str]:
 # Largest --dim for the shipped chains. Their P_k trees grow with dim, and a
 # monomial of a power f^(x)n is a sorted tuple of n factors, so verifying
 # one grows a little faster than dim^2. At dim = 120 a `rewrite --dim` run
-# takes about 0.5 s (invfunc-a-k) and 0.3 s (invfunc-l-p) on a 2-core host.
+# takes 0.93-1.12 s (invfunc-a-k) and 0.60-0.69 s (invfunc-l-p) on a 2-core
+# host where a bare `python3 -c pass` takes 44-65 ms.
 MAX_CHAIN_DIM = 120
 
 

@@ -926,6 +926,15 @@ class TestRewrite:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert fragment in err
 
+    def test_script_numeral_past_the_int_digit_limit_is_usage_error(self, capsys, tmp_path):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts text of any length to int")
+        start = f"(lam A {'1' * (limit + 1)})"
+        path = self._one_step_script(tmp_path, start, "cancel", {}, start)
+        err = run_usage_error(capsys, "rewrite", "--script", path)
+        assert err == f"error: a numeral of {limit + 1} digits is too long\n"
+
     def test_script_error_inside_an_axiom_passes_through(self, capsys, tmp_path):
         wide = "(* " + " ".join(f"(lin 1 A{i} 1 B{i})" for i in range(17)) + ")"
         args = {"map": {"A": ["B", 0, 1]}, "multiplier": {"expr": wide}}

@@ -168,6 +168,24 @@ def test_coeff_table_validation_guards():
 
 
 @pytest.mark.parametrize(
+    "dim, entries",
+    [
+        (1, (7.9, -4, 1)),
+        (1, ("7", -4, 1)),
+        (1, (7, -4, True)),
+        (True, (7, -4, 1)),
+        (1.0, (7, -4, 1)),
+        ("1", (7, -4, 1)),
+    ],
+)
+def test_coeff_table_refuses_what_is_not_an_int(dim, entries):
+    # int() would read 7.9 as 7 and "7" as 7, and a bool dim would print
+    # as "dim": true
+    with pytest.raises(DomainError, match="^dim and entries must be integers$"):
+        CoeffTable(dim, entries)
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: coeff_table(True),

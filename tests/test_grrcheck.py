@@ -1008,18 +1008,45 @@ def test_model_check_and_presets_read_main_combo(monkeypatch):
     assert relations == [[16 - 3 * 7, 3 * 4, -3], [1, -1, 0]]
 
 
-def test_main_plan_is_kept_per_combination_object():
-    # the plan is keyed on the combination object, never on its terms'
-    # hashes: the same object reads its kept plan back, and an equal but
-    # distinct object builds an equal plan of its own
-    combo = main_combo(2)
-    plan = grrcheck._main_plan(combo, 2, 2)
-    assert grrcheck._main_plan(combo, 2, 2) is plan
-    twin = combo[:1] + combo[1:]
-    assert twin == combo and twin is not combo
-    other = grrcheck._main_plan(twin, 2, 2)
-    assert other == plan and other is not plan
-    assert grrcheck._main_plan(combo, 2, 1) != plan
+def test_model_check_reads_each_patched_main_combo(monkeypatch):
+    # nothing is kept per combination: two patches in a row on one warm
+    # model, each with its own row scaling, are each read on their call
+    original = grrcheck.main_combo
+    model = model_pn_x_pm(2, 1)
+    line = {"h": 2, "s": -1}
+    before = verify_main_on_model(model, line)
+    for scale in (3, 5):
+
+        def scaled(d, allow_degenerate=False, scale=scale):
+            head, *rows = original(d, allow_degenerate)
+            return (head, *(ComboTerm(scale * t.coeff, t.twist, t.sym, t.dual) for t in rows))
+
+        monkeypatch.setattr(grrcheck, "main_combo", scaled)
+        after = verify_main_on_model(model, line)
+        assert after.rhs_rows == tuple((j, scale * c, deg) for j, c, deg in before.rhs_rows)
+        assert after.rhs == scale * before.rhs
+        assert (after.lhs_exponent, after.lhs) == (before.lhs_exponent, before.lhs)
+
+
+@pytest.mark.parametrize("name, params", [("P1xP1", {}), ("P2xP1", {}), ("Hirzebruch", {"e": 1})])
+def test_verify_main_pairs_the_head_first_then_each_g_i_ascending(monkeypatch, name, params):
+    # the order decides which value a non-integral message reports: ch(L)
+    # itself for the head, then psi^2(ch L), then psi^2(ch L) G_i, i = 1..n
+    m = builtin_model(name, **params)
+    line = {g: 2 - k for k, g in enumerate(m.vars.names)}
+    want = verify_main_on_model(m, line)
+    seen = []
+    original = grrcheck._degree
+
+    def recorded(model, ch, what):
+        seen.append(ch)
+        return original(model, ch, what)
+
+    monkeypatch.setattr(grrcheck, "_degree", recorded)
+    assert verify_main_on_model(m, line) == want
+    ch_line = grrcheck._line_ch(m, line)
+    ch2 = adams_rescale(ch_line, 2)
+    assert seen == [ch_line, ch2] + [ch2 * gi for gi in m.cotangent_rank_zero()[1:]]
 
 
 def test_parse_linear_expr():

@@ -7,6 +7,7 @@ rebuilt independently through the tree API before comparison.
 import copy
 import json
 import random
+import sys
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -501,6 +502,15 @@ class TestExpressionStrings:
     def test_parse_rejects(self, text):
         with pytest.raises(ScriptError):
             parse_expr(text)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_parse_refuses_a_numeral_past_the_int_digit_limit(self, sign):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts text of any length to int")
+        numeral = sign + "1" * (limit + 1)
+        with pytest.raises(ScriptError, match=f"^a numeral of {limit + 1} digits is too long$"):
+            parse_expr(f"(lam A {numeral})")
 
 
 def _random_tree(rng, depth):
